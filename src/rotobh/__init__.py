@@ -31,7 +31,7 @@ from .phase_diagram import (BoundaryPoint, PhaseGrid, SweepSpec,
 from .sensing import (DELTA_GLOBAL_MAX, THETA_EXACT_CROSSOVER,
                       InversionResult, SensingProfile, delta_change,
                       delta_exact, delta_max, fit_a, fit_form,
-                      invert_rotation_change, lambert_w, peak_offset,
-                      resolution, theta_crossover)
+                      invert_rotation_change, peak_offset, resolution,
+                      theta_crossover)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,26 +16,21 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from . import __version__, io, sensing
+from . import __version__, io, oracle, phase_diagram, sensing
 from .core import RingFrame
 from .errors import EXIT_OK, ConfigError, RotobhError
 from .landau import kappa
 from .oracle import MeanFieldProblem, boundary_numeric, minimize_order_parameter
-from .phase_diagram import (SweepSpec, boundary_hopping, lobe_index, sweep)
-from .sensing import delta_exact, fit_a, invert_rotation_change, resolution
+from .phase_diagram import (VARIANT_FOR_CONVENTION, SweepSpec,
+                            boundary_hopping, lobe_index, sweep)
+from .sensing import delta_exact, invert_rotation_change, resolution
 
-FIT_PROTOCOL = {
-    "form": "sqrt(a*dtheta)*exp(-sqrt(a*dtheta))",
-    "grid": "uniform dtheta grid on [0, theta]",
-    "search": "golden-section over log10(a) in [-3, 3], 61-point coarse scan",
-}
 TOLERANCES = {
-    "bisection_dtheta": 1e-10,
-    "oracle_boundary_dD": 1e-6,
-    "oracle_golden_dpsi": 1e-8,
-    "lobe_tip_dmu": 1e-10,
+    "bisection_dtheta": sensing.BISECTION_TOL,
+    "oracle_boundary_dD": oracle.BOUNDARY_TOL,
+    "oracle_golden_dpsi": oracle.GOLDEN_TOL,
+    "lobe_tip_dmu": phase_diagram.LOBE_TIP_TOL,
 }
 
 
@@ -87,6 +82,23 @@ def _add_output_flags(sub):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--config", default=None,
                      help="key=value file preloading this subcommand's flags")
+
+
+def _worker_count(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # reported below, like any count under 1
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r"
+                                         % (text,))
+    return value
+
+
+def _add_workers_flag(sub):
+    sub.add_argument("--workers", type=_worker_count, default=1,
+                     help="accepted for compatibility (>= 1); cells are "
+                          "evaluated in order in one thread")
 
 
 def _add_frame_flags(sub, with_omega=True):
@@ -149,7 +161,7 @@ def build_parser():
     p.add_argument("--psi-method", choices=("landau", "variational"),
                    default="landau")
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    _add_workers_flag(p)
     _add_output_flags(p)
 
     p = subs.add_parser("order-parameter",
@@ -163,7 +175,7 @@ def build_parser():
     p.add_argument("--psi-method", choices=("landau", "variational"),
                    default="landau")
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    _add_workers_flag(p)
     _add_frame_flags(p, with_omega=False)
     _add_output_flags(p)
 
@@ -176,7 +188,7 @@ def build_parser():
                           "(default: each lobe tip)")
     p.add_argument("--convention", choices=("paper", "variational"),
                    default="paper")
-    p.add_argument("--workers", type=int, default=1)
+    _add_workers_flag(p)
     _add_output_flags(p)
 
     p = subs.add_parser("sensitivity",
@@ -192,7 +204,7 @@ def build_parser():
     p.add_argument("--grid-points", type=int, default=sensing.FIT_GRID_POINTS)
     p.add_argument("--literal-exponent", action="store_true",
                    help="use the a^-2 prefactor variant in fit mode")
-    p.add_argument("--workers", type=int, default=1)
+    _add_workers_flag(p)
     _add_frame_flags(p, with_omega=False)
     _add_output_flags(p)
 
@@ -226,7 +238,9 @@ def build_parser():
     return parser
 
 
-_VARIANT = {"paper": "consistent", "variational": "variational"}
+def _dtheta_steps(theta, points):
+    """points offsets from 0 to theta; min() keeps rounding off the edge."""
+    return [min(theta * i / (points - 1), theta) for i in range(points)]
 
 
 def _cmd_phase_diagram(args):
@@ -279,8 +293,7 @@ def _cmd_sensitivity(args):
         raise ConfigError("--dtheta-points must be >= 2")
     rows = []
     for theta in thetas:
-        for i in range(args.dtheta_points):
-            dtheta = theta * i / (args.dtheta_points - 1)
+        for dtheta in _dtheta_steps(theta, args.dtheta_points):
             rows.append((theta, dtheta, delta_exact(theta, dtheta)))
     meta = {"dtheta_points": args.dtheta_points}
     return ("theta", "dtheta", "delta"), tuple(rows), meta
@@ -289,43 +302,37 @@ def _cmd_sensitivity(args):
 def _cmd_resolution(args):
     thetas = parse_grid(args.theta_grid)
     gamma = _resolve_gamma(args)
-
-    def profile_row(theta):
+    rows = []
+    for theta in thetas:
         prof = resolution(theta, mode=args.mode, gamma=gamma,
                           grid_points=args.grid_points,
                           literal_exponent=args.literal_exponent)
-        return (prof.theta,
-                math.nan if prof.omega is None else prof.omega,
-                prof.a_fit, prof.delta_max, prof.epsilon_theta,
-                math.nan if prof.epsilon_omega is None else prof.epsilon_omega,
-                prof.mode)
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = tuple(pool.map(profile_row, thetas))
-    else:
-        rows = tuple(profile_row(t) for t in thetas)
+        rows.append((
+            prof.theta, math.nan if prof.omega is None else prof.omega,
+            prof.a_fit, prof.delta_max, prof.epsilon_theta,
+            math.nan if prof.epsilon_omega is None else prof.epsilon_omega,
+            prof.mode))
     meta = {"mode": args.mode, "gamma": gamma,
             "grid_points": args.grid_points,
             "literal_exponent": args.literal_exponent,
-            "fit_protocol": FIT_PROTOCOL, "tolerances": TOLERANCES,
+            "fit_protocol": sensing.FIT_PROTOCOL, "tolerances": TOLERANCES,
             "theta_crossover_exact": sensing.theta_crossover("exact"),
             "theta_crossover_fit": sensing.theta_crossover("fit")}
     return ("theta", "omega", "a_fit", "delta_max", "epsilon_theta",
-            "epsilon_omega", "mode"), rows, meta
+            "epsilon_omega", "mode"), tuple(rows), meta
 
 
 def _cmd_fit_delta(args):
     thetas = parse_grid(args.theta_grid)
     rows = []
     for theta in thetas:
-        a, rms = fit_a(theta, args.grid_points)
-        dm = sensing.delta_max(theta, "fit")
-        dts = [theta * i / 400.0 for i in range(401)]
+        prof = resolution(theta, "fit", grid_points=args.grid_points)
+        a = prof.a_fit
         dev = max(abs(float(sensing.fit_form(a, d)) - delta_exact(theta, d))
-                  for d in dts)
-        rows.append((theta, a, rms, dm, dev))
-    meta = {"grid_points": args.grid_points, "fit_protocol": FIT_PROTOCOL}
+                  for d in _dtheta_steps(theta, 401))
+        rows.append((theta, a, prof.fit_rms, prof.delta_max, dev))
+    meta = {"grid_points": args.grid_points,
+            "fit_protocol": sensing.FIT_PROTOCOL}
     return ("theta", "a_fit", "rms", "delta_max_fit", "max_abs_dev"), \
         tuple(rows), meta
 
@@ -334,9 +341,9 @@ def _cmd_invert(args):
     theta = _resolve_theta(args)
     gamma = _resolve_gamma(args, required=True)
     lobe = lobe_index(args.mu) if args.lobe is None else args.lobe
+    variant = VARIANT_FOR_CONVENTION[args.convention]
     result = invert_rotation_change(args.delta_measured, args.mu, lobe,
-                                    theta, gamma,
-                                    variant=_VARIANT[args.convention])
+                                    theta, gamma, variant=variant)
     meta = {"convention": args.convention, "gamma": gamma,
             "tolerances": TOLERANCES}
     rows = ((args.delta_measured, theta, gamma, result.delta_theta,

@@ -127,24 +127,33 @@ def a4_bracket(mu: float, n: int) -> float:
     return math.fsum(terms)
 
 
-def a4(D: float, mu: float, n: int) -> float:
-    """Quartic Landau coefficient 16 D^4 B; requires B > 0."""
-    if D < 0.0:
-        raise DomainError("effective hopping must be >= 0")
+def _positive_bracket(mu: float, n: int) -> float:
+    """a4_bracket(mu, n), which the quartic expansion needs to be > 0."""
     B = a4_bracket(mu, n)
     if B <= 0.0:
         raise InvalidExpansionError(
             "fourth-order bracket B = %g is not positive at mu/U = %g, n = %d"
             % (B, mu, n))
-    return 16.0 * D ** 4 * B
+    return B
+
+
+def _check_boundary_variant(variant: str, what: str) -> None:
+    if variant not in ("consistent", "variational"):
+        raise ConfigError("%s needs variant 'consistent' or "
+                          "'variational', got %r" % (what, variant))
+
+
+def a4(D: float, mu: float, n: int) -> float:
+    """Quartic Landau coefficient 16 D^4 B; requires B > 0."""
+    if D < 0.0:
+        raise DomainError("effective hopping must be >= 0")
+    return 16.0 * D ** 4 * _positive_bracket(mu, n)
 
 
 def order_parameter_landau(D: float, mu: float, n: int,
                            variant: str = "consistent") -> float:
     """psi = sqrt(-a2/(2 a4)) when a2 < 0, else 0 (Mott side)."""
-    if variant not in ("consistent", "variational"):
-        raise ConfigError("order parameter needs variant 'consistent' or "
-                          "'variational', got %r" % (variant,))
+    _check_boundary_variant(variant, "order parameter")
     a2_val = a2(D, mu, n, variant)
     if a2_val >= 0.0:
         return 0.0
@@ -159,16 +168,9 @@ def kappa(mu: float, n: int, variant: str = "consistent") -> float:
                    consistent value.
     Independent of t/U and of the rotation state by construction.
     """
-    if variant not in ("consistent", "variational"):
-        raise ConfigError("kappa needs variant 'consistent' or "
-                          "'variational', got %r" % (variant,))
-    chi = chi_susceptibility(mu, n)
-    D_c = -1.0 / chi
-    B = a4_bracket(mu, n)
-    if B <= 0.0:
-        raise InvalidExpansionError(
-            "fourth-order bracket B = %g is not positive at mu/U = %g, n = %d"
-            % (B, mu, n))
+    _check_boundary_variant(variant, "kappa")
+    D_c = -1.0 / chi_susceptibility(mu, n)
+    B = _positive_bracket(mu, n)
     if variant == "consistent":
         return 1.0 / math.sqrt(8.0 * D_c ** 3 * B)
     return 1.0 / math.sqrt(16.0 * (0.5 * D_c) ** 3 * B)

@@ -13,7 +13,7 @@ psi and reports the minimizer together with the ground-state expectation
     d e0 / d psi = 4 D (psi - <a>)       (Hellmann-Feynman)
 
 The minimizer is bracketed by a 64-point coarse scan, localized by
-golden-section search to 1e-8, then polished by a secant iteration on
+golden-section search to GOLDEN_TOL, then polished by a secant iteration on
 h(psi) = psi - <a>(psi).  The polish step matters: comparison-based
 search alone is noise-limited near the shallow minimum, and the
 stationarity root is the same point computed to machine precision, which
@@ -37,6 +37,7 @@ from .phase_diagram import boundary_hopping, lobe_index
 
 COARSE_POINTS = 64
 GOLDEN_TOL = 1e-8
+BOUNDARY_TOL = 1e-6  # bisection width in D for boundary_numeric
 _SF_THRESHOLD = 1e-5  # psi above this counts as superfluid in bisection
 
 
@@ -167,7 +168,7 @@ def _warn_truncation(vec):
 
 
 def boundary_numeric(mu: float, n_max: int) -> float:
-    """Smallest D with psi* above 1e-5, by bisection to |dD| <= 1e-6.
+    """Smallest D with psi* above 1e-5, by bisection to |dD| <= BOUNDARY_TOL.
 
     The search interval is [0, D_c(paper)]; the paper boundary is deep
     in the numerically superfluid region, so it always brackets.
@@ -182,7 +183,7 @@ def boundary_numeric(mu: float, n_max: int) -> float:
 
     if not superfluid(hi):  # pragma: no cover - physically impossible
         raise ConvergenceError("no superfluid solution up to D = %g" % hi)
-    while hi - lo > 1e-6:
+    while hi - lo > BOUNDARY_TOL:
         mid = 0.5 * (lo + hi)
         if superfluid(mid):
             hi = mid

@@ -13,7 +13,6 @@ variational one.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,6 +24,8 @@ CONVENTIONS = ("paper", "variational")
 
 # Landau a2 variant whose root reproduces each boundary convention.
 VARIANT_FOR_CONVENTION = {"paper": "consistent", "variational": "variational"}
+
+LOBE_TIP_TOL = 1e-10  # golden-section |d mu| before the stationarity polish
 
 
 def lobe_index(mu: float) -> int:
@@ -51,7 +52,7 @@ def boundary_hopping(mu: float, n: int, convention: str = "paper") -> float:
 def lobe_tip(n: int, convention: str = "paper"):
     """(mu*, D*) maximizing the lobe-n boundary over the lobe interior.
 
-    Located by golden-section search to |d mu| <= 1e-10, then sharpened
+    Located by golden-section search to |d mu| <= LOBE_TIP_TOL, then sharpened
     against the stationarity condition d chi/d mu = 0, since direct
     value comparisons lose the tip in rounding noise once the boundary
     flattens out (|D_c(mu) - D*| < eps for |mu - mu*| of order 1e-8).
@@ -65,7 +66,7 @@ def lobe_tip(n: int, convention: str = "paper"):
         raise DomainError("lobe tips exist for n >= 1")
     lo, hi = landau.lobe_interval(n)
     mu_star = golden_min(lambda mu: -boundary_hopping(mu, n, convention),
-                         lo, hi, tol=1e-10)
+                         lo, hi, tol=LOBE_TIP_TOL)
     slope = lambda mu: landau.chi_slope(mu, n)
     a = max(mu_star - 1e-6, lo + 1e-9)
     b = min(mu_star + 1e-6, hi - 1e-9)
@@ -138,7 +139,8 @@ class SweepSpec:
     kind 'diagram' fills (mu_values x D_values); 'sensing-loop' fixes mu
     and fills (t_values x theta_values); 'costheta-curve' fills
     (lobes x t_values) with the critical cos(theta), defaulting each
-    lobe's mu to its tip when lobe_mu is empty.
+    lobe's mu to its tip when lobe_mu is empty.  workers must be >= 1;
+    cells are evaluated in order in one thread whatever its value.
     """
 
     kind: str
@@ -179,10 +181,6 @@ def _axis(name, values, allow_any_sign=False):
     return vals
 
 
-def _psi_landau(D, mu, n, variant):
-    return landau.order_parameter_landau(D, mu, n, variant)
-
-
 def _psi_variational(D, mu, n, n_max):
     from .oracle import MeanFieldProblem, minimize_order_parameter
     problem = MeanFieldProblem.for_lobe(mu, D, n_max=n_max)
@@ -196,8 +194,8 @@ def _phase_cell(mu, D_raw, t, theta, spec):
         label = classify(mu, t, theta, spec.convention)
         if label == "superfluid":
             if spec.psi_method == "landau":
-                variant = VARIANT_FOR_CONVENTION[spec.convention]
-                psi = _psi_landau(D_raw, mu, n, variant)
+                psi = landau.order_parameter_landau(
+                    D_raw, mu, n, VARIANT_FOR_CONVENTION[spec.convention])
             else:
                 psi = _psi_variational(D_raw, mu, n, spec.n_max)
         else:
@@ -205,13 +203,6 @@ def _phase_cell(mu, D_raw, t, theta, spec):
     except RotobhError as exc:
         return n, "error:%s" % exc.code, math.nan
     return n, label, psi
-
-
-def _map_cells(func, jobs, workers):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(func, jobs))  # map preserves order
-    return [func(j) for j in jobs]
 
 
 def sweep(spec: SweepSpec) -> PhaseGrid:
@@ -227,15 +218,12 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
     if spec.kind == "diagram":
         mus = _axis("mu", spec.mu_values, allow_any_sign=True)
         Ds = _axis("D", spec.D_values)
-        jobs = [(mu, D) for mu in mus for D in Ds]
-
-        def cell(job):
-            mu, D = job
-            # theta = 0 and t = D: the diagram axis is the effective hopping
-            n, label, psi = _phase_cell(mu, D, D, 0.0, spec)
-            return (mu, D, n, label, psi)
-
-        rows = _map_cells(cell, jobs, spec.workers)
+        # theta = 0 and t = D: the diagram axis is the effective hopping
+        rows = []
+        for mu in mus:
+            for D in Ds:
+                n, label, psi = _phase_cell(mu, D, D, 0.0, spec)
+                rows.append((mu, D, n, label, psi))
         return PhaseGrid(spec.kind, spec.convention, spec.psi_method,
                          ("mu_over_U", "D_eff", "lobe_n", "phase", "psi"),
                          tuple(rows))
@@ -246,15 +234,12 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
         mu = float(spec.mu_values[0])
         ts = _axis("t", spec.t_values)
         thetas = _axis("theta", spec.theta_values, allow_any_sign=True)
-        jobs = [(t, theta) for t in ts for theta in thetas]
-
-        def cell(job):
-            t, theta = job
-            D = t * math.cos(theta)
-            n, label, psi = _phase_cell(mu, D, t, theta, spec)
-            return (t, theta, D, n, label, psi)
-
-        rows = _map_cells(cell, jobs, spec.workers)
+        rows = []
+        for t in ts:
+            for theta in thetas:
+                D = t * math.cos(theta)
+                n, label, psi = _phase_cell(mu, D, t, theta, spec)
+                rows.append((t, theta, D, n, label, psi))
         return PhaseGrid(spec.kind, spec.convention, spec.psi_method,
                          ("t_over_U", "theta", "D_eff", "lobe_n", "phase", "psi"),
                          tuple(rows), fixed=(("mu_over_U", mu),))
@@ -270,17 +255,14 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
         mus = tuple(float(m) for m in spec.lobe_mu)
     else:
         mus = tuple(lobe_tip(n, spec.convention)[0] for n in lobes)
-    jobs = [(n, mu, t) for n, mu in zip(lobes, mus) for t in ts]
-
-    def cell(job):
-        n, mu, t = job
-        try:
-            c = critical_costheta(t, mu, n, spec.convention)
-            return (n, mu, t, c, "ok")
-        except RotobhError as exc:
-            return (n, mu, t, math.nan, "error:%s" % exc.code)
-
-    rows = _map_cells(cell, jobs, spec.workers)
+    rows = []
+    for n, mu in zip(lobes, mus):
+        for t in ts:
+            try:
+                c, status = critical_costheta(t, mu, n, spec.convention), "ok"
+            except RotobhError as exc:
+                c, status = math.nan, "error:%s" % exc.code
+            rows.append((n, mu, t, c, status))
     return PhaseGrid(spec.kind, spec.convention, spec.psi_method,
                      ("lobe_n", "mu_over_U", "t_over_U", "costheta_c", "status"),
                      tuple(rows))

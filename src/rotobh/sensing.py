@@ -56,9 +56,16 @@ DELTA_GLOBAL_MAX = 2.0 / (3.0 * math.sqrt(3.0))  # ~0.3849002
 FIT_GRID_POINTS = 200
 FIT_LOG_RANGE = (-3.0, 3.0)  # log10 a
 FIT_COARSE_POINTS = 61
+FIT_LOG_TOL = 1e-10  # golden-section width in log10 a
 FIT_RMS_THRESHOLD = 0.02
+FIT_PROTOCOL = {
+    "form": "sqrt(a*dtheta)*exp(-sqrt(a*dtheta))",
+    "grid": "uniform dtheta grid on [0, theta]",
+    "search": "golden-section over log10(a) in [%g, %g], %d-point coarse scan"
+              % (FIT_LOG_RANGE + (FIT_COARSE_POINTS,)),
+}
 
-_LAMBERT_BRANCHES = {"principal": 0, "minus-one": -1}
+BISECTION_TOL = 1e-10  # |d dtheta| for the half-maximum and inversion roots
 
 
 def _check_theta(theta: float) -> None:
@@ -99,9 +106,8 @@ def fit_form(a, dtheta):
 def fit_a(theta: float, grid_points: int = FIT_GRID_POINTS):
     """Least-squares a(theta) for the surrogate; returns (a, rms).
 
-    Protocol (recorded in CLI metadata): uniform dtheta grid of
-    grid_points samples on [0, theta]; golden-section over log10(a) in
-    [-3, 3] after a 61-point coarse scan.  Warns when rms > 0.02.
+    Protocol: FIT_PROTOCOL (recorded in CLI metadata), sampled at
+    grid_points dtheta values.  Warns when rms > FIT_RMS_THRESHOLD.
     """
     _check_theta(theta)
     if grid_points < 50:
@@ -118,7 +124,7 @@ def fit_a(theta: float, grid_points: int = FIT_GRID_POINTS):
     i = int(np.argmin(values))
     lo = coarse[max(i - 1, 0)]
     hi = coarse[min(i + 1, FIT_COARSE_POINTS - 1)]
-    log_a = golden_min(rms_of, lo, hi, tol=1e-10)
+    log_a = golden_min(rms_of, lo, hi, tol=FIT_LOG_TOL)
     a = 10.0 ** log_a
     rms = rms_of(log_a)
     if rms > FIT_RMS_THRESHOLD:
@@ -126,6 +132,13 @@ def fit_a(theta: float, grid_points: int = FIT_GRID_POINTS):
                       % (rms, FIT_RMS_THRESHOLD, theta),
                       FitQualityWarning, stacklevel=2)
     return a, rms
+
+
+def _fit_peak(a: float, theta: float) -> float:
+    """Surrogate peak on [0, theta]: e^-1 once 1/a is inside, else the edge."""
+    if a * theta >= 1.0:
+        return math.exp(-1.0)
+    return float(fit_form(a, theta))
 
 
 def delta_max(theta: float, mode: str = "exact") -> float:
@@ -136,11 +149,7 @@ def delta_max(theta: float, mode: str = "exact") -> float:
             return DELTA_GLOBAL_MAX
         return delta_exact(theta, theta)
     if mode == "fit":
-        a, _ = fit_a(theta)
-        x = a * theta
-        if x >= 1.0:
-            return math.exp(-1.0)
-        return float(fit_form(a, theta))
+        return _fit_peak(fit_a(theta)[0], theta)
     raise ConfigError("mode must be 'exact' or 'fit', got %r" % (mode,))
 
 
@@ -155,17 +164,6 @@ def theta_crossover(mode: str = "exact") -> float:
     if mode == "fit":
         return bisect_root(lambda t: fit_a(t)[0] * t - 1.0, 0.3, 1.2, tol=1e-6)
     raise ConfigError("mode must be 'exact' or 'fit', got %r" % (mode,))
-
-
-def lambert_w(branch: str, z: float) -> float:
-    """Real Lambert W on the named branch ('principal' or 'minus-one')."""
-    if branch not in _LAMBERT_BRANCHES:
-        raise ConfigError("branch must be 'principal' or 'minus-one', got %r"
-                          % (branch,))
-    try:
-        return numerics.lambert_w(z, _LAMBERT_BRANCHES[branch])
-    except ValueError as exc:
-        raise DomainError(str(exc))
 
 
 @dataclass(frozen=True)
@@ -210,15 +208,14 @@ def resolution(theta: float, mode: str = "exact", gamma: Optional[float] = None,
         dm = delta_max(theta, "exact")
         pk = peak_offset(theta)
         eps = bisect_root(lambda d: delta_exact(theta, d) - 0.5 * dm,
-                          0.0, pk, tol=1e-10)
+                          0.0, pk, tol=BISECTION_TOL)
         if pk < theta and delta_exact(theta, theta) <= 0.5 * dm:
             right = bisect_root(lambda d: delta_exact(theta, d) - 0.5 * dm,
-                                pk, theta, tol=1e-10)
+                                pk, theta, tol=BISECTION_TOL)
             fwhm = right - eps
         dm_out = dm
     else:
-        x = a * theta
-        dm_out = math.exp(-1.0) if x >= 1.0 else float(fit_form(a, theta))
+        dm_out = _fit_peak(a, theta)
         w = numerics.lambert_w(-0.5 * dm_out, 0)
         eps = w * w / (a * a if literal_exponent else a)
 
@@ -275,7 +272,7 @@ def invert_rotation_change(delta_measured: float, mu: float, n: int,
         dtheta = pk
     else:
         dtheta = bisect_root(lambda d: delta_exact(theta, d) - target,
-                             0.0, pk, tol=1e-10)
+                             0.0, pk, tol=BISECTION_TOL)
     ambiguous = pk < theta and delta_exact(theta, theta) <= target < dm
     return InversionResult(delta_theta=dtheta, delta_omega=dtheta / gamma,
                            ambiguous=ambiguous)

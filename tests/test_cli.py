@@ -2,13 +2,17 @@ import contextlib
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 from rotobh.cli import load_config, main, parse_grid
 from rotobh.errors import ConfigError
 from rotobh.io import parse_csv
-from rotobh.sensing import delta_change
+from rotobh.sensing import delta_change, fit_form
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(argv):
@@ -154,6 +158,12 @@ def test_sensitivity_surface():
     assert len(rows) == 100
     assert rows[0] == (0.5, 0.0, 0.0)
     assert abs(rows[-1][1] - 1.0) < 1e-12  # last offset reaches the edge
+    # theta * i / (points - 1) rounds past theta at the last step here
+    status, out, _ = run_cli(["sensitivity", "--theta-grid", "0.7008",
+                              "--dtheta-points", "200"])
+    assert status == 0
+    _, _, rows = parse_csv(out)
+    assert len(rows) == 200 and rows[-1][1] == 0.7008
 
 
 def test_fit_delta_report():
@@ -166,6 +176,20 @@ def test_fit_delta_report():
     assert rms < 0.02
     assert dm == math.exp(-1.0)
     assert dev < 0.03
+    # the deviation scan's last step rounds past theta here
+    status, out, _ = run_cli(["fit-delta", "--theta-grid", "0.4995"])
+    assert status == 0
+    assert len(parse_csv(out)[2]) == 1
+
+
+def test_fit_delta_peak_uses_its_own_fit():
+    status, out, _ = run_cli(["fit-delta", "--theta-grid", "0.5:1.1:0.1",
+                              "--grid-points", "100"])
+    assert status == 0
+    _, _, rows = parse_csv(out)
+    for theta, a, _, dm, _ in rows:
+        peak = math.exp(-1.0) if a * theta >= 1.0 else float(fit_form(a, theta))
+        assert dm == peak
 
 
 def test_order_parameter_omega_grid(tmp_path):
@@ -317,3 +341,23 @@ def test_version_and_usage_errors():
     assert status == 2
     status, _, _ = run_cli([])
     assert status == 2
+    status, _, _ = run_cli(["resolution", "--theta-grid", "1.0",
+                            "--workers", "0"])
+    assert status == 2
+
+
+def test_readme_cli_examples(tmp_path):
+    """Every command in the README's CLI block runs and exits 0."""
+    block = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = block.split("```", 2)[1].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("rotobh ")]
+    assert len(commands) >= 8
+    for i, argv in enumerate(commands):
+        if "--output" in argv:
+            j = argv.index("--output")
+            del argv[j:j + 2]
+        out = tmp_path / ("example%d.csv" % i)
+        status, _, err = run_cli(argv + ["--output", str(out)])
+        assert status == 0, (argv, err)
+        assert out.stat().st_size > 0

@@ -5,10 +5,11 @@ import pytest
 
 from rotobh.errors import ConfigError, DomainError, FitQualityWarning, OutOfRangeError
 from rotobh.landau import kappa
+from rotobh.numerics import lambert_w
 from rotobh.sensing import (DELTA_GLOBAL_MAX, THETA_EXACT_CROSSOVER,
                             delta_change, delta_exact, delta_max, fit_a,
-                            fit_form, invert_rotation_change, lambert_w,
-                            peak_offset, resolution, theta_crossover)
+                            fit_form, invert_rotation_change, peak_offset,
+                            resolution, theta_crossover)
 
 
 def test_delta_exact_values():
@@ -117,19 +118,6 @@ def test_theta_crossover_both_modes():
         theta_crossover("other")
 
 
-def test_lambert_wrapper():
-    z = -0.5 * math.exp(-1.0)
-    w0 = lambert_w("principal", z)
-    wm = lambert_w("minus-one", z)
-    assert abs(w0 + 0.23196095298653444) < 1e-12
-    assert abs(wm + 2.6783469900166605) < 1e-12
-    assert abs(w0 * w0 - 0.053806) < 1e-6
-    with pytest.raises(ConfigError):
-        lambert_w("both", z)
-    with pytest.raises(DomainError):
-        lambert_w("principal", -1.0)
-
-
 def test_resolution_exact_mode():
     prof = resolution(1.0, mode="exact")
     assert prof.mode == "exact"
@@ -176,7 +164,7 @@ def test_resolution_omega_units():
 def test_resolution_fit_mode():
     prof = resolution(1.0, mode="fit")
     assert prof.delta_max == math.exp(-1.0)
-    w = lambert_w("principal", -0.5 * math.exp(-1.0))
+    w = lambert_w(-0.5 * math.exp(-1.0), 0)
     assert abs(prof.epsilon_theta - w * w / prof.a_fit) < 1e-12
     assert abs(prof.epsilon_theta - 0.024970232294427394) < 1e-8
     literal = resolution(1.0, mode="fit", literal_exponent=True)
