@@ -21,7 +21,7 @@ from . import __version__, io, oracle, phase_diagram, sensing
 from .core import RingFrame
 from .errors import EXIT_OK, ConfigError, RotobhError
 from .landau import kappa
-from .oracle import MeanFieldProblem, boundary_numeric, minimize_order_parameter
+from .oracle import MeanFieldProblem, boundary_numeric, converged_psi
 from .phase_diagram import (VARIANT_FOR_CONVENTION, SweepSpec,
                             boundary_hopping, lobe_index, sweep)
 from .sensing import delta_exact, invert_rotation_change, resolution
@@ -315,9 +315,10 @@ def _cmd_resolution(args):
     meta = {"mode": args.mode, "gamma": gamma,
             "grid_points": args.grid_points,
             "literal_exponent": args.literal_exponent,
-            "fit_protocol": sensing.FIT_PROTOCOL, "tolerances": TOLERANCES,
-            "theta_crossover_exact": sensing.theta_crossover("exact"),
-            "theta_crossover_fit": sensing.theta_crossover("fit")}
+            "fit_protocol": sensing.FIT_PROTOCOL, "tolerances": TOLERANCES}
+    if args.format == "json":  # CSV drops the meta; the fit crossover is costly
+        meta["theta_crossover_exact"] = sensing.theta_crossover("exact")
+        meta["theta_crossover_fit"] = sensing.theta_crossover("fit")
     return ("theta", "omega", "a_fit", "delta_max", "epsilon_theta",
             "epsilon_omega", "mode"), tuple(rows), meta
 
@@ -366,8 +367,7 @@ def _cmd_oracle_check(args):
         t_edge = boundary_hopping(mu, lobe, "variational") / math.cos(theta)
         for dtheta in dthetas:
             D = t_edge * math.cos(theta - dtheta)
-            psi = minimize_order_parameter(
-                MeanFieldProblem.for_lobe(mu, D, n_max=n_max)).psi_star
+            psi = converged_psi(MeanFieldProblem.for_lobe(mu, D, n_max=n_max))
             delta = delta_exact(theta, dtheta)
             kap_rec = psi / delta
             rows.append((mu, lobe, dtheta, D_c, D_cv, D_cv / D_c, psi,

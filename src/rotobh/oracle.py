@@ -20,16 +20,24 @@ stationarity root is the same point computed to machine precision, which
 is what makes the truncation-drift guarantee (<= 1e-8 per two extra
 Fock levels) meetable.  Minimization remains the primary solver; the
 secant step only refines its output and never moves further than 1e-4.
+
+Each point pays only for LAPACK.  The coarse scan is one stacked
+``numpy.linalg.eigvalsh`` over all 64 matrices; each golden-section step
+is one eigenvalue-only ``dsterf``; each secant step and the final point
+are one ``dstev`` each, which gives e0, the vector and <a> together.  The
+psi-independent arrays k, k(k-1) and sqrt(k) are built once per n_max.
+A LAPACK failure raises ConvergenceError; it never yields a number.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstev, dsterf
 
 from .errors import ConfigError, ConvergenceError, TruncationWarning
 from .numerics import golden_min
@@ -78,16 +86,69 @@ class OracleResult:
     converged: bool
 
 
-def _tridiag(problem, psi):
-    k = np.arange(problem.n_max + 1, dtype=float)
-    diag = -problem.mu_over_U * k + k * (k - 1.0) + 2.0 * problem.D_eff * psi * psi
-    off = -2.0 * problem.D_eff * psi * np.sqrt(k[1:])
-    return diag, off
+@functools.lru_cache(maxsize=None)
+def _fock_arrays(n_max):
+    """k, k(k-1) and sqrt(k) (k >= 1) for one truncation, shared read-only."""
+    k = np.arange(n_max + 1, dtype=float)
+    arrays = (k, k * (k - 1.0), np.sqrt(k[1:]))
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def _check_info(routine, info):
+    if info != 0:
+        raise ConvergenceError("LAPACK %s failed (info = %d)" % (routine, info))
+
+
+class _Kernel:
+    """Eigensolves of one problem's H(psi), each a single LAPACK call."""
+
+    __slots__ = ("_base", "_sqrt_k", "_two_d")
+
+    def __init__(self, problem):
+        k, k_k1, sqrt_k = _fock_arrays(problem.n_max)
+        self._base = -problem.mu_over_U * k + k_k1
+        self._sqrt_k = sqrt_k
+        self._two_d = 2.0 * problem.D_eff
+
+    def tridiag(self, psi):
+        return (self._base + self._two_d * psi * psi,
+                -self._two_d * psi * self._sqrt_k)
+
+    def energy(self, psi):
+        """e0(psi) from the eigenvalues alone (dsterf)."""
+        vals, info = dsterf(*self.tridiag(psi), overwrite_d=1, overwrite_e=1)
+        _check_info("dsterf", info)
+        return float(vals[0])
+
+    def eigenpair(self, psi):
+        """(e0, unit vector in LAPACK's sign, <a>) from one dstev solve."""
+        vals, vecs, info = dstev(*self.tridiag(psi), overwrite_d=1,
+                                 overwrite_e=1)
+        _check_info("dstev", info)
+        vec = vecs[:, 0]
+        a_exp = float(np.dot(self._sqrt_k, vec[:-1] * vec[1:]))
+        return float(vals[0]), vec, a_exp
+
+    def scan(self, grid):
+        """e0 at every psi of grid from one stacked eigvalsh."""
+        n = self._base.size
+        H = np.zeros((grid.size, n, n))
+        i = np.arange(n)
+        H[:, i, i] = self._base + (self._two_d * grid * grid)[:, None]
+        off = (-self._two_d * grid)[:, None] * self._sqrt_k
+        H[:, i[1:], i[:-1]] = off
+        H[:, i[:-1], i[1:]] = off
+        try:
+            return np.linalg.eigvalsh(H)[:, 0]
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError("stacked eigensolver failed: %s" % exc)
 
 
 def build_hamiltonian(problem: MeanFieldProblem, psi: float) -> np.ndarray:
     """Dense symmetric (n_max+1)^2 matrix; mostly for inspection/tests."""
-    diag, off = _tridiag(problem, psi)
+    diag, off = _Kernel(problem).tridiag(psi)
     H = np.diag(diag)
     H += np.diag(off, 1) + np.diag(off, -1)
     return H
@@ -95,45 +156,35 @@ def build_hamiltonian(problem: MeanFieldProblem, psi: float) -> np.ndarray:
 
 def ground_energy(problem: MeanFieldProblem, psi: float):
     """Lowest eigenpair (e0, unit vector) of the tridiagonal Hamiltonian."""
-    diag, off = _tridiag(problem, psi)
-    try:
-        w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError("tridiagonal eigensolver failed: %s" % exc)
-    vec = v[:, 0]
+    e0, vec, _ = _Kernel(problem).eigenpair(psi)
     if vec[np.argmax(np.abs(vec))] < 0.0:
         vec = -vec  # fix the overall sign for reproducibility
-    return float(w[0]), vec
+    return e0, vec
 
 
 def a_expectation(problem: MeanFieldProblem, psi: float) -> float:
     """Ground-state <a> = sum_k sqrt(k+1) v_k v_{k+1}."""
-    _, vec = ground_energy(problem, psi)
-    k = np.arange(1, problem.n_max + 1, dtype=float)
-    return float(np.sum(np.sqrt(k) * vec[:-1] * vec[1:]))
+    return _Kernel(problem).eigenpair(psi)[2]
 
 
 def minimize_order_parameter(problem: MeanFieldProblem) -> OracleResult:
     """Minimize e0(psi) over [0, psi_max]; see module docstring."""
+    kernel = _Kernel(problem)
     if problem.D_eff == 0.0:
         # energy is psi-independent; the Fock ground state is exact
-        e0, vec = ground_energy(problem, 0.0)
+        e0, vec, _ = kernel.eigenpair(0.0)
         _warn_truncation(vec)
         return OracleResult(psi_star=0.0, e0=e0, a_expect=0.0, converged=True)
 
-    def e0_of(psi):
-        return ground_energy(problem, psi)[0]
-
     grid = np.linspace(0.0, problem.psi_max, COARSE_POINTS)
-    values = [e0_of(p) for p in grid]
-    i = int(np.argmin(values))
+    i = int(np.argmin(kernel.scan(grid)))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, COARSE_POINTS - 1)]
-    psi = golden_min(e0_of, lo, hi, tol=GOLDEN_TOL)
+    psi = golden_min(kernel.energy, lo, hi, tol=GOLDEN_TOL)
 
     # secant polish of the stationarity equation h(psi) = psi - <a>(psi)
     def h(p):
-        return p - a_expectation(problem, p)
+        return p - kernel.eigenpair(p)[2]
 
     x0, x1 = psi, min(psi + 1e-7, problem.psi_max)
     h0, h1 = h(x0), h(x1)
@@ -153,11 +204,20 @@ def minimize_order_parameter(problem: MeanFieldProblem) -> OracleResult:
     if abs(psi) < 1e-12:
         psi = 0.0
 
-    e0, vec = ground_energy(problem, psi)
+    e0, vec, a_exp = kernel.eigenpair(psi)
     _warn_truncation(vec)
-    a_exp = a_expectation(problem, psi)
     converged = abs(psi - a_exp) <= 1e-9
     return OracleResult(psi_star=psi, e0=e0, a_expect=a_exp, converged=converged)
+
+
+def converged_psi(problem: MeanFieldProblem) -> float:
+    """psi* of a minimization that met stationarity, else ConvergenceError."""
+    res = minimize_order_parameter(problem)
+    if not res.converged:
+        raise ConvergenceError(
+            "oracle did not converge at mu = %r, D = %r: |psi - <a>| = %.3g"
+            % (problem.mu_over_U, problem.D_eff, abs(res.psi_star - res.a_expect)))
+    return res.psi_star
 
 
 def _warn_truncation(vec):

@@ -182,9 +182,8 @@ def _axis(name, values, allow_any_sign=False):
 
 
 def _psi_variational(D, mu, n, n_max):
-    from .oracle import MeanFieldProblem, minimize_order_parameter
-    problem = MeanFieldProblem.for_lobe(mu, D, n_max=n_max)
-    return minimize_order_parameter(problem).psi_star
+    from .oracle import MeanFieldProblem, converged_psi
+    return converged_psi(MeanFieldProblem.for_lobe(mu, D, n_max=n_max))
 
 
 def _phase_cell(mu, D_raw, t, theta, spec):

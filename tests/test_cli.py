@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from rotobh import oracle, sensing
 from rotobh.cli import load_config, main, parse_grid
 from rotobh.errors import ConfigError
 from rotobh.io import parse_csv
@@ -288,6 +289,34 @@ def test_oracle_check_report():
     assert abs(row["D_c_paper"] - 1.0 / 3.0) < 1e-12
     assert abs(row["rel_err"]) < 2e-2
     assert row["psi_star"] < 0.1
+
+
+def test_oracle_check_unconverged_exits_4(monkeypatch):
+    monkeypatch.setattr(oracle, "minimize_order_parameter",
+                        lambda problem: oracle.OracleResult(0.5, -1.0, 0.4, False))
+    status, out, err = run_cli(["oracle-check", "--mu", "1.0",
+                                "--dthetas", "0.005"])
+    assert status == 4
+    assert out == ""
+    assert "did not converge" in err
+
+
+def test_resolution_crossover_only_in_json(monkeypatch):
+    calls = []
+    real = sensing.theta_crossover
+
+    def counted(mode="exact"):
+        calls.append(mode)
+        return real(mode)
+    monkeypatch.setattr(sensing, "theta_crossover", counted)
+    argv = ["resolution", "--theta-grid", "0.8,1.0"]
+    status, _, _ = run_cli(argv)
+    assert status == 0 and calls == []
+    status, json_out, _ = run_cli(argv + ["--format", "json"])
+    assert status == 0 and calls == ["exact", "fit"]
+    meta = json.loads(json_out)["meta"]
+    assert meta["theta_crossover_exact"] == real("exact")
+    assert meta["theta_crossover_fit"] == real("fit")
 
 
 def test_config_file_and_override(tmp_path):

@@ -3,11 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rotobh.errors import ConfigError, TruncationWarning
-from rotobh.oracle import (MeanFieldProblem, OracleResult, a_expectation,
-                           boundary_numeric, build_hamiltonian, ground_energy,
-                           minimize_order_parameter)
+from rotobh import oracle
+from rotobh.errors import ConfigError, ConvergenceError, TruncationWarning
+from rotobh.oracle import (COARSE_POINTS, MeanFieldProblem, OracleResult,
+                           a_expectation, boundary_numeric, build_hamiltonian,
+                           ground_energy, minimize_order_parameter)
 
 
 def test_problem_validation():
@@ -122,3 +125,69 @@ def test_truncation_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         minimize_order_parameter(MeanFieldProblem.for_lobe(1.0, 0.25))
+
+
+def _dense_a(vec):
+    return float(np.sum(np.sqrt(np.arange(1.0, vec.size)) * vec[:-1] * vec[1:]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mu=st.floats(-1.0, 5.0), D=st.floats(0.0, 0.6),
+       psi=st.floats(0.0, 3.0), n_max=st.integers(4, 16))
+def test_kernel_matches_dense_eigh(mu, D, psi, n_max):
+    p = MeanFieldProblem(mu, D, n_max, 3.0)
+    H = build_hamiltonian(p, psi)
+    w, v = np.linalg.eigh(H)
+    e0, vec = ground_energy(p, psi)
+    assert abs(e0 - w[0]) <= 1e-12 * max(1.0, abs(w[0]))
+    assert np.linalg.norm(H @ vec - e0 * vec) <= 1e-10
+    assert vec[np.argmax(np.abs(vec))] > 0.0
+    if w[1] - w[0] > 1e-3:  # the ground vector is well determined
+        assert abs(a_expectation(p, psi) - _dense_a(v[:, 0])) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mu=st.floats(-1.0, 5.0), D=st.floats(0.0, 0.6),
+       psi_max=st.floats(0.1, 4.0), n_max=st.integers(4, 16))
+def test_stacked_scan_matches_scalar_energies(mu, D, psi_max, n_max):
+    p = MeanFieldProblem(mu, D, n_max, psi_max)
+    grid = np.linspace(0.0, psi_max, COARSE_POINTS)
+    stacked = oracle._Kernel(p).scan(grid)
+    scalar = np.array([ground_energy(p, x)[0] for x in grid])
+    assert stacked.shape == grid.shape
+    assert np.all(np.abs(stacked - scalar)
+                  <= 1e-12 * np.maximum(1.0, np.abs(scalar)))
+
+
+def _dsterf_fails(d, e, **kwargs):
+    return np.zeros_like(d), 1
+
+
+def _dstev_fails(d, e, **kwargs):
+    return np.zeros_like(d), np.eye(d.size), 1
+
+
+def _eigvalsh_fails(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_lapack_failure_is_an_error(monkeypatch):
+    p = MeanFieldProblem.for_lobe(1.0, 0.25)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "dstev", _dstev_fails)
+        for call in (lambda: ground_energy(p, 0.3),
+                     lambda: a_expectation(p, 0.3),
+                     lambda: minimize_order_parameter(p),
+                     lambda: minimize_order_parameter(
+                         MeanFieldProblem(1.0, 0.0, 8, 2.0))):
+            with pytest.raises(ConvergenceError, match="dstev"):
+                call()
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "dsterf", _dsterf_fails)
+        with pytest.raises(ConvergenceError, match="dsterf"):
+            minimize_order_parameter(p)
+    with monkeypatch.context() as m:
+        m.setattr(oracle.np.linalg, "eigvalsh", _eigvalsh_fails)
+        with pytest.raises(ConvergenceError, match="stacked"):
+            minimize_order_parameter(p)
+

@@ -188,6 +188,18 @@ def test_sweep_error_cells_are_sentinels():
     assert math.isnan(table[0.5][4])
 
 
+def test_sweep_unconverged_oracle_is_a_sentinel(monkeypatch):
+    from rotobh import oracle
+    monkeypatch.setattr(oracle, "minimize_order_parameter",
+                        lambda problem: oracle.OracleResult(0.5, -1.0, 0.4, False))
+    spec = SweepSpec(kind="diagram", psi_method="variational",
+                     mu_values=(1.0,), D_values=(0.05, 0.5))
+    table = {r[1]: r for r in sweep(spec).rows}
+    assert table[0.05][3] == "mott:1"  # no oracle call needed
+    assert table[0.5][3] == "error:no-convergence"
+    assert math.isnan(table[0.5][4])
+
+
 def test_sweep_validation():
     with pytest.raises(ConfigError):
         sweep(SweepSpec(kind="nope"))
