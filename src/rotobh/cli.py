@@ -372,8 +372,7 @@ def _cmd_oracle_check(args):
             kap_rec = psi / delta
             rows.append((mu, lobe, dtheta, D_c, D_cv, D_cv / D_c, psi,
                          kap_var, kap_rec, kap_rec / kap_var - 1.0))
-    meta = {"theta": theta, "n_max": args.n_max,
-            "superfluid_threshold": 1e-5, "tolerances": TOLERANCES}
+    meta = {"theta": theta, "n_max": args.n_max, "tolerances": TOLERANCES}
     return ("mu_over_U", "lobe_n", "dtheta", "D_c_paper", "D_cv_oracle",
             "ratio", "psi_star", "kappa_variational", "kappa_recovered",
             "rel_err"), tuple(rows), meta

@@ -1,10 +1,13 @@
-"""Small numerical toolkit: golden-section search, bisection, Lambert W.
+"""Small numerical toolkit: golden-section search, bracketed roots, Lambert W.
 
 Deliberately dependency-free so the physics modules stay auditable;
-nothing here needs vectorization.
+nothing here needs vectorization.  A root finder that runs out of
+iterations raises ConvergenceError; it never returns an unverified point.
 """
 
 import math
+
+from .errors import ConvergenceError
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
@@ -32,7 +35,12 @@ def golden_min(f, lo, hi, tol=1e-10):
 
 
 def bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
-    """Root of f on [lo, hi]; endpoints must straddle zero."""
+    """Root of f on [lo, hi]; endpoints must straddle zero.
+
+    Returns the midpoint once the bracket is no wider than tol, or as soon
+    as the midpoint equals an endpoint, which is the best a double can
+    give.  ConvergenceError if max_iter halvings do not get there.
+    """
     lo, hi = float(lo), float(hi)
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -43,6 +51,8 @@ def bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
         raise ValueError("root not bracketed on [%g, %g]" % (lo, hi))
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         fmid = f(mid)
         if fmid == 0.0 or hi - lo <= tol:
             return mid
@@ -50,7 +60,49 @@ def bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
             hi = mid
         else:
             lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+    raise ConvergenceError("bisection on [%r, %r] did not reach tol = %g in "
+                           "%d steps" % (lo, hi, tol, max_iter))
+
+
+def false_position_root(f, lo, hi, tol=1e-10, max_iter=100):
+    """Root of f on [lo, hi] by Illinois false position, contract of bisect_root.
+
+    Each step takes the secant point of the bracket; when one end is kept
+    twice in a row its f is halved, so both ends close in superlinearly
+    (Dowell & Jarratt, BIT 11, 168 (1971)).  Returns the latest point once
+    the bracket is no wider than tol, or as soon as the point equals an
+    endpoint.  ConvergenceError if max_iter steps do not get there.
+    """
+    lo, hi = float(lo), float(hi)
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0.0:
+        raise ValueError("root not bracketed on [%g, %g]" % (lo, hi))
+    kept = 0  # -1: lo was kept last step, +1: hi was
+    for _ in range(max_iter):
+        x = hi - fhi * (hi - lo) / (fhi - flo)
+        if x <= lo or x >= hi:
+            return x
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (flo < 0.0):
+            lo, flo = x, fx
+            if kept == 1:
+                fhi *= 0.5
+            kept = 1
+        else:
+            hi, fhi = x, fx
+            if kept == -1:
+                flo *= 0.5
+            kept = -1
+        if hi - lo <= tol:
+            return x
+    raise ConvergenceError("false position on [%r, %r] did not reach tol = %g "
+                           "in %d steps" % (lo, hi, tol, max_iter))
 
 
 _BRANCH_POINT = -1.0 / math.e

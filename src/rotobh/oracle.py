@@ -27,6 +27,14 @@ is one eigenvalue-only ``dsterf``; each secant step and the final point
 are one ``dstev`` each, which gives e0, the vector and <a> together.  The
 psi-independent arrays k, k(k-1) and sqrt(k) are built once per n_max.
 A LAPACK failure raises ConvergenceError; it never yields a number.
+
+The Mott/superfluid boundary is not found by minimizing at all.  At
+psi -> 0, Hellmann-Feynman gives e0(psi) - e0(0) ~ 2 D (1 - r) psi^2, with
+r = <a>/psi the linear response of the ground state, so the second-order
+boundary is the root in D of r(D) = 1.  boundary_numeric finds it by
+false position, one dstev per evaluation at psi = RESPONSE_EPS, without
+touching the closed-form susceptibility, and then runs two minimizations
+just below and just above it to rule out a first-order jump.
 """
 
 from __future__ import annotations
@@ -40,13 +48,15 @@ import numpy as np
 from scipy.linalg.lapack import dstev, dsterf
 
 from .errors import ConfigError, ConvergenceError, TruncationWarning
-from .numerics import golden_min
+from .numerics import false_position_root, golden_min
 from .phase_diagram import boundary_hopping, lobe_index
 
 COARSE_POINTS = 64
 GOLDEN_TOL = 1e-8
-BOUNDARY_TOL = 1e-6  # bisection width in D for boundary_numeric
-_SF_THRESHOLD = 1e-5  # psi above this counts as superfluid in bisection
+BOUNDARY_TOL = 1e-6  # published bound on |dD| of boundary_numeric (meets ~1e-12)
+RESPONSE_EPS = 1e-6  # psi at which boundary_numeric reads the linear response
+ROOT_TOL = 1e-14  # bracket width in D of the boundary root
+GUARD_STEP = 1e-3  # relative offset in D of the two first-order guards
 
 
 @dataclass(frozen=True)
@@ -228,25 +238,37 @@ def _warn_truncation(vec):
 
 
 def boundary_numeric(mu: float, n_max: int) -> float:
-    """Smallest D with psi* above 1e-5, by bisection to |dD| <= BOUNDARY_TOL.
+    """Hopping D at which psi = 0 stops being stable: the root of r(D) = 1.
 
-    The search interval is [0, D_c(paper)]; the paper boundary is deep
-    in the numerically superfluid region, so it always brackets.
+    r(D) = <a>(RESPONSE_EPS; D) / RESPONSE_EPS is the linear response of
+    the ground state, one dstev per evaluation.  By Hellmann-Feynman the
+    curvature of e0 at psi = 0 is proportional to 1 - r, so r = 1 is the
+    second-order boundary (van Oosten, van der Straten & Stoof, PRA 63,
+    053601 (2001)).  The bracket is [0, D_c(paper)]: r(0) = 0, and the
+    paper boundary is twice the true one, so r > 1 there.  The root is
+    found to ROOT_TOL by false position; the finite eps biases it by
+    O(eps^2), about 1e-12 relative.
+
+    A first-order jump is invisible to linear stability, so two full
+    minimizations guard the answer: psi* must be exactly 0 at
+    D*(1 - GUARD_STEP) and positive at D*(1 + GUARD_STEP).  Otherwise,
+    or if either minimization does not converge, ConvergenceError.
     """
-    n = lobe_index(mu)
-    hi = boundary_hopping(mu, n, "paper")  # raises at lobe corners
-    lo = 0.0
+    hi = boundary_hopping(mu, lobe_index(mu), "paper")  # raises at lobe corners
 
-    def superfluid(D):
-        problem = MeanFieldProblem.for_lobe(mu, D, n_max=n_max)
-        return minimize_order_parameter(problem).psi_star > _SF_THRESHOLD
+    def response_excess(D):
+        kernel = _Kernel(MeanFieldProblem.for_lobe(mu, D, n_max=n_max))
+        return kernel.eigenpair(RESPONSE_EPS)[2] / RESPONSE_EPS - 1.0
 
-    if not superfluid(hi):  # pragma: no cover - physically impossible
-        raise ConvergenceError("no superfluid solution up to D = %g" % hi)
-    while hi - lo > BOUNDARY_TOL:
-        mid = 0.5 * (lo + hi)
-        if superfluid(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    D_star = false_position_root(response_excess, 0.0, hi, tol=ROOT_TOL)
+
+    def psi_at(D):
+        return converged_psi(MeanFieldProblem.for_lobe(mu, D, n_max=n_max))
+
+    below = psi_at(D_star * (1.0 - GUARD_STEP))
+    above = psi_at(D_star * (1.0 + GUARD_STEP))
+    if below != 0.0 or not above > 0.0:
+        raise ConvergenceError(
+            "boundary at mu = %r, D* = %r is not second order: psi* = %r "
+            "below it and %r above it" % (mu, D_star, below, above))
+    return D_star

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
-from rotobh.numerics import bisect_root, golden_min, lambert_w
+from rotobh.errors import ConvergenceError
+from rotobh.numerics import (bisect_root, false_position_root, golden_min,
+                             lambert_w)
 
 
 def test_golden_quadratic():
@@ -33,6 +35,50 @@ def test_bisect_endpoint_roots():
 def test_bisect_requires_bracket():
     with pytest.raises(ValueError):
         bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def _counted(f):
+    def g(x):
+        g.evals += 1
+        return f(x)
+    g.evals = 0
+    return g
+
+
+def test_bisect_stops_at_float_spacing():
+    # tol is below the spacing of doubles near 40 (7e-15): the bracket
+    # collapses onto adjacent doubles, where the midpoint is an endpoint
+    f = _counted(lambda x: x * x - 1601.0)
+    x = bisect_root(f, 0.0, 50.0, tol=1e-15)
+    assert abs(x - math.sqrt(1601.0)) <= math.ulp(40.0)
+    assert f.evals < 100
+
+
+def test_bisect_out_of_iterations_is_an_error():
+    with pytest.raises(ConvergenceError):
+        bisect_root(lambda x: math.cos(x) - x, 0.0, 1.0, tol=1e-12, max_iter=5)
+
+
+def test_false_position_cos_fixed_point():
+    f = _counted(lambda x: math.cos(x) - x)
+    x = false_position_root(f, 0.0, 1.0, tol=1e-12)
+    assert abs(x - 0.7390851332151607) < 1e-12
+    assert f.evals < 20
+    assert abs(false_position_root(lambda x: x ** 3 - 2.0, 0.0, 4.0,
+                                   tol=1e-13) - 2.0 ** (1.0 / 3.0)) < 1e-12
+
+
+def test_false_position_endpoints_and_bracket():
+    assert false_position_root(lambda x: x, 0.0, 1.0) == 0.0
+    assert false_position_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+    with pytest.raises(ValueError):
+        false_position_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_false_position_out_of_iterations_is_an_error():
+    with pytest.raises(ConvergenceError):
+        false_position_root(lambda x: x ** 3 - 2.0, 0.0, 4.0, tol=1e-13,
+                            max_iter=3)
 
 
 def test_lambert_w_residuals():

@@ -11,6 +11,7 @@ from rotobh.errors import ConfigError, ConvergenceError, TruncationWarning
 from rotobh.oracle import (COARSE_POINTS, MeanFieldProblem, OracleResult,
                            a_expectation, boundary_numeric, build_hamiltonian,
                            ground_energy, minimize_order_parameter)
+from rotobh.phase_diagram import boundary_hopping, lobe_index
 
 
 def test_problem_validation():
@@ -117,6 +118,52 @@ def test_boundary_numeric_lobe_one():
     assert abs(bn - 1.0 / 6.0) < 2e-6
     bn_vac = boundary_numeric(-0.5, 10)
     assert abs(bn_vac - 0.25) < 2e-6
+
+
+# acceptance 2's mu values: the middle of lobes 1 and 2
+_ACCEPTANCE_2_MUS = (list(np.linspace(0.15, 1.85, 10))
+                     + list(np.linspace(2.15, 3.85, 10)))
+
+
+@pytest.mark.parametrize("n_max", [None, 12])
+def test_boundary_numeric_is_exact(n_max):
+    for mu in _ACCEPTANCE_2_MUS:
+        n = lobe_index(mu)
+        bn = boundary_numeric(mu, n + 8 if n_max is None else n_max)
+        assert abs(bn / boundary_hopping(mu, n, "paper") - 0.5) <= 1e-10, mu
+
+
+def test_boundary_numeric_runs_two_minimizations(monkeypatch):
+    calls = []
+    real = oracle.minimize_order_parameter
+
+    def counting(problem):
+        calls.append(problem.D_eff)
+        return real(problem)
+
+    monkeypatch.setattr(oracle, "minimize_order_parameter", counting)
+    bn = boundary_numeric(1.0, 12)
+    assert len(calls) == 2
+    assert calls[0] < bn < calls[1]
+
+
+def _constant_psi(psi):
+    def minimize(problem):
+        return OracleResult(psi_star=psi, e0=0.0, a_expect=psi, converged=True)
+    return minimize
+
+
+def test_boundary_numeric_first_order_guard(monkeypatch):
+    # a superfluid below the linear-stability root (a first-order jump) ...
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "minimize_order_parameter", _constant_psi(0.3))
+        with pytest.raises(ConvergenceError, match="not second order"):
+            boundary_numeric(1.0, 12)
+    # ... or a Mott state above it both contradict a second-order boundary
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "minimize_order_parameter", _constant_psi(0.0))
+        with pytest.raises(ConvergenceError, match="not second order"):
+            boundary_numeric(1.0, 12)
 
 
 def test_truncation_warning():
