@@ -12,21 +12,26 @@ psi and reports the minimizer together with the ground-state expectation
 
     d e0 / d psi = 4 D (psi - <a>)       (Hellmann-Feynman)
 
-The minimizer is bracketed by a 64-point coarse scan, localized by
-golden-section search to GOLDEN_TOL, then polished by a secant iteration on
-h(psi) = psi - <a>(psi).  The polish step matters: comparison-based
-search alone is noise-limited near the shallow minimum, and the
-stationarity root is the same point computed to machine precision, which
-is what makes the truncation-drift guarantee (<= 1e-8 per two extra
-Fock levels) meetable.  Minimization remains the primary solver; the
-secant step only refines its output and never moves further than 1e-4.
+A 64-point coarse scan of e0 is the global guard that picks the bracket,
+and psi* is the root of h(psi) = psi - <a>(psi) in it, found by false
+position to ROOT_TOL.  When the scan minimum sits at grid[i] with i >= 2,
+the bracket is [grid[i-1], grid[i+1]].  Otherwise the linear response
+r = <a>/psi at psi = RESPONSE_EPS decides (see below): r <= 1 gives
+psi* = 0.0 exactly, or ConvergenceError if the scan puts grid[1] below
+e0(0) by more than rounding (a first-order jump); r > 1 makes
+h(RESPONSE_EPS) < 0 and the bracket [RESPONSE_EPS, grid[i+1]].  A bracket
+that h does not straddle, such as a minimum pinned at psi_max, raises
+ConvergenceError.  The root is machine-accurate, which makes the
+truncation-drift guarantee (<= 1e-8 per two extra Fock levels) meetable.
+RESPONSE_EPS lowers r by O(RESPONSE_EPS^2), so within about 2e-12 relative
+above the boundary, where the true psi* is below RESPONSE_EPS, psi* = 0.0.
 
 Each point pays only for LAPACK.  The coarse scan is one stacked
-``numpy.linalg.eigvalsh`` over all 64 matrices; each golden-section step
-is one eigenvalue-only ``dsterf``; each secant step and the final point
-are one ``dstev`` each, which gives e0, the vector and <a> together.  The
-psi-independent arrays k, k(k-1) and sqrt(k) are built once per n_max.
-A LAPACK failure raises ConvergenceError; it never yields a number.
+``numpy.linalg.eigvalsh`` over all 64 matrices; the response, each root
+step and the final point are one ``dstev`` each, which gives e0, the
+vector and <a> together.  The psi-independent arrays k, k(k-1) and
+sqrt(k) are built once per n_max.  A LAPACK failure raises
+ConvergenceError; it never yields a number.
 
 The Mott/superfluid boundary is not found by minimizing at all.  At
 psi -> 0, Hellmann-Feynman gives e0(psi) - e0(0) ~ 2 D (1 - r) psi^2, with
@@ -45,17 +50,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstev, dsterf
+from scipy.linalg.lapack import dstev
 
 from .errors import ConfigError, ConvergenceError, TruncationWarning
-from .numerics import false_position_root, golden_min
+from .numerics import false_position_root
 from .phase_diagram import boundary_hopping, lobe_index
 
 COARSE_POINTS = 64
-GOLDEN_TOL = 1e-8
+GOLDEN_TOL = 1e-8  # published bound on |dpsi| of the minimizer (meets ~1e-14)
 BOUNDARY_TOL = 1e-6  # published bound on |dD| of boundary_numeric (meets ~1e-12)
 RESPONSE_EPS = 1e-6  # psi at which boundary_numeric reads the linear response
-ROOT_TOL = 1e-14  # bracket width in D of the boundary root
+ROOT_TOL = 1e-14  # bracket width of the boundary root in D and psi* in psi
 GUARD_STEP = 1e-3  # relative offset in D of the two first-order guards
 
 
@@ -126,12 +131,6 @@ class _Kernel:
         return (self._base + self._two_d * psi * psi,
                 -self._two_d * psi * self._sqrt_k)
 
-    def energy(self, psi):
-        """e0(psi) from the eigenvalues alone (dsterf)."""
-        vals, info = dsterf(*self.tridiag(psi), overwrite_d=1, overwrite_e=1)
-        _check_info("dsterf", info)
-        return float(vals[0])
-
     def eigenpair(self, psi):
         """(e0, unit vector in LAPACK's sign, <a>) from one dstev solve."""
         vals, vecs, info = dstev(*self.tridiag(psi), overwrite_d=1,
@@ -140,6 +139,10 @@ class _Kernel:
         vec = vecs[:, 0]
         a_exp = float(np.dot(self._sqrt_k, vec[:-1] * vec[1:]))
         return float(vals[0]), vec, a_exp
+
+    def response(self):
+        """Linear response r = <a>/psi of the ground state at RESPONSE_EPS."""
+        return self.eigenpair(RESPONSE_EPS)[2] / RESPONSE_EPS
 
     def scan(self, grid):
         """e0 at every psi of grid from one stacked eigvalsh."""
@@ -180,39 +183,35 @@ def a_expectation(problem: MeanFieldProblem, psi: float) -> float:
 def minimize_order_parameter(problem: MeanFieldProblem) -> OracleResult:
     """Minimize e0(psi) over [0, psi_max]; see module docstring."""
     kernel = _Kernel(problem)
-    if problem.D_eff == 0.0:
-        # energy is psi-independent; the Fock ground state is exact
-        e0, vec, _ = kernel.eigenpair(0.0)
-        _warn_truncation(vec)
-        return OracleResult(psi_star=0.0, e0=e0, a_expect=0.0, converged=True)
-
     grid = np.linspace(0.0, problem.psi_max, COARSE_POINTS)
-    i = int(np.argmin(kernel.scan(grid)))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, COARSE_POINTS - 1)]
-    psi = golden_min(kernel.energy, lo, hi, tol=GOLDEN_TOL)
+    energies = kernel.scan(grid)
+    # eigvalsh is backward stable: a scan value can sit below the exact
+    # e0(0) = energies[0] by rounding of order n eps |H|, not by more
+    base = kernel._base
+    rounding = base.size * np.finfo(float).eps * np.abs(base).max()
+    i = int(np.argmin(energies))
+    if energies[i] >= energies[0] - rounding:
+        i = 0  # no point lies below e0(0)
 
-    # secant polish of the stationarity equation h(psi) = psi - <a>(psi)
-    def h(p):
-        return p - kernel.eigenpair(p)[2]
-
-    x0, x1 = psi, min(psi + 1e-7, problem.psi_max)
-    h0, h1 = h(x0), h(x1)
-    for _ in range(60):
-        if h1 == h0:
-            break
-        x2 = x1 - h1 * (x1 - x0) / (h1 - h0)
-        if not math.isfinite(x2):
-            break
-        x2 = min(max(x2, 0.0), problem.psi_max)
-        x0, h0, x1 = x1, h1, x2
-        h1 = h(x1)
-        if abs(x1 - x0) <= 1e-14 and abs(h1) <= 1e-12:
-            break
-    if abs(h1) <= 1e-9 and abs(x1 - psi) <= 1e-4:
-        psi = x1
-    if abs(psi) < 1e-12:
+    if i <= 1 and kernel.response() <= 1.0:
+        if i == 1:
+            raise ConvergenceError(
+                "psi = 0 is linearly stable at mu = %r, D = %r, yet the scan "
+                "puts e0(%.6g) below e0(0) by %.3g: a first-order jump"
+                % (problem.mu_over_U, problem.D_eff, grid[1],
+                   energies[0] - energies[1]))
         psi = 0.0
+    else:
+        # for i <= 1, r > 1 makes psi = 0 a maximum: h(RESPONSE_EPS) < 0
+        lo = grid[i - 1] if i >= 2 else RESPONSE_EPS
+        hi = grid[min(i + 1, COARSE_POINTS - 1)]
+        try:  # h(p) = p - <a>(p) = e0'(p) / (4 D)
+            psi = false_position_root(lambda p: p - kernel.eigenpair(p)[2],
+                                      lo, hi, tol=ROOT_TOL)
+        except ValueError:
+            raise ConvergenceError(
+                "no stationary point of e0 in [%.6g, %.6g] at mu = %r, D = %r"
+                % (lo, hi, problem.mu_over_U, problem.D_eff)) from None
 
     e0, vec, a_exp = kernel.eigenpair(psi)
     _warn_truncation(vec)
@@ -257,8 +256,8 @@ def boundary_numeric(mu: float, n_max: int) -> float:
     hi = boundary_hopping(mu, lobe_index(mu), "paper")  # raises at lobe corners
 
     def response_excess(D):
-        kernel = _Kernel(MeanFieldProblem.for_lobe(mu, D, n_max=n_max))
-        return kernel.eigenpair(RESPONSE_EPS)[2] / RESPONSE_EPS - 1.0
+        problem = MeanFieldProblem.for_lobe(mu, D, n_max=n_max)
+        return _Kernel(problem).response() - 1.0
 
     D_star = false_position_root(response_excess, 0.0, hi, tol=ROOT_TOL)
 

@@ -48,7 +48,7 @@ import numpy as np
 from . import numerics
 from .errors import ConfigError, DomainError, FitQualityWarning, OutOfRangeError
 from .landau import kappa
-from .numerics import bisect_root, golden_min
+from .numerics import bisect_root, false_position_root, golden_min
 
 THETA_EXACT_CROSSOVER = math.acos(2.0 / 3.0)  # ~0.8410687
 DELTA_GLOBAL_MAX = 2.0 / (3.0 * math.sqrt(3.0))  # ~0.3849002
@@ -157,12 +157,13 @@ def theta_crossover(mode: str = "exact") -> float:
     """Angle beyond which delta_max saturates in the given mode.
 
     exact: arccos(2/3); fit: the self-consistent root of
-    a(theta) * theta = 1, located by bisection.
+    a(theta) * theta = 1, located by false position.
     """
     if mode == "exact":
         return THETA_EXACT_CROSSOVER
     if mode == "fit":
-        return bisect_root(lambda t: fit_a(t)[0] * t - 1.0, 0.3, 1.2, tol=1e-6)
+        return false_position_root(lambda t: fit_a(t)[0] * t - 1.0, 0.3, 1.2,
+                                   tol=1e-6)
     raise ConfigError("mode must be 'exact' or 'fit', got %r" % (mode,))
 
 
@@ -172,7 +173,6 @@ class SensingProfile:
 
     theta: float
     mode: str
-    delta_samples: tuple  # (dtheta, delta) pairs, uniform on [0, theta]
     a_fit: float
     fit_rms: float
     delta_max: float
@@ -200,8 +200,6 @@ def resolution(theta: float, mode: str = "exact", gamma: Optional[float] = None,
         raise DomainError("gamma must be finite and > 0")
 
     a, rms = fit_a(theta, grid_points)
-    dts = np.linspace(0.0, theta, grid_points)
-    samples = tuple((float(d), delta_exact(theta, d)) for d in dts)
 
     fwhm = None
     if mode == "exact":
@@ -222,7 +220,6 @@ def resolution(theta: float, mode: str = "exact", gamma: Optional[float] = None,
     return SensingProfile(
         theta=theta,
         mode=mode,
-        delta_samples=samples,
         a_fit=a,
         fit_rms=rms,
         delta_max=dm_out,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rotobh import oracle
 from rotobh.errors import ConfigError, ConvergenceError, TruncationWarning
+from rotobh.landau import order_parameter_landau
 from rotobh.oracle import (COARSE_POINTS, MeanFieldProblem, OracleResult,
                            a_expectation, boundary_numeric, build_hamiltonian,
                            ground_energy, minimize_order_parameter)
@@ -76,15 +77,19 @@ def test_minimizer_zero_hopping_shortcut():
 
 
 def test_minimizer_mott_side_is_exactly_zero():
-    for D in (0.05, 0.1, 0.1666):
-        res = minimize_order_parameter(MeanFieldProblem.for_lobe(1.0, D))
-        assert res.psi_star == 0.0, D
+    # at tiny D every scan value lies within rounding of e0(0)
+    cases = ([(1.0, D) for D in (0.05, 0.1, 0.1666)]
+             + [(mu, D) for mu in (-1.0, 1.0, 3.0, 5.0)
+                for D in (1e-300, 1e-15, 1e-12)])
+    for mu, D in cases:
+        res = minimize_order_parameter(MeanFieldProblem.for_lobe(mu, D))
+        assert res.psi_star == 0.0, (mu, D)
         assert res.converged
 
 
 def test_minimizer_superfluid_values():
     # frozen from this solver at n_max defaults; stable to ~1e-12 because
-    # the stationarity polish is machine-accurate
+    # psi* is a machine-accurate root of the stationarity condition
     cases = {(1.0, 0.25): 0.730943979232851,
              (0.6, 0.20): 0.493227976271722,
              (3.0, 0.15): 0.920673703004705,
@@ -111,6 +116,65 @@ def test_onset_continuity_near_boundary():
     psi_hi = minimize_order_parameter(MeanFieldProblem.for_lobe(1.0, 0.168)).psi_star
     assert 0.0 < psi_lo < 0.02
     assert psi_lo < psi_hi < 0.2
+
+
+def test_minimizer_decides_at_the_boundary():
+    # mu = 3.0 with 14 Fock levels, 1e-8 either side of the variational
+    # boundary: exactly Mott below, the Landau psi above
+    mu, n = 3.0, lobe_index(3.0)
+    D_cv = boundary_hopping(mu, n, "variational")
+    below = minimize_order_parameter(
+        MeanFieldProblem.for_lobe(mu, D_cv * (1.0 - 1e-8), n_max=14))
+    assert below.psi_star == 0.0 and below.converged
+    D = D_cv * (1.0 + 1e-8)
+    above = minimize_order_parameter(MeanFieldProblem.for_lobe(mu, D, n_max=14))
+    landau = order_parameter_landau(D, mu, n, "variational")
+    assert above.converged
+    assert abs(above.psi_star / landau - 1.0) < 1e-3
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lobe=st.integers(0, 3), frac=st.floats(0.05, 0.95),
+       n_max=st.sampled_from([None, 12, 16]), log_rel=st.floats(-8.0, -4.0))
+def test_minimizer_straddles_the_boundary(lobe, frac, n_max, log_rel):
+    mu = 2.0 * (lobe - 1 + frac)  # inside lobe n: 2(n - 1) < mu < 2n
+    n_max = lobe + 8 if n_max is None else n_max
+    D_b, rel = boundary_numeric(mu, n_max), 10.0 ** log_rel
+
+    def psi(D):
+        return minimize_order_parameter(
+            MeanFieldProblem.for_lobe(mu, D, n_max=n_max)).psi_star
+
+    assert psi(D_b * (1.0 - rel)) == 0.0
+    above, nearer = psi(D_b * (1.0 + rel)), psi(D_b * (1.0 + rel / 4.0))
+    assert above > 0.0 and nearer > 0.0
+    assert abs(above / nearer - 2.0) <= 1e-2  # psi ~ sqrt(D - D_b)
+
+
+def test_minimizer_unbracketed_root_is_an_error():
+    # the minimum lies beyond psi_max = 1.4, so h does not change sign
+    with pytest.raises(ConvergenceError, match="no stationary point"):
+        minimize_order_parameter(MeanFieldProblem.for_lobe(-1.84, 2.9))
+
+
+def test_minimizer_scan_against_stable_mott_is_an_error(monkeypatch):
+    p = MeanFieldProblem.for_lobe(1.0, 0.1)  # Mott: r < 1
+    real = oracle._Kernel.scan
+
+    def dip(depth):
+        def scan(self, grid):
+            energies = real(self, grid)
+            energies[1] = energies[0] - depth
+            return energies
+        return scan
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle._Kernel, "scan", dip(1e-15))  # rounding: still Mott
+        assert minimize_order_parameter(p).psi_star == 0.0
+    with monkeypatch.context() as m:
+        m.setattr(oracle._Kernel, "scan", dip(1e-6))
+        with pytest.raises(ConvergenceError, match="first-order"):
+            minimize_order_parameter(p)
 
 
 def test_boundary_numeric_lobe_one():
@@ -206,10 +270,6 @@ def test_stacked_scan_matches_scalar_energies(mu, D, psi_max, n_max):
                   <= 1e-12 * np.maximum(1.0, np.abs(scalar)))
 
 
-def _dsterf_fails(d, e, **kwargs):
-    return np.zeros_like(d), 1
-
-
 def _dstev_fails(d, e, **kwargs):
     return np.zeros_like(d), np.eye(d.size), 1
 
@@ -229,10 +289,6 @@ def test_lapack_failure_is_an_error(monkeypatch):
                          MeanFieldProblem(1.0, 0.0, 8, 2.0))):
             with pytest.raises(ConvergenceError, match="dstev"):
                 call()
-    with monkeypatch.context() as m:
-        m.setattr(oracle, "dsterf", _dsterf_fails)
-        with pytest.raises(ConvergenceError, match="dsterf"):
-            minimize_order_parameter(p)
     with monkeypatch.context() as m:
         m.setattr(oracle.np.linalg, "eigvalsh", _eigvalsh_fails)
         with pytest.raises(ConvergenceError, match="stacked"):

@@ -118,6 +118,13 @@ def test_theta_crossover_both_modes():
         theta_crossover("other")
 
 
+def test_theta_crossover_fit_solves_its_equation():
+    # the false-position point is far closer to the root than its 1e-6
+    # bracket width
+    tc = theta_crossover("fit")
+    assert abs(fit_a(tc)[0] * tc - 1.0) < 1e-8
+
+
 def test_resolution_exact_mode():
     prof = resolution(1.0, mode="exact")
     assert prof.mode == "exact"
@@ -127,8 +134,6 @@ def test_resolution_exact_mode():
     assert abs(delta_exact(1.0, prof.epsilon_theta) - 0.5 * prof.delta_max) < 1e-9
     assert prof.epsilon_theta < peak_offset(1.0)
     assert prof.omega is None and prof.epsilon_omega is None
-    assert len(prof.delta_samples) == 200
-    assert prof.delta_samples[0] == (0.0, 0.0)
     assert prof.a_fit == pytest.approx(2.154801087790805, abs=1e-6)
 
 
