@@ -24,7 +24,8 @@ from .landau import kappa
 from .oracle import MeanFieldProblem, boundary_numeric, converged_psi
 from .phase_diagram import (VARIANT_FOR_CONVENTION, SweepSpec,
                             boundary_hopping, lobe_index, sweep)
-from .sensing import delta_exact, invert_rotation_change, resolution
+from .sensing import (delta_exact, delta_on, invert_rotation_change,
+                      resolution)
 
 TOLERANCES = {
     "bisection_dtheta": sensing.BISECTION_TOL,
@@ -293,8 +294,9 @@ def _cmd_sensitivity(args):
         raise ConfigError("--dtheta-points must be >= 2")
     rows = []
     for theta in thetas:
-        for dtheta in _dtheta_steps(theta, args.dtheta_points):
-            rows.append((theta, dtheta, delta_exact(theta, dtheta)))
+        steps = _dtheta_steps(theta, args.dtheta_points)
+        deltas = delta_on(theta, steps).tolist()
+        rows.extend((theta, d, v) for d, v in zip(steps, deltas))
     meta = {"dtheta_points": args.dtheta_points}
     return ("theta", "dtheta", "delta"), tuple(rows), meta
 
@@ -329,8 +331,9 @@ def _cmd_fit_delta(args):
     for theta in thetas:
         prof = resolution(theta, "fit", grid_points=args.grid_points)
         a = prof.a_fit
-        dev = max(abs(float(sensing.fit_form(a, d)) - delta_exact(theta, d))
-                  for d in _dtheta_steps(theta, 401))
+        steps = _dtheta_steps(theta, 401)
+        dev = float(abs(sensing.fit_form(a, steps)
+                        - delta_on(theta, steps)).max())
         rows.append((theta, a, prof.fit_rms, prof.delta_max, dev))
     meta = {"grid_points": args.grid_points,
             "fit_protocol": sensing.FIT_PROTOCOL}

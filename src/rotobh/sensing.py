@@ -16,8 +16,11 @@ The one-parameter surrogate
 
     delta_fit(Delta-theta) = sqrt(a Delta-theta) exp(-sqrt(a Delta-theta))
 
-is least-squares fitted on a uniform grid; its peak value is e^-1 once
-the peak location 1/a falls inside the domain, i.e. a(theta) * theta >= 1.
+is least-squares fitted on a uniform grid: the target delta and a coarse
+log10 a scan are whole-array evaluations, and a golden-section search
+inside the scan's bracket refines log10 a one rms at a time.  Its peak
+value is e^-1 once the peak location 1/a falls inside the domain, i.e.
+a(theta) * theta >= 1.
 The crossover angle where that first happens is computed, not assumed,
 and is reported alongside the exact-curve threshold arccos(2/3); see
 theta_crossover.
@@ -82,6 +85,23 @@ def delta_exact(theta: float, dtheta: float) -> float:
     return u * math.sqrt(max(1.0 - u, 0.0))
 
 
+def delta_on(theta: float, dthetas) -> np.ndarray:
+    """delta_exact(theta, d) for every d in dthetas, as one array.
+
+    Same domain checks as delta_exact, and elementwise the same bits:
+    every other operation is correctly rounded, and numpy's float64 cos
+    matches math.cos (tests/test_sensing.py checks this).
+    """
+    _check_theta(theta)
+    dts = np.asarray(dthetas, dtype=float)
+    inside = (dts >= 0.0) & (dts <= theta)
+    if not inside.all():
+        raise DomainError("dtheta = %g outside [0, theta]"
+                          % dts[~inside].flat[0])
+    u = math.cos(theta) / np.cos(theta - dts)
+    return u * np.sqrt(np.maximum(1.0 - u, 0.0))
+
+
 def peak_offset(theta: float) -> float:
     """dtheta maximizing delta: where u = 2/3, or the edge theta."""
     _check_theta(theta)
@@ -107,21 +127,29 @@ def fit_a(theta: float, grid_points: int = FIT_GRID_POINTS):
     """Least-squares a(theta) for the surrogate; returns (a, rms).
 
     Protocol: FIT_PROTOCOL (recorded in CLI metadata), sampled at
-    grid_points dtheta values.  Warns when rms > FIT_RMS_THRESHOLD.
+    grid_points dtheta values.  The target and the coarse log10 a scan
+    are array evaluations (the scan is one (FIT_COARSE_POINTS,
+    grid_points) broadcast whose argmin picks the bracket); the golden
+    search then evaluates one rms per step.  Warns when
+    rms > FIT_RMS_THRESHOLD.
     """
     _check_theta(theta)
     if grid_points < 50:
         raise ConfigError("grid_points must be >= 50")
     dts = np.linspace(0.0, theta, grid_points)
-    target = np.array([delta_exact(theta, d) for d in dts])
+    target = delta_on(theta, dts)
 
     def rms_of(log_a):
-        resid = fit_form(10.0 ** log_a, dts) - target
-        return math.sqrt(float(np.mean(resid * resid)))
+        # fit_form without its clamp: a > 0 and dts >= 0 already
+        x = np.sqrt(10.0 ** log_a * dts)
+        resid = x * np.exp(-x) - target
+        return math.sqrt(float(np.add.reduce(resid * resid)) / grid_points)
 
     coarse = np.linspace(FIT_LOG_RANGE[0], FIT_LOG_RANGE[1], FIT_COARSE_POINTS)
-    values = [rms_of(la) for la in coarse]
-    i = int(np.argmin(values))
+    resid = fit_form(10.0 ** coarse[:, None], dts) - target
+    # rms as rms_of forms it, so that ties break as in a per-point scan
+    i = int(np.argmin(np.sqrt(np.add.reduce(resid * resid, axis=1)
+                              / grid_points)))
     lo = coarse[max(i - 1, 0)]
     hi = coarse[min(i + 1, FIT_COARSE_POINTS - 1)]
     log_a = golden_min(rms_of, lo, hi, tol=FIT_LOG_TOL)
@@ -190,8 +218,10 @@ def resolution(theta: float, mode: str = "exact", gamma: Optional[float] = None,
     Exact mode bisects delta(theta, .) = delta_max/2 on the rising
     branch (and reports the two-sided width when the falling branch
     also crosses); fit mode evaluates the closed Lambert-W form.  The
-    fitted a(theta) is computed in both modes since the emitted profile
-    always carries it.
+    fitted a(theta) is computed in both modes because the profile, and
+    so every CLI resolution row, carries it as a_fit (under 1 ms per
+    call).  In exact mode the FitQualityWarning raised past theta ~ 1.35
+    concerns that emitted a_fit only; the exact resolution never uses it.
     """
     _check_theta(theta)
     if mode not in ("exact", "fit"):

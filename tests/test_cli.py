@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from rotobh import oracle, sensing
-from rotobh.cli import load_config, main, parse_grid
+from rotobh.cli import _dtheta_steps, load_config, main, parse_grid
 from rotobh.errors import ConfigError
 from rotobh.io import parse_csv
 from rotobh.sensing import delta_change, fit_form
@@ -191,6 +191,31 @@ def test_fit_delta_peak_uses_its_own_fit():
     for theta, a, _, dm, _ in rows:
         peak = math.exp(-1.0) if a * theta >= 1.0 else float(fit_form(a, theta))
         assert dm == peak
+
+
+def test_fit_delta_deviation_matches_scalar_scan():
+    status, out, _ = run_cli(["fit-delta", "--theta-grid", "0.5:1.1:0.1"])
+    assert status == 0
+    _, _, rows = parse_csv(out)
+    assert len(rows) == 7
+    for theta, a, _, _, dev in rows:
+        want = max(abs(float(fit_form(a, d)) - sensing.delta_exact(theta, d))
+                   for d in _dtheta_steps(theta, 401))
+        assert dev == want, theta
+
+
+def test_sensitivity_cells_are_python_floats(tmp_path):
+    argv = ["sensitivity", "--theta-grid", "0.5,1.0", "--dtheta-points", "20"]
+    status, out, _ = run_cli(argv)
+    assert status == 0 and "float64" not in out
+    path = tmp_path / "s.json"
+    status, _, _ = run_cli(argv + ["--format", "json", "--output", str(path)])
+    assert status == 0
+    text = path.read_text(encoding="utf-8")
+    assert "float64" not in text
+    rows = json.loads(text)["rows"]
+    assert len(rows) == 40
+    assert rows[5][2] == sensing.delta_exact(0.5, 0.5 * 5 / 19)
 
 
 def test_order_parameter_omega_grid(tmp_path):

@@ -1,15 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rotobh.cli import _dtheta_steps
 from rotobh.errors import ConfigError, DomainError, FitQualityWarning, OutOfRangeError
 from rotobh.landau import kappa
-from rotobh.numerics import lambert_w
-from rotobh.sensing import (DELTA_GLOBAL_MAX, THETA_EXACT_CROSSOVER,
-                            delta_change, delta_exact, delta_max, fit_a,
-                            fit_form, invert_rotation_change, peak_offset,
-                            resolution, theta_crossover)
+from rotobh.numerics import golden_min, lambert_w
+from rotobh.sensing import (DELTA_GLOBAL_MAX, FIT_COARSE_POINTS,
+                            FIT_LOG_RANGE, FIT_LOG_TOL, THETA_EXACT_CROSSOVER,
+                            delta_change, delta_exact, delta_max, delta_on,
+                            fit_a, fit_form, invert_rotation_change,
+                            peak_offset, resolution, theta_crossover)
 
 
 def test_delta_exact_values():
@@ -31,6 +36,25 @@ def test_delta_exact_domain():
         delta_exact(0.5, -0.01)
     with pytest.raises(DomainError):
         delta_exact(0.5, 0.51)
+
+
+def test_delta_on_matches_scalar_bit_for_bit():
+    for theta in (0.01, 0.3, 0.7008, 1.0, 1.5, 1.5707):
+        for dts in (np.linspace(0.0, theta, 200), _dtheta_steps(theta, 401),
+                    _dtheta_steps(theta, 200)):
+            want = [delta_exact(theta, d) for d in dts]
+            assert delta_on(theta, dts).tolist() == want, theta
+
+
+def test_delta_on_domain():
+    with pytest.raises(DomainError):
+        delta_on(0.5, [0.0, -1e-12, 0.2])
+    with pytest.raises(DomainError):
+        delta_on(0.5, np.array([0.1, 0.5000000001]))
+    with pytest.raises(DomainError):
+        delta_on(0.0, [0.0])
+    with pytest.raises(DomainError):
+        delta_on(math.pi / 2.0, [0.1])
 
 
 def test_peak_offset():
@@ -72,6 +96,33 @@ def test_fit_a_frozen_values():
         fit_a(0.0)
     with pytest.raises(ConfigError):
         fit_a(0.8, grid_points=10)
+
+
+def _fit_a_scalar(theta, grid_points):
+    """Reference fit, point by point: a scalar delta_exact target, a
+    61-step coarse loop and np.mean, then the same golden search."""
+    dts = np.linspace(0.0, theta, grid_points)
+    target = np.array([delta_exact(theta, d) for d in dts])
+
+    def rms_of(log_a):
+        resid = fit_form(10.0 ** log_a, dts) - target
+        return math.sqrt(float(np.mean(resid * resid)))
+
+    coarse = np.linspace(FIT_LOG_RANGE[0], FIT_LOG_RANGE[1], FIT_COARSE_POINTS)
+    values = [rms_of(la) for la in coarse]
+    i = int(np.argmin(values))
+    lo = coarse[max(i - 1, 0)]
+    hi = coarse[min(i + 1, FIT_COARSE_POINTS - 1)]
+    log_a = golden_min(rms_of, lo, hi, tol=FIT_LOG_TOL)
+    return 10.0 ** log_a, rms_of(log_a)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(theta=st.floats(0.01, 1.56), grid_points=st.sampled_from([50, 200, 1000]))
+def test_fit_a_equals_scalar_fit_bit_for_bit(theta, grid_points):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FitQualityWarning)
+        assert fit_a(theta, grid_points) == _fit_a_scalar(theta, grid_points)
 
 
 def test_fit_a_increases_with_theta():
