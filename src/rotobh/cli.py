@@ -220,7 +220,6 @@ def build_parser():
                              "change")
     p.add_argument("--delta-measured", type=float, required=True)
     p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--lobe", type=int, default=None)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--convention", choices=("paper", "variational"),
                    default="paper")
@@ -230,7 +229,6 @@ def build_parser():
     p = subs.add_parser("oracle-check",
                         help="convention-ratio and kappa-recovery report")
     p.add_argument("--mu", required=True, help="mu/U value or comma list")
-    p.add_argument("--lobe", type=int, default=None)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--theta", type=float, default=0.8)
     p.add_argument("--dthetas", default="0.002,0.005")
@@ -344,10 +342,10 @@ def _cmd_fit_delta(args):
 def _cmd_invert(args):
     theta = _resolve_theta(args)
     gamma = _resolve_gamma(args, required=True)
-    lobe = lobe_index(args.mu) if args.lobe is None else args.lobe
     variant = VARIANT_FOR_CONVENTION[args.convention]
-    result = invert_rotation_change(args.delta_measured, args.mu, lobe,
-                                    theta, gamma, variant=variant)
+    result = invert_rotation_change(args.delta_measured, args.mu,
+                                    lobe_index(args.mu), theta, gamma,
+                                    variant=variant)
     meta = {"convention": args.convention, "gamma": gamma,
             "tolerances": TOLERANCES}
     rows = ((args.delta_measured, theta, gamma, result.delta_theta,
@@ -362,15 +360,15 @@ def _cmd_oracle_check(args):
     theta = args.theta
     rows = []
     for mu in mus:
-        lobe = lobe_index(mu) if args.lobe is None else args.lobe
-        n_max = (lobe + 8) if args.n_max is None else args.n_max
+        lobe = lobe_index(mu)
         D_c = boundary_hopping(mu, lobe, "paper")
-        D_cv = boundary_numeric(mu, n_max)
+        D_cv = boundary_numeric(mu, args.n_max)
         kap_var = kappa(mu, lobe, "variational")
         t_edge = boundary_hopping(mu, lobe, "variational") / math.cos(theta)
         for dtheta in dthetas:
             D = t_edge * math.cos(theta - dtheta)
-            psi = converged_psi(MeanFieldProblem.for_lobe(mu, D, n_max=n_max))
+            psi = converged_psi(MeanFieldProblem.for_lobe(mu, D,
+                                                          n_max=args.n_max))
             delta = delta_exact(theta, dtheta)
             kap_rec = psi / delta
             rows.append((mu, lobe, dtheta, D_c, D_cv, D_cv / D_c, psi,

@@ -83,14 +83,6 @@ def chi_susceptibility(mu: float, n: int) -> float:
     return (n + 1) / (mu - 2 * n) + n / (2 * (n - 1) - mu)
 
 
-def chi_slope(mu: float, n: int) -> float:
-    """d chi / d mu; strictly decreasing across each lobe with n >= 1."""
-    _require_interior(mu, n)
-    if n == 0:
-        return -1.0 / (mu * mu)
-    return -(n + 1) / (mu - 2 * n) ** 2 + n / (2 * (n - 1) - mu) ** 2
-
-
 def a2(D: float, mu: float, n: int, variant: str = "consistent") -> float:
     """Quadratic Landau coefficient in the requested convention."""
     if variant not in A2_VARIANTS:

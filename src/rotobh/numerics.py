@@ -34,6 +34,20 @@ def golden_min(f, lo, hi, tol=1e-10):
     return 0.5 * (a + b)
 
 
+def _bracket_values(f, lo, hi):
+    """(f(lo), f(hi)); ValueError unless they bracket a root.
+
+    Signs are compared, not multiplied (a product of tiny values underflows
+    to zero), and a NaN end is no bracket.
+    """
+    flo, fhi = f(lo), f(hi)
+    if math.isnan(flo) or math.isnan(fhi):
+        raise ValueError("f is NaN at an end of [%g, %g]" % (lo, hi))
+    if flo != 0.0 and fhi != 0.0 and (flo < 0.0) == (fhi < 0.0):
+        raise ValueError("root not bracketed on [%g, %g]" % (lo, hi))
+    return flo, fhi
+
+
 def bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
     """Root of f on [lo, hi]; endpoints must straddle zero.
 
@@ -42,13 +56,11 @@ def bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
     give.  ConvergenceError if max_iter halvings do not get there.
     """
     lo, hi = float(lo), float(hi)
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = _bracket_values(f, lo, hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
-        raise ValueError("root not bracketed on [%g, %g]" % (lo, hi))
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -56,7 +68,7 @@ def bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
         fmid = f(mid)
         if fmid == 0.0 or hi - lo <= tol:
             return mid
-        if flo * fmid < 0.0:
+        if (fmid < 0.0) != (flo < 0.0):
             hi = mid
         else:
             lo, flo = mid, fmid
@@ -74,13 +86,11 @@ def false_position_root(f, lo, hi, tol=1e-10, max_iter=100):
     endpoint.  ConvergenceError if max_iter steps do not get there.
     """
     lo, hi = float(lo), float(hi)
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = _bracket_values(f, lo, hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
-        raise ValueError("root not bracketed on [%g, %g]" % (lo, hi))
     kept = 0  # -1: lo was kept last step, +1: hi was
     for _ in range(max_iter):
         x = hi - fhi * (hi - lo) / (fhi - flo)

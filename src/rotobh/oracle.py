@@ -146,11 +146,11 @@ class _Kernel:
 
     def scan(self, grid):
         """e0 at every psi of grid from one stacked eigvalsh."""
+        diag, off = self.tridiag(grid[:, None])
         n = self._base.size
         H = np.zeros((grid.size, n, n))
         i = np.arange(n)
-        H[:, i, i] = self._base + (self._two_d * grid * grid)[:, None]
-        off = (-self._two_d * grid)[:, None] * self._sqrt_k
+        H[:, i, i] = diag
         H[:, i[1:], i[:-1]] = off
         H[:, i[:-1], i[1:]] = off
         try:
@@ -236,8 +236,11 @@ def _warn_truncation(vec):
                       "increase n_max" % weight, TruncationWarning, stacklevel=3)
 
 
-def boundary_numeric(mu: float, n_max: int) -> float:
+def boundary_numeric(mu: float, n_max=None) -> float:
     """Hopping D at which psi = 0 stops being stable: the root of r(D) = 1.
+
+    n_max=None truncates the Fock space as MeanFieldProblem.for_lobe does,
+    at lobe_index(mu) + 8.
 
     r(D) = <a>(RESPONSE_EPS; D) / RESPONSE_EPS is the linear response of
     the ground state, one dstev per evaluation.  By Hellmann-Feynman the

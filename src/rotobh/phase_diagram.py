@@ -8,6 +8,13 @@ The boundary of lobe n in the effective hopping D = (t/U) cos(theta) is
 Both conventions are carried everywhere because they differ by an exact
 factor of two (see the landau module); the numeric oracle sides with the
 variational one.
+
+Each lobe n >= 1 peaks where d chi/d mu = 0, at the mean-field tip
+
+    mu* = 2(n-1) + 2 sqrt(n) / (sqrt(n) + sqrt(n+1)),
+    D_c(mu*, n) = 2 / (sqrt(n) + sqrt(n+1))^2
+
+(Fisher et al., PRB 40, 546 (1989)); lobe_tip evaluates it in closed form.
 """
 
 from __future__ import annotations
@@ -18,14 +25,13 @@ from typing import Optional
 
 from . import landau
 from .errors import ConfigError, DomainError, OutOfReachError, RotobhError
-from .numerics import bisect_root, golden_min
 
 CONVENTIONS = ("paper", "variational")
 
 # Landau a2 variant whose root reproduces each boundary convention.
 VARIANT_FOR_CONVENTION = {"paper": "consistent", "variational": "variational"}
 
-LOBE_TIP_TOL = 1e-10  # golden-section |d mu| before the stationarity polish
+LOBE_TIP_TOL = 1e-10  # published bound on |d mu| of lobe_tip (meets ~1 ulp)
 
 
 def lobe_index(mu: float) -> int:
@@ -52,26 +58,15 @@ def boundary_hopping(mu: float, n: int, convention: str = "paper") -> float:
 def lobe_tip(n: int, convention: str = "paper"):
     """(mu*, D*) maximizing the lobe-n boundary over the lobe interior.
 
-    Located by golden-section search to |d mu| <= LOBE_TIP_TOL, then sharpened
-    against the stationarity condition d chi/d mu = 0, since direct
-    value comparisons lose the tip in rounding noise once the boundary
-    flattens out (|D_c(mu) - D*| < eps for |mu - mu*| of order 1e-8).
-    chi_slope is strictly decreasing across the lobe, so its sign change
-    pins the tip to full precision.  Agrees with the closed form
-    mu* = 2(n-1) + 2 sqrt(n)/(sqrt(n) + sqrt(n+1)),
-    D* = 2/(sqrt(n) + sqrt(n+1))^2 in the paper convention.
+    mu* is the closed-form tip of the module docstring; D* is
+    boundary_hopping(mu*, n, convention), so the tip lies on the boundary
+    exactly.
     """
     _check_convention(convention)
     if n < 1:
         raise DomainError("lobe tips exist for n >= 1")
-    lo, hi = landau.lobe_interval(n)
-    mu_star = golden_min(lambda mu: -boundary_hopping(mu, n, convention),
-                         lo, hi, tol=LOBE_TIP_TOL)
-    slope = lambda mu: landau.chi_slope(mu, n)
-    a = max(mu_star - 1e-6, lo + 1e-9)
-    b = min(mu_star + 1e-6, hi - 1e-9)
-    if slope(a) > 0.0 > slope(b):
-        mu_star = bisect_root(slope, a, b, tol=1e-14)
+    rn, rn1 = math.sqrt(n), math.sqrt(n + 1.0)
+    mu_star = 2.0 * (n - 1) + 2.0 * rn / (rn + rn1)
     return mu_star, boundary_hopping(mu_star, n, convention)
 
 

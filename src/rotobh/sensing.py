@@ -281,8 +281,8 @@ def invert_rotation_change(delta_measured: float, mu: float, n: int,
     _check_theta(theta)
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise DomainError("gamma must be finite and > 0")
-    if delta_measured < 0.0:
-        raise OutOfRangeError("measured change must be >= 0")
+    if not (math.isfinite(delta_measured) and delta_measured >= 0.0):
+        raise OutOfRangeError("measured change must be finite and >= 0")
     kap = kappa(mu, n, variant)
     target = delta_measured / kap
     dm = delta_max(theta, "exact")

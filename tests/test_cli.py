@@ -287,6 +287,11 @@ def test_invert_error_paths():
                               "--gamma", "0.043"])
     assert status == 3
     assert "rotobh: error:" in err
+    # a NaN reading is out of range, not a number to invert
+    status, out, _ = run_cli(["invert", "--delta-measured", "nan",
+                              "--mu", "1.0", "--theta", "0.9",
+                              "--gamma", "0.043"])
+    assert status == 3 and out == ""
     # theta and omega at once
     status, _, _ = run_cli(["invert", "--delta-measured", "0.1",
                             "--mu", "1.0", "--theta", "0.9", "--omega", "2.0",
@@ -314,6 +319,16 @@ def test_oracle_check_report():
     assert abs(row["D_c_paper"] - 1.0 / 3.0) < 1e-12
     assert abs(row["rel_err"]) < 2e-2
     assert row["psi_star"] < 0.1
+
+
+def test_lobe_is_derived_not_a_flag():
+    # the lobe is lobe_index(mu); any other lobe is outside chi's domain
+    for argv in (["invert", "--delta-measured", "0.05", "--mu", "1.0",
+                  "--theta", "0.9", "--gamma", "0.043"],
+                 ["oracle-check", "--mu", "1.0", "--dthetas", "0.005"]):
+        status, out, err = run_cli(argv + ["--lobe", "1"])
+        assert status == 2 and out == ""
+        assert "--lobe" in err
 
 
 def test_oracle_check_unconverged_exits_4(monkeypatch):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from rotobh.errors import ConfigError, DegenerateGapError, DomainError
-from rotobh.landau import (a2, a4, a4_bracket, chi_slope, chi_susceptibility,
+from rotobh.landau import (a2, a4, a4_bracket, chi_susceptibility,
                            energy_gap, kappa, landau_coefficients,
                            lobe_interval, local_energy,
                            order_parameter_landau)
@@ -52,14 +52,6 @@ def test_chi_corner_and_domain_errors():
         chi_susceptibility(2.5, 1)
     with pytest.raises(DomainError):
         chi_susceptibility(-0.5, 1)
-
-
-def test_chi_slope_matches_finite_difference():
-    h = 1e-6
-    for mu, n in ((0.7, 1), (1.4, 1), (3.1, 2), (-2.0, 0)):
-        fd = (chi_susceptibility(mu + h, n) - chi_susceptibility(mu - h, n)) \
-            / (2.0 * h)
-        assert math.isclose(chi_slope(mu, n), fd, rel_tol=1e-7)
 
 
 def test_a2_variants():

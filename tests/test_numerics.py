@@ -37,6 +37,22 @@ def test_bisect_requires_bracket():
         bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
+def test_bisect_keeps_a_tiny_step_from_underflowing():
+    # flo * fmid is about 1e-640, which underflows to -0.0: a product
+    # test would keep moving lo and return about 1.0
+    x = bisect_root(lambda x: math.copysign(1e-320, x - 0.3), 0.0, 1.0,
+                    tol=1e-12)
+    assert abs(x - 0.3) <= 1e-12
+
+
+@pytest.mark.parametrize("finder", [bisect_root, false_position_root])
+def test_nan_end_is_not_a_bracket(finder):
+    with pytest.raises(ValueError):
+        finder(lambda x: math.nan if x == 0.0 else x - 0.5, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        finder(lambda x: math.nan if x == 1.0 else x - 0.5, 0.0, 1.0)
+
+
 def _counted(f):
     def g(x):
         g.evals += 1

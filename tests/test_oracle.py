@@ -193,7 +193,7 @@ _ACCEPTANCE_2_MUS = (list(np.linspace(0.15, 1.85, 10))
 def test_boundary_numeric_is_exact(n_max):
     for mu in _ACCEPTANCE_2_MUS:
         n = lobe_index(mu)
-        bn = boundary_numeric(mu, n + 8 if n_max is None else n_max)
+        bn = boundary_numeric(mu, n_max)
         assert abs(bn / boundary_hopping(mu, n, "paper") - 0.5) <= 1e-10, mu
 
 

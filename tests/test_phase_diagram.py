@@ -1,11 +1,14 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rotobh.errors import ConfigError, DegenerateGapError, DomainError, OutOfReachError
-from rotobh.phase_diagram import (SweepSpec, boundary_curve, boundary_hopping,
-                                  classify, critical_costheta, lobe_index,
-                                  lobe_tip, sweep)
+from rotobh.phase_diagram import (CONVENTIONS, SweepSpec, boundary_curve,
+                                  boundary_hopping, classify,
+                                  critical_costheta, lobe_index, lobe_tip,
+                                  sweep)
 
 
 def test_lobe_index():
@@ -51,12 +54,21 @@ def test_lobe_tips_match_closed_form():
         lobe_tip(0)
 
 
-def test_tip_is_the_lobe_maximum():
-    mu1, D1 = lobe_tip(1)
-    for i in range(1, 40):
-        mu = 2.0 * i / 40.0
-        assert boundary_hopping(mu, 1) <= D1 + 1e-15
-    assert boundary_hopping(mu1, 1) == D1
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 8), convention=st.sampled_from(CONVENTIONS),
+       x=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+       side=st.sampled_from((-1.0, 1.0)), exponent=st.floats(-16.0, 0.0))
+def test_tip_is_the_lobe_maximum(n, convention, x, side, exponent):
+    mu_star, D_star = lobe_tip(n, convention)
+    lo, hi = 2.0 * (n - 1), 2.0 * n
+    assert lo < mu_star < hi
+    assert boundary_hopping(mu_star, n, convention) == D_star
+    bound = D_star + 4.0 * math.ulp(D_star)
+    # offsets from ulps to the lobe width, where a misplaced tip would show
+    near = mu_star + side * 10.0 ** exponent
+    for mu in (lo + x, near):
+        if lo < mu < hi:  # lo + x can round onto the corner
+            assert boundary_hopping(mu, n, convention) <= bound, mu
 
 
 def test_boundary_curve():
@@ -95,6 +107,20 @@ def test_classify_phases():
     assert classify(0.0, 0.0, 0.0) == "mott:1"
     with pytest.raises(DomainError):
         classify(1.0, -0.1, 0.0)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mu=st.floats(-2.0, 6.0, exclude_max=True), t=st.floats(0.0, 2.0),
+       theta=st.floats(-10.0, 10.0), convention=st.sampled_from(CONVENTIONS))
+def test_classify_is_even_and_periodic_in_theta(mu, t, theta, convention):
+    assume(mu not in (0.0, 2.0, 4.0))  # lobe corners close the boundary
+    label = classify(mu, t, theta, convention)
+    assert classify(mu, t, -theta, convention) == label
+    # theta +- 2 pi rounds, which moves t cos(theta) by a few ulps of t
+    D_c = boundary_hopping(mu, lobe_index(mu), convention)
+    if abs(t * math.cos(theta) - D_c) > 1e-12 * t:
+        for turn in (2.0 * math.pi, -2.0 * math.pi):
+            assert classify(mu, t, theta + turn, convention) == label
 
 
 def test_classify_convention_shifts_boundary():

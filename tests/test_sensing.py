@@ -285,8 +285,9 @@ def test_invert_out_of_range():
     max_reading = kappa(1.0, 1) * delta_max(0.9, "exact")
     with pytest.raises(OutOfRangeError):
         invert_rotation_change(max_reading * 1.01, 1.0, 1, 0.9, gamma)
-    with pytest.raises(OutOfRangeError):
-        invert_rotation_change(-0.1, 1.0, 1, 0.9, gamma)
+    for reading in (-0.1, math.nan):
+        with pytest.raises(OutOfRangeError):
+            invert_rotation_change(reading, 1.0, 1, 0.9, gamma)
     # readings within rounding of the maximum clamp to the peak
     res = invert_rotation_change(max_reading * (1.0 + 1e-13), 1.0, 1, 0.9,
                                  gamma)
