@@ -2,7 +2,8 @@
 
 Deliberately dependency-free so the physics modules stay auditable;
 nothing here needs vectorization.  A root finder that runs out of
-iterations raises ConvergenceError; it never returns an unverified point.
+iterations, or meets a NaN inside its bracket, raises ConvergenceError; it
+never returns an unverified point.
 """
 
 import math
@@ -48,12 +49,21 @@ def _bracket_values(f, lo, hi):
     return flo, fhi
 
 
+def _value_at(f, x):
+    """f(x), or ConvergenceError if it is NaN: a NaN cannot move a bracket."""
+    fx = f(x)
+    if math.isnan(fx):
+        raise ConvergenceError("f is NaN at %r inside the bracket" % x)
+    return fx
+
+
 def bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
     """Root of f on [lo, hi]; endpoints must straddle zero.
 
     Returns the midpoint once the bracket is no wider than tol, or as soon
     as the midpoint equals an endpoint, which is the best a double can
-    give.  ConvergenceError if max_iter halvings do not get there.
+    give.  ConvergenceError if max_iter halvings do not get there, or as
+    soon as f is NaN at a midpoint.
     """
     lo, hi = float(lo), float(hi)
     flo, fhi = _bracket_values(f, lo, hi)
@@ -65,7 +75,7 @@ def bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
-        fmid = f(mid)
+        fmid = _value_at(f, mid)
         if fmid == 0.0 or hi - lo <= tol:
             return mid
         if (fmid < 0.0) != (flo < 0.0):
@@ -81,8 +91,10 @@ def false_position_root(f, lo, hi, tol=1e-10, max_iter=100):
 
     Each step takes the secant point of the bracket; when one end is kept
     twice in a row its f is halved, so both ends close in superlinearly
-    (Dowell & Jarratt, BIT 11, 168 (1971)).  Returns the latest point once
-    the bracket is no wider than tol, or as soon as the point equals an
+    (Dowell & Jarratt, BIT 11, 168 (1971)).  A secant point that is not
+    strictly inside the bracket (its step rounded away, as with subnormal
+    f) is replaced by the midpoint.  Returns the latest point once the
+    bracket is no wider than tol, or as soon as the midpoint equals an
     endpoint.  ConvergenceError if max_iter steps do not get there.
     """
     lo, hi = float(lo), float(hi)
@@ -94,9 +106,11 @@ def false_position_root(f, lo, hi, tol=1e-10, max_iter=100):
     kept = 0  # -1: lo was kept last step, +1: hi was
     for _ in range(max_iter):
         x = hi - fhi * (hi - lo) / (fhi - flo)
-        if x <= lo or x >= hi:
-            return x
-        fx = f(x)
+        if not lo < x < hi:  # the secant step lost its bits: bisect
+            x = 0.5 * (lo + hi)
+            if x == lo or x == hi:
+                return x
+        fx = _value_at(f, x)
         if fx == 0.0:
             return x
         if (fx < 0.0) == (flo < 0.0):

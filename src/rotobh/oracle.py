@@ -31,7 +31,9 @@ Each point pays only for LAPACK.  The coarse scan is one stacked
 step and the final point are one ``dstev`` each, which gives e0, the
 vector and <a> together.  The psi-independent arrays k, k(k-1) and
 sqrt(k) are built once per n_max.  A LAPACK failure raises
-ConvergenceError; it never yields a number.
+ConvergenceError; it never yields a number.  scipy, which supplies dstev,
+is imported when the first _Kernel is built, not with this module, so a
+process that never diagonalizes never pays for loading it.
 
 The Mott/superfluid boundary is not found by minimizing at all.  At
 psi -> 0, Hellmann-Feynman gives e0(psi) - e0(0) ~ 2 D (1 - r) psi^2, with
@@ -50,7 +52,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstev
 
 from .errors import ConfigError, ConvergenceError, TruncationWarning
 from .numerics import false_position_root
@@ -62,6 +63,8 @@ BOUNDARY_TOL = 1e-6  # published bound on |dD| of boundary_numeric (meets ~1e-12
 RESPONSE_EPS = 1e-6  # psi at which boundary_numeric reads the linear response
 ROOT_TOL = 1e-14  # bracket width of the boundary root in D and psi* in psi
 GUARD_STEP = 1e-3  # relative offset in D of the two first-order guards
+
+dstev = None  # scipy's LAPACK routine, bound by _dstev on first use
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,14 @@ def _fock_arrays(n_max):
     return arrays
 
 
+def _dstev():
+    """scipy's dstev, imported on the first eigensolve of the process."""
+    global dstev
+    if dstev is None:
+        from scipy.linalg.lapack import dstev
+    return dstev
+
+
 def _check_info(routine, info):
     if info != 0:
         raise ConvergenceError("LAPACK %s failed (info = %d)" % (routine, info))
@@ -119,13 +130,14 @@ def _check_info(routine, info):
 class _Kernel:
     """Eigensolves of one problem's H(psi), each a single LAPACK call."""
 
-    __slots__ = ("_base", "_sqrt_k", "_two_d")
+    __slots__ = ("_base", "_sqrt_k", "_two_d", "_dstev")
 
     def __init__(self, problem):
         k, k_k1, sqrt_k = _fock_arrays(problem.n_max)
         self._base = -problem.mu_over_U * k + k_k1
         self._sqrt_k = sqrt_k
         self._two_d = 2.0 * problem.D_eff
+        self._dstev = _dstev()
 
     def tridiag(self, psi):
         return (self._base + self._two_d * psi * psi,
@@ -133,8 +145,8 @@ class _Kernel:
 
     def eigenpair(self, psi):
         """(e0, unit vector in LAPACK's sign, <a>) from one dstev solve."""
-        vals, vecs, info = dstev(*self.tridiag(psi), overwrite_d=1,
-                                 overwrite_e=1)
+        vals, vecs, info = self._dstev(*self.tridiag(psi), overwrite_d=1,
+                                       overwrite_e=1)
         _check_info("dstev", info)
         vec = vecs[:, 0]
         a_exp = float(np.dot(self._sqrt_k, vec[:-1] * vec[1:]))

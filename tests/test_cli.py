@@ -2,18 +2,22 @@ import contextlib
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from rotobh import oracle, sensing
+from rotobh import __version__, oracle, sensing
 from rotobh.cli import _dtheta_steps, load_config, main, parse_grid
 from rotobh.errors import ConfigError
 from rotobh.io import parse_csv
 from rotobh.sensing import delta_change, fit_form
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run_cli(argv):
@@ -415,18 +419,83 @@ def test_version_and_usage_errors():
     assert status == 2
 
 
-def test_readme_cli_examples(tmp_path):
-    """Every command in the README's CLI block runs and exits 0."""
+def readme_commands(out_dir):
+    """argv of every command in the README's CLI block, writing to out_dir."""
     block = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
     block = block.split("```", 2)[1].replace("\\\n", " ")
     commands = [shlex.split(line)[1:] for line in block.splitlines()
                 if line.startswith("rotobh ")]
-    assert len(commands) >= 8
     for i, argv in enumerate(commands):
         if "--output" in argv:
             j = argv.index("--output")
             del argv[j:j + 2]
-        out = tmp_path / ("example%d.csv" % i)
-        status, _, err = run_cli(argv + ["--output", str(out)])
+        argv += ["--output", str(out_dir / ("example%d.csv" % i))]
+    return commands
+
+
+def test_readme_cli_examples(tmp_path):
+    """Every command in the README's CLI block runs and exits 0."""
+    commands = readme_commands(tmp_path)
+    assert len(commands) >= 8
+    for argv in commands:
+        status, _, err = run_cli(argv)
         assert status == 0, (argv, err)
-        assert out.stat().st_size > 0
+        assert Path(argv[-1]).stat().st_size > 0
+
+
+def run_fresh(*args):
+    """A new interpreter on this checkout's src, given args after python."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, *args], env=env, timeout=120,
+                          capture_output=True, text=True)
+
+
+# Runs each argv of the JSON list in argv[1] through cli.main and prints,
+# as JSON, whether scipy is loaded after each step.
+SCIPY_PROBE = """
+import json, sys
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+steps = []
+import rotobh
+steps.append(["import rotobh", 0, scipy_loaded()])
+import rotobh.cli
+rotobh.cli.build_parser()
+steps.append(["build_parser", 0, scipy_loaded()])
+for argv in json.loads(sys.argv[1]):
+    steps.append([argv[0], rotobh.cli.main(argv), scipy_loaded()])
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_loads_only_for_the_oracle(tmp_path):
+    """Only the oracle's eigensolves import scipy; the rest of a run never
+    pays for loading it."""
+    commands = readme_commands(tmp_path)
+    oracle_runs = [argv for argv in commands if argv[0] == "oracle-check"]
+    others = [argv for argv in commands if argv[0] != "oracle-check"]
+    assert len(oracle_runs) == 1
+    assert {argv[0] for argv in others} >= {
+        "phase-diagram", "order-parameter", "costheta-curve", "sensitivity",
+        "resolution", "fit-delta", "invert"}
+    proc = run_fresh("-c", SCIPY_PROBE, json.dumps(others))
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    assert len(steps) == 2 + len(others)
+    assert all(step[1:] == [0, False] for step in steps), steps
+    proc = run_fresh("-c", SCIPY_PROBE, json.dumps(oracle_runs))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["import rotobh", 0, False],
+                                       ["build_parser", 0, False],
+                                       ["oracle-check", 0, True]]
+
+
+def test_python_m_rotobh():
+    proc = run_fresh("-m", "rotobh", "--version")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == __version__
+    proc = run_fresh("-m", "rotobh", "resolution", "--theta-grid", "1.0",
+                     "--no-such-flag")
+    assert proc.returncode == 2
+    assert "--no-such-flag" in proc.stderr

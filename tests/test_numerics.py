@@ -53,6 +53,15 @@ def test_nan_end_is_not_a_bracket(finder):
         finder(lambda x: math.nan if x == 1.0 else x - 0.5, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("finder", [bisect_root, false_position_root])
+def test_nan_inside_the_bracket_is_an_error(finder):
+    # a NaN compares as neither sign; taken as one, it moves the bracket
+    # and bisection used to return 0.44999999998 here
+    f = _counted(lambda x: math.nan if 0.45 < x < 0.55 else x - 0.5)
+    with pytest.raises(ConvergenceError, match="NaN at 0.5"):
+        finder(f, 0.0, 1.0)
+    assert f.evals == 3  # both ends, then the first inner point
+
 def _counted(f):
     def g(x):
         g.evals += 1
@@ -90,6 +99,14 @@ def test_false_position_endpoints_and_bracket():
     with pytest.raises(ValueError):
         false_position_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
+
+@pytest.mark.parametrize("scale", [1e-320, 1e-300])
+def test_false_position_bisects_a_lost_secant_step(scale):
+    # subnormal f rounds the secant step away, so the point lands on a
+    # bracket end; accepting it returned 0.2998 at scale 1e-320
+    x = false_position_root(lambda x: math.copysign(scale, x - 0.3), 0.0,
+                            1.0, tol=1e-12)
+    assert abs(x - 0.3) <= 1e-12
 
 def test_false_position_out_of_iterations_is_an_error():
     with pytest.raises(ConvergenceError):

@@ -238,6 +238,35 @@ def test_truncation_warning():
         minimize_order_parameter(MeanFieldProblem.for_lobe(1.0, 0.25))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lobe=st.integers(0, 3), frac=st.floats(0.1, 0.9),
+       ratio=st.floats(2.0, 4.0))
+def test_truncation_warning_fires_when_n_max_is_too_small(lobe, frac, ratio):
+    # five Fock levels cannot hold a superfluid at twice the boundary; mu
+    # stays 0.2 U inside the lobe edges, where D_cv and hence psi* vanish
+    mu = 2.0 * (lobe - 1 + frac)
+    D = ratio * boundary_hopping(mu, lobe, "variational")
+    with pytest.warns(TruncationWarning):
+        res = minimize_order_parameter(MeanFieldProblem.for_lobe(mu, D, n_max=4))
+    assert res.psi_star > 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lobe=st.integers(0, 3), frac=st.floats(0.01, 0.99),
+       scale=st.floats(0.0, 1.0))
+def test_default_truncation_does_not_warn(lobe, frac, scale):
+    # measured onset of the warning at n_max = lobe + 8, in D / D_cv over
+    # each lobe: 1.95 in the vacuum lobe (near mu = -2, where psi_max is
+    # smallest), 7.25 in lobe 1 and none up to 10 in lobes 2-3; the domain
+    # stops at 1.5 and 5 to keep clear of those onsets
+    mu = 2.0 * (lobe - 1 + frac)
+    D = scale * (1.5 if lobe == 0 else 5.0) * boundary_hopping(mu, lobe,
+                                                                "variational")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        minimize_order_parameter(MeanFieldProblem.for_lobe(mu, D))
+
+
 def _dense_a(vec):
     return float(np.sum(np.sqrt(np.arange(1.0, vec.size)) * vec[:-1] * vec[1:]))
 
