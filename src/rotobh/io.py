@@ -1,21 +1,43 @@
 """Deterministic emission and parsing of result tables.
 
 CSV layout: line 1 is `# rotobh v1 <subcommand>`, line 2 the column
-names, then one data row per line.  Floats are serialized with repr(),
-the shortest decimal string that round-trips to the same 64-bit value,
-so identical runs produce byte-identical files and re-parsing recovers
-the in-memory table exactly.  JSON output mirrors the same rows plus a
-`meta` object (convention, fit protocol, tolerances, version); NaN cells
-become null there since strict JSON has no NaN.
+names, then one data row per line.  JSON output mirrors the same rows
+plus a `meta` object (convention, fit protocol, tolerances, version).
+Identical runs produce byte-identical files, and re-parsing a CSV table
+recovers the in-memory table exactly.
+
+Emission contract:
+
+- CSV cells: a float (any float instance, numpy's float64 included) is
+  float.__repr__, the shortest decimal string that round-trips to the
+  same 64-bit value; an int is its decimal digits; a bool is true/false;
+  a str is the string itself; anything else is str(value).
+- JSON bytes equal json.dumps(payload, indent=2, sort_keys=True) + "\\n"
+  for payload {"columns", "format", "meta", "rows", "subcommand"}, with
+  every non-finite float cell written as null (strict JSON has no NaN).
+
+Both emitters format a column at a time: the rows are transposed once,
+and a column whose cells are all builtin floats, ints or strs is
+formatted by one map over float.__repr__, int.__repr__ or, for JSON
+strings, json's encode_basestring_ascii.  Any other column (bools, mixed
+types, other types) takes the per-cell path, format_cell for CSV and
+json.dumps for JSON, so JSON rejects exactly what json.dumps rejects.
+Every row must have one cell per column name; a ragged table raises
+ValueError.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 FORMAT_TAG = "rotobh v1"
+
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+# A JSON cell sits at indent level 3 of the payload: dict, "rows", row.
+_JSON_CELL_INDENT = "\n      "
 
 
 def format_cell(value) -> str:
@@ -24,7 +46,7 @@ def format_cell(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)
     return str(value)
 
 
@@ -44,10 +66,41 @@ def parse_cell(text: str):
     return text
 
 
+def _transpose(columns, rows):
+    """(column names, row count, cell columns) of a rectangular table."""
+    columns = list(columns)
+    rows = tuple(rows)
+    widths = set(map(len, rows))
+    if widths - {len(columns)}:
+        raise ValueError("table rows have %s cells for %d columns"
+                         % (sorted(widths), len(columns)))
+    return columns, len(rows), list(zip(*rows))
+
+
+def _only_type(cells):
+    """The type of every cell, or None for a mixed column."""
+    kinds = set(map(type, cells))
+    return kinds.pop() if len(kinds) == 1 else None
+
+
+def _csv_column(cells):
+    kind = _only_type(cells)
+    if kind is str:
+        return cells
+    if kind is float:
+        return map(float.__repr__, cells)
+    if kind is int:
+        return map(int.__repr__, cells)
+    return map(format_cell, cells)
+
+
 def csv_text(subcommand: str, columns: Iterable[str], rows: Iterable[tuple]) -> str:
+    columns, n_rows, cells = _transpose(columns, rows)
     lines = ["# %s %s" % (FORMAT_TAG, subcommand), ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format_cell(c) for c in row))
+    if columns:
+        lines += map(",".join, zip(*map(_csv_column, cells)))
+    else:
+        lines += [""] * n_rows
     return "\n".join(lines) + "\n"
 
 
@@ -63,18 +116,41 @@ def parse_csv(text: str):
     return subcommand, columns, rows
 
 
-def _json_safe(value):
+def _json_cell(value):
     if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+        return "null"
+    text = json.dumps(value, indent=2, sort_keys=True)
+    return text.replace("\n", _JSON_CELL_INDENT)
+
+
+def _json_column(cells):
+    kind = _only_type(cells)
+    if kind is str:
+        return map(encode_basestring_ascii, cells)
+    if kind is float:
+        texts = list(map(float.__repr__, cells))
+        if not math.isfinite(sum(cells)):  # a non-finite cell, or overflow
+            texts = ["null" if t in _NON_FINITE else t for t in texts]
+        return texts
+    if kind is int:
+        return map(int.__repr__, cells)
+    return map(_json_cell, cells)
 
 
 def json_text(subcommand: str, columns, rows, meta: dict) -> str:
-    payload = {
-        "format": FORMAT_TAG,
-        "subcommand": subcommand,
-        "meta": meta,
-        "columns": list(columns),
-        "rows": [[_json_safe(c) for c in row] for row in rows],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    columns, n_rows, cells = _transpose(columns, rows)
+    head = json.dumps({"format": FORMAT_TAG, "meta": meta, "columns": columns},
+                      indent=2, sort_keys=True)
+    if not n_rows:
+        body = "[]"
+    elif not columns:
+        body = "[\n" + ",\n".join(["    []"] * n_rows) + "\n  ]"
+    else:
+        row_texts = map(("," + _JSON_CELL_INDENT).join,
+                        zip(*map(_json_column, cells)))
+        body = ("[\n    [" + _JSON_CELL_INDENT
+                + ("\n    ],\n    [" + _JSON_CELL_INDENT).join(row_texts)
+                + "\n    ]\n  ]")
+    # head ends in "\n}"; "rows" and "subcommand" follow "meta" in key order
+    return '%s,\n  "rows": %s,\n  "subcommand": %s\n}\n' % (
+        head[:-2], body, json.dumps(subcommand, indent=2, sort_keys=True))

@@ -88,11 +88,19 @@ class MeanFieldProblem:
 
     @classmethod
     def for_lobe(cls, mu, D, n_max=None, psi_max=None):
-        """Defaults: n_max = lobe + 8, psi_max = sqrt(mu + 2) + 1."""
+        """Defaults: n_max = lobe + 8 and psi_max = max(sqrt(mu + 2) + 1,
+        sqrt(B) + 1e-3), with B = mu + 1 + 2 D.
+
+        B bounds psi*: at a stationary point psi = <a>, so the ground
+        energy is e0 = <n^2> - (mu + 1) <n> - 2 D psi^2.  Cauchy-Schwarz
+        gives psi^2 = <a>^2 <= <n> and <n>^2 <= <n^2>, so e0 >= <n> (<n> - B),
+        and the minimum has e0 <= e0(0) <= 0; hence psi*^2 <= <n> <= B.
+        """
         if n_max is None:
             n_max = lobe_index(mu) + 8
         if psi_max is None:
-            psi_max = math.sqrt(max(mu + 2.0, 0.0)) + 1.0
+            psi_max = max(math.sqrt(max(mu + 2.0, 0.0)) + 1.0,
+                          math.sqrt(max(mu + 1.0 + 2.0 * D, 0.0)) + 1e-3)
         return cls(mu_over_U=mu, D_eff=D, n_max=int(n_max), psi_max=float(psi_max))
 
 

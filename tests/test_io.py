@@ -1,10 +1,51 @@
+import contextlib
+import io
 import json
 import math
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rotobh import cli
+from rotobh import io as rio
 from rotobh.io import (FORMAT_TAG, csv_text, format_cell, json_text,
                        parse_cell, parse_csv)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+# -- reference emitters: the emission contract spelled out cell by cell ---
+
+def reference_cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def reference_csv_text(subcommand, columns, rows):
+    lines = ["# %s %s" % (FORMAT_TAG, subcommand), ",".join(columns)]
+    for row in rows:
+        lines.append(",".join(reference_cell(c) for c in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json_text(subcommand, columns, rows, meta):
+    def safe(value):
+        if isinstance(value, float) and not math.isfinite(value):
+            return None
+        return value
+    payload = {"format": FORMAT_TAG, "subcommand": subcommand, "meta": meta,
+               "columns": list(columns),
+               "rows": [[safe(c) for c in row] for row in rows]}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_format_cell():
@@ -64,3 +105,124 @@ def test_json_text():
     # deterministic serialization
     assert text == json_text("resolution", ("x", "y"), [(1.0, math.nan)],
                              {"convention": "paper"})
+
+
+def test_float_subclass_cells_are_plain_floats():
+    # numpy 2 reprs np.float64(0.1) as "np.float64(0.1)"; the table must not
+    x, nan = np.float64(0.1), np.float64(math.nan)
+    assert format_cell(x) == "0.1"
+    text = csv_text("x", ("v", "w"), [(x, nan), (0.5, x)])
+    assert text == "# rotobh v1 x\nv,w\n0.1,nan\n0.5,0.1\n"
+    assert parse_csv(text)[2][0][0] == 0.1
+    payload = json.loads(json_text("x", ("v", "w"), [(x, nan), (0.5, x)], {}))
+    assert payload["rows"] == [[0.1, None], [0.5, 0.1]]
+
+
+def test_json_float_column_nulls_only_non_finite_cells():
+    # a float column is formatted at once; its sum flags non-finite cells
+    for values in ((1.0, math.nan, -0.0), (math.inf, -math.inf, 2.5),
+                   (1e308, 1e308, -1e308)):
+        rows = [(v,) for v in values]
+        assert json_text("x", ("v",), rows, {}) == reference_json_text(
+            "x", ("v",), rows, {})
+    payload = json.loads(json_text("x", ("v",), [(1e308,), (math.nan,)], {}))
+    assert payload["rows"] == [[1e308], [None]]
+
+
+def test_ragged_table_is_an_error():
+    with pytest.raises(ValueError, match="cells for 2 columns"):
+        csv_text("x", ("a", "b"), [(1, 2), (3,)])
+    with pytest.raises(ValueError, match="cells for 2 columns"):
+        json_text("x", ("a", "b"), [(1, 2, 3)], {})
+
+
+def test_json_rejects_what_json_dumps_rejects():
+    for cell in (object(), {1, 2}, np.int64(3)):
+        with pytest.raises(TypeError):
+            json.dumps(cell)
+        with pytest.raises(TypeError):
+            json_text("x", ("a",), [(cell,)], {})
+
+
+# Floats and strings lean on the values an encoder must special-case.
+_TEXT = st.text(st.one_of(st.sampled_from('"\\,\n\r\t\x00\x1f\x7f\u00e9\u2028'),
+                          st.characters()), max_size=6)
+_SCALARS = {
+    "float": st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0,
+                                        5e-324, 1e308]), st.floats()),
+    "int": st.integers(-2 ** 70, 2 ** 70),
+    "str": _TEXT,
+    "bool": st.booleans(),
+}
+_ANY = st.one_of(st.none(), *_SCALARS.values(),
+                 st.lists(st.one_of(*_SCALARS.values()), max_size=2),
+                 st.dictionaries(_TEXT, st.floats(), max_size=2))
+_CELLS = dict(_SCALARS, mixed=_ANY)
+_META = st.recursive(st.one_of(st.none(), *_SCALARS.values()),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(_TEXT, inner, max_size=3),
+                     max_leaves=8)
+
+
+@st.composite
+def tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), max_size=4))
+    columns = draw(st.lists(_TEXT, min_size=len(kinds), max_size=len(kinds)))
+    rows = draw(st.lists(st.tuples(*(_CELLS[k] for k in kinds)), max_size=5))
+    return draw(_TEXT), columns, rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(table=tables(), meta=st.dictionaries(_TEXT, _META, max_size=3))
+def test_emitters_match_the_reference(table, meta):
+    subcommand, columns, rows = table
+    assert csv_text(subcommand, columns, rows) == reference_csv_text(
+        subcommand, columns, rows)
+    assert json_text(subcommand, columns, rows, meta) == reference_json_text(
+        subcommand, columns, rows, meta)
+    # rows and columns may be one-shot iterables
+    assert json_text(subcommand, iter(columns), iter(rows), meta) == \
+        json_text(subcommand, columns, rows, meta)
+
+
+def _readme_argvs():
+    block = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = block.split("```", 2)[1].replace("\\\n", " ")
+    for line in block.splitlines():
+        if line.startswith("rotobh "):
+            argv = shlex.split(line)[1:]
+            if "--output" in argv:
+                j = argv.index("--output")
+                del argv[j:j + 2]
+            yield argv
+
+
+def test_readme_tables_match_the_reference(monkeypatch):
+    """The README figure commands emit exactly the reference bytes."""
+    emitted = []
+    real_csv, real_json = rio.csv_text, rio.json_text
+
+    def record_csv(subcommand, columns, rows):
+        columns, rows = tuple(columns), tuple(rows)
+        text = real_csv(subcommand, columns, rows)
+        emitted.append((text, reference_csv_text(subcommand, columns, rows)))
+        return text
+
+    def record_json(subcommand, columns, rows, meta):
+        columns, rows = tuple(columns), tuple(rows)
+        text = real_json(subcommand, columns, rows, meta)
+        emitted.append((text, reference_json_text(subcommand, columns, rows,
+                                                  meta)))
+        return text
+
+    monkeypatch.setattr(rio, "csv_text", record_csv)
+    monkeypatch.setattr(rio, "json_text", record_json)
+    argvs = list(_readme_argvs())
+    assert len(argvs) >= 8
+    for argv in argvs:
+        for fmt in ("csv", "json"):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cli.main(argv + ["--format", fmt]) == 0
+            assert out.getvalue() == emitted[-1][0]
+    assert len(emitted) == 2 * len(argvs)
+    assert all(text == want for text, want in emitted)

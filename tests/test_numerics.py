@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotobh.errors import ConvergenceError
 from rotobh.numerics import (bisect_root, false_position_root, golden_min,
@@ -127,6 +129,16 @@ def test_lambert_w_residuals():
             assert abs(w * math.exp(w) - z) <= 1e-12 * abs(z)
         else:
             assert abs(w + math.log(-w) - math.log(-z)) <= 1e-10
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(z=st.floats(-1.0 / math.e, -1.0 / math.e + 0.1),
+       branch=st.sampled_from([0, -1]))
+def test_lambert_w_residual_near_the_branch_point(z, branch):
+    # both branches meet at z = -1/e, where w is a sqrt-type root
+    w = lambert_w(z, branch)
+    assert (w > -1.0 - 1e-7) if branch == 0 else (w < -1.0 + 1e-7)
+    assert abs(w * math.exp(w) - z) <= 1e-12 * abs(z)
 
 
 def test_lambert_w_known_values():

@@ -32,6 +32,8 @@ def test_for_lobe_defaults():
     assert abs(p.psi_max - (math.sqrt(3.0) + 1.0)) < 1e-15
     assert MeanFieldProblem.for_lobe(3.0, 0.2).n_max == 10
     assert MeanFieldProblem.for_lobe(-4.0, 0.2).psi_max == 1.0
+    # deep in the superfluid the bound sqrt(mu + 1 + 2 D) takes over
+    assert MeanFieldProblem.for_lobe(-1.0, 4.0).psi_max == math.sqrt(8.0) + 1e-3
     assert MeanFieldProblem.for_lobe(1.0, 0.2, n_max=15).n_max == 15
 
 
@@ -154,7 +156,23 @@ def test_minimizer_straddles_the_boundary(lobe, frac, n_max, log_rel):
 def test_minimizer_unbracketed_root_is_an_error():
     # the minimum lies beyond psi_max = 1.4, so h does not change sign
     with pytest.raises(ConvergenceError, match="no stationary point"):
-        minimize_order_parameter(MeanFieldProblem.for_lobe(-1.84, 2.9))
+        minimize_order_parameter(
+            MeanFieldProblem.for_lobe(-1.84, 2.9, psi_max=1.4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lobe=st.integers(0, 3), frac=st.floats(0.01, 0.99),
+       scale=st.floats(0.0, 10.0))
+def test_default_psi_max_brackets_the_minimum(lobe, frac, scale):
+    # psi*^2 <= <n>, and <n> is 0 or at most B = mu + 1 + 2 D, so the
+    # default search bound holds the minimum; a tight truncation may warn
+    mu = 2.0 * (lobe - 1 + frac)
+    D = scale * boundary_hopping(mu, lobe, "variational")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        res = minimize_order_parameter(MeanFieldProblem.for_lobe(mu, D))
+    assert res.converged
+    assert res.psi_star ** 2 <= max(mu + 1.0 + 2.0 * D, 0.0)
 
 
 def test_minimizer_scan_against_stable_mott_is_an_error(monkeypatch):

@@ -57,6 +57,24 @@ def test_delta_on_domain():
         delta_on(math.pi / 2.0, [0.1])
 
 
+_OUTSIDE_THETA = st.one_of(st.floats(max_value=0.0),
+                          st.floats(min_value=0.5 * math.pi),
+                          st.just(math.nan))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(theta=_OUTSIDE_THETA)
+def test_theta_outside_the_open_quadrant_is_a_domain_error(theta):
+    # theta <= 0 and theta >= pi/2 (nan and +-inf included)
+    with pytest.raises(DomainError):
+        delta_on(theta, [0.0])
+    for mode in ("exact", "fit"):
+        with pytest.raises(DomainError):
+            resolution(theta, mode, gamma=0.043)
+    with pytest.raises(DomainError):
+        invert_rotation_change(0.05, 1.0, 1, theta, 0.043)
+
+
 def test_peak_offset():
     # cos(theta) > 2/3: the maximum sits on the edge dtheta = theta
     assert peak_offset(0.5) == 0.5
