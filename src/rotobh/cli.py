@@ -19,7 +19,7 @@ import sys
 
 from . import __version__, io, oracle, phase_diagram, sensing
 from .core import RingFrame
-from .errors import EXIT_OK, ConfigError, RotobhError
+from .errors import EXIT_OK, ConfigError, DomainError, RotobhError
 from .landau import kappa
 from .oracle import MeanFieldProblem, boundary_numeric, converged_psi
 from .phase_diagram import (VARIANT_FOR_CONVENTION, SweepSpec,
@@ -358,6 +358,13 @@ def _cmd_oracle_check(args):
     mus = parse_grid(args.mu)
     dthetas = parse_grid(args.dthetas)
     theta = args.theta
+    # before any boundary solve: delta_exact rejects theta outside
+    # (0, pi/2) and dtheta outside [0, theta], and psi*/delta needs delta > 0
+    deltas = [delta_exact(theta, dtheta) for dtheta in dthetas]
+    for dtheta, delta in zip(dthetas, deltas):
+        if not delta > 0.0:
+            raise DomainError("dtheta = %g gives delta = 0, so psi*/delta "
+                              "cannot recover kappa" % dtheta)
     rows = []
     for mu in mus:
         lobe = lobe_index(mu)
@@ -365,11 +372,10 @@ def _cmd_oracle_check(args):
         D_cv = boundary_numeric(mu, args.n_max)
         kap_var = kappa(mu, lobe, "variational")
         t_edge = boundary_hopping(mu, lobe, "variational") / math.cos(theta)
-        for dtheta in dthetas:
+        for dtheta, delta in zip(dthetas, deltas):
             D = t_edge * math.cos(theta - dtheta)
             psi = converged_psi(MeanFieldProblem.for_lobe(mu, D,
                                                           n_max=args.n_max))
-            delta = delta_exact(theta, dtheta)
             kap_rec = psi / delta
             rows.append((mu, lobe, dtheta, D_c, D_cv, D_cv / D_c, psi,
                          kap_var, kap_rec, kap_rec / kap_var - 1.0))

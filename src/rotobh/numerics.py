@@ -1,15 +1,20 @@
 """Small numerical toolkit: golden-section search, bracketed roots, Lambert W.
 
 Deliberately dependency-free so the physics modules stay auditable;
-nothing here needs vectorization.  A root finder that runs out of
+nothing here needs vectorization.  There are two root finders: bisect_root,
+which the closed-form sensing roots and Lambert W's fallback use, and
+brent_root (Brent-Dekker), which the oracle and the fit crossover use
+because each of their evaluations costs an eigensolve or a fit.  A root finder that runs out of
 iterations, or meets a NaN inside its bracket, raises ConvergenceError; it
 never returns an unverified point.
 """
 
 import math
+import sys
 
 from .errors import ConvergenceError
 
+EPS = sys.float_info.epsilon
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
 
@@ -86,47 +91,64 @@ def bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
                            "%d steps" % (lo, hi, tol, max_iter))
 
 
-def false_position_root(f, lo, hi, tol=1e-10, max_iter=100):
-    """Root of f on [lo, hi] by Illinois false position, contract of bisect_root.
+def brent_root(f, lo, hi, tol=1e-10, max_iter=100):
+    """Root of f on [lo, hi] by Brent-Dekker, contract of bisect_root.
 
-    Each step takes the secant point of the bracket; when one end is kept
-    twice in a row its f is halved, so both ends close in superlinearly
-    (Dowell & Jarratt, BIT 11, 168 (1971)).  A secant point that is not
-    strictly inside the bracket (its step rounded away, as with subnormal
-    f) is replaced by the midpoint.  Returns the latest point once the
-    bracket is no wider than tol, or as soon as the midpoint equals an
-    endpoint.  ConvergenceError if max_iter steps do not get there.
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 4:
+    b is the best point so far and [b, c] a sign bracket.  Each step takes
+    the inverse quadratic (or secant) point through the last three values
+    when it lies in the three quarters of [b, c] nearest b and the step is
+    under half the step before last, and the midpoint of [b, c] otherwise;
+    a step is never shorter than tol1 = 2 eps |b| + tol / 2, so no step is
+    lost to rounding.  Returns b once |c - b| <= 2 tol1, that is, once the
+    bracket is no wider than tol plus 4 ulps of b.  ConvergenceError if
+    max_iter steps do not get there.
     """
-    lo, hi = float(lo), float(hi)
-    flo, fhi = _bracket_values(f, lo, hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    kept = 0  # -1: lo was kept last step, +1: hi was
+    a, b = float(lo), float(hi)
+    fa, fb = _bracket_values(f, a, b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(max_iter):
-        x = hi - fhi * (hi - lo) / (fhi - flo)
-        if not lo < x < hi:  # the secant step lost its bits: bisect
-            x = 0.5 * (lo + hi)
-            if x == lo or x == hi:
-                return x
-        fx = _value_at(f, x)
-        if fx == 0.0:
-            return x
-        if (fx < 0.0) == (flo < 0.0):
-            lo, flo = x, fx
-            if kept == 1:
-                fhi *= 0.5
-            kept = 1
+        if (fb < 0.0) == (fc < 0.0):  # the new b is on c's side: c = a
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):  # keep the smaller |f| at b
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * EPS * abs(b) + 0.5 * tol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p = 2.0 * xm * s
+                q = 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
         else:
-            hi, fhi = x, fx
-            if kept == -1:
-                flo *= 0.5
-            kept = -1
-        if hi - lo <= tol:
-            return x
-    raise ConvergenceError("false position on [%r, %r] did not reach tol = %g "
-                           "in %d steps" % (lo, hi, tol, max_iter))
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = _value_at(f, b)
+        if fb == 0.0:
+            return b
+    raise ConvergenceError("Brent's method did not reach tol = %g in %d steps; "
+                           "the bracket is [%r, %r]" % (tol, max_iter,
+                                                        min(b, c), max(b, c)))
 
 
 _BRANCH_POINT = -1.0 / math.e

@@ -12,34 +12,50 @@ psi and reports the minimizer together with the ground-state expectation
 
     d e0 / d psi = 4 D (psi - <a>)       (Hellmann-Feynman)
 
-A 64-point coarse scan of e0 is the global guard that picks the bracket,
-and psi* is the root of h(psi) = psi - <a>(psi) in it, found by false
-position to ROOT_TOL.  When the scan minimum sits at grid[i] with i >= 2,
-the bracket is [grid[i-1], grid[i+1]].  Otherwise the linear response
-r = <a>/psi at psi = RESPONSE_EPS decides (see below): r <= 1 gives
-psi* = 0.0 exactly, or ConvergenceError if the scan puts grid[1] below
-e0(0) by more than rounding (a first-order jump); r > 1 makes
-h(RESPONSE_EPS) < 0 and the bracket [RESPONSE_EPS, grid[i+1]].  A bracket
-that h does not straddle, such as a minimum pinned at psi_max, raises
-ConvergenceError.  The root is machine-accurate, which makes the
-truncation-drift guarantee (<= 1e-8 per two extra Fock levels) meetable.
-RESPONSE_EPS lowers r by O(RESPONSE_EPS^2), so within about 2e-12 relative
-above the boundary, where the true psi* is below RESPONSE_EPS, psi* = 0.0.
+A coarse scan of e0 on a 64-point grid over [0, psi_max] is the global
+guard that picks the bracket, and psi* is the root of the response form
+g(psi) = 1 - <a>(psi)/psi in it, found by Brent's method to ROOT_TOL.  For
+psi > 0, g has the sign of e0' = 4 D (psi - <a>) but not its trivial zero
+at psi = 0, which would draw the interpolation steps of a bracket that
+starts at RESPONSE_EPS toward 0.  When the scan minimum sits at grid[i] with i >= 2, the bracket is
+[grid[i-1], grid[i+1]].  Otherwise the linear response r = <a>/psi at
+psi = RESPONSE_EPS decides (see below): r <= 1 gives psi* = 0.0 exactly,
+or ConvergenceError if the scan puts grid[1] below e0(0) by more than
+rounding (a first-order jump); r > 1 makes g(RESPONSE_EPS) < 0 and the
+bracket [RESPONSE_EPS, grid[i+1]].  A bracket that g does not straddle,
+such as a minimum pinned at psi_max, raises ConvergenceError.  The root is
+machine-accurate, which makes the truncation-drift guarantee (<= 1e-8 per
+two extra Fock levels) meetable.  RESPONSE_EPS lowers r by
+O(RESPONSE_EPS^2), so within about 2e-12 relative above the boundary,
+where the true psi* is below RESPONSE_EPS, psi* = 0.0.
+
+The scan stops at the first two grid points past sqrt(B), B = mu + 1 + 2 D,
+because no bracket can lie beyond them.  With e0 = <n^2> - (mu + 1) <n>
++ 2 D psi^2 - 4 D psi <a>, Cauchy-Schwarz (<a>^2 <= <n> <= <n^2>^(1/2))
+gives e0 >= <n> (<n> - B) + 2 D (psi - <n>^(1/2))^2, so wherever
+e0 <= e0(0) <= 0, <a> <= <n>^(1/2) <= sqrt(B) and
+e0' >= 4 D (psi - sqrt(B)).  Past sqrt(B), e0 therefore rises wherever it
+lies below e0(0), so a scan minimum below e0(0) cannot sit beyond the first
+grid point past sqrt(B), and its bracket end grid[i+1] is at most the
+second.  The grid and every bracket are unchanged; only its tail goes
+unscanned, which leaves every result bit for bit as a full scan gives it.
+The bound holds at any truncation and for B <= 0, where psi* = 0.
 
 Each point pays only for LAPACK.  The coarse scan is one stacked
-``numpy.linalg.eigvalsh`` over all 64 matrices; the response, each root
-step and the final point are one ``dstev`` each, which gives e0, the
-vector and <a> together.  The psi-independent arrays k, k(k-1) and
-sqrt(k) are built once per n_max.  A LAPACK failure raises
-ConvergenceError; it never yields a number.  scipy, which supplies dstev,
-is imported when the first _Kernel is built, not with this module, so a
-process that never diagonalizes never pays for loading it.
+``numpy.linalg.eigvalsh`` over the scanned matrices; the response and each
+root step are one ``dstev`` each, which gives e0, the vector and <a>
+together, and the returned point reuses the root's own solve at psi*.
+The psi-independent arrays k, k(k-1) and sqrt(k) are built once per n_max.
+A LAPACK failure raises ConvergenceError; it never yields a number.  scipy,
+which supplies dstev, is imported when the first _Kernel is built, not
+with this module, so a process that never diagonalizes never pays for
+loading it.
 
 The Mott/superfluid boundary is not found by minimizing at all.  At
 psi -> 0, Hellmann-Feynman gives e0(psi) - e0(0) ~ 2 D (1 - r) psi^2, with
 r = <a>/psi the linear response of the ground state, so the second-order
 boundary is the root in D of r(D) = 1.  boundary_numeric finds it by
-false position, one dstev per evaluation at psi = RESPONSE_EPS, without
+Brent's method, one dstev per evaluation at psi = RESPONSE_EPS, without
 touching the closed-form susceptibility, and then runs two minimizations
 just below and just above it to rule out a first-order jump.
 """
@@ -54,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, TruncationWarning
-from .numerics import false_position_root
+from .numerics import brent_root
 from .phase_diagram import boundary_hopping, lobe_index
 
 COARSE_POINTS = 64
@@ -200,11 +216,18 @@ def a_expectation(problem: MeanFieldProblem, psi: float) -> float:
     return _Kernel(problem).eigenpair(psi)[2]
 
 
+def _scan_points(problem: MeanFieldProblem, grid) -> int:
+    """How many leading points of grid the coarse scan needs: up to the
+    first two past sqrt(B), B = mu + 1 + 2 D (see module docstring)."""
+    bound = problem.mu_over_U + 1.0 + 2.0 * problem.D_eff
+    return min(grid.size, int(math.sqrt(max(bound, 0.0)) / grid[1]) + 3)
+
+
 def minimize_order_parameter(problem: MeanFieldProblem) -> OracleResult:
     """Minimize e0(psi) over [0, psi_max]; see module docstring."""
     kernel = _Kernel(problem)
     grid = np.linspace(0.0, problem.psi_max, COARSE_POINTS)
-    energies = kernel.scan(grid)
+    energies = kernel.scan(grid[:_scan_points(problem, grid)])
     # eigvalsh is backward stable: a scan value can sit below the exact
     # e0(0) = energies[0] by rounding of order n eps |H|, not by more
     base = kernel._base
@@ -213,7 +236,14 @@ def minimize_order_parameter(problem: MeanFieldProblem) -> OracleResult:
     if energies[i] >= energies[0] - rounding:
         i = 0  # no point lies below e0(0)
 
-    if i <= 1 and kernel.response() <= 1.0:
+    solved = {}  # psi -> eigenpair, so no psi is solved twice
+
+    def eigenpair(p):
+        if p not in solved:
+            solved[p] = kernel.eigenpair(p)
+        return solved[p]
+
+    if i <= 1 and eigenpair(RESPONSE_EPS)[2] / RESPONSE_EPS <= 1.0:
         if i == 1:
             raise ConvergenceError(
                 "psi = 0 is linearly stable at mu = %r, D = %r, yet the scan "
@@ -222,18 +252,18 @@ def minimize_order_parameter(problem: MeanFieldProblem) -> OracleResult:
                    energies[0] - energies[1]))
         psi = 0.0
     else:
-        # for i <= 1, r > 1 makes psi = 0 a maximum: h(RESPONSE_EPS) < 0
+        # for i <= 1, r > 1 makes psi = 0 a maximum: g(RESPONSE_EPS) < 0
         lo = grid[i - 1] if i >= 2 else RESPONSE_EPS
         hi = grid[min(i + 1, COARSE_POINTS - 1)]
-        try:  # h(p) = p - <a>(p) = e0'(p) / (4 D)
-            psi = false_position_root(lambda p: p - kernel.eigenpair(p)[2],
-                                      lo, hi, tol=ROOT_TOL)
+        try:  # g(p) = 1 - <a>(p) / p = e0'(p) / (4 D p)
+            psi = brent_root(lambda p: 1.0 - eigenpair(p)[2] / p, lo, hi,
+                             tol=ROOT_TOL)
         except ValueError:
             raise ConvergenceError(
                 "no stationary point of e0 in [%.6g, %.6g] at mu = %r, D = %r"
                 % (lo, hi, problem.mu_over_U, problem.D_eff)) from None
 
-    e0, vec, a_exp = kernel.eigenpair(psi)
+    e0, vec, a_exp = eigenpair(psi)
     _warn_truncation(vec)
     converged = abs(psi - a_exp) <= 1e-9
     return OracleResult(psi_star=psi, e0=e0, a_expect=a_exp, converged=converged)
@@ -259,8 +289,7 @@ def _warn_truncation(vec):
 def boundary_numeric(mu: float, n_max=None) -> float:
     """Hopping D at which psi = 0 stops being stable: the root of r(D) = 1.
 
-    n_max=None truncates the Fock space as MeanFieldProblem.for_lobe does,
-    at lobe_index(mu) + 8.
+    n_max=None takes MeanFieldProblem.for_lobe's default truncation.
 
     r(D) = <a>(RESPONSE_EPS; D) / RESPONSE_EPS is the linear response of
     the ground state, one dstev per evaluation.  By Hellmann-Feynman the
@@ -268,7 +297,7 @@ def boundary_numeric(mu: float, n_max=None) -> float:
     second-order boundary (van Oosten, van der Straten & Stoof, PRA 63,
     053601 (2001)).  The bracket is [0, D_c(paper)]: r(0) = 0, and the
     paper boundary is twice the true one, so r > 1 there.  The root is
-    found to ROOT_TOL by false position; the finite eps biases it by
+    found to ROOT_TOL by Brent's method; the finite eps biases it by
     O(eps^2), about 1e-12 relative.
 
     A first-order jump is invisible to linear stability, so two full
@@ -282,7 +311,7 @@ def boundary_numeric(mu: float, n_max=None) -> float:
         problem = MeanFieldProblem.for_lobe(mu, D, n_max=n_max)
         return _Kernel(problem).response() - 1.0
 
-    D_star = false_position_root(response_excess, 0.0, hi, tol=ROOT_TOL)
+    D_star = brent_root(response_excess, 0.0, hi, tol=ROOT_TOL)
 
     def psi_at(D):
         return converged_psi(MeanFieldProblem.for_lobe(mu, D, n_max=n_max))

@@ -51,7 +51,7 @@ import numpy as np
 from . import numerics
 from .errors import ConfigError, DomainError, FitQualityWarning, OutOfRangeError
 from .landau import kappa
-from .numerics import bisect_root, false_position_root, golden_min
+from .numerics import bisect_root, brent_root, golden_min
 
 THETA_EXACT_CROSSOVER = math.acos(2.0 / 3.0)  # ~0.8410687
 DELTA_GLOBAL_MAX = 2.0 / (3.0 * math.sqrt(3.0))  # ~0.3849002
@@ -185,13 +185,13 @@ def theta_crossover(mode: str = "exact") -> float:
     """Angle beyond which delta_max saturates in the given mode.
 
     exact: arccos(2/3); fit: the self-consistent root of
-    a(theta) * theta = 1, located by false position.
+    a(theta) * theta = 1, located by Brent's method to 1e-8 in theta, about
+    ten fits.
     """
     if mode == "exact":
         return THETA_EXACT_CROSSOVER
     if mode == "fit":
-        return false_position_root(lambda t: fit_a(t)[0] * t - 1.0, 0.3, 1.2,
-                                   tol=1e-6)
+        return brent_root(lambda t: fit_a(t)[0] * t - 1.0, 0.3, 1.2, tol=1e-8)
     raise ConfigError("mode must be 'exact' or 'fit', got %r" % (mode,))
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rotobh import __version__, oracle, sensing
+from rotobh import __version__, cli, oracle, sensing
 from rotobh.cli import _dtheta_steps, load_config, main, parse_grid
 from rotobh.errors import ConfigError
 from rotobh.io import parse_csv
@@ -323,6 +323,25 @@ def test_oracle_check_report():
     assert abs(row["D_c_paper"] - 1.0 / 3.0) < 1e-12
     assert abs(row["rel_err"]) < 2e-2
     assert row["psi_star"] < 0.1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dthetas", "0"],  # delta = 0: kappa_recovered divided by it
+    ["--dthetas", "1e-20"],  # cos(theta - dtheta) rounds to cos(theta)
+    ["--dthetas", "0.005,0.9"],  # past the default theta = 0.8
+    ["--dthetas", "0.005", "--theta", "nan"],
+    ["--dthetas", "0.005", "--theta", "0"],
+    ["--dthetas", "0.005", "--theta", "1.5707963267948966"],
+])
+def test_oracle_check_rotation_domain_exits_3(monkeypatch, flags):
+    # checked before the first boundary solve
+    def no_solve(*args):
+        raise AssertionError("boundary solved before the domain check")
+
+    monkeypatch.setattr(cli, "boundary_numeric", no_solve)
+    status, out, err = run_cli(["oracle-check", "--mu", "1.0"] + flags)
+    assert status == 3 and out == ""
+    assert err.startswith("rotobh: error:") and "Traceback" not in err
 
 
 def test_lobe_is_derived_not_a_flag():

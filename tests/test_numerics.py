@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotobh.errors import ConvergenceError
-from rotobh.numerics import (bisect_root, false_position_root, golden_min,
-                             lambert_w)
+from rotobh.numerics import bisect_root, brent_root, golden_min, lambert_w
 
 
 def test_golden_quadratic():
@@ -47,7 +46,7 @@ def test_bisect_keeps_a_tiny_step_from_underflowing():
     assert abs(x - 0.3) <= 1e-12
 
 
-@pytest.mark.parametrize("finder", [bisect_root, false_position_root])
+@pytest.mark.parametrize("finder", [bisect_root, brent_root])
 def test_nan_end_is_not_a_bracket(finder):
     with pytest.raises(ValueError):
         finder(lambda x: math.nan if x == 0.0 else x - 0.5, 0.0, 1.0)
@@ -55,7 +54,7 @@ def test_nan_end_is_not_a_bracket(finder):
         finder(lambda x: math.nan if x == 1.0 else x - 0.5, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("finder", [bisect_root, false_position_root])
+@pytest.mark.parametrize("finder", [bisect_root, brent_root])
 def test_nan_inside_the_bracket_is_an_error(finder):
     # a NaN compares as neither sign; taken as one, it moves the bracket
     # and bisection used to return 0.44999999998 here
@@ -86,34 +85,34 @@ def test_bisect_out_of_iterations_is_an_error():
         bisect_root(lambda x: math.cos(x) - x, 0.0, 1.0, tol=1e-12, max_iter=5)
 
 
-def test_false_position_cos_fixed_point():
+def test_brent_cos_fixed_point():
     f = _counted(lambda x: math.cos(x) - x)
-    x = false_position_root(f, 0.0, 1.0, tol=1e-12)
+    x = brent_root(f, 0.0, 1.0, tol=1e-12)
     assert abs(x - 0.7390851332151607) < 1e-12
     assert f.evals < 20
-    assert abs(false_position_root(lambda x: x ** 3 - 2.0, 0.0, 4.0,
-                                   tol=1e-13) - 2.0 ** (1.0 / 3.0)) < 1e-12
+    assert abs(brent_root(lambda x: x ** 3 - 2.0, 0.0, 4.0,
+                          tol=1e-13) - 2.0 ** (1.0 / 3.0)) < 1e-12
 
 
-def test_false_position_endpoints_and_bracket():
-    assert false_position_root(lambda x: x, 0.0, 1.0) == 0.0
-    assert false_position_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+def test_brent_endpoints_and_bracket():
+    assert brent_root(lambda x: x, 0.0, 1.0) == 0.0
+    assert brent_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
     with pytest.raises(ValueError):
-        false_position_root(lambda x: x * x + 1.0, -1.0, 1.0)
+        brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 @pytest.mark.parametrize("scale", [1e-320, 1e-300])
-def test_false_position_bisects_a_lost_secant_step(scale):
-    # subnormal f rounds the secant step away, so the point lands on a
-    # bracket end; accepting it returned 0.2998 at scale 1e-320
-    x = false_position_root(lambda x: math.copysign(scale, x - 0.3), 0.0,
-                            1.0, tol=1e-12)
+def test_brent_survives_a_lost_secant_step(scale):
+    # subnormal f can round an interpolated step away onto a bracket end;
+    # accepting that point returns about 0.2998 at scale 1e-320
+    x = brent_root(lambda x: math.copysign(scale, x - 0.3), 0.0, 1.0,
+                   tol=1e-12)
     assert abs(x - 0.3) <= 1e-12
 
-def test_false_position_out_of_iterations_is_an_error():
+
+def test_brent_out_of_iterations_is_an_error():
     with pytest.raises(ConvergenceError):
-        false_position_root(lambda x: x ** 3 - 2.0, 0.0, 4.0, tol=1e-13,
-                            max_iter=3)
+        brent_root(lambda x: x ** 3 - 2.0, 0.0, 4.0, tol=1e-13, max_iter=3)
 
 
 def test_lambert_w_residuals():

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -173,6 +174,55 @@ def test_default_psi_max_brackets_the_minimum(lobe, frac, scale):
         res = minimize_order_parameter(MeanFieldProblem.for_lobe(mu, D))
     assert res.converged
     assert res.psi_star ** 2 <= max(mu + 1.0 + 2.0 * D, 0.0)
+
+
+def _outcome(problem):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        try:
+            return minimize_order_parameter(problem)
+        except ConvergenceError as exc:
+            return type(exc)
+
+
+def _full_scan_outcome(problem):
+    """The minimizer with its coarse scan over all COARSE_POINTS."""
+    with mock.patch.object(oracle, "_scan_points",
+                           lambda problem, grid: grid.size):
+        return _outcome(problem)
+
+
+_CELL = st.one_of(
+    st.tuples(st.integers(0, 4), st.floats(0.01, 0.99),
+              st.one_of(st.floats(0.0, 10.0), st.floats(0.99, 1.01))),
+    # deep vacuum: B = mu + 1 + 2 D <= 0
+    st.tuples(st.just(None), st.floats(-4.0, -1.0), st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cell=_CELL, n_max=st.one_of(st.none(), st.integers(4, 16)),
+       psi_max=st.one_of(st.none(), st.floats(0.1, 5.0)))
+def test_scan_cut_matches_the_full_scan(cell, n_max, psi_max):
+    lobe, x, y = cell
+    if lobe is None:
+        mu, D = x, 0.5 * y * (-1.0 - x)
+    else:
+        mu = 2.0 * (lobe - 1 + x)
+        D = y * boundary_hopping(mu, lobe, "variational")
+    p = MeanFieldProblem.for_lobe(mu, D, n_max=n_max, psi_max=psi_max)
+    assert _outcome(p) == _full_scan_outcome(p)
+
+    # past sqrt(B), e0 rises wherever it lies below e0(0), so when the scan
+    # is cut, a full-scan argmin below e0(0) and its bracket end grid[i + 1]
+    # are both scanned
+    kernel = oracle._Kernel(p)
+    grid = np.linspace(0.0, p.psi_max, COARSE_POINTS)
+    energies = kernel.scan(grid)
+    i, m = int(np.argmin(energies)), oracle._scan_points(p, grid)
+    rounding = (kernel._base.size * np.finfo(float).eps
+                * np.abs(kernel._base).max())
+    if m < COARSE_POINTS and energies[i] < energies[0] - rounding:
+        assert i < m - 1
 
 
 def test_minimizer_scan_against_stable_mott_is_an_error(monkeypatch):

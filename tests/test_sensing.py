@@ -10,7 +10,7 @@ from rotobh.cli import _dtheta_steps
 from rotobh.errors import ConfigError, DomainError, FitQualityWarning, OutOfRangeError
 from rotobh.landau import kappa
 from rotobh.numerics import golden_min, lambert_w
-from rotobh.sensing import (DELTA_GLOBAL_MAX, FIT_COARSE_POINTS,
+from rotobh.sensing import (BISECTION_TOL, DELTA_GLOBAL_MAX, FIT_COARSE_POINTS,
                             FIT_LOG_RANGE, FIT_LOG_TOL, THETA_EXACT_CROSSOVER,
                             delta_change, delta_exact, delta_max, delta_on,
                             fit_a, fit_form, invert_rotation_change,
@@ -188,8 +188,8 @@ def test_theta_crossover_both_modes():
 
 
 def test_theta_crossover_fit_solves_its_equation():
-    # the false-position point is far closer to the root than its 1e-6
-    # bracket width
+    # Brent returns the end of its final 1e-8 bracket with the smaller
+    # residual, 1.5e-9 here
     tc = theta_crossover("fit")
     assert abs(fit_a(tc)[0] * tc - 1.0) < 1e-8
 
@@ -279,6 +279,31 @@ def test_invert_roundtrip():
         assert abs(res.delta_theta - dtheta) < 1e-9
         assert abs(res.delta_omega - dtheta / gamma) < 1e-7
     assert invert_rotation_change(0.0, 1.0, 1, 0.9, gamma).delta_theta == 0.0
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(theta=st.floats(0.0, 0.5 * math.pi, exclude_min=True,
+                       exclude_max=True),
+       frac=st.one_of(st.floats(0.0, 1.0), st.just(1.0),
+                      st.floats(1.0 - 1e-6, 1.0)),
+       lobe=st.integers(1, 3), mu_frac=st.floats(0.05, 0.95))
+def test_invert_roundtrips_the_rising_branch(theta, frac, lobe, mu_frac):
+    # near the peak delta is flat, so rounding of the reading (a few ulps)
+    # moves the inverse by far more than BISECTION_TOL; there the returned
+    # offset must lie within BISECTION_TOL of the band where delta equals
+    # the target to rounding, which holds d
+    mu = 2.0 * (lobe - 1 + mu_frac)
+    d = frac * peak_offset(theta)
+    kap = kappa(mu, lobe)
+    measured = kap * delta_exact(theta, d)
+    res = invert_rotation_change(measured, mu, lobe, theta, 1.0)
+    target = measured / kap
+    err = res.delta_theta - d
+    if abs(err) > BISECTION_TOL:
+        inner = res.delta_theta - math.copysign(BISECTION_TOL, err)
+        assert abs(delta_exact(theta, inner) - target) <= 8e-16 * target, err
+    dm = delta_max(theta, "exact")
+    assert res.ambiguous == (delta_exact(theta, theta) <= target < dm)
 
 
 def test_invert_flags_ambiguity():
