@@ -25,7 +25,7 @@ from .oracle import MeanFieldProblem, boundary_numeric, converged_psi
 from .phase_diagram import (VARIANT_FOR_CONVENTION, SweepSpec,
                             boundary_hopping, lobe_index, sweep)
 from .sensing import (delta_exact, delta_on, invert_rotation_change,
-                      resolution)
+                      resolution_grid)
 
 TOLERANCES = {
     "bisection_dtheta": sensing.BISECTION_TOL,
@@ -303,10 +303,9 @@ def _cmd_resolution(args):
     thetas = parse_grid(args.theta_grid)
     gamma = _resolve_gamma(args)
     rows = []
-    for theta in thetas:
-        prof = resolution(theta, mode=args.mode, gamma=gamma,
-                          grid_points=args.grid_points,
-                          literal_exponent=args.literal_exponent)
+    for prof in resolution_grid(thetas, mode=args.mode, gamma=gamma,
+                                grid_points=args.grid_points,
+                                literal_exponent=args.literal_exponent):
         rows.append((
             prof.theta, math.nan if prof.omega is None else prof.omega,
             prof.a_fit, prof.delta_max, prof.epsilon_theta,
@@ -318,7 +317,8 @@ def _cmd_resolution(args):
             "fit_protocol": sensing.FIT_PROTOCOL, "tolerances": TOLERANCES}
     if args.format == "json":  # CSV drops the meta; the fit crossover is costly
         meta["theta_crossover_exact"] = sensing.theta_crossover("exact")
-        meta["theta_crossover_fit"] = sensing.theta_crossover("fit")
+        meta["theta_crossover_fit"] = sensing.theta_crossover(
+            "fit", args.grid_points)
     return ("theta", "omega", "a_fit", "delta_max", "epsilon_theta",
             "epsilon_omega", "mode"), tuple(rows), meta
 
@@ -326,9 +326,8 @@ def _cmd_resolution(args):
 def _cmd_fit_delta(args):
     thetas = parse_grid(args.theta_grid)
     rows = []
-    for theta in thetas:
-        prof = resolution(theta, "fit", grid_points=args.grid_points)
-        a = prof.a_fit
+    for prof in resolution_grid(thetas, "fit", grid_points=args.grid_points):
+        theta, a = prof.theta, prof.a_fit
         steps = _dtheta_steps(theta, 401)
         dev = float(abs(sensing.fit_form(a, steps)
                         - delta_on(theta, steps)).max())

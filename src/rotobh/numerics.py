@@ -1,7 +1,10 @@
 """Small numerical toolkit: golden-section search, bracketed roots, Lambert W.
 
-Deliberately dependency-free so the physics modules stay auditable;
-nothing here needs vectorization.  There are two root finders: bisect_root,
+Deliberately dependency-free so the physics modules stay auditable.  The
+golden-section search runs many brackets in lockstep, so that a caller
+can evaluate all of them with one array operation per step (the surrogate
+fit does, one lane per theta); the root finders and Lambert W work on one
+scalar at a time.  There are two root finders: bisect_root,
 which the closed-form sensing roots and Lambert W's fallback use, and
 brent_root (Brent-Dekker), which the oracle and the fit crossover use
 because each of their evaluations costs an eigensolve or a fit.  A root finder that runs out of
@@ -18,26 +21,50 @@ EPS = sys.float_info.epsilon
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
 
-def golden_min(f, lo, hi, tol=1e-10):
-    """Locate the minimum of a unimodal f on [lo, hi].
+def golden_min(f, brackets, tol=1e-10):
+    """Minima of unimodal functions, one per bracket, searched in lockstep.
 
-    Ties move the bracket left, so a flat function collapses onto lo.
-    Returns the midpoint of the final bracket once hi - lo <= tol.
+    Each (lo, hi) in brackets is a lane.  f maps a list of abscissae, one
+    per lane, to a sequence of values, one per lane, so that one call can
+    evaluate every lane at once.  A lane takes exactly the comparisons and
+    steps of a scalar golden-section search on its own bracket: ties move
+    the bracket left, so a flat function collapses onto lo, and the lane
+    stops once hi - lo <= tol.  A stopped lane keeps handing f its last
+    abscissa, and that value is ignored.  Returns the midpoints of the
+    final brackets, one float per lane.
     """
-    a, b = float(lo), float(hi)
-    c = b - INVPHI * (b - a)
-    d = a + INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + INVPHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    a = [float(lo) for lo, _ in brackets]
+    b = [float(hi) for _, hi in brackets]
+    c = [hi - INVPHI * (hi - lo) for lo, hi in zip(a, b)]
+    d = [lo + INVPHI * (hi - lo) for lo, hi in zip(a, b)]
+    fc, fd = list(f(c[:])), list(f(d[:]))
+    x = list(d)
+    left = [False] * len(a)
+    live = [k for k in range(len(a)) if b[k] - a[k] > tol]
+    while live:
+        for k in live:
+            lo, hi = a[k], b[k]
+            if fc[k] <= fd[k]:
+                b[k] = hi = d[k]
+                d[k], fd[k] = c[k], fc[k]
+                x[k] = c[k] = hi - INVPHI * (hi - lo)
+                left[k] = True
+            else:
+                a[k] = lo = c[k]
+                c[k], fc[k] = d[k], fd[k]
+                x[k] = d[k] = lo + INVPHI * (hi - lo)
+                left[k] = False
+        fx = f(x[:])
+        still = []
+        for k in live:
+            if left[k]:
+                fc[k] = fx[k]
+            else:
+                fd[k] = fx[k]
+            if b[k] - a[k] > tol:
+                still.append(k)
+        live = still
+    return [0.5 * (lo + hi) for lo, hi in zip(a, b)]
 
 
 def _bracket_values(f, lo, hi):

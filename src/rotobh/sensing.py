@@ -18,7 +18,9 @@ The one-parameter surrogate
 
 is least-squares fitted on a uniform grid: the target delta and a coarse
 log10 a scan are whole-array evaluations, and a golden-section search
-inside the scan's bracket refines log10 a one rms at a time.  Its peak
+inside the scan's bracket refines log10 a.  fit_grid fits every theta of
+a grid at once: its search runs one lane per theta, and each step
+evaluates the rms of all of them as one array operation.  Its peak
 value is e^-1 once the peak location 1/a falls inside the domain, i.e.
 a(theta) * theta >= 1.
 The crossover angle where that first happens is computed, not assumed,
@@ -68,7 +70,11 @@ FIT_PROTOCOL = {
               % (FIT_LOG_RANGE + (FIT_COARSE_POINTS,)),
 }
 
-BISECTION_TOL = 1e-10  # |d dtheta| for the half-maximum and inversion roots
+# |d dtheta| for the half-maximum and inversion roots: each lies within it of
+# the root for the level as given.  Near the peak delta is flat, so a reading
+# off by a few ulps has its true inverse up to 3.0e-7 away (see
+# invert_rotation_change).
+BISECTION_TOL = 1e-10
 
 
 def _check_theta(theta: float) -> None:
@@ -123,43 +129,71 @@ def fit_form(a, dtheta):
     return x * np.exp(-x)
 
 
+def fit_grid(thetas, grid_points: int = FIT_GRID_POINTS):
+    """Least-squares a(theta) for the surrogate at every theta of a grid.
+
+    Returns [(a, rms), ...] in grid order.  Protocol: FIT_PROTOCOL
+    (recorded in CLI metadata), sampled at grid_points dtheta values.  The
+    target and the coarse log10 a scan are array evaluations per theta
+    (the scan is one (FIT_COARSE_POINTS, grid_points) broadcast whose
+    argmin picks the bracket).  One lockstep golden search then refines
+    every theta at once: each of its steps is one (thetas, grid_points)
+    rms evaluation.  Warns once per theta whose rms > FIT_RMS_THRESHOLD,
+    in grid order.
+    """
+    thetas = list(thetas)
+    for theta in thetas:
+        _check_theta(theta)
+    if grid_points < 50:
+        raise ConfigError("grid_points must be >= 50")
+    if not thetas:
+        return []
+    dts = np.empty((len(thetas), grid_points))
+    target = np.empty_like(dts)
+    coarse = np.linspace(FIT_LOG_RANGE[0], FIT_LOG_RANGE[1], FIT_COARSE_POINTS)
+    scale = 10.0 ** coarse[:, None]
+    brackets = []
+    for k, theta in enumerate(thetas):
+        dts[k] = np.linspace(0.0, theta, grid_points)
+        target[k] = delta_on(theta, dts[k])
+        resid = fit_form(scale, dts[k]) - target[k]
+        # rms as rms_of forms it, so that ties break as in a per-point scan
+        i = int(np.argmin(np.sqrt(np.add.reduce(resid * resid, axis=1)
+                                  / grid_points)))
+        brackets.append((coarse[max(i - 1, 0)],
+                         coarse[min(i + 1, FIT_COARSE_POINTS - 1)]))
+
+    def rms_of(log_as):
+        # fit_form without its clamp: a > 0 and dts >= 0 already.  A lane's
+        # bits do not depend on the other lanes: 10 ** log_a is Python's
+        # scalar power (numpy's vector power may round differently), every
+        # other operation is elementwise, and each row sums pairwise alone.
+        x = np.array([[10.0 ** log_a] for log_a in log_as]) * dts
+        np.sqrt(x, out=x)
+        resid = np.negative(x)
+        np.exp(resid, out=resid)
+        resid *= x
+        resid -= target
+        resid *= resid
+        return [math.sqrt(s / grid_points)
+                for s in np.add.reduce(resid, axis=1).tolist()]
+
+    log_as = golden_min(rms_of, brackets, tol=FIT_LOG_TOL)
+    fits = [(10.0 ** log_a, rms) for log_a, rms in zip(log_as, rms_of(log_as))]
+    for theta, (_, rms) in zip(thetas, fits):
+        if rms > FIT_RMS_THRESHOLD:
+            warnings.warn("fit rms %.4f exceeds %.2f at theta = %g"
+                          % (rms, FIT_RMS_THRESHOLD, theta),
+                          FitQualityWarning, stacklevel=2)
+    return fits
+
+
 def fit_a(theta: float, grid_points: int = FIT_GRID_POINTS):
     """Least-squares a(theta) for the surrogate; returns (a, rms).
 
-    Protocol: FIT_PROTOCOL (recorded in CLI metadata), sampled at
-    grid_points dtheta values.  The target and the coarse log10 a scan
-    are array evaluations (the scan is one (FIT_COARSE_POINTS,
-    grid_points) broadcast whose argmin picks the bracket); the golden
-    search then evaluates one rms per step.  Warns when
-    rms > FIT_RMS_THRESHOLD.
+    The one-theta case of fit_grid.
     """
-    _check_theta(theta)
-    if grid_points < 50:
-        raise ConfigError("grid_points must be >= 50")
-    dts = np.linspace(0.0, theta, grid_points)
-    target = delta_on(theta, dts)
-
-    def rms_of(log_a):
-        # fit_form without its clamp: a > 0 and dts >= 0 already
-        x = np.sqrt(10.0 ** log_a * dts)
-        resid = x * np.exp(-x) - target
-        return math.sqrt(float(np.add.reduce(resid * resid)) / grid_points)
-
-    coarse = np.linspace(FIT_LOG_RANGE[0], FIT_LOG_RANGE[1], FIT_COARSE_POINTS)
-    resid = fit_form(10.0 ** coarse[:, None], dts) - target
-    # rms as rms_of forms it, so that ties break as in a per-point scan
-    i = int(np.argmin(np.sqrt(np.add.reduce(resid * resid, axis=1)
-                              / grid_points)))
-    lo = coarse[max(i - 1, 0)]
-    hi = coarse[min(i + 1, FIT_COARSE_POINTS - 1)]
-    log_a = golden_min(rms_of, lo, hi, tol=FIT_LOG_TOL)
-    a = 10.0 ** log_a
-    rms = rms_of(log_a)
-    if rms > FIT_RMS_THRESHOLD:
-        warnings.warn("fit rms %.4f exceeds %.2f at theta = %g"
-                      % (rms, FIT_RMS_THRESHOLD, theta),
-                      FitQualityWarning, stacklevel=2)
-    return a, rms
+    return fit_grid((theta,), grid_points)[0]
 
 
 def _fit_peak(a: float, theta: float) -> float:
@@ -181,17 +215,19 @@ def delta_max(theta: float, mode: str = "exact") -> float:
     raise ConfigError("mode must be 'exact' or 'fit', got %r" % (mode,))
 
 
-def theta_crossover(mode: str = "exact") -> float:
+def theta_crossover(mode: str = "exact",
+                    grid_points: int = FIT_GRID_POINTS) -> float:
     """Angle beyond which delta_max saturates in the given mode.
 
     exact: arccos(2/3); fit: the self-consistent root of
-    a(theta) * theta = 1, located by Brent's method to 1e-8 in theta, about
-    ten fits.
+    a(theta) * theta = 1 for the grid_points-point fit, located by Brent's
+    method to 1e-8 in theta, about ten fits.
     """
     if mode == "exact":
         return THETA_EXACT_CROSSOVER
     if mode == "fit":
-        return brent_root(lambda t: fit_a(t)[0] * t - 1.0, 0.3, 1.2, tol=1e-8)
+        return brent_root(lambda t: fit_a(t, grid_points)[0] * t - 1.0,
+                          0.3, 1.2, tol=1e-8)
     raise ConfigError("mode must be 'exact' or 'fit', got %r" % (mode,))
 
 
@@ -210,6 +246,27 @@ class SensingProfile:
     fwhm_theta: Optional[float] = None  # two-sided width, exact mode only
 
 
+def resolution_grid(thetas, mode: str = "exact",
+                    gamma: Optional[float] = None,
+                    grid_points: int = FIT_GRID_POINTS,
+                    literal_exponent: bool = False):
+    """resolution at every theta of a grid, as a list of SensingProfile.
+
+    Every theta is checked before any work, and the fits come from one
+    fit_grid call; the rest is per theta, as in resolution.
+    """
+    thetas = list(thetas)
+    for theta in thetas:
+        _check_theta(theta)
+    if mode not in ("exact", "fit"):
+        raise ConfigError("mode must be 'exact' or 'fit', got %r" % (mode,))
+    if gamma is not None and not (math.isfinite(gamma) and gamma > 0.0):
+        raise DomainError("gamma must be finite and > 0")
+    fits = fit_grid(thetas, grid_points)
+    return [_profile(theta, mode, a, rms, gamma, literal_exponent)
+            for theta, (a, rms) in zip(thetas, fits)]
+
+
 def resolution(theta: float, mode: str = "exact", gamma: Optional[float] = None,
                grid_points: int = FIT_GRID_POINTS,
                literal_exponent: bool = False) -> SensingProfile:
@@ -222,15 +279,14 @@ def resolution(theta: float, mode: str = "exact", gamma: Optional[float] = None,
     so every CLI resolution row, carries it as a_fit (under 1 ms per
     call).  In exact mode the FitQualityWarning raised past theta ~ 1.35
     concerns that emitted a_fit only; the exact resolution never uses it.
+    The one-theta case of resolution_grid.
     """
-    _check_theta(theta)
-    if mode not in ("exact", "fit"):
-        raise ConfigError("mode must be 'exact' or 'fit', got %r" % (mode,))
-    if gamma is not None and not (math.isfinite(gamma) and gamma > 0.0):
-        raise DomainError("gamma must be finite and > 0")
+    return resolution_grid((theta,), mode, gamma, grid_points,
+                           literal_exponent)[0]
 
-    a, rms = fit_a(theta, grid_points)
 
+def _profile(theta, mode, a, rms, gamma, literal_exponent):
+    """The SensingProfile at theta, given its fit (a, rms)."""
     fwhm = None
     if mode == "exact":
         dm = delta_max(theta, "exact")
@@ -274,9 +330,13 @@ def invert_rotation_change(delta_measured: float, mu: float, n: int,
                            variant: str = "consistent") -> InversionResult:
     """Smallest dtheta with kappa * delta = delta_measured, as dOmega.
 
-    Bisection on the rising branch [0, peak].  A measurement that also
-    admits a solution beyond the peak is flagged ambiguous rather than
-    rejected.
+    Bisection on the rising branch [0, peak], to BISECTION_TOL in dtheta
+    from the root for the reading as given.  Near the peak delta is flat,
+    so the inverse is ill-conditioned: a reading rounded by a few ulps
+    moves it by up to 3.0e-7, and the returned dtheta then reproduces the
+    reading to rounding rather than lying within BISECTION_TOL of the
+    offset that produced it.  A measurement that also admits a solution
+    beyond the peak is flagged ambiguous rather than rejected.
     """
     _check_theta(theta)
     if not (math.isfinite(gamma) and gamma > 0.0):

@@ -136,6 +136,29 @@ def test_resolution_csv(tmp_path):
         assert abs(r[5] - r[4] / 0.043) < 1e-12
 
 
+def test_resolution_crossover_follows_grid_points():
+    status, out, _ = run_cli(["resolution", "--theta-grid", "1.0",
+                              "--grid-points", "50", "--format", "json"])
+    assert status == 0
+    tc = json.loads(out)["meta"]["theta_crossover_fit"]
+    # the 50-point fit crosses 1.9e-4 below the 200-point one
+    assert abs(sensing.fit_a(tc, 50)[0] * tc - 1.0) < 1e-8
+    assert abs(tc - sensing.theta_crossover("fit")) > 1e-4
+
+
+@pytest.mark.parametrize("command", ["resolution", "fit-delta"])
+def test_grid_errors_write_nothing(tmp_path, command):
+    out = tmp_path / "never.csv"
+    status, stdout, err = run_cli([command, "--theta-grid", "0.5,1.7",
+                                   "--output", str(out)])
+    assert status == 3 and stdout == "" and not out.exists()
+    assert "theta = 1.7 outside" in err
+    status, stdout, err = run_cli([command, "--theta-grid", "0.5,0.8",
+                                   "--grid-points", "10"])
+    assert status == 2 and stdout == ""
+    assert "grid_points must be >= 50" in err
+
+
 def test_resolution_fit_mode_and_meta(tmp_path):
     out = tmp_path / "res.json"
     status, _, _ = run_cli(["resolution", "--theta-grid", "1.0",
@@ -368,9 +391,9 @@ def test_resolution_crossover_only_in_json(monkeypatch):
     calls = []
     real = sensing.theta_crossover
 
-    def counted(mode="exact"):
+    def counted(mode="exact", grid_points=sensing.FIT_GRID_POINTS):
         calls.append(mode)
-        return real(mode)
+        return real(mode, grid_points)
     monkeypatch.setattr(sensing, "theta_crossover", counted)
     argv = ["resolution", "--theta-grid", "0.8,1.0"]
     status, _, _ = run_cli(argv)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,19 +9,112 @@ from rotobh.errors import ConvergenceError
 from rotobh.numerics import bisect_root, brent_root, golden_min, lambert_w
 
 
+def golden_min_scalar(f, lo, hi, tol=1e-10):
+    """Reference: the one-bracket golden-section search that every lane of
+    golden_min must reproduce, comparison for comparison."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(lo), float(hi)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _lanes(*fs):
+    """f for golden_min: lane k is evaluated by fs[k]."""
+    return lambda xs: [fk(x) for fk, x in zip(fs, xs)]
+
+
 def test_golden_quadratic():
-    x = golden_min(lambda x: (x - 2.0) ** 2, 0.0, 5.0, tol=1e-12)
+    [x] = golden_min(_lanes(lambda x: (x - 2.0) ** 2), [(0.0, 5.0)],
+                     tol=1e-12)
     assert abs(x - 2.0) < 1e-10
 
 
 def test_golden_endpoint_minimum():
-    assert abs(golden_min(lambda x: x, 0.0, 1.0) - 0.0) < 1e-9
-    assert abs(golden_min(lambda x: -x, 0.0, 1.0) - 1.0) < 1e-9
+    lo, hi = golden_min(_lanes(lambda x: x, lambda x: -x),
+                        [(0.0, 1.0), (0.0, 1.0)])
+    assert abs(lo - 0.0) < 1e-9
+    assert abs(hi - 1.0) < 1e-9
 
 
 def test_golden_flat_collapses_left():
-    # tie-breaking keeps the left interval, so a constant lands on lo
-    assert abs(golden_min(lambda x: 1.0, 3.0, 4.0) - 3.0) < 1e-9
+    # tie-breaking keeps the left interval, so a constant lands on lo, in
+    # each lane and beside a lane that is not flat
+    flat, quad = golden_min(_lanes(lambda x: 1.0, lambda x: (x - 2.0) ** 2),
+                            [(3.0, 4.0), (0.0, 5.0)])
+    assert abs(flat - 3.0) < 1e-9
+    assert abs(quad - 2.0) < 1e-9
+
+
+# The coarse log10 a grid of the surrogate fit: its edge brackets are half
+# as wide as the inner ones, so their lanes stop a step or two earlier.
+_COARSE = np.linspace(-3.0, 3.0, 61)
+_SHAPES = {
+    "quad": lambda m: lambda x: (x - m) ** 2,
+    "abs": lambda m: lambda x: abs(x - m),
+    "flat": lambda m: lambda x: 1.0,
+    "step": lambda m: lambda x: 0.0 if x < m else 1.0,
+}
+_bracket = st.one_of(
+    st.integers(0, 60).map(lambda i: (float(_COARSE[max(i - 1, 0)]),
+                                      float(_COARSE[min(i + 1, 60)]))),
+    st.tuples(st.floats(-5.0, 5.0), st.floats(1e-6, 3.0)).map(
+        lambda t: (t[0], t[0] + t[1])))
+_lane = st.tuples(_bracket, st.floats(-6.0, 6.0), st.sampled_from(sorted(_SHAPES)))
+
+
+def _check_lanes_against_scalar(lanes, tol):
+    fs = [_SHAPES[shape](m) for _, m, shape in lanes]
+    calls = []
+
+    def f(xs):
+        calls.append(list(xs))
+        return [fk(x) for fk, x in zip(fs, xs)]
+    got = golden_min(f, [bracket for bracket, _, _ in lanes], tol=tol)
+    assert len(got) == len(lanes)
+    evals = []
+    for k, ((lo, hi), _, _) in enumerate(lanes):
+        seen = []
+
+        def fk(x, fk=fs[k], seen=seen):
+            seen.append(x)
+            return fk(x)
+        want = golden_min_scalar(fk, lo, hi, tol=tol)
+        assert type(got[k]) is float
+        assert got[k] == want, "lane %d" % k
+        assert [xs[k] for xs in calls[:len(seen)]] == seen, "lane %d" % k
+        evals.append(len(seen))
+    assert len(calls) == max(evals)
+    return evals
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lanes=st.lists(_lane, min_size=1, max_size=8),
+       tol=st.sampled_from([1e-10, 1e-6, 1e-2]))
+def test_golden_lanes_match_the_scalar_search(lanes, tol):
+    _check_lanes_against_scalar(lanes, tol)
+
+
+def test_golden_lanes_of_unequal_width_stop_apart():
+    # a 0.1-wide edge bracket beside 0.2-wide inner ones, as in the fit
+    lanes = [((-3.0, -2.9), -3.5, "quad"), ((0.1, 0.3), 0.2, "quad"),
+             ((2.9, 3.0), 0.0, "flat"), ((-0.3, -0.1), -0.25, "abs")]
+    evals = _check_lanes_against_scalar(lanes, 1e-10)
+    assert evals[0] < evals[1] and evals[2] < evals[3]
+    # a bracket already within tol never moves
+    assert _check_lanes_against_scalar([((1.0, 1.0 + 1e-12), 0.0, "quad"),
+                                        ((0.0, 1.0), 0.5, "quad")],
+                                       1e-10)[0] == 2
 
 
 def test_bisect_cos_fixed_point():

@@ -3,18 +3,20 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotobh.cli import _dtheta_steps
 from rotobh.errors import ConfigError, DomainError, FitQualityWarning, OutOfRangeError
 from rotobh.landau import kappa
-from rotobh.numerics import golden_min, lambert_w
+from rotobh.numerics import lambert_w
 from rotobh.sensing import (BISECTION_TOL, DELTA_GLOBAL_MAX, FIT_COARSE_POINTS,
                             FIT_LOG_RANGE, FIT_LOG_TOL, THETA_EXACT_CROSSOVER,
                             delta_change, delta_exact, delta_max, delta_on,
-                            fit_a, fit_form, invert_rotation_change,
-                            peak_offset, resolution, theta_crossover)
+                            fit_a, fit_form, fit_grid, invert_rotation_change,
+                            peak_offset, resolution, resolution_grid,
+                            theta_crossover)
+from test_numerics import golden_min_scalar
 
 
 def test_delta_exact_values():
@@ -118,7 +120,7 @@ def test_fit_a_frozen_values():
 
 def _fit_a_scalar(theta, grid_points):
     """Reference fit, point by point: a scalar delta_exact target, a
-    61-step coarse loop and np.mean, then the same golden search."""
+    61-step coarse loop and np.mean, then the scalar golden search."""
     dts = np.linspace(0.0, theta, grid_points)
     target = np.array([delta_exact(theta, d) for d in dts])
 
@@ -131,7 +133,7 @@ def _fit_a_scalar(theta, grid_points):
     i = int(np.argmin(values))
     lo = coarse[max(i - 1, 0)]
     hi = coarse[min(i + 1, FIT_COARSE_POINTS - 1)]
-    log_a = golden_min(rms_of, lo, hi, tol=FIT_LOG_TOL)
+    log_a = golden_min_scalar(rms_of, lo, hi, tol=FIT_LOG_TOL)
     return 10.0 ** log_a, rms_of(log_a)
 
 
@@ -141,6 +143,70 @@ def test_fit_a_equals_scalar_fit_bit_for_bit(theta, grid_points):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FitQualityWarning)
         assert fit_a(theta, grid_points) == _fit_a_scalar(theta, grid_points)
+
+
+# Below about theta = 0.0015 and above about 1.567 the coarse argmin sits
+# on the first or last of the 61 log10 a points, so that lane gets the
+# 0.1-wide edge bracket and stops before the 0.2-wide inner ones.
+_GRID_THETA = st.one_of(st.floats(0.01, 1.56), st.floats(0.0095, 0.0105),
+                        st.floats(1.555, 1.5605), st.floats(1e-4, 1.5e-3),
+                        st.floats(1.567, 1.5707))
+
+
+_SPREAD = [0.0005, 0.0095] + [0.01 + 0.0775 * k for k in range(21)] + [1.5605,
+                                                                      1.5706]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(thetas=_SPREAD, grid_points=200)
+@example(thetas=_SPREAD[::-1] + _SPREAD[:2] + _SPREAD[-2:], grid_points=1000)
+@example(thetas=[0.7, 0.7, 0.7], grid_points=50)
+@given(thetas=st.lists(_GRID_THETA, min_size=1, max_size=25).flatmap(
+           lambda ts: st.lists(st.sampled_from(ts), max_size=5).map(
+               lambda dups: ts + dups)),
+       grid_points=st.sampled_from([50, 200, 1000]))
+def test_fit_grid_equals_scalar_fits_bit_for_bit(thetas, grid_points):
+    want = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FitQualityWarning)
+        got = fit_grid(thetas, grid_points)
+        for theta in thetas:
+            if theta not in want:
+                want[theta] = _fit_a_scalar(theta, grid_points)
+        profiles = resolution_grid(thetas, "fit", grid_points=grid_points)
+    assert got == [want[theta] for theta in thetas]
+    assert [(p.a_fit, p.fit_rms) for p in profiles] == got
+
+
+def test_fit_grid_reaches_the_scan_edges():
+    # the edge cases that _GRID_THETA draws really are edge brackets
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FitQualityWarning)
+        (a_lo, _), (a_hi, _) = fit_grid([1e-3, 1.57])
+    assert abs(math.log10(a_lo) - FIT_LOG_RANGE[0]) < 0.05
+    assert abs(math.log10(a_hi) - FIT_LOG_RANGE[1]) < 0.05
+
+
+def test_fit_grid_warns_once_per_poor_theta_in_grid_order():
+    thetas = [1.45, 0.8, 1.5, 0.6, 1.4]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fits = fit_grid(thetas)
+    poor = [(theta, rms) for theta, (_, rms) in zip(thetas, fits)
+            if rms > 0.02]
+    assert [t for t, _ in poor] == [1.45, 1.5, 1.4]
+    assert [str(w.message) for w in caught] == [
+        "fit rms %.4f exceeds 0.02 at theta = %g" % (rms, theta)
+        for theta, rms in poor]
+    assert all(w.category is FitQualityWarning for w in caught)
+
+
+def test_fit_grid_checks_every_theta_before_fitting():
+    assert fit_grid([]) == []
+    with pytest.raises(DomainError, match="theta = 1.7"):
+        fit_grid([0.5, 1.7])
+    with pytest.raises(ConfigError):
+        fit_grid([0.5, 0.8], grid_points=10)
 
 
 def test_fit_a_increases_with_theta():
