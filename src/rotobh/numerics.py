@@ -4,12 +4,13 @@ Deliberately dependency-free so the physics modules stay auditable.  The
 golden-section search runs many brackets in lockstep, so that a caller
 can evaluate all of them with one array operation per step (the surrogate
 fit does, one lane per theta); the root finders and Lambert W work on one
-scalar at a time.  There are two root finders: bisect_root,
-which the closed-form sensing roots and Lambert W's fallback use, and
-brent_root (Brent-Dekker), which the oracle and the fit crossover use
-because each of their evaluations costs an eigensolve or a fit.  A root finder that runs out of
-iterations, or meets a NaN inside its bracket, raises ConvergenceError; it
-never returns an unverified point.
+scalar at a time.  There are two root finders: brent_root (Brent-Dekker),
+which the oracle and the fit crossover use because each of their
+evaluations costs an eigensolve or a fit, and bisect_root, which serves
+only Lambert W's fallback (the sensing roots are closed forms) and is kept
+because the benchmark's tracer (perfbench/tracer.py) binds it by name.  A
+root finder that runs out of iterations, or meets a NaN inside its
+bracket, raises ConvergenceError; it never returns an unverified point.
 """
 
 import math

@@ -27,9 +27,11 @@ The crossover angle where that first happens is computed, not assumed,
 and is reported alongside the exact-curve threshold arccos(2/3); see
 theta_crossover.
 
-Resolution is the full width at half maximum read on the rising branch:
-exact mode solves delta = delta_max/2 by bisection, fit mode solves the
-surrogate in closed form with the principal Lambert W branch,
+Resolution is the full width at half maximum read on the rising branch.
+Both modes solve it in closed form: exact mode takes the root of the cubic
+delta^2 = u^2 (1 - u) = (delta_max/2)^2 in Viete's trigonometric form (see
+_crossings), fit mode solves the surrogate with the principal Lambert W
+branch,
 
     epsilon_theta = W0(-delta_m / 2)^2 / a(theta)
 
@@ -53,7 +55,7 @@ import numpy as np
 from . import numerics
 from .errors import ConfigError, DomainError, FitQualityWarning, OutOfRangeError
 from .landau import kappa
-from .numerics import bisect_root, brent_root, golden_min
+from .numerics import brent_root, golden_min
 
 THETA_EXACT_CROSSOVER = math.acos(2.0 / 3.0)  # ~0.8410687
 DELTA_GLOBAL_MAX = 2.0 / (3.0 * math.sqrt(3.0))  # ~0.3849002
@@ -70,9 +72,10 @@ FIT_PROTOCOL = {
               % (FIT_LOG_RANGE + (FIT_COARSE_POINTS,)),
 }
 
-# |d dtheta| for the half-maximum and inversion roots: each lies within it of
-# the root for the level as given.  Near the peak delta is flat, so a reading
-# off by a few ulps has its true inverse up to 3.0e-7 away (see
+# Published |d dtheta| bound for the half-maximum and inversion roots, for
+# the level as given.  Those roots are closed forms (_crossings) and meet it
+# to about 1e-15.  Near the peak delta is flat, so a reading off by a few
+# ulps can have its true inverse far further away (see
 # invert_rotation_change).
 BISECTION_TOL = 1e-10
 
@@ -83,18 +86,18 @@ def _check_theta(theta: float) -> None:
 
 
 def delta_exact(theta: float, dtheta: float) -> float:
-    """delta = u sqrt(1-u) with u = cos(theta)/cos(theta - dtheta)."""
-    _check_theta(theta)
-    if not (0.0 <= dtheta <= theta):
-        raise DomainError("dtheta = %g outside [0, theta]" % dtheta)
-    u = math.cos(theta) / math.cos(theta - dtheta)
-    return u * math.sqrt(max(1.0 - u, 0.0))
+    """delta = u sqrt(1-u) with u = cos(theta)/cos(theta - dtheta).
+
+    The one-element case of delta_on.
+    """
+    return float(delta_on(theta, (dtheta,))[0])
 
 
 def delta_on(theta: float, dthetas) -> np.ndarray:
-    """delta_exact(theta, d) for every d in dthetas, as one array.
+    """delta(theta, d) for every d in dthetas, as one array.
 
-    Same domain checks as delta_exact, and elementwise the same bits:
+    DomainError unless 0 < theta < pi/2 and every d lies in [0, theta].
+    Elementwise these are the bits of the scalar formula in math.cos:
     every other operation is correctly rounded, and numpy's float64 cos
     matches math.cos (tests/test_sensing.py checks this).
     """
@@ -106,6 +109,36 @@ def delta_on(theta: float, dthetas) -> np.ndarray:
                           % dts[~inside].flat[0])
     u = math.cos(theta) / np.cos(theta - dts)
     return u * np.sqrt(np.maximum(1.0 - u, 0.0))
+
+
+def _crossings(theta: float, level: float):
+    """Offsets where delta(theta, .) = level: (rising, falling or None).
+
+    level must lie in [0, delta_max(theta)].  delta^2 = u^2 (1 - u) =
+    level^2 is a cubic in u = cos(theta) / cos(theta - dtheta).  Its root
+    on the rising branch, u in [2/3, 1], is Viete's trigonometric one,
+    1 - u = (4/3) sin^2(phi / 6) with sin(phi / 2) = level /
+    DELTA_GLOBAL_MAX; deflating it out leaves a quadratic whose positive
+    root v in [0, 2/3] is the falling branch, reachable only when
+    v >= cos(theta).  Both offsets lie in [0, theta], and are exact to
+    about 1e-15 except where delta is flat: near its peak and, for the
+    falling branch, near the edge dtheta = theta.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+
+    def offset(u, w):
+        # theta - acos(c / u) as one atan2, without its cancellation;
+        # w = 1 - u, and s - r = (1 - u)(1 + u) / (s + r).  At u ~ c
+        # rounding can land a few ulps past the edge, hence the min.
+        r = math.sqrt(max((u - c) * (u + c), 0.0))
+        return min(math.atan2(c * w * (1.0 + u) / (s + r), c * c + s * r),
+                   theta)
+
+    phi = 2.0 * math.asin(min(1.0, level / DELTA_GLOBAL_MAX))
+    w = 4.0 / 3.0 * math.sin(phi / 6.0) ** 2
+    u = 1.0 - w
+    v = 0.5 * (w + math.sqrt(w * (w + 4.0 * u)))
+    return offset(u, w), (offset(v, 1.0 - v) if v >= c else None)
 
 
 def peak_offset(theta: float) -> float:
@@ -272,10 +305,10 @@ def resolution(theta: float, mode: str = "exact", gamma: Optional[float] = None,
                literal_exponent: bool = False) -> SensingProfile:
     """Half-maximum resolution of the sensing profile at angle theta.
 
-    Exact mode bisects delta(theta, .) = delta_max/2 on the rising
-    branch (and reports the two-sided width when the falling branch
-    also crosses); fit mode evaluates the closed Lambert-W form.  The
-    fitted a(theta) is computed in both modes because the profile, and
+    Exact mode solves delta(theta, .) = delta_max/2 in closed form on
+    the rising branch (and reports the two-sided width when the falling
+    branch also crosses); fit mode evaluates the closed Lambert-W form.
+    The fitted a(theta) is computed in both modes because the profile, and
     so every CLI resolution row, carries it as a_fit (under 1 ms per
     call).  In exact mode the FitQualityWarning raised past theta ~ 1.35
     concerns that emitted a_fit only; the exact resolution never uses it.
@@ -289,15 +322,10 @@ def _profile(theta, mode, a, rms, gamma, literal_exponent):
     """The SensingProfile at theta, given its fit (a, rms)."""
     fwhm = None
     if mode == "exact":
-        dm = delta_max(theta, "exact")
-        pk = peak_offset(theta)
-        eps = bisect_root(lambda d: delta_exact(theta, d) - 0.5 * dm,
-                          0.0, pk, tol=BISECTION_TOL)
-        if pk < theta and delta_exact(theta, theta) <= 0.5 * dm:
-            right = bisect_root(lambda d: delta_exact(theta, d) - 0.5 * dm,
-                                pk, theta, tol=BISECTION_TOL)
+        dm_out = delta_max(theta, "exact")
+        eps, right = _crossings(theta, 0.5 * dm_out)
+        if right is not None:
             fwhm = right - eps
-        dm_out = dm
     else:
         dm_out = _fit_peak(a, theta)
         w = numerics.lambert_w(-0.5 * dm_out, 0)
@@ -330,13 +358,16 @@ def invert_rotation_change(delta_measured: float, mu: float, n: int,
                            variant: str = "consistent") -> InversionResult:
     """Smallest dtheta with kappa * delta = delta_measured, as dOmega.
 
-    Bisection on the rising branch [0, peak], to BISECTION_TOL in dtheta
-    from the root for the reading as given.  Near the peak delta is flat,
-    so the inverse is ill-conditioned: a reading rounded by a few ulps
-    moves it by up to 3.0e-7, and the returned dtheta then reproduces the
-    reading to rounding rather than lying within BISECTION_TOL of the
-    offset that produced it.  A measurement that also admits a solution
-    beyond the peak is flagged ambiguous rather than rejected.
+    The closed-form root on the rising branch [0, peak] (see _crossings),
+    within BISECTION_TOL in dtheta of the root for the reading as given.
+    Near the peak delta is flat, so the inverse is ill-conditioned: a
+    reading rounded by a few ulps moves it by up to about 1e-7, and by
+    more near theta = arccos(2/3), where the peak meets the edge and delta
+    is flatter still (about 1e-6 within 1e-2 of it, 1.5e-4 within 1e-6).
+    The returned dtheta then reproduces the reading to rounding rather
+    than lying within BISECTION_TOL of the offset that produced it.  A
+    measurement that also admits a solution beyond the peak is flagged
+    ambiguous rather than rejected.
     """
     _check_theta(theta)
     if not (math.isfinite(gamma) and gamma > 0.0):
@@ -346,20 +377,11 @@ def invert_rotation_change(delta_measured: float, mu: float, n: int,
     kap = kappa(mu, n, variant)
     target = delta_measured / kap
     dm = delta_max(theta, "exact")
-    if target > dm:
-        if target > dm * (1.0 + 1e-12):
-            raise OutOfRangeError(
-                "measured change %g exceeds attainable maximum %g"
-                % (delta_measured, kap * dm))
-        target = dm
-    pk = peak_offset(theta)
-    if target == 0.0:
-        dtheta = 0.0
-    elif target == dm:
-        dtheta = pk
-    else:
-        dtheta = bisect_root(lambda d: delta_exact(theta, d) - target,
-                             0.0, pk, tol=BISECTION_TOL)
-    ambiguous = pk < theta and delta_exact(theta, theta) <= target < dm
+    if target > dm * (1.0 + 1e-12):
+        raise OutOfRangeError(
+            "measured change %g exceeds attainable maximum %g"
+            % (delta_measured, kap * dm))
+    dtheta, beyond = _crossings(theta, min(target, dm))
+    ambiguous = beyond is not None and target < dm
     return InversionResult(delta_theta=dtheta, delta_omega=dtheta / gamma,
                            ambiguous=ambiguous)

@@ -5,7 +5,9 @@ PASS/FAIL lines always reach the terminal.  Criterion 5 pins the
 exact-mode resolution to an independent closed form.  With c = cos(theta),
 delta^2 = u^2 (1 - u) is a cubic in u = c / cos(theta - dtheta), so the
 rising-branch half-maximum is its root u in (2/3, 1] at the level
-delta_max^2 / 4, and epsilon_theta = theta - arccos(c / u).  That form
+delta_max^2 / 4, and epsilon_theta = theta - arccos(c / u).  The program
+solves the same cubic in another closed form (Viete's, in sensing), and
+the two must agree to 1e-9.  That form
 gives epsilon_theta ~ (1 - sqrt(3)/2) theta as theta -> 0, so the width
 rises from zero to a hump near theta ~ 0.58 and falls beyond it; the
 criterion checks both the values and that shape on theta = 0.3 .. 1.2.
@@ -144,6 +146,7 @@ def test_acceptance_6_bh_parameter_independence():
     theta = 0.8
     failures = []
     widths = set()
+    eps = resolution(theta, mode="exact").epsilon_theta
     for t in (0.1, 0.3, 0.5):
         for mu in (0.6, 1.0, 1.4):
             # full pipeline: the measured profile carries kappa(mu), the
@@ -152,15 +155,18 @@ def test_acceptance_6_bh_parameter_independence():
             kap = kappa(mu, 1, "variational")
             pk = peak_offset(theta)
             top = kap * delta_exact(theta, pk)
-            eps = bisect_root(
+            widths.add(bisect_root(
                 lambda d: kap * delta_exact(theta, d) - 0.5 * top,
-                0.0, pk, tol=1e-10)
-            widths.add(eps)
+                0.0, pk, tol=1e-10))
+            # resolution()'s width is the half-maximum of this profile
+            if not (kap * delta_exact(theta, eps - 1e-12) < 0.5 * top
+                    < kap * delta_exact(theta, eps + 1e-12)):
+                failures.append("resolution() width %r does not bracket "
+                                "the half-maximum at t = %g, mu = %g"
+                                % (eps, t, mu))
     if len(widths) != 1:
         failures.append("%d distinct widths across (t, mu): %s"
                         % (len(widths), sorted(widths)))
-    if widths != {resolution(theta, mode="exact").epsilon_theta}:
-        failures.append("pipeline width differs from resolution()")
     verdict(6, "epsilon_theta independent of t/U and mu/U (bit-identical)",
             failures)
 

@@ -12,10 +12,10 @@ from rotobh.landau import kappa
 from rotobh.numerics import lambert_w
 from rotobh.sensing import (BISECTION_TOL, DELTA_GLOBAL_MAX, FIT_COARSE_POINTS,
                             FIT_LOG_RANGE, FIT_LOG_TOL, THETA_EXACT_CROSSOVER,
-                            delta_change, delta_exact, delta_max, delta_on,
-                            fit_a, fit_form, fit_grid, invert_rotation_change,
-                            peak_offset, resolution, resolution_grid,
-                            theta_crossover)
+                            _crossings, delta_change, delta_exact, delta_max,
+                            delta_on, fit_a, fit_form, fit_grid,
+                            invert_rotation_change, peak_offset, resolution,
+                            resolution_grid, theta_crossover)
 from test_numerics import golden_min_scalar
 
 
@@ -40,12 +40,19 @@ def test_delta_exact_domain():
         delta_exact(0.5, 0.51)
 
 
+def _delta_scalar(theta, dtheta):
+    """Reference delta, one point at a time in math.cos."""
+    u = math.cos(theta) / math.cos(theta - dtheta)
+    return u * math.sqrt(max(1.0 - u, 0.0))
+
+
 def test_delta_on_matches_scalar_bit_for_bit():
     for theta in (0.01, 0.3, 0.7008, 1.0, 1.5, 1.5707):
         for dts in (np.linspace(0.0, theta, 200), _dtheta_steps(theta, 401),
                     _dtheta_steps(theta, 200)):
-            want = [delta_exact(theta, d) for d in dts]
+            want = [_delta_scalar(theta, d) for d in dts]
             assert delta_on(theta, dts).tolist() == want, theta
+            assert [delta_exact(theta, d) for d in dts] == want, theta
 
 
 def test_delta_on_domain():
@@ -85,6 +92,49 @@ def test_peak_offset():
     u = math.cos(0.9) / math.cos(0.9 - pk)
     assert abs(u - 2.0 / 3.0) < 1e-12
     assert abs(peak_offset(THETA_EXACT_CROSSOVER) - THETA_EXACT_CROSSOVER) < 1e-6
+
+
+def _crosses_within(theta, d, level, rising):
+    """delta_exact passes level within 1e-12 of d, upward if rising."""
+    below = delta_exact(theta, max(d - 1e-12, 0.0))
+    above = delta_exact(theta, min(d + 1e-12, theta))
+    return below <= level <= above if rising else above <= level <= below
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(theta=st.floats(0.01, 0.5 * math.pi, exclude_max=True),
+       frac=st.one_of(st.floats(0.0, 1.0), st.just(1.0)))
+def test_crossings_bracket_the_level(theta, frac):
+    level = frac * 0.99 * delta_max(theta, "exact")
+    rising, falling = _crossings(theta, level)
+    pk = peak_offset(theta)
+    assert 0.0 <= rising <= pk
+    assert _crosses_within(theta, rising, level, True)
+    assert (falling is not None) == (delta_exact(theta, theta) <= level)
+    if falling is not None:
+        assert pk <= falling <= theta
+        assert _crosses_within(theta, falling, level, False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(theta=st.one_of(st.floats(0.01, 0.5 * math.pi, exclude_max=True),
+                       st.floats(THETA_EXACT_CROSSOVER - 1e-6,
+                                 THETA_EXACT_CROSSOVER + 1e-6)))
+def test_crossings_at_zero_and_at_the_peak(theta):
+    assert _crossings(theta, 0.0) == (0.0, None)
+    dm = delta_max(theta, "exact")
+    rising, falling = _crossings(theta, dm)
+    assert (falling is None) == (theta < THETA_EXACT_CROSSOVER)
+    # delta is flat at its peak (on the edge as well: cos(theta - dtheta)
+    # is stationary there), so a peak offset off by more than BISECTION_TOL
+    # must lie in the band where delta equals delta_max to rounding
+    pk = peak_offset(theta)
+    for d in (rising, falling or pk):
+        assert 0.0 <= d <= theta
+        err = d - pk
+        if abs(err) > BISECTION_TOL:
+            inner = d - math.copysign(BISECTION_TOL, err)
+            assert abs(delta_exact(theta, inner) - dm) <= 8e-16 * dm, err
 
 
 def test_delta_change_factorizes():
