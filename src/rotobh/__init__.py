@@ -3,8 +3,9 @@
 Layout:
 
   core           ring geometry, Peierls phase, effective hopping
-  landau         Landau coefficients, order parameter, prefactor kappa
-  phase_diagram  boundaries, lobe tips, classification, grid sweeps
+  landau         Landau coefficients, order parameter, prefactor kappa,
+                 lobe index and closed-form boundaries
+  phase_diagram  lobe tips, classification, grid sweeps
   oracle         truncated-Fock variational check of all of the above
   sensing        delta profile, surrogate fit, Lambert-W resolution
   cli / io       deterministic data emission for figure reproduction

@@ -22,8 +22,8 @@ from .core import RingFrame
 from .errors import EXIT_OK, ConfigError, DomainError, RotobhError
 from .landau import kappa
 from .oracle import MeanFieldProblem, boundary_numeric, converged_psi
-from .phase_diagram import (VARIANT_FOR_CONVENTION, SweepSpec,
-                            boundary_hopping, lobe_index, sweep)
+from .phase_diagram import (CONVENTIONS, PSI_METHODS, VARIANT_FOR_CONVENTION,
+                            SweepSpec, boundary_hopping, lobe_index, sweep)
 from .sensing import (delta_exact, delta_on, invert_rotation_change,
                       resolution_grid)
 
@@ -47,7 +47,10 @@ def parse_grid(text: str):
             if not (math.isfinite(start) and math.isfinite(stop)
                     and math.isfinite(step)) or step <= 0.0 or stop < start:
                 raise ConfigError("bad grid range %r" % (text,))
-            count = int(math.floor((stop - start) / step + 1.0 + 1e-9))
+            span = (stop - start) / step  # inf once the count overflows
+            if not math.isfinite(span):
+                raise ConfigError("grid %r has too many points" % (text,))
+            count = int(math.floor(span + 1.0 + 1e-9))
             return tuple(start + i * step for i in range(count))
         if "," in s:
             vals = tuple(float(p) for p in s.split(","))
@@ -157,10 +160,8 @@ def build_parser():
                         help="phase labels and psi over a (mu, D) grid")
     p.add_argument("--mu-grid", required=True)
     p.add_argument("--d-grid", required=True)
-    p.add_argument("--convention", choices=("paper", "variational"),
-                   default="paper")
-    p.add_argument("--psi-method", choices=("landau", "variational"),
-                   default="landau")
+    p.add_argument("--convention", choices=CONVENTIONS, default="paper")
+    p.add_argument("--psi-method", choices=PSI_METHODS, default="landau")
     p.add_argument("--n-max", type=int, default=None)
     _add_workers_flag(p)
     _add_output_flags(p)
@@ -171,10 +172,8 @@ def build_parser():
     p.add_argument("--t-grid", required=True)
     p.add_argument("--theta-grid", default=None)
     p.add_argument("--omega-grid", default=None)
-    p.add_argument("--convention", choices=("paper", "variational"),
-                   default="paper")
-    p.add_argument("--psi-method", choices=("landau", "variational"),
-                   default="landau")
+    p.add_argument("--convention", choices=CONVENTIONS, default="paper")
+    p.add_argument("--psi-method", choices=PSI_METHODS, default="landau")
     p.add_argument("--n-max", type=int, default=None)
     _add_workers_flag(p)
     _add_frame_flags(p, with_omega=False)
@@ -187,8 +186,7 @@ def build_parser():
     p.add_argument("--mu-by-lobe", default=None,
                    help="comma list of mu values, one per lobe "
                           "(default: each lobe tip)")
-    p.add_argument("--convention", choices=("paper", "variational"),
-                   default="paper")
+    p.add_argument("--convention", choices=CONVENTIONS, default="paper")
     _add_workers_flag(p)
     _add_output_flags(p)
 
@@ -221,8 +219,7 @@ def build_parser():
     p.add_argument("--delta-measured", type=float, required=True)
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--convention", choices=("paper", "variational"),
-                   default="paper")
+    p.add_argument("--convention", choices=CONVENTIONS, default="paper")
     _add_frame_flags(p, with_omega=True)
     _add_output_flags(p)
 
@@ -275,7 +272,7 @@ def _cmd_order_parameter(args):
 
 
 def _cmd_costheta_curve(args):
-    lobes = tuple(int(v) for v in parse_grid(args.lobes))
+    lobes = parse_grid(args.lobes)
     lobe_mu = () if args.mu_by_lobe is None else parse_grid(args.mu_by_lobe)
     spec = SweepSpec(kind="costheta-curve", convention=args.convention,
                      t_values=parse_grid(args.t_grid), lobes=lobes,

@@ -25,6 +25,16 @@ literature-facing constant while sharing the same chi:
                                  mean-field ground energy; its root sits
                                  at D_c/2 and matches the numeric oracle
 
+The boundary of lobe n in the effective hopping D is the root of a2 in
+the consistent or the variational variant, which gives the two boundary
+conventions
+
+    D_c(mu, n)  = -1/chi(mu, n)       paper
+    D_cv(mu, n) = D_c(mu, n) / 2      variational
+
+(boundary_hopping); the numeric oracle sides with the variational one.
+lobe_index names the lobe whose interval holds mu.
+
 a4 = 16 D^4 B where B is a six-term fourth-order bracket; terms whose
 prefactor n or n(n-1) vanishes are dropped outright so fillings 0 and 1
 never evaluate gaps to negative occupations.
@@ -43,6 +53,12 @@ from dataclasses import dataclass
 from .errors import ConfigError, DegenerateGapError, DomainError, InvalidExpansionError
 
 A2_VARIANTS = ("literal", "consistent", "variational")
+CONVENTIONS = ("paper", "variational")
+
+# Landau a2 variant whose root reproduces each boundary convention.
+VARIANT_FOR_CONVENTION = {"paper": "consistent", "variational": "variational"}
+
+LOBE_TIP_TOL = 1e-10  # published bound on |d mu| of lobe_tip (meets ~1 ulp)
 
 
 def local_energy(n: int, mu: float) -> float:
@@ -66,6 +82,15 @@ def lobe_interval(n: int):
     return (2.0 * (n - 1), 2.0 * n)
 
 
+def lobe_index(mu: float) -> int:
+    """Lobe containing mu: 0 for mu < 0, else floor(mu/2) + 1."""
+    if not math.isfinite(mu):
+        raise DomainError("mu/U must be finite")
+    if mu < 0.0:
+        return 0
+    return int(mu // 2.0) + 1
+
+
 def _require_interior(mu: float, n: int) -> None:
     lo, hi = lobe_interval(n)
     if mu == lo or mu == hi:
@@ -81,6 +106,18 @@ def chi_susceptibility(mu: float, n: int) -> float:
     if n == 0:
         return 1.0 / mu
     return (n + 1) / (mu - 2 * n) + n / (2 * (n - 1) - mu)
+
+
+def _check_convention(convention: str) -> None:
+    if convention not in CONVENTIONS:
+        raise ConfigError("unknown convention %r" % (convention,))
+
+
+def boundary_hopping(mu: float, n: int, convention: str = "paper") -> float:
+    """Critical effective hopping of lobe n at chemical potential mu."""
+    _check_convention(convention)
+    D_c = -1.0 / chi_susceptibility(mu, n)
+    return D_c if convention == "paper" else 0.5 * D_c
 
 
 def a2(D: float, mu: float, n: int, variant: str = "consistent") -> float:
@@ -161,7 +198,7 @@ def kappa(mu: float, n: int, variant: str = "consistent") -> float:
     Independent of t/U and of the rotation state by construction.
     """
     _check_boundary_variant(variant, "kappa")
-    D_c = -1.0 / chi_susceptibility(mu, n)
+    D_c = boundary_hopping(mu, n, "paper")
     B = _positive_bracket(mu, n)
     if variant == "consistent":
         return 1.0 / math.sqrt(8.0 * D_c ** 3 * B)

@@ -6,11 +6,12 @@ can evaluate all of them with one array operation per step (the surrogate
 fit does, one lane per theta); the root finders and Lambert W work on one
 scalar at a time.  There are two root finders: brent_root (Brent-Dekker),
 which the oracle and the fit crossover use because each of their
-evaluations costs an eigensolve or a fit, and bisect_root, which serves
-only Lambert W's fallback (the sensing roots are closed forms) and is kept
-because the benchmark's tracer (perfbench/tracer.py) binds it by name.  A
-root finder that runs out of iterations, or meets a NaN inside its
-bracket, raises ConvergenceError; it never returns an unverified point.
+evaluations costs an eigensolve or a fit, and bisect_root, which nothing in
+the package calls any more: it stays as the independent reference of
+acceptance 6 and because the benchmark's tracer (perfbench/tracer.py)
+binds it by name.  A root finder that runs out of iterations, or meets a
+NaN inside its bracket, raises ConvergenceError, and lambert_w raises it
+when its residual check fails; none returns an unverified point.
 """
 
 import math
@@ -92,6 +93,10 @@ def _value_at(f, x):
 
 def bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
     """Root of f on [lo, hi]; endpoints must straddle zero.
+
+    No module of the package calls it: acceptance 6 uses it as a reference
+    that shares no code with the closed-form half-maximum, and
+    perfbench/tracer.py binds it by name.
 
     Returns the midpoint once the bracket is no wider than tol, or as soon
     as the midpoint equals an endpoint, which is the best a double can
@@ -204,63 +209,39 @@ def _halley_w(w, z, max_iter=80):
     return w
 
 
-def lambert_w(z, branch=0):
-    """Real Lambert W: the solution w of w*exp(w) = z.
+def lambert_w(z):
+    """Principal real Lambert W: the w >= -1 with w*exp(w) = z, z >= -1/e.
 
-    branch 0 is the principal branch (w >= -1, defined for z >= -1/e);
-    branch -1 is the lower branch (w <= -1, defined for -1/e <= z < 0).
-    Initial guesses come from the series at the branch point z = -1/e
-    and from log asymptotics, refined by guarded Halley steps with a
-    bisection fallback.  Relative residual |w e^w - z| <= 1e-12 |z|.
+    The start is the series at the branch point z = -1/e near it,
+    z exp(-min(z, 1)) below e and log asymptotics beyond; guarded Halley
+    steps refine it (Corless, Gonnet, Hare, Jeffrey & Knuth, Adv. Comput.
+    Math. 5, 329 (1996)).  Returns w only once
+    |w e^w - z| <= 1e-12 max(|z|, 1e-300); ConvergenceError otherwise.
     """
     z = float(z)
-    if branch not in (0, -1):
-        raise ValueError("branch must be 0 or -1")
     if z < _BRANCH_POINT:
         # tolerate rounding at the branch point itself
         if z < _BRANCH_POINT * (1.0 + 1e-12) - 1e-300:
             raise ValueError("lambert_w requires z >= -1/e")
         z = _BRANCH_POINT
-    if branch == -1 and z >= 0.0:
-        raise ValueError("branch -1 requires z < 0")
 
     if z == 0.0:
         return 0.0
 
-    # branch-point series w = -1 + p - p^2/3 + 11 p^3/72, p = +-sqrt(2(ez+1))
+    # branch-point series w = -1 + p - p^2/3 + 11 p^3/72, p = sqrt(2(ez+1))
     p2 = 2.0 * (math.e * z + 1.0)
-    p = math.sqrt(max(p2, 0.0))
-    if branch == -1:
-        p = -p
-
-    if branch == 0:
-        if p2 < 0.5:
-            w = -1.0 + p - p2 / 3.0 + 11.0 / 72.0 * p * p2
-        elif z < math.e:
-            w = z * math.exp(-min(z, 1.0))  # crude but in-basin
-        else:
-            lz = math.log(z)
-            w = lz - math.log(lz)
+    if p2 < 0.5:
+        p = math.sqrt(max(p2, 0.0))
+        w = -1.0 + p - p2 / 3.0 + 11.0 / 72.0 * p * p2
+    elif z < math.e:
+        w = z * math.exp(-min(z, 1.0))  # crude but in-basin
     else:
-        if p2 < 0.5:
-            w = -1.0 + p - p2 / 3.0 + 11.0 / 72.0 * p * p2
-        else:
-            ln = math.log(-z)
-            w = ln - math.log(-ln)
+        lz = math.log(z)
+        w = lz - math.log(lz)
 
     w = _halley_w(w, z)
-    if abs(w * math.exp(w) - z) <= 1e-12 * max(abs(z), 1e-300):
+    residual = abs(w * math.exp(w) - z)
+    if residual <= 1e-12 * max(abs(z), 1e-300):
         return w
-
-    # fallback: f is monotone on each branch; bracket and bisect
-    if branch == 0:
-        lo, hi = -1.0, max(1.0, w + 1.0)
-        while hi * math.exp(hi) < z:
-            hi *= 2.0
-    else:
-        hi = -1.0
-        lo = min(w - 1.0, -2.0)
-        while lo * math.exp(lo) < z:
-            lo *= 2.0
-    w = bisect_root(lambda x: x * math.exp(x) - z, lo, hi, tol=1e-15)
-    return _halley_w(w, z)
+    raise ConvergenceError("Lambert W at z = %r: Halley stopped at w = %r "
+                           "with residual %g" % (z, w, residual))

@@ -71,7 +71,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, TruncationWarning
 from .numerics import brent_root
-from .phase_diagram import boundary_hopping, lobe_index
+from .landau import boundary_hopping, lobe_index
 
 COARSE_POINTS = 64
 GOLDEN_TOL = 1e-8  # published bound on |dpsi| of the minimizer (meets ~1e-14)
@@ -79,6 +79,7 @@ BOUNDARY_TOL = 1e-6  # published bound on |dD| of boundary_numeric (meets ~1e-12
 RESPONSE_EPS = 1e-6  # psi at which boundary_numeric reads the linear response
 ROOT_TOL = 1e-14  # bracket width of the boundary root in D and psi* in psi
 GUARD_STEP = 1e-3  # relative offset in D of the two first-order guards
+MIN_N_MAX = 4  # smallest Fock truncation a MeanFieldProblem accepts
 
 dstev = None  # scipy's LAPACK routine, bound by _dstev on first use
 
@@ -97,8 +98,8 @@ class MeanFieldProblem:
             raise ConfigError("mu_over_U must be finite")
         if not (math.isfinite(self.D_eff) and self.D_eff >= 0.0):
             raise ConfigError("D_eff must be finite and >= 0")
-        if self.n_max < 4:
-            raise ConfigError("n_max must be >= 4")
+        if self.n_max < MIN_N_MAX:
+            raise ConfigError("n_max must be >= %d" % MIN_N_MAX)
         if not (math.isfinite(self.psi_max) and self.psi_max > 0.0):
             raise ConfigError("psi_max must be finite and > 0")
 

@@ -1,13 +1,12 @@
 """Closed-form phase boundaries, lobe tips, classification, and sweeps.
 
 The boundary of lobe n in the effective hopping D = (t/U) cos(theta) is
-
-    D_c(mu, n) = -1/chi(mu, n)        (paper convention)
-    D_cv(mu, n) = D_c(mu, n) / 2      (variational convention)
-
-Both conventions are carried everywhere because they differ by an exact
-factor of two (see the landau module); the numeric oracle sides with the
-variational one.
+landau.boundary_hopping, D_c = -1/chi in the paper convention and D_c/2
+in the variational one.  Both conventions are carried everywhere because
+they differ by an exact factor of two; the numeric oracle sides with the
+variational one.  The lobe theory (lobe_index, boundary_hopping, the
+convention tables and LOBE_TIP_TOL) lives in landau and is re-exported
+here.
 
 Each lobe n >= 1 peaks where d chi/d mu = 0, at the mean-field tip
 
@@ -24,35 +23,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import landau
-from .errors import ConfigError, DomainError, OutOfReachError, RotobhError
+from .errors import ConfigError, ConvergenceError, DomainError, OutOfReachError
+from .landau import (CONVENTIONS, LOBE_TIP_TOL, VARIANT_FOR_CONVENTION,
+                     _check_convention, boundary_hopping, lobe_index)
+from .oracle import MIN_N_MAX, MeanFieldProblem, converged_psi
 
-CONVENTIONS = ("paper", "variational")
+PSI_METHODS = ("landau", "variational")
 
-# Landau a2 variant whose root reproduces each boundary convention.
-VARIANT_FOR_CONVENTION = {"paper": "consistent", "variational": "variational"}
-
-LOBE_TIP_TOL = 1e-10  # published bound on |d mu| of lobe_tip (meets ~1 ulp)
-
-
-def lobe_index(mu: float) -> int:
-    """Lobe containing mu: 0 for mu < 0, else floor(mu/2) + 1."""
-    if not math.isfinite(mu):
-        raise DomainError("mu/U must be finite")
-    if mu < 0.0:
-        return 0
-    return int(mu // 2.0) + 1
-
-
-def _check_convention(convention: str) -> None:
-    if convention not in CONVENTIONS:
-        raise ConfigError("unknown convention %r" % (convention,))
-
-
-def boundary_hopping(mu: float, n: int, convention: str = "paper") -> float:
-    """Critical effective hopping of lobe n at chemical potential mu."""
-    _check_convention(convention)
-    D_c = -1.0 / landau.chi_susceptibility(mu, n)
-    return D_c if convention == "paper" else 0.5 * D_c
+# Errors that belong to one cell; any other error is the request's and
+# escapes the sweep.
+_CELL_ERRORS = (DomainError, ConvergenceError)
 
 
 def lobe_tip(n: int, convention: str = "paper"):
@@ -134,8 +114,10 @@ class SweepSpec:
     kind 'diagram' fills (mu_values x D_values); 'sensing-loop' fixes mu
     and fills (t_values x theta_values); 'costheta-curve' fills
     (lobes x t_values) with the critical cos(theta), defaulting each
-    lobe's mu to its tip when lobe_mu is empty.  workers must be >= 1;
-    cells are evaluated in order in one thread whatever its value.
+    lobe's mu to its tip when lobe_mu is empty; lobes must be integral.
+    n_max, when given, must be at least the oracle's MIN_N_MAX.  workers
+    must be >= 1; cells are evaluated in order in one thread whatever its
+    value.
     """
 
     kind: str
@@ -176,13 +158,8 @@ def _axis(name, values, allow_any_sign=False):
     return vals
 
 
-def _psi_variational(D, mu, n, n_max):
-    from .oracle import MeanFieldProblem, converged_psi
-    return converged_psi(MeanFieldProblem.for_lobe(mu, D, n_max=n_max))
-
-
 def _phase_cell(mu, D_raw, t, theta, spec):
-    """One sweep cell: (mu, D, lobe, label, psi); errors become sentinels."""
+    """One sweep cell: (mu, D, lobe, label, psi); a cell error is a sentinel."""
     n = lobe_index(mu)
     try:
         label = classify(mu, t, theta, spec.convention)
@@ -191,10 +168,11 @@ def _phase_cell(mu, D_raw, t, theta, spec):
                 psi = landau.order_parameter_landau(
                     D_raw, mu, n, VARIANT_FOR_CONVENTION[spec.convention])
             else:
-                psi = _psi_variational(D_raw, mu, n, spec.n_max)
+                psi = converged_psi(MeanFieldProblem.for_lobe(
+                    mu, D_raw, n_max=spec.n_max))
         else:
             psi = 0.0  # exact zero on Mott/vacuum cells by contract
-    except RotobhError as exc:
+    except _CELL_ERRORS as exc:
         return n, "error:%s" % exc.code, math.nan
     return n, label, psi
 
@@ -204,8 +182,10 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
     if spec.kind not in ("diagram", "sensing-loop", "costheta-curve"):
         raise ConfigError("unknown sweep kind %r" % (spec.kind,))
     _check_convention(spec.convention)
-    if spec.psi_method not in ("landau", "variational"):
+    if spec.psi_method not in PSI_METHODS:
         raise ConfigError("unknown psi method %r" % (spec.psi_method,))
+    if spec.n_max is not None and spec.n_max < MIN_N_MAX:
+        raise ConfigError("n_max must be >= %d" % MIN_N_MAX)
     if spec.workers < 1:
         raise ConfigError("workers must be >= 1")
 
@@ -240,6 +220,9 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
 
     # costheta-curve
     ts = _axis("t", spec.t_values)
+    if not all(float(n).is_integer() for n in spec.lobes):
+        raise ConfigError("costheta-curve lobes must be integers, got %r"
+                          % (spec.lobes,))
     lobes = tuple(int(n) for n in spec.lobes)
     if any(n < 1 for n in lobes):
         raise ConfigError("costheta-curve lobes must be >= 1")
@@ -254,7 +237,7 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
         for t in ts:
             try:
                 c, status = critical_costheta(t, mu, n, spec.convention), "ok"
-            except RotobhError as exc:
+            except _CELL_ERRORS as exc:
                 c, status = math.nan, "error:%s" % exc.code
             rows.append((n, mu, t, c, status))
     return PhaseGrid(spec.kind, spec.convention, spec.psi_method,

@@ -85,6 +85,11 @@ def _check_theta(theta: float) -> None:
         raise DomainError("theta = %g outside (0, pi/2)" % theta)
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("exact", "fit"):
+        raise ConfigError("mode must be 'exact' or 'fit', got %r" % (mode,))
+
+
 def delta_exact(theta: float, dtheta: float) -> float:
     """delta = u sqrt(1-u) with u = cos(theta)/cos(theta - dtheta).
 
@@ -239,13 +244,12 @@ def _fit_peak(a: float, theta: float) -> float:
 def delta_max(theta: float, mode: str = "exact") -> float:
     """Peak of delta over dtheta in [0, theta] for the given mode."""
     _check_theta(theta)
-    if mode == "exact":
-        if theta >= THETA_EXACT_CROSSOVER:
-            return DELTA_GLOBAL_MAX
-        return delta_exact(theta, theta)
+    _check_mode(mode)
     if mode == "fit":
         return _fit_peak(fit_a(theta)[0], theta)
-    raise ConfigError("mode must be 'exact' or 'fit', got %r" % (mode,))
+    if theta >= THETA_EXACT_CROSSOVER:
+        return DELTA_GLOBAL_MAX
+    return delta_exact(theta, theta)
 
 
 def theta_crossover(mode: str = "exact",
@@ -256,12 +260,11 @@ def theta_crossover(mode: str = "exact",
     a(theta) * theta = 1 for the grid_points-point fit, located by Brent's
     method to 1e-8 in theta, about ten fits.
     """
+    _check_mode(mode)
     if mode == "exact":
         return THETA_EXACT_CROSSOVER
-    if mode == "fit":
-        return brent_root(lambda t: fit_a(t, grid_points)[0] * t - 1.0,
-                          0.3, 1.2, tol=1e-8)
-    raise ConfigError("mode must be 'exact' or 'fit', got %r" % (mode,))
+    return brent_root(lambda t: fit_a(t, grid_points)[0] * t - 1.0,
+                      0.3, 1.2, tol=1e-8)
 
 
 @dataclass(frozen=True)
@@ -291,8 +294,7 @@ def resolution_grid(thetas, mode: str = "exact",
     thetas = list(thetas)
     for theta in thetas:
         _check_theta(theta)
-    if mode not in ("exact", "fit"):
-        raise ConfigError("mode must be 'exact' or 'fit', got %r" % (mode,))
+    _check_mode(mode)
     if gamma is not None and not (math.isfinite(gamma) and gamma > 0.0):
         raise DomainError("gamma must be finite and > 0")
     fits = fit_grid(thetas, grid_points)
@@ -328,7 +330,7 @@ def _profile(theta, mode, a, rms, gamma, literal_exponent):
             fwhm = right - eps
     else:
         dm_out = _fit_peak(a, theta)
-        w = numerics.lambert_w(-0.5 * dm_out, 0)
+        w = numerics.lambert_w(-0.5 * dm_out)
         eps = w * w / (a * a if literal_exponent else a)
 
     return SensingProfile(

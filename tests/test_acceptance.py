@@ -93,7 +93,7 @@ def test_acceptance_4_sensing_constants():
         failures.append("exact-mode plateau is not 2/(3 sqrt 3)")
     if abs(theta_crossover("exact") - math.acos(2.0 / 3.0)) > 1e-10:
         failures.append("exact threshold is not arccos(2/3)")
-    w0 = lambert_w(-0.5 * math.exp(-1.0), 0)
+    w0 = lambert_w(-0.5 * math.exp(-1.0))
     if abs(w0 * w0 - 0.053806) > 1e-6:
         failures.append("W0(-1/(2e))^2 = %r" % (w0 * w0,))
     verdict(4, "sensing constants", failures)

@@ -40,10 +40,24 @@ def test_parse_grid_forms():
 
 
 def test_parse_grid_rejects_garbage():
+    # 0:1e308:1e-300 overflows the point count to inf (huge finite counts
+    # are not probed: they would allocate)
     for bad in ("", "abc", "1:2", "1:2:3:4", "2:1:0.5", "1:2:-0.1",
-                "1:2:0", "1,two,3"):
+                "1:2:0", "1,two,3", "0:1e308:1e-300"):
         with pytest.raises(ConfigError):
             parse_grid(bad)
+
+
+def test_bad_requests_exit_2_without_output(tmp_path):
+    out = tmp_path / "never.csv"
+    for argv in (["resolution", "--theta-grid", "0:1e308:1e-300"],
+                 ["costheta-curve", "--t-grid", "0.5", "--lobes", "1.5"],
+                 ["phase-diagram", "--psi-method", "variational",
+                  "--n-max", "3", "--mu-grid", "1.0", "--d-grid", "0.05,0.5"]):
+        status, _, err = run_cli(argv + ["--output", str(out)])
+        assert status == 2, argv
+        assert not out.exists()
+        assert "rotobh: error:" in err
 
 
 def test_load_config(tmp_path):

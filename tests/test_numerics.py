@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotobh import numerics
 from rotobh.errors import ConvergenceError
 from rotobh.numerics import bisect_root, brent_root, golden_min, lambert_w
 
@@ -212,51 +213,46 @@ def test_brent_out_of_iterations_is_an_error():
 def test_lambert_w_residuals():
     for z in (-1.0 / math.e, -0.3, -0.2319, -0.05, -1e-8, 1e-8, 0.5, 1.0,
               10.0, 1e6, 1e100):
-        w = lambert_w(z, 0)
+        w = lambert_w(z)
         assert abs(w * math.exp(w) - z) <= 1e-12 * max(abs(z), 1e-300)
-    for z in (-1.0 / math.e, -0.3, -0.2319, -0.05, -1e-8, -1e-100):
-        w = lambert_w(z, -1)
-        # far down the branch one ulp of w moves w e^w by (1+|w|) ulps,
-        # so the tight residual check only makes sense at moderate w
-        if w > -100.0:
-            assert abs(w * math.exp(w) - z) <= 1e-12 * abs(z)
-        else:
-            assert abs(w + math.log(-w) - math.log(-z)) <= 1e-10
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(z=st.floats(-1.0 / math.e, -1.0 / math.e + 0.1),
-       branch=st.sampled_from([0, -1]))
-def test_lambert_w_residual_near_the_branch_point(z, branch):
-    # both branches meet at z = -1/e, where w is a sqrt-type root
-    w = lambert_w(z, branch)
-    assert (w > -1.0 - 1e-7) if branch == 0 else (w < -1.0 + 1e-7)
+@given(z=st.floats(-1.0 / math.e, -1.0 / math.e + 0.1))
+def test_lambert_w_residual_near_the_branch_point(z):
+    # W0 meets the lower branch at z = -1/e, where w is a sqrt-type root
+    w = lambert_w(z)
+    assert w > -1.0 - 1e-7
     assert abs(w * math.exp(w) - z) <= 1e-12 * abs(z)
 
 
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(z=st.one_of(st.floats(-1.0 / math.e, 1.0),
+                   st.floats(-30.0, 300.0).map(lambda e: 10.0 ** e)))
+def test_lambert_w_residual_property(z):
+    # the whole domain [-1/e, 1e300]: the branch-point series, the in-basin
+    # start below e and the log asymptotics beyond it
+    w = lambert_w(z)
+    assert w >= -1.0 - 1e-7
+    assert abs(w * math.exp(w) - z) <= 1e-12 * max(abs(z), 1e-300)
+
+
 def test_lambert_w_known_values():
-    assert lambert_w(0.0, 0) == 0.0
-    assert abs(lambert_w(-1.0 / math.e, 0) + 1.0) < 1e-7  # sqrt-type root
-    assert abs(lambert_w(-1.0 / math.e, -1) + 1.0) < 1e-7
-    assert abs(lambert_w(1.0, 0) - 0.5671432904097838) < 1e-12
-    assert abs(lambert_w(math.e, 0) - 1.0) < 1e-12
-    assert abs(lambert_w(-2.0 * math.exp(-2.0), -1) + 2.0) < 1e-10
-    # the pair used by the resolution formula
-    z = -0.5 * math.exp(-1.0)
-    assert abs(lambert_w(z, 0) + 0.23196095298653444) < 1e-12
-    assert abs(lambert_w(z, -1) + 2.6783469900166605) < 1e-12
+    assert lambert_w(0.0) == 0.0
+    assert abs(lambert_w(-1.0 / math.e) + 1.0) < 1e-7  # sqrt-type root
+    assert abs(lambert_w(1.0) - 0.5671432904097838) < 1e-12
+    assert abs(lambert_w(math.e) - 1.0) < 1e-12
+    # the value used by the resolution formula
+    assert abs(lambert_w(-0.5 * math.exp(-1.0)) + 0.23196095298653444) < 1e-12
 
 
-def test_lambert_w_branch_ordering():
-    for z in (-0.35, -0.2, -0.01):
-        assert lambert_w(z, -1) < -1.0 < lambert_w(z, 0) + 1.0e-15
-        assert lambert_w(z, 0) > -1.0 - 1e-12
+def test_lambert_w_unverified_halley_is_an_error(monkeypatch):
+    # a Halley refinement that stalls at its start must not be returned
+    monkeypatch.setattr(numerics, "_halley_w", lambda w, z: w)
+    with pytest.raises(ConvergenceError):
+        lambert_w(1.0)
 
 
 def test_lambert_w_domain():
     with pytest.raises(ValueError):
-        lambert_w(-1.0, 0)
-    with pytest.raises(ValueError):
-        lambert_w(0.5, -1)
-    with pytest.raises(ValueError):
-        lambert_w(0.5, 2)
+        lambert_w(-1.0)

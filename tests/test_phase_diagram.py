@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rotobh.errors import ConfigError, DegenerateGapError, DomainError, OutOfReachError
+from rotobh.oracle import MIN_N_MAX
 from rotobh.phase_diagram import (CONVENTIONS, SweepSpec, boundary_curve,
                                   boundary_hopping, classify,
                                   critical_costheta, lobe_index, lobe_tip,
@@ -204,14 +205,28 @@ def test_sweep_costheta_curve_flags_unreachable():
 
 
 def test_sweep_error_cells_are_sentinels():
-    # an undersized Fock space is a config error per cell, not a crash
-    spec = SweepSpec(kind="diagram", psi_method="variational", n_max=2,
-                     mu_values=(1.0,), D_values=(0.05, 0.5))
-    grid = sweep(spec)
-    table = {r[1]: r for r in grid.rows}
-    assert table[0.05][3] == "mott:1"  # no oracle call needed
-    assert table[0.5][3] == "error:config"
-    assert math.isnan(table[0.5][4])
+    # an undersized Fock space is a property of the request, not of a cell:
+    # it raises before the first cell, even one that needs no oracle call
+    for psi_method in ("landau", "variational"):
+        spec = SweepSpec(kind="diagram", psi_method=psi_method,
+                         n_max=MIN_N_MAX - 1, mu_values=(1.0,),
+                         D_values=(0.05, 0.5))
+        with pytest.raises(ConfigError):
+            sweep(spec)
+    spec = SweepSpec(kind="diagram", n_max=MIN_N_MAX, mu_values=(1.0,),
+                     D_values=(0.05, 0.5))
+    assert [r[3] for r in sweep(spec).rows] == ["mott:1", "superfluid"]
+
+
+def test_sweep_lobes_must_be_integral():
+    for bad in (1.5, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            sweep(SweepSpec(kind="costheta-curve", t_values=(0.5,),
+                            lobes=(bad,)))
+    rows = sweep(SweepSpec(kind="costheta-curve", t_values=(0.5,),
+                           lobes=(1.0, 2.0))).rows
+    assert [r[0] for r in rows] == [1, 2]
+    assert all(type(r[0]) is int for r in rows)
 
 
 def test_sweep_unconverged_oracle_is_a_sentinel(monkeypatch):

@@ -354,7 +354,7 @@ def test_resolution_omega_units():
 def test_resolution_fit_mode():
     prof = resolution(1.0, mode="fit")
     assert prof.delta_max == math.exp(-1.0)
-    w = lambert_w(-0.5 * math.exp(-1.0), 0)
+    w = lambert_w(-0.5 * math.exp(-1.0))
     assert abs(prof.epsilon_theta - w * w / prof.a_fit) < 1e-12
     assert abs(prof.epsilon_theta - 0.024970232294427394) < 1e-8
     literal = resolution(1.0, mode="fit", literal_exponent=True)
