@@ -2,7 +2,8 @@
 
 Layout:
 
-  core           ring geometry, Peierls phase, effective hopping
+  core           the three maps (m, R, N) -> gamma, (gamma, Omega) -> theta
+                 and (t, theta) -> D, through which rotation enters
   landau         Landau coefficients, order parameter, prefactor kappa,
                  lobe index and closed-form boundaries
   phase_diagram  lobe tips, classification, grid sweeps
@@ -13,8 +14,8 @@ Layout:
 
 __version__ = "1.0.0"
 
-from .core import (ATOMIC_MASS, HBAR, ModelParams, RingFrame,
-                   effective_hopping, peierls_phase, scale_factor)
+from .core import (ATOMIC_MASS, HBAR, RingFrame, effective_hopping,
+                   peierls_phase, scale_factor)
 from .errors import (ConfigError, ConvergenceError, DegenerateGapError,
                      DomainError, FitQualityWarning, InvalidExpansionError,
                      OutOfRangeError, OutOfReachError, RotobhError,

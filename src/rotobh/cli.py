@@ -18,7 +18,7 @@ import math
 import sys
 
 from . import __version__, io, oracle, phase_diagram, sensing
-from .core import RingFrame
+from .core import RingFrame, effective_hopping, peierls_phase
 from .errors import EXIT_OK, ConfigError, DomainError, RotobhError
 from .landau import kappa
 from .oracle import MeanFieldProblem, boundary_numeric, converged_psi
@@ -124,9 +124,8 @@ def _resolve_gamma(args, required=False):
     if frame_given:
         if len(frame_given) != 3:
             raise ConfigError("--mass-amu, --radius-um and --sites go together")
-        frame = RingFrame.from_lab_units(args.mass_amu, args.radius_um,
-                                         args.sites)
-        return frame.gamma
+        return RingFrame.from_lab_units(args.mass_amu, args.radius_um,
+                                        args.sites).gamma
     if args.gamma is not None:
         if not (math.isfinite(args.gamma) and args.gamma > 0.0):
             raise ConfigError("--gamma must be finite and > 0")
@@ -142,8 +141,7 @@ def _resolve_theta(args):
             raise ConfigError("give either --theta or --omega, not both")
         return args.theta
     if getattr(args, "omega", None) is not None:
-        gamma = _resolve_gamma(args, required=True)
-        return gamma * args.omega
+        return peierls_phase(_resolve_gamma(args, required=True), args.omega)
     raise ConfigError("this subcommand needs --theta, or --omega with a frame")
 
 
@@ -253,13 +251,13 @@ def _cmd_phase_diagram(args):
 def _cmd_order_parameter(args):
     if (args.theta_grid is None) == (args.omega_grid is None):
         raise ConfigError("give exactly one of --theta-grid or --omega-grid")
-    gamma = None
+    gamma = _resolve_gamma(args, required=args.omega_grid is not None)
     if args.omega_grid is not None:
-        gamma = _resolve_gamma(args, required=True)
-        thetas = tuple(gamma * w for w in parse_grid(args.omega_grid))
+        thetas = tuple(peierls_phase(gamma, w)
+                       for w in parse_grid(args.omega_grid))
+    elif gamma is not None:
+        raise ConfigError("frame flags are unused with --theta-grid")
     else:
-        if _resolve_gamma(args) is not None:
-            raise ConfigError("frame flags are unused with --theta-grid")
         thetas = parse_grid(args.theta_grid)
     spec = SweepSpec(kind="sensing-loop", convention=args.convention,
                      psi_method=args.psi_method, mu_values=(args.mu,),
@@ -369,7 +367,7 @@ def _cmd_oracle_check(args):
         kap_var = kappa(mu, lobe, "variational")
         t_edge = boundary_hopping(mu, lobe, "variational") / math.cos(theta)
         for dtheta, delta in zip(dthetas, deltas):
-            D = t_edge * math.cos(theta - dtheta)
+            D = effective_hopping(t_edge, theta - dtheta)
             psi = converged_psi(MeanFieldProblem.for_lobe(mu, D,
                                                           n_max=args.n_max))
             kap_rec = psi / delta
@@ -428,8 +426,8 @@ def _expand_config(parser, argv):
             elif value.lower() not in ("0", "false", "no"):
                 raise ConfigError("boolean config key %r needs true/false"
                                   % (key,))
-        else:
-            flags.extend([opt, value])
+        else:  # one token, so a value opening with '-' is not a flag
+            flags.append("%s=%s" % (opt, value))
     return [sub] + flags + list(argv[1:])
 
 
@@ -442,9 +440,12 @@ def _emit(args, columns, rows, meta):
         text = io.json_text(args.command, columns, rows, meta)
     if args.output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.output, "w", encoding="utf-8", newline="") as fp:
             fp.write(text)
+    except OSError as exc:
+        raise ConfigError("cannot write output %s: %s" % (args.output, exc))
 
 
 def main(argv=None) -> int:

@@ -1,16 +1,18 @@
-"""Ring geometry and the rotation -> effective-hopping mapping.
+"""The paper's three maps from a rotating ring to the effective hopping.
 
 A Bose gas on a ring lattice of N sites rotating at angular velocity
-Omega acquires a site-independent Peierls phase theta = gamma * Omega
-on every bond, with scale factor
+Omega acquires a site-independent Peierls phase on every bond.  Rotation
+enters the model through three maps, each with its home here:
 
-    gamma = 2 pi m R^2 / (N hbar)    [seconds]
+    (m, R, N)      -> gamma = 2 pi m R^2 / (N hbar) [s]  scale_factor
+    (gamma, Omega) -> theta = gamma * Omega              peierls_phase
+    (t/U, theta)   -> D = (t/U) cos(theta)               effective_hopping
 
 All model energies are measured in units of the on-site repulsion U, so
-the couplings reduce to t/U and mu/U, and rotation enters the problem
-only through the effective hopping D = (t/U) cos(theta).  Callers that
-work purely in dimensionless terms can skip RingFrame and supply gamma
-or theta directly.
+the couplings reduce to t/U and mu/U, and in mean-field theory rotation
+enters the problem only through D.  Callers that work purely in
+dimensionless terms can skip RingFrame and supply gamma or theta
+directly.
 """
 
 from __future__ import annotations
@@ -26,50 +28,30 @@ ATOMIC_MASS = 1.66053906660e-27  # kg
 
 @dataclass(frozen=True)
 class RingFrame:
-    """Physical ring: mass [kg], radius [m], site count, omega [rad/s]."""
+    """Physical ring: mass [kg], radius [m], site count."""
 
     mass: float
     radius: float
     sites: int
-    omega: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.mass) and self.mass > 0.0):
             raise ConfigError("mass must be finite and positive")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ConfigError("radius must be finite and positive")
-        if int(self.sites) != self.sites or self.sites < 3:
+        if (not math.isfinite(self.sites) or int(self.sites) != self.sites
+                or self.sites < 3):
             raise ConfigError("sites must be an integer >= 3")
-        if not math.isfinite(self.omega):
-            raise ConfigError("omega must be finite")
 
     @classmethod
-    def from_lab_units(cls, mass_amu, radius_um, sites, omega=0.0):
+    def from_lab_units(cls, mass_amu, radius_um, sites):
         """Build a frame from atomic mass units and micrometers."""
         return cls(mass=mass_amu * ATOMIC_MASS, radius=radius_um * 1e-6,
-                   sites=sites, omega=omega)
+                   sites=sites)
 
     @property
     def gamma(self) -> float:
         return scale_factor(self)
-
-    @property
-    def theta(self) -> float:
-        return peierls_phase(self.gamma, self.omega)
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Dimensionless couplings t/U >= 0 and mu/U."""
-
-    t_over_U: float
-    mu_over_U: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t_over_U) and self.t_over_U >= 0.0):
-            raise ConfigError("t_over_U must be finite and >= 0")
-        if not math.isfinite(self.mu_over_U):
-            raise ConfigError("mu_over_U must be finite")
 
 
 def scale_factor(frame: RingFrame) -> float:
@@ -82,6 +64,6 @@ def peierls_phase(gamma: float, omega: float) -> float:
     return gamma * omega
 
 
-def effective_hopping(params: ModelParams, theta: float) -> float:
+def effective_hopping(t: float, theta: float) -> float:
     """D = (t/U) cos(theta); even and 2 pi periodic in theta."""
-    return params.t_over_U * math.cos(theta)
+    return t * math.cos(theta)

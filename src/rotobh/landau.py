@@ -145,15 +145,18 @@ def a4_bracket(mu: float, n: int) -> float:
     dn1 = 2.0 * (n - 1) - mu
     up2 = 2.0 * (mu - 2.0 * n - 1.0)
     dn2 = 2.0 * (2.0 * (n - 1) - mu - 1.0)
-    terms = [(n + 1) * (n + 2) / (up1 ** 2 * up2),
-             -(n + 1) ** 2 / up1 ** 3]
-    if n > 0:
-        terms.append(-n ** 2 / dn1 ** 3)
-        terms.append(-n * (n + 1) / (up1 * dn1 ** 2))
-        terms.append(-n * (n + 1) / (up1 ** 2 * dn1))
-    if n * (n - 1) > 0:
-        terms.append(n * (n - 1) / (dn1 ** 2 * dn2))
-    return math.fsum(terms)
+    try:
+        terms = [(n + 1) * (n + 2) / (up1 ** 2 * up2),
+                 -(n + 1) ** 2 / up1 ** 3]
+        if n > 0:
+            terms.append(-n ** 2 / dn1 ** 3)
+            terms.append(-n * (n + 1) / (up1 * dn1 ** 2))
+            terms.append(-n * (n + 1) / (up1 ** 2 * dn1))
+        if n * (n - 1) > 0:
+            terms.append(n * (n - 1) / (dn1 ** 2 * dn2))
+        return math.fsum(terms)
+    except (ZeroDivisionError, OverflowError):  # a gap power under/overflows
+        raise DomainError("fourth-order bracket is not finite at mu/U = %g" % mu)
 
 
 def _positive_bracket(mu: float, n: int) -> float:
@@ -172,11 +175,22 @@ def _check_boundary_variant(variant: str, what: str) -> None:
                           "'variational', got %r" % (what, variant))
 
 
+def _quartic(D: float, B: float) -> float:
+    """16 D^4 B, or DomainError where it is not finite."""
+    try:
+        value = 16.0 * D ** 4 * B
+    except OverflowError:  # float ** raises where float * gives inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError("a4 = 16 D^4 B is not finite at D = %g" % D)
+    return value
+
+
 def a4(D: float, mu: float, n: int) -> float:
     """Quartic Landau coefficient 16 D^4 B; requires B > 0."""
     if D < 0.0:
         raise DomainError("effective hopping must be >= 0")
-    return 16.0 * D ** 4 * _positive_bracket(mu, n)
+    return _quartic(D, _positive_bracket(mu, n))
 
 
 def order_parameter_landau(D: float, mu: float, n: int,
@@ -224,7 +238,7 @@ class LandauCoefficients:
 
 def landau_coefficients(D: float, mu: float, n: int) -> LandauCoefficients:
     B = a4_bracket(mu, n)  # raises at corners / outside the lobe
-    a4_val = 16.0 * D ** 4 * B
+    a4_val = _quartic(D, B)
     return LandauCoefficients(
         a2_literal=a2(D, mu, n, "literal"),
         a2_consistent=a2(D, mu, n, "consistent"),

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import landau
+from .core import effective_hopping
 from .errors import ConfigError, ConvergenceError, DomainError, OutOfReachError
 from .landau import (CONVENTIONS, LOBE_TIP_TOL, VARIANT_FOR_CONVENTION,
                      _check_convention, boundary_hopping, lobe_index)
@@ -74,6 +75,18 @@ def boundary_curve(n: int, count: int, convention: str = "paper"):
     return tuple(points)
 
 
+def _label(mu: float, D: float, convention: str) -> str:
+    """The label rule on the effective hopping D, of any sign."""
+    n = lobe_index(mu)
+    if mu == landau.lobe_interval(n)[0]:  # the boundary closes at a corner
+        superfluid = D > 0.0
+    else:
+        superfluid = D >= boundary_hopping(mu, n, convention)
+    if superfluid:
+        return "superfluid"
+    return "vacuum" if n == 0 else "mott:%d" % n
+
+
 def classify(mu: float, t: float, theta: float, convention: str = "paper") -> str:
     """Phase label at (mu, t cos theta): vacuum, mott:<n>, or superfluid.
 
@@ -82,18 +95,9 @@ def classify(mu: float, t: float, theta: float, convention: str = "paper") -> st
     On the boundary itself the superfluid label wins.
     """
     _check_convention(convention)
-    if t < 0.0:
+    if not t >= 0.0:
         raise DomainError("t/U must be >= 0")
-    n = lobe_index(mu)
-    D = t * math.cos(theta)
-    lo, hi = landau.lobe_interval(n)
-    if mu == lo or mu == hi:
-        if D > 0.0:
-            return "superfluid"
-        return "vacuum" if n == 0 else "mott:%d" % n
-    if D < boundary_hopping(mu, n, convention):
-        return "vacuum" if n == 0 else "mott:%d" % n
-    return "superfluid"
+    return _label(mu, effective_hopping(t, theta), convention)
 
 
 def critical_costheta(t: float, mu: float, n: int, convention: str = "paper") -> float:
@@ -158,18 +162,18 @@ def _axis(name, values, allow_any_sign=False):
     return vals
 
 
-def _phase_cell(mu, D_raw, t, theta, spec):
-    """One sweep cell: (mu, D, lobe, label, psi); a cell error is a sentinel."""
+def _phase_cell(mu, D, spec):
+    """One sweep cell: (lobe, label, psi); a cell error is a sentinel."""
     n = lobe_index(mu)
     try:
-        label = classify(mu, t, theta, spec.convention)
+        label = _label(mu, D, spec.convention)
         if label == "superfluid":
             if spec.psi_method == "landau":
                 psi = landau.order_parameter_landau(
-                    D_raw, mu, n, VARIANT_FOR_CONVENTION[spec.convention])
+                    D, mu, n, VARIANT_FOR_CONVENTION[spec.convention])
             else:
                 psi = converged_psi(MeanFieldProblem.for_lobe(
-                    mu, D_raw, n_max=spec.n_max))
+                    mu, D, n_max=spec.n_max))
         else:
             psi = 0.0  # exact zero on Mott/vacuum cells by contract
     except _CELL_ERRORS as exc:
@@ -192,11 +196,10 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
     if spec.kind == "diagram":
         mus = _axis("mu", spec.mu_values, allow_any_sign=True)
         Ds = _axis("D", spec.D_values)
-        # theta = 0 and t = D: the diagram axis is the effective hopping
         rows = []
         for mu in mus:
             for D in Ds:
-                n, label, psi = _phase_cell(mu, D, D, 0.0, spec)
+                n, label, psi = _phase_cell(mu, D, spec)
                 rows.append((mu, D, n, label, psi))
         return PhaseGrid(spec.kind, spec.convention, spec.psi_method,
                          ("mu_over_U", "D_eff", "lobe_n", "phase", "psi"),
@@ -211,8 +214,8 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
         rows = []
         for t in ts:
             for theta in thetas:
-                D = t * math.cos(theta)
-                n, label, psi = _phase_cell(mu, D, t, theta, spec)
+                D = effective_hopping(t, theta)
+                n, label, psi = _phase_cell(mu, D, spec)
                 rows.append((t, theta, D, n, label, psi))
         return PhaseGrid(spec.kind, spec.convention, spec.psi_method,
                          ("t_over_U", "theta", "D_eff", "lobe_n", "phase", "psi"),

@@ -60,6 +60,35 @@ def test_bad_requests_exit_2_without_output(tmp_path):
         assert "rotobh: error:" in err
 
 
+def test_unwritable_output_exits_2():
+    target = "/nonexistent-rotobh-dir/x.csv"
+    for argv in (["invert", "--delta-measured", "0.05", "--mu", "1.0",
+                  "--theta", "0.9", "--gamma", "0.043"],
+                 ["resolution", "--theta-grid", "1.0"]):
+        status, out, err = run_cli(argv + ["--output", target])
+        assert status == 2, err
+        assert out == ""
+        assert "rotobh: error: cannot write output %s" % target in err
+
+
+def test_huge_hopping_psi_is_a_sentinel():
+    # 16 D^4 B overflows past D ~ 1e77: the cell is an error sentinel with
+    # psi nan, never inf or a plausible 0.0; finite cells are untouched
+    status, out, err = run_cli(["phase-diagram", "--mu-grid", "1.0",
+                                "--d-grid", "0.5,1e100"])
+    assert status == 0, err
+    _, _, rows = parse_csv(out)
+    assert rows[0][3] == "superfluid" and rows[0][4] > 0.0
+    assert rows[1][3] == "error:domain" and math.isnan(rows[1][4])
+    status, out, err = run_cli(["order-parameter", "--mu", "1.0",
+                                "--t-grid", "0.5,1e100", "--theta-grid",
+                                "0.1", "--format", "json"])
+    assert status == 0, err
+    rows = json.loads(out)["rows"]
+    assert rows[0][4] == "superfluid" and rows[0][5] > 0.0
+    assert rows[1][4] == "error:domain" and rows[1][5] is None
+
+
 def test_load_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\ntheta-grid = 0.5,0.9\n\nmode=fit # tail\n",
@@ -448,6 +477,40 @@ def test_config_file_and_override(tmp_path):
     status, _, _ = run_cli(["resolution", "--theta-grid", "0.8",
                             "--config", str(nested)])
     assert status == 2
+
+
+def config_file_form(argv, path):
+    """argv with every flag but --output moved into the config file path."""
+    sub = cli.build_parser().subcommands[argv[0]]
+    keep, lines, i = [argv[0]], [], 1
+    while i < len(argv):
+        flag, eq, value = argv[i].partition("=")
+        i += 1
+        boolean = sub._option_string_actions[flag].nargs == 0
+        if not (eq or boolean):
+            value, i = argv[i], i + 1
+        if flag == "--output":
+            keep += [flag, value]
+        else:
+            lines.append("%s = %s" % (flag[2:], "true" if boolean else value))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return keep + ["--config", str(path)]
+
+
+def test_readme_examples_from_config_files(tmp_path):
+    """A README example writes the same bytes with its flags in a config
+    file, a grid that opens with a minus sign included."""
+    commands = readme_commands(tmp_path)
+    assert any(token.startswith("--mu-grid=-") for argv in commands
+               for token in argv)
+    for i, argv in enumerate(commands):
+        status, _, err = run_cli(argv)
+        assert status == 0, (argv, err)
+        direct = Path(argv[-1]).read_bytes()
+        cfg_argv = config_file_form(argv, tmp_path / ("example%d.cfg" % i))
+        status, _, err = run_cli(cfg_argv)
+        assert status == 0, (cfg_argv, err)
+        assert Path(argv[-1]).read_bytes() == direct, argv
 
 
 def test_config_boolean_flag(tmp_path):

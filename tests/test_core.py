@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from rotobh.core import (ATOMIC_MASS, HBAR, ModelParams, RingFrame,
-                         effective_hopping, peierls_phase, scale_factor)
+from rotobh.core import (ATOMIC_MASS, HBAR, RingFrame, effective_hopping,
+                         peierls_phase, scale_factor)
 from rotobh.errors import ConfigError
 
 
@@ -33,21 +33,24 @@ def test_gamma_scalings():
 
 
 def test_theta_linear_and_signed():
-    frame = RingFrame.from_lab_units(87.0, 10.0, 20, omega=3.0)
-    assert math.isclose(frame.theta, 3.0 * frame.gamma, rel_tol=1e-15)
+    gamma = RingFrame.from_lab_units(87.0, 10.0, 20).gamma
+    assert peierls_phase(gamma, 3.0) == 3.0 * gamma
+    assert peierls_phase(gamma, -3.0) == -peierls_phase(gamma, 3.0)
     assert peierls_phase(0.04, -2.0) == -0.08
     assert peierls_phase(0.04, 0.0) == 0.0
 
 
 def test_effective_hopping():
-    params = ModelParams(t_over_U=0.2, mu_over_U=1.0)
-    assert effective_hopping(params, 0.0) == 0.2
-    assert abs(effective_hopping(params, math.pi / 3.0) - 0.1) < 1e-15
-    # even and 2 pi periodic in theta
-    assert effective_hopping(params, 0.7) == effective_hopping(params, -0.7)
-    assert math.isclose(effective_hopping(params, 0.7),
-                        effective_hopping(params, 0.7 + 2.0 * math.pi),
+    assert effective_hopping(0.2, 0.0) == 0.2
+    assert abs(effective_hopping(0.2, math.pi / 3.0) - 0.1) < 1e-15
+    assert effective_hopping(0.0, 1.1) == 0.0
+    # even and 2 pi periodic in theta; negative past pi/2
+    assert effective_hopping(0.2, 0.7) == effective_hopping(0.2, -0.7)
+    assert math.isclose(effective_hopping(0.2, 0.7),
+                        effective_hopping(0.2, 0.7 + 2.0 * math.pi),
                         rel_tol=1e-12)
+    assert effective_hopping(0.2, 2.0) < 0.0
+    assert effective_hopping(0.2, math.pi) == -0.2
 
 
 def test_frame_validation():
@@ -58,15 +61,8 @@ def test_frame_validation():
     with pytest.raises(ConfigError):
         RingFrame(mass=1e-25, radius=1e-5, sites=2)
     with pytest.raises(ConfigError):
-        RingFrame(mass=1e-25, radius=1e-5, sites=20, omega=math.nan)
-    with pytest.raises(ConfigError):
         RingFrame(mass=math.inf, radius=1e-5, sites=20)
+    for sites in (math.nan, math.inf, 20.5):
+        with pytest.raises(ConfigError):
+            RingFrame(mass=1e-25, radius=1e-5, sites=sites)
 
-
-def test_params_validation():
-    with pytest.raises(ConfigError):
-        ModelParams(t_over_U=-0.1, mu_over_U=1.0)
-    with pytest.raises(ConfigError):
-        ModelParams(t_over_U=0.1, mu_over_U=math.inf)
-    p = ModelParams(t_over_U=0.0, mu_over_U=-3.0)
-    assert p.t_over_U == 0.0

@@ -76,6 +76,29 @@ def test_a4_bracket_center_values():
     assert abs(a4(0.4, 1.0, 1) - 3.072) < 1e-12
 
 
+def test_a4_overflow_is_a_domain_error():
+    # 16 D^4 B stays a plain product while finite; past that it raises,
+    # whether the product overflows to inf (D = 1e77) or float ** raises
+    # OverflowError (D = 1e78), and psi follows rather than reading 0
+    B = a4_bracket(1.0, 1)
+    assert a4(1e76, 1.0, 1) == 16.0 * 1e76 ** 4 * B
+    for D in (1e77, 1e78, 1e100, math.inf):
+        with pytest.raises(DomainError):
+            a4(D, 1.0, 1)
+        with pytest.raises(DomainError):
+            order_parameter_landau(D, 1.0, 1)
+        with pytest.raises(DomainError):
+            landau_coefficients(D, 1.0, 1)
+
+
+def test_a4_bracket_unrepresentable_gap_is_a_domain_error():
+    # a gap power that underflows to 0 (next to the corner mu = 0) or
+    # overflows (deep in the vacuum lobe) is an error, not a traceback
+    for mu, n in ((-1e-200, 0), (1e-200, 1), (-5e-324, 0), (-1e200, 0)):
+        with pytest.raises(DomainError):
+            a4_bracket(mu, n)
+
+
 def test_a4_bracket_positive_across_lobes():
     # the quartic term must bound the energy from below everywhere we
     # evaluate psi, including close to the corners

@@ -106,8 +106,9 @@ def test_classify_phases():
     assert classify(0.0, 1e-6, 0.0) == "superfluid"
     assert classify(2.0, 0.0, 0.0) == "mott:2"
     assert classify(0.0, 0.0, 0.0) == "mott:1"
-    with pytest.raises(DomainError):
-        classify(1.0, -0.1, 0.0)
+    for bad_t in (-0.1, math.nan):
+        with pytest.raises(DomainError):
+            classify(1.0, bad_t, 0.0)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -176,6 +177,43 @@ def test_sweep_sensing_loop():
     # rotating away from theta = 0 eventually re-enters the lobe
     labels = [r[4] for r in grid.rows if r[0] == 0.4]
     assert labels[0] == "superfluid" and labels[-1] == "mott:1"
+
+
+def _lobe_mu(n, corner, frac):
+    """A mu in lobe n: its lower corner, or a point frac of the way in."""
+    if n == 0:
+        return -4.0 * frac
+    return 2.0 * (n - 1) + (0.0 if corner else 2.0 * frac)
+
+
+def _agrees(cell_label, expected):
+    # a Landau psi can fail only on a superfluid cell, as a sentinel
+    return cell_label == expected or (cell_label.startswith("error:")
+                                      and expected == "superfluid")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(0, 3), corner=st.booleans(),
+       frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       t=st.floats(0.0, 2.0),
+       thetas=st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=1,
+                       max_size=8, unique=True),
+       convention=st.sampled_from(CONVENTIONS))
+def test_sweep_labels_are_classify(n, corner, frac, t, thetas, convention):
+    """Sweep cells label D by the rule classify applies to t cos(theta),
+    on both sides of theta = pi/2 and at the lobe corners."""
+    mu = _lobe_mu(n, corner, frac)
+    loop = sweep(SweepSpec(kind="sensing-loop", convention=convention,
+                           mu_values=(mu,), t_values=(t,),
+                           theta_values=tuple(sorted(thetas))))
+    for _, theta, D, _, label, psi in loop.rows:
+        assert _agrees(label, classify(mu, t, theta, convention))
+        assert math.isnan(psi) == label.startswith("error:")
+    Ds = tuple(sorted({abs(r[2]) for r in loop.rows}))
+    diagram = sweep(SweepSpec(kind="diagram", convention=convention,
+                              mu_values=(mu,), D_values=Ds))
+    for _, D, _, label, _ in diagram.rows:
+        assert _agrees(label, classify(mu, D, 0.0, convention))
 
 
 def test_sweep_costheta_curve_defaults_to_tips():
