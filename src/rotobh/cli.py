@@ -53,10 +53,7 @@ def parse_grid(text: str):
             count = int(math.floor(span + 1.0 + 1e-9))
             return tuple(start + i * step for i in range(count))
         if "," in s:
-            vals = tuple(float(p) for p in s.split(","))
-            if not vals:
-                raise ConfigError("empty grid %r" % (text,))
-            return vals
+            return tuple(float(p) for p in s.split(","))
         return (float(s),)
     except ValueError:
         raise ConfigError("cannot parse grid %r" % (text,))
@@ -244,7 +241,7 @@ def _cmd_phase_diagram(args):
                      D_values=parse_grid(args.d_grid),
                      n_max=args.n_max, workers=args.workers)
     grid = sweep(spec)
-    meta = {"convention": grid.convention, "psi_method": grid.psi_method}
+    meta = {"convention": args.convention, "psi_method": args.psi_method}
     return grid.columns, grid.rows, meta
 
 
@@ -264,7 +261,7 @@ def _cmd_order_parameter(args):
                      t_values=parse_grid(args.t_grid), theta_values=thetas,
                      n_max=args.n_max, workers=args.workers)
     grid = sweep(spec)
-    meta = {"convention": grid.convention, "psi_method": grid.psi_method,
+    meta = {"convention": args.convention, "psi_method": args.psi_method,
             "mu_over_U": args.mu, "gamma": gamma}
     return grid.columns, grid.rows, meta
 
@@ -276,7 +273,7 @@ def _cmd_costheta_curve(args):
                      t_values=parse_grid(args.t_grid), lobes=lobes,
                      lobe_mu=lobe_mu, workers=args.workers)
     grid = sweep(spec)
-    meta = {"convention": grid.convention,
+    meta = {"convention": args.convention,
             "mu_by_lobe": "lobe tips" if not lobe_mu else list(lobe_mu)}
     return grid.columns, grid.rows, meta
 
@@ -368,8 +365,7 @@ def _cmd_oracle_check(args):
         t_edge = boundary_hopping(mu, lobe, "variational") / math.cos(theta)
         for dtheta, delta in zip(dthetas, deltas):
             D = effective_hopping(t_edge, theta - dtheta)
-            psi = converged_psi(MeanFieldProblem.for_lobe(mu, D,
-                                                          n_max=args.n_max))
+            psi = converged_psi(MeanFieldProblem(mu, D, args.n_max))
             kap_rec = psi / delta
             rows.append((mu, lobe, dtheta, D_c, D_cv, D_cv / D_c, psi,
                          kap_var, kap_rec, kap_rec / kap_var - 1.0))

@@ -101,11 +101,19 @@ def _require_interior(mu: float, n: int) -> None:
 
 
 def chi_susceptibility(mu: float, n: int) -> float:
-    """chi(mu, n); negative throughout every lobe interior."""
+    """chi(mu, n); negative throughout every lobe interior.
+
+    DomainError where it overflows: a subnormal gap next to the corner
+    mu = 0 of lobes 0 and 1.
+    """
     _require_interior(mu, n)
     if n == 0:
-        return 1.0 / mu
-    return (n + 1) / (mu - 2 * n) + n / (2 * (n - 1) - mu)
+        chi = 1.0 / mu
+    else:
+        chi = (n + 1) / (mu - 2 * n) + n / (2 * (n - 1) - mu)
+    if not math.isfinite(chi):
+        raise DomainError("chi is not finite at mu/U = %g" % mu)
+    return chi
 
 
 def _check_convention(convention: str) -> None:

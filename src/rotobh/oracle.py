@@ -12,34 +12,36 @@ psi and reports the minimizer together with the ground-state expectation
 
     d e0 / d psi = 4 D (psi - <a>)       (Hellmann-Feynman)
 
-A coarse scan of e0 on a 64-point grid over [0, psi_max] is the global
-guard that picks the bracket, and psi* is the root of the response form
-g(psi) = 1 - <a>(psi)/psi in it, found by Brent's method to ROOT_TOL.  For
-psi > 0, g has the sign of e0' = 4 D (psi - <a>) but not its trivial zero
-at psi = 0, which would draw the interpolation steps of a bracket that
-starts at RESPONSE_EPS toward 0.  When the scan minimum sits at grid[i] with i >= 2, the bracket is
-[grid[i-1], grid[i+1]].  Otherwise the linear response r = <a>/psi at
-psi = RESPONSE_EPS decides (see below): r <= 1 gives psi* = 0.0 exactly,
-or ConvergenceError if the scan puts grid[1] below e0(0) by more than
-rounding (a first-order jump); r > 1 makes g(RESPONSE_EPS) < 0 and the
-bracket [RESPONSE_EPS, grid[i+1]].  A bracket that g does not straddle,
-such as a minimum pinned at psi_max, raises ConvergenceError.  The root is
+The minimizer psi* obeys psi*^2 <= B = mu + 1 + 2 D.  With e0 = <n^2>
+- (mu + 1) <n> + 2 D psi^2 - 4 D psi <a>, Cauchy-Schwarz
+(<a>^2 <= <n> <= <n^2>^(1/2)) gives
+e0 >= <n> (<n> - B) + 2 D (psi - <n>^(1/2))^2, so wherever
+e0 <= e0(0) <= 0, <n> <= max(B, 0) and <a> <= <n>^(1/2).  At the minimum
+psi* = <a>, hence psi*^2 <= max(B, 0), and for B > 0,
+e0' >= 4 D (psi - sqrt(B)) wherever e0 <= e0(0).  A cell with B <= 0
+therefore has psi* = 0 and is not scanned.  Otherwise a coarse scan of e0
+over the grid psi_j = j sqrt(B) / (COARSE_POINTS - 3), j < COARSE_POINTS,
+which spans [0, sqrt(B)] plus two steps past it, is the global guard that
+picks the bracket.  Past sqrt(B), e0 rises wherever it lies below e0(0),
+so a scan minimum below e0(0) cannot sit beyond the first grid point past
+sqrt(B), and its bracket end grid[i+1] is at most the second: no bracket
+lies beyond the grid.  The bound holds at any truncation.
+
+psi* is the root of the response form g(psi) = 1 - <a>(psi)/psi in the
+bracket, found by Brent's method to ROOT_TOL.  For psi > 0, g has the
+sign of e0' = 4 D (psi - <a>) but not its trivial zero at psi = 0, which
+would draw the interpolation steps of a bracket that starts at
+RESPONSE_EPS toward 0.  When the scan minimum sits at grid[i] with
+i >= 2, the bracket is [grid[i-1], grid[i+1]].  Otherwise the linear
+response r = <a>/psi at psi = RESPONSE_EPS decides (see below): r <= 1
+gives psi* = 0.0 exactly, or ConvergenceError if the scan puts grid[1]
+below e0(0) by more than rounding (a first-order jump); r > 1 makes
+g(RESPONSE_EPS) < 0 and the bracket [RESPONSE_EPS, grid[i+1]].  A bracket
+that g does not straddle raises ConvergenceError.  The root is
 machine-accurate, which makes the truncation-drift guarantee (<= 1e-8 per
 two extra Fock levels) meetable.  RESPONSE_EPS lowers r by
 O(RESPONSE_EPS^2), so within about 2e-12 relative above the boundary,
 where the true psi* is below RESPONSE_EPS, psi* = 0.0.
-
-The scan stops at the first two grid points past sqrt(B), B = mu + 1 + 2 D,
-because no bracket can lie beyond them.  With e0 = <n^2> - (mu + 1) <n>
-+ 2 D psi^2 - 4 D psi <a>, Cauchy-Schwarz (<a>^2 <= <n> <= <n^2>^(1/2))
-gives e0 >= <n> (<n> - B) + 2 D (psi - <n>^(1/2))^2, so wherever
-e0 <= e0(0) <= 0, <a> <= <n>^(1/2) <= sqrt(B) and
-e0' >= 4 D (psi - sqrt(B)).  Past sqrt(B), e0 therefore rises wherever it
-lies below e0(0), so a scan minimum below e0(0) cannot sit beyond the first
-grid point past sqrt(B), and its bracket end grid[i+1] is at most the
-second.  The grid and every bracket are unchanged; only its tail goes
-unscanned, which leaves every result bit for bit as a full scan gives it.
-The bound holds at any truncation and for B <= 0, where psi* = 0.
 
 Each point pays only for LAPACK.  The coarse scan is one stacked
 ``numpy.linalg.eigvalsh`` over the scanned matrices; the response and each
@@ -66,6 +68,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -73,7 +76,7 @@ from .errors import ConfigError, ConvergenceError, TruncationWarning
 from .numerics import brent_root
 from .landau import boundary_hopping, lobe_index
 
-COARSE_POINTS = 64
+COARSE_POINTS = 41  # scan points over [0, sqrt(B)] and two steps past it
 GOLDEN_TOL = 1e-8  # published bound on |dpsi| of the minimizer (meets ~1e-14)
 BOUNDARY_TOL = 1e-6  # published bound on |dD| of boundary_numeric (meets ~1e-12)
 RESPONSE_EPS = 1e-6  # psi at which boundary_numeric reads the linear response
@@ -84,41 +87,31 @@ MIN_N_MAX = 4  # smallest Fock truncation a MeanFieldProblem accepts
 dstev = None  # scipy's LAPACK routine, bound by _dstev on first use
 
 
+def check_n_max(n_max) -> None:
+    """ConfigError unless n_max is an integer >= MIN_N_MAX."""
+    if not (float(n_max).is_integer() and n_max >= MIN_N_MAX):
+        raise ConfigError("n_max must be an integer >= %d, got %r"
+                          % (MIN_N_MAX, n_max))
+
+
 @dataclass(frozen=True)
 class MeanFieldProblem:
-    """One (mu, D) point with Fock truncation n_max and search bound psi_max."""
+    """One (mu, D) point with Fock truncation n_max (default: lobe + 8)."""
 
     mu_over_U: float
     D_eff: float
-    n_max: int
-    psi_max: float
+    n_max: Optional[int] = None
 
     def __post_init__(self):
         if not math.isfinite(self.mu_over_U):
             raise ConfigError("mu_over_U must be finite")
         if not (math.isfinite(self.D_eff) and self.D_eff >= 0.0):
             raise ConfigError("D_eff must be finite and >= 0")
-        if self.n_max < MIN_N_MAX:
-            raise ConfigError("n_max must be >= %d" % MIN_N_MAX)
-        if not (math.isfinite(self.psi_max) and self.psi_max > 0.0):
-            raise ConfigError("psi_max must be finite and > 0")
-
-    @classmethod
-    def for_lobe(cls, mu, D, n_max=None, psi_max=None):
-        """Defaults: n_max = lobe + 8 and psi_max = max(sqrt(mu + 2) + 1,
-        sqrt(B) + 1e-3), with B = mu + 1 + 2 D.
-
-        B bounds psi*: at a stationary point psi = <a>, so the ground
-        energy is e0 = <n^2> - (mu + 1) <n> - 2 D psi^2.  Cauchy-Schwarz
-        gives psi^2 = <a>^2 <= <n> and <n>^2 <= <n^2>, so e0 >= <n> (<n> - B),
-        and the minimum has e0 <= e0(0) <= 0; hence psi*^2 <= <n> <= B.
-        """
+        n_max = self.n_max
         if n_max is None:
-            n_max = lobe_index(mu) + 8
-        if psi_max is None:
-            psi_max = max(math.sqrt(max(mu + 2.0, 0.0)) + 1.0,
-                          math.sqrt(max(mu + 1.0 + 2.0 * D, 0.0)) + 1e-3)
-        return cls(mu_over_U=mu, D_eff=D, n_max=int(n_max), psi_max=float(psi_max))
+            n_max = lobe_index(self.mu_over_U) + 8
+        check_n_max(n_max)
+        object.__setattr__(self, "n_max", int(n_max))
 
 
 @dataclass(frozen=True)
@@ -217,26 +210,9 @@ def a_expectation(problem: MeanFieldProblem, psi: float) -> float:
     return _Kernel(problem).eigenpair(psi)[2]
 
 
-def _scan_points(problem: MeanFieldProblem, grid) -> int:
-    """How many leading points of grid the coarse scan needs: up to the
-    first two past sqrt(B), B = mu + 1 + 2 D (see module docstring)."""
-    bound = problem.mu_over_U + 1.0 + 2.0 * problem.D_eff
-    return min(grid.size, int(math.sqrt(max(bound, 0.0)) / grid[1]) + 3)
-
-
 def minimize_order_parameter(problem: MeanFieldProblem) -> OracleResult:
-    """Minimize e0(psi) over [0, psi_max]; see module docstring."""
+    """Minimize e0(psi) over psi >= 0; see module docstring."""
     kernel = _Kernel(problem)
-    grid = np.linspace(0.0, problem.psi_max, COARSE_POINTS)
-    energies = kernel.scan(grid[:_scan_points(problem, grid)])
-    # eigvalsh is backward stable: a scan value can sit below the exact
-    # e0(0) = energies[0] by rounding of order n eps |H|, not by more
-    base = kernel._base
-    rounding = base.size * np.finfo(float).eps * np.abs(base).max()
-    i = int(np.argmin(energies))
-    if energies[i] >= energies[0] - rounding:
-        i = 0  # no point lies below e0(0)
-
     solved = {}  # psi -> eigenpair, so no psi is solved twice
 
     def eigenpair(p):
@@ -244,25 +220,38 @@ def minimize_order_parameter(problem: MeanFieldProblem) -> OracleResult:
             solved[p] = kernel.eigenpair(p)
         return solved[p]
 
-    if i <= 1 and eigenpair(RESPONSE_EPS)[2] / RESPONSE_EPS <= 1.0:
-        if i == 1:
+    bound = problem.mu_over_U + 1.0 + 2.0 * problem.D_eff
+    psi = 0.0  # the only candidate when B <= 0
+    if bound > 0.0:
+        step = math.sqrt(bound) / (COARSE_POINTS - 3)
+        grid = step * np.arange(COARSE_POINTS)
+        energies = kernel.scan(grid)
+        # eigvalsh is backward stable: a scan value can sit below the exact
+        # e0(0) = energies[0] by rounding of order n eps |H|, not by more
+        base = kernel._base
+        rounding = base.size * np.finfo(float).eps * np.abs(base).max()
+        i = int(np.argmin(energies))
+        if energies[i] >= energies[0] - rounding:
+            i = 0  # no point lies below e0(0)
+        stable = i <= 1 and eigenpair(RESPONSE_EPS)[2] / RESPONSE_EPS <= 1.0
+        if stable and i == 1:
             raise ConvergenceError(
                 "psi = 0 is linearly stable at mu = %r, D = %r, yet the scan "
                 "puts e0(%.6g) below e0(0) by %.3g: a first-order jump"
                 % (problem.mu_over_U, problem.D_eff, grid[1],
                    energies[0] - energies[1]))
-        psi = 0.0
-    else:
-        # for i <= 1, r > 1 makes psi = 0 a maximum: g(RESPONSE_EPS) < 0
-        lo = grid[i - 1] if i >= 2 else RESPONSE_EPS
-        hi = grid[min(i + 1, COARSE_POINTS - 1)]
-        try:  # g(p) = 1 - <a>(p) / p = e0'(p) / (4 D p)
-            psi = brent_root(lambda p: 1.0 - eigenpair(p)[2] / p, lo, hi,
-                             tol=ROOT_TOL)
-        except ValueError:
-            raise ConvergenceError(
-                "no stationary point of e0 in [%.6g, %.6g] at mu = %r, D = %r"
-                % (lo, hi, problem.mu_over_U, problem.D_eff)) from None
+        if not stable:
+            # for i <= 1, r > 1 makes psi = 0 a maximum: g(RESPONSE_EPS) < 0
+            lo = grid[i - 1] if i >= 2 else RESPONSE_EPS
+            hi = grid[min(i + 1, COARSE_POINTS - 1)]
+            try:  # g(p) = 1 - <a>(p) / p = e0'(p) / (4 D p)
+                psi = brent_root(lambda p: 1.0 - eigenpair(p)[2] / p, lo, hi,
+                                 tol=ROOT_TOL)
+            except ValueError:
+                raise ConvergenceError(
+                    "no stationary point of e0 in [%.6g, %.6g] at mu = %r, "
+                    "D = %r" % (lo, hi, problem.mu_over_U,
+                                problem.D_eff)) from None
 
     e0, vec, a_exp = eigenpair(psi)
     _warn_truncation(vec)
@@ -290,7 +279,7 @@ def _warn_truncation(vec):
 def boundary_numeric(mu: float, n_max=None) -> float:
     """Hopping D at which psi = 0 stops being stable: the root of r(D) = 1.
 
-    n_max=None takes MeanFieldProblem.for_lobe's default truncation.
+    n_max=None takes MeanFieldProblem's default truncation, lobe + 8.
 
     r(D) = <a>(RESPONSE_EPS; D) / RESPONSE_EPS is the linear response of
     the ground state, one dstev per evaluation.  By Hellmann-Feynman the
@@ -309,13 +298,12 @@ def boundary_numeric(mu: float, n_max=None) -> float:
     hi = boundary_hopping(mu, lobe_index(mu), "paper")  # raises at lobe corners
 
     def response_excess(D):
-        problem = MeanFieldProblem.for_lobe(mu, D, n_max=n_max)
-        return _Kernel(problem).response() - 1.0
+        return _Kernel(MeanFieldProblem(mu, D, n_max)).response() - 1.0
 
     D_star = brent_root(response_excess, 0.0, hi, tol=ROOT_TOL)
 
     def psi_at(D):
-        return converged_psi(MeanFieldProblem.for_lobe(mu, D, n_max=n_max))
+        return converged_psi(MeanFieldProblem(mu, D, n_max))
 
     below = psi_at(D_star * (1.0 - GUARD_STEP))
     above = psi_at(D_star * (1.0 + GUARD_STEP))

@@ -19,7 +19,7 @@ Each lobe n >= 1 peaks where d chi/d mu = 0, at the mean-field tip
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import landau
@@ -27,7 +27,7 @@ from .core import effective_hopping
 from .errors import ConfigError, ConvergenceError, DomainError, OutOfReachError
 from .landau import (CONVENTIONS, LOBE_TIP_TOL, VARIANT_FOR_CONVENTION,
                      _check_convention, boundary_hopping, lobe_index)
-from .oracle import MIN_N_MAX, MeanFieldProblem, converged_psi
+from .oracle import MeanFieldProblem, check_n_max, converged_psi
 
 PSI_METHODS = ("landau", "variational")
 
@@ -119,9 +119,9 @@ class SweepSpec:
     and fills (t_values x theta_values); 'costheta-curve' fills
     (lobes x t_values) with the critical cos(theta), defaulting each
     lobe's mu to its tip when lobe_mu is empty; lobes must be integral.
-    n_max, when given, must be at least the oracle's MIN_N_MAX.  workers
-    must be >= 1; cells are evaluated in order in one thread whatever its
-    value.
+    n_max, when given, must be an integer >= the oracle's MIN_N_MAX.
+    workers must be >= 1; cells are evaluated in order in one thread
+    whatever its value.
     """
 
     kind: str
@@ -141,12 +141,8 @@ class SweepSpec:
 class PhaseGrid:
     """Row-major sweep output; rows match columns positionally."""
 
-    kind: str
-    convention: str
-    psi_method: str
     columns: tuple
     rows: tuple
-    fixed: tuple = field(default_factory=tuple)  # (name, value) pairs
 
 
 def _axis(name, values, allow_any_sign=False):
@@ -172,8 +168,7 @@ def _phase_cell(mu, D, spec):
                 psi = landau.order_parameter_landau(
                     D, mu, n, VARIANT_FOR_CONVENTION[spec.convention])
             else:
-                psi = converged_psi(MeanFieldProblem.for_lobe(
-                    mu, D, n_max=spec.n_max))
+                psi = converged_psi(MeanFieldProblem(mu, D, spec.n_max))
         else:
             psi = 0.0  # exact zero on Mott/vacuum cells by contract
     except _CELL_ERRORS as exc:
@@ -188,8 +183,8 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
     _check_convention(spec.convention)
     if spec.psi_method not in PSI_METHODS:
         raise ConfigError("unknown psi method %r" % (spec.psi_method,))
-    if spec.n_max is not None and spec.n_max < MIN_N_MAX:
-        raise ConfigError("n_max must be >= %d" % MIN_N_MAX)
+    if spec.n_max is not None:
+        check_n_max(spec.n_max)
     if spec.workers < 1:
         raise ConfigError("workers must be >= 1")
 
@@ -201,8 +196,7 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
             for D in Ds:
                 n, label, psi = _phase_cell(mu, D, spec)
                 rows.append((mu, D, n, label, psi))
-        return PhaseGrid(spec.kind, spec.convention, spec.psi_method,
-                         ("mu_over_U", "D_eff", "lobe_n", "phase", "psi"),
+        return PhaseGrid(("mu_over_U", "D_eff", "lobe_n", "phase", "psi"),
                          tuple(rows))
 
     if spec.kind == "sensing-loop":
@@ -217,9 +211,8 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
                 D = effective_hopping(t, theta)
                 n, label, psi = _phase_cell(mu, D, spec)
                 rows.append((t, theta, D, n, label, psi))
-        return PhaseGrid(spec.kind, spec.convention, spec.psi_method,
-                         ("t_over_U", "theta", "D_eff", "lobe_n", "phase", "psi"),
-                         tuple(rows), fixed=(("mu_over_U", mu),))
+        return PhaseGrid(("t_over_U", "theta", "D_eff", "lobe_n", "phase",
+                          "psi"), tuple(rows))
 
     # costheta-curve
     ts = _axis("t", spec.t_values)
@@ -243,6 +236,5 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
             except _CELL_ERRORS as exc:
                 c, status = math.nan, "error:%s" % exc.code
             rows.append((n, mu, t, c, status))
-    return PhaseGrid(spec.kind, spec.convention, spec.psi_method,
-                     ("lobe_n", "mu_over_U", "t_over_U", "costheta_c", "status"),
-                     tuple(rows))
+    return PhaseGrid(("lobe_n", "mu_over_U", "t_over_U", "costheta_c",
+                      "status"), tuple(rows))

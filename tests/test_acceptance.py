@@ -73,8 +73,7 @@ def test_acceptance_3_landau_oracle_agreement():
         t_edge = boundary_hopping(mu, 1, "variational") / math.cos(theta)
         for dtheta in (0.002, 0.005):
             D = t_edge * math.cos(theta - dtheta)
-            psi = minimize_order_parameter(
-                MeanFieldProblem.for_lobe(mu, D, n_max=12)).psi_star
+            psi = minimize_order_parameter(MeanFieldProblem(mu, D, 12)).psi_star
             pred = kap * delta_exact(theta, dtheta)
             if psi > 0.1:
                 failures.append("psi %.3f beyond the small-psi regime" % psi)
@@ -174,7 +173,7 @@ def test_acceptance_6_bh_parameter_independence():
 def test_acceptance_7_oracle_integrity():
     failures = []
     for mu, D in ((1.0, 0.25), (0.6, 0.2), (3.0, 0.15), (-0.5, 0.4)):
-        prob = MeanFieldProblem.for_lobe(mu, D)
+        prob = MeanFieldProblem(mu, D)
         res = minimize_order_parameter(prob)
         e0, vec = ground_energy(prob, res.psi_star)
         H = build_hamiltonian(prob, res.psi_star)
@@ -190,8 +189,7 @@ def test_acceptance_7_oracle_integrity():
                 - ground_energy(prob, res.psi_star - h)[0]) / (2.0 * h)
         if abs(grad) > 1e-4:
             failures.append("gradient %.2e at (%g, %g)" % (grad, mu, D))
-        bigger = MeanFieldProblem(prob.mu_over_U, prob.D_eff,
-                                  prob.n_max + 2, prob.psi_max)
+        bigger = MeanFieldProblem(mu, D, prob.n_max + 2)
         drift = abs(minimize_order_parameter(bigger).psi_star - res.psi_star)
         if drift > 1e-8:
             failures.append("truncation drift %.2e at (%g, %g)"

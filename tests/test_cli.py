@@ -53,7 +53,11 @@ def test_bad_requests_exit_2_without_output(tmp_path):
     for argv in (["resolution", "--theta-grid", "0:1e308:1e-300"],
                  ["costheta-curve", "--t-grid", "0.5", "--lobes", "1.5"],
                  ["phase-diagram", "--psi-method", "variational",
-                  "--n-max", "3", "--mu-grid", "1.0", "--d-grid", "0.05,0.5"]):
+                  "--n-max", "3", "--mu-grid", "1.0", "--d-grid", "0.05,0.5"],
+                 ["resolution", "--theta-grid", "1.0", "--gamma=-1"],
+                 ["resolution", "--theta-grid", "1.0", "--gamma", "nan"],
+                 ["sensitivity", "--theta-grid", "1.0",
+                  "--dtheta-points", "1"]):
         status, _, err = run_cli(argv + ["--output", str(out)])
         assert status == 2, argv
         assert not out.exists()
@@ -349,6 +353,20 @@ def test_invert_roundtrip_cli():
     assert abs(row["delta_theta"] - 0.05) < 1e-9
     assert abs(row["delta_omega"] - 0.05 / 0.043) < 1e-7
     assert row["ambiguous"] is False
+    # --omega with the frame flags is the one lab-units path to one angle:
+    # theta = gamma * omega, and the row is the --theta run's at that angle
+    status, out, err = run_cli(["invert", "--delta-measured", "0.05",
+                                "--mu", "1.0", "--omega", "20",
+                                "--mass-amu", "87", "--radius-um", "10",
+                                "--sites", "20"])
+    assert status == 0, err
+    _, cols, rows = parse_csv(out)
+    row = dict(zip(cols, rows[0]))
+    assert row["theta"] == row["gamma"] * 20.0
+    status, direct, _ = run_cli(["invert", "--delta-measured", "0.05",
+                                 "--mu", "1.0", "--theta", repr(row["theta"]),
+                                 "--gamma", repr(row["gamma"])])
+    assert status == 0 and parse_csv(direct)[2] == rows
 
 
 def test_invert_error_paths():
@@ -371,6 +389,11 @@ def test_invert_error_paths():
     status, _, _ = run_cli(["invert", "--delta-measured", "0.1",
                             "--mu", "1.0", "--gamma", "0.043"])
     assert status == 2
+    # an angle but no gamma
+    status, out, err = run_cli(["invert", "--delta-measured", "0.1",
+                                "--mu", "1.0", "--theta", "0.9"])
+    assert status == 2 and out == ""
+    assert "needs --gamma or the frame flags" in err
     # frame and gamma together
     status, _, _ = run_cli(["invert", "--delta-measured", "0.1",
                             "--mu", "1.0", "--theta", "0.9",
@@ -523,6 +546,15 @@ def test_config_boolean_flag(tmp_path):
     a_fit = rows[0][2]
     eps_plain = 0.024970232294427394
     assert abs(rows[0][4] - eps_plain / a_fit) < 1e-9
+    # the --config=PATH spelling reads the same file
+    assert run_cli(["resolution", "--theta-grid", "1.0", "--mode", "fit",
+                    "--config=%s" % cfg]) == (0, out, "")
+    # a boolean key takes true/false (or 1/0, yes/no) only
+    cfg.write_text("literal_exponent = maybe\n", encoding="utf-8")
+    status, out, err = run_cli(["resolution", "--theta-grid", "1.0",
+                                "--mode", "fit", "--config", str(cfg)])
+    assert status == 2 and out == ""
+    assert "boolean config key 'literal_exponent'" in err
 
 
 def test_version_and_usage_errors():

@@ -52,6 +52,10 @@ def test_chi_corner_and_domain_errors():
         chi_susceptibility(2.5, 1)
     with pytest.raises(DomainError):
         chi_susceptibility(-0.5, 1)
+    # a subnormal gap next to the corner mu = 0 overflows chi
+    for mu, n in ((-5e-324, 0), (-1e-310, 0), (1e-320, 1)):
+        with pytest.raises(DomainError):
+            chi_susceptibility(mu, n)
 
 
 def test_a2_variants():

@@ -1,6 +1,5 @@
 import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,29 +16,24 @@ from rotobh.phase_diagram import boundary_hopping, lobe_index
 
 
 def test_problem_validation():
-    with pytest.raises(ConfigError):
-        MeanFieldProblem(1.0, -0.1, 10, 2.0)
-    with pytest.raises(ConfigError):
-        MeanFieldProblem(1.0, 0.1, 3, 2.0)
-    with pytest.raises(ConfigError):
-        MeanFieldProblem(math.nan, 0.1, 10, 2.0)
-    with pytest.raises(ConfigError):
-        MeanFieldProblem(1.0, 0.1, 10, 0.0)
+    for mu, D, n_max in ((1.0, -0.1, 10), (1.0, 0.1, 3), (math.nan, 0.1, 10),
+                         (1.0, 0.1, 12.5), (1.0, 0.1, math.inf),
+                         (1.0, 0.1, math.nan)):
+        with pytest.raises(ConfigError):
+            MeanFieldProblem(mu, D, n_max)
 
 
-def test_for_lobe_defaults():
-    p = MeanFieldProblem.for_lobe(1.0, 0.2)
-    assert p.n_max == 9  # lobe 1 plus eight guard levels
-    assert abs(p.psi_max - (math.sqrt(3.0) + 1.0)) < 1e-15
-    assert MeanFieldProblem.for_lobe(3.0, 0.2).n_max == 10
-    assert MeanFieldProblem.for_lobe(-4.0, 0.2).psi_max == 1.0
-    # deep in the superfluid the bound sqrt(mu + 1 + 2 D) takes over
-    assert MeanFieldProblem.for_lobe(-1.0, 4.0).psi_max == math.sqrt(8.0) + 1e-3
-    assert MeanFieldProblem.for_lobe(1.0, 0.2, n_max=15).n_max == 15
+def test_default_truncation():
+    assert MeanFieldProblem(1.0, 0.2).n_max == 9  # lobe 1 plus eight levels
+    assert MeanFieldProblem(3.0, 0.2).n_max == 10
+    assert MeanFieldProblem(-4.0, 0.2).n_max == 8
+    assert MeanFieldProblem(1.0, 0.2, 15).n_max == 15
+    n_max = MeanFieldProblem(1.0, 0.2, 12.0).n_max  # integral: accepted
+    assert n_max == 12 and isinstance(n_max, int)
 
 
 def test_hamiltonian_structure():
-    p = MeanFieldProblem(1.3, 0.2, 5, 2.0)
+    p = MeanFieldProblem(1.3, 0.2, 5)
     H = build_hamiltonian(p, 0.4)
     assert H.shape == (6, 6)
     assert np.allclose(H, H.T)
@@ -51,7 +45,7 @@ def test_hamiltonian_structure():
 
 
 def test_ground_energy_matches_dense_solver():
-    p = MeanFieldProblem(1.0, 0.25, 12, 2.0)
+    p = MeanFieldProblem(1.0, 0.25, 12)
     for psi in (0.0, 0.3, 0.7):
         e0, vec = ground_energy(p, psi)
         H = build_hamiltonian(p, psi)
@@ -62,7 +56,7 @@ def test_ground_energy_matches_dense_solver():
 
 
 def test_a_expectation_zero_hopping():
-    p = MeanFieldProblem(1.0, 0.0, 8, 2.0)
+    p = MeanFieldProblem(1.0, 0.0, 8)
     # D = 0 at psi = 0: number eigenstate |1>, so <a> = 0
     assert a_expectation(p, 0.0) == 0.0
     e0, vec = ground_energy(p, 0.0)
@@ -71,7 +65,7 @@ def test_a_expectation_zero_hopping():
 
 
 def test_minimizer_zero_hopping_shortcut():
-    res = minimize_order_parameter(MeanFieldProblem(1.0, 0.0, 8, 2.0))
+    res = minimize_order_parameter(MeanFieldProblem(1.0, 0.0, 8))
     assert isinstance(res, OracleResult)
     assert res.psi_star == 0.0
     assert res.a_expect == 0.0
@@ -85,7 +79,7 @@ def test_minimizer_mott_side_is_exactly_zero():
              + [(mu, D) for mu in (-1.0, 1.0, 3.0, 5.0)
                 for D in (1e-300, 1e-15, 1e-12)])
     for mu, D in cases:
-        res = minimize_order_parameter(MeanFieldProblem.for_lobe(mu, D))
+        res = minimize_order_parameter(MeanFieldProblem(mu, D))
         assert res.psi_star == 0.0, (mu, D)
         assert res.converged
 
@@ -98,14 +92,14 @@ def test_minimizer_superfluid_values():
              (3.0, 0.15): 0.920673703004705,
              (-0.5, 0.40): 0.526768670238001}
     for (mu, D), expected in cases.items():
-        res = minimize_order_parameter(MeanFieldProblem.for_lobe(mu, D))
+        res = minimize_order_parameter(MeanFieldProblem(mu, D))
         assert res.converged
         assert abs(res.psi_star - expected) < 1e-11, (mu, D)
         assert abs(res.psi_star - res.a_expect) <= 1e-9
 
 
 def test_minimizer_is_a_local_minimum():
-    p = MeanFieldProblem.for_lobe(1.0, 0.25)
+    p = MeanFieldProblem(1.0, 0.25)
     res = minimize_order_parameter(p)
     h = 1e-4
     e_plus = ground_energy(p, res.psi_star + h)[0]
@@ -115,8 +109,8 @@ def test_minimizer_is_a_local_minimum():
 
 def test_onset_continuity_near_boundary():
     # D_cv(1.0) = 1/6; just above it psi grows from ~0 continuously
-    psi_lo = minimize_order_parameter(MeanFieldProblem.for_lobe(1.0, 0.16667)).psi_star
-    psi_hi = minimize_order_parameter(MeanFieldProblem.for_lobe(1.0, 0.168)).psi_star
+    psi_lo = minimize_order_parameter(MeanFieldProblem(1.0, 0.16667)).psi_star
+    psi_hi = minimize_order_parameter(MeanFieldProblem(1.0, 0.168)).psi_star
     assert 0.0 < psi_lo < 0.02
     assert psi_lo < psi_hi < 0.2
 
@@ -127,10 +121,10 @@ def test_minimizer_decides_at_the_boundary():
     mu, n = 3.0, lobe_index(3.0)
     D_cv = boundary_hopping(mu, n, "variational")
     below = minimize_order_parameter(
-        MeanFieldProblem.for_lobe(mu, D_cv * (1.0 - 1e-8), n_max=14))
+        MeanFieldProblem(mu, D_cv * (1.0 - 1e-8), 14))
     assert below.psi_star == 0.0 and below.converged
     D = D_cv * (1.0 + 1e-8)
-    above = minimize_order_parameter(MeanFieldProblem.for_lobe(mu, D, n_max=14))
+    above = minimize_order_parameter(MeanFieldProblem(mu, D, 14))
     landau = order_parameter_landau(D, mu, n, "variational")
     assert above.converged
     assert abs(above.psi_star / landau - 1.0) < 1e-3
@@ -146,7 +140,7 @@ def test_minimizer_straddles_the_boundary(lobe, frac, n_max, log_rel):
 
     def psi(D):
         return minimize_order_parameter(
-            MeanFieldProblem.for_lobe(mu, D, n_max=n_max)).psi_star
+            MeanFieldProblem(mu, D, n_max)).psi_star
 
     assert psi(D_b * (1.0 - rel)) == 0.0
     above, nearer = psi(D_b * (1.0 + rel)), psi(D_b * (1.0 + rel / 4.0))
@@ -154,42 +148,19 @@ def test_minimizer_straddles_the_boundary(lobe, frac, n_max, log_rel):
     assert abs(above / nearer - 2.0) <= 1e-2  # psi ~ sqrt(D - D_b)
 
 
-def test_minimizer_unbracketed_root_is_an_error():
-    # the minimum lies beyond psi_max = 1.4, so h does not change sign
+def test_minimizer_unbracketed_root_is_an_error(monkeypatch):
+    # a scan minimum moved to the grid's far end, past sqrt(B): g > 0 over
+    # the whole bracket, so it holds no root
+    real = oracle._Kernel.scan
+
+    def far_end(self, grid):
+        energies = real(self, grid)
+        energies[-1] = energies.min() - 1.0
+        return energies
+
+    monkeypatch.setattr(oracle._Kernel, "scan", far_end)
     with pytest.raises(ConvergenceError, match="no stationary point"):
-        minimize_order_parameter(
-            MeanFieldProblem.for_lobe(-1.84, 2.9, psi_max=1.4))
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(lobe=st.integers(0, 3), frac=st.floats(0.01, 0.99),
-       scale=st.floats(0.0, 10.0))
-def test_default_psi_max_brackets_the_minimum(lobe, frac, scale):
-    # psi*^2 <= <n>, and <n> is 0 or at most B = mu + 1 + 2 D, so the
-    # default search bound holds the minimum; a tight truncation may warn
-    mu = 2.0 * (lobe - 1 + frac)
-    D = scale * boundary_hopping(mu, lobe, "variational")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        res = minimize_order_parameter(MeanFieldProblem.for_lobe(mu, D))
-    assert res.converged
-    assert res.psi_star ** 2 <= max(mu + 1.0 + 2.0 * D, 0.0)
-
-
-def _outcome(problem):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        try:
-            return minimize_order_parameter(problem)
-        except ConvergenceError as exc:
-            return type(exc)
-
-
-def _full_scan_outcome(problem):
-    """The minimizer with its coarse scan over all COARSE_POINTS."""
-    with mock.patch.object(oracle, "_scan_points",
-                           lambda problem, grid: grid.size):
-        return _outcome(problem)
+        minimize_order_parameter(MeanFieldProblem(1.0, 0.25))
 
 
 _CELL = st.one_of(
@@ -200,33 +171,32 @@ _CELL = st.one_of(
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(cell=_CELL, n_max=st.one_of(st.none(), st.integers(4, 16)),
-       psi_max=st.one_of(st.none(), st.floats(0.1, 5.0)))
-def test_scan_cut_matches_the_full_scan(cell, n_max, psi_max):
+@given(cell=_CELL, n_max=st.one_of(st.none(), st.integers(4, 16)))
+def test_scan_grid_brackets_the_minimum(cell, n_max):
+    # psi*^2 <= B = mu + 1 + 2 D, and past sqrt(B) e0 rises wherever it lies
+    # below e0(0), so the scan over [0, sqrt(B)] and two steps past it holds
+    # the global minimum at any truncation; a tight truncation may warn
     lobe, x, y = cell
     if lobe is None:
         mu, D = x, 0.5 * y * (-1.0 - x)
     else:
         mu = 2.0 * (lobe - 1 + x)
         D = y * boundary_hopping(mu, lobe, "variational")
-    p = MeanFieldProblem.for_lobe(mu, D, n_max=n_max, psi_max=psi_max)
-    assert _outcome(p) == _full_scan_outcome(p)
-
-    # past sqrt(B), e0 rises wherever it lies below e0(0), so when the scan
-    # is cut, a full-scan argmin below e0(0) and its bracket end grid[i + 1]
-    # are both scanned
-    kernel = oracle._Kernel(p)
-    grid = np.linspace(0.0, p.psi_max, COARSE_POINTS)
-    energies = kernel.scan(grid)
-    i, m = int(np.argmin(energies)), oracle._scan_points(p, grid)
-    rounding = (kernel._base.size * np.finfo(float).eps
-                * np.abs(kernel._base).max())
-    if m < COARSE_POINTS and energies[i] < energies[0] - rounding:
-        assert i < m - 1
+    p = MeanFieldProblem(mu, D, n_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        res = minimize_order_parameter(p)
+    B = max(mu + 1.0 + 2.0 * D, 0.0)
+    assert res.converged
+    assert res.psi_star ** 2 <= B
+    # nothing lower on a dense scan twice as far out
+    far = np.linspace(0.0, 2.0 * math.sqrt(B) + 1.0, 401)
+    lowest = oracle._Kernel(p).scan(far).min()
+    assert res.e0 <= lowest + 1e-12 * max(1.0, abs(lowest))
 
 
 def test_minimizer_scan_against_stable_mott_is_an_error(monkeypatch):
-    p = MeanFieldProblem.for_lobe(1.0, 0.1)  # Mott: r < 1
+    p = MeanFieldProblem(1.0, 0.1)  # Mott: r < 1
     real = oracle._Kernel.scan
 
     def dip(depth):
@@ -300,10 +270,10 @@ def test_boundary_numeric_first_order_guard(monkeypatch):
 
 def test_truncation_warning():
     with pytest.warns(TruncationWarning):
-        minimize_order_parameter(MeanFieldProblem(3.0, 0.5, 4, 3.0))
+        minimize_order_parameter(MeanFieldProblem(3.0, 0.5, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        minimize_order_parameter(MeanFieldProblem.for_lobe(1.0, 0.25))
+        minimize_order_parameter(MeanFieldProblem(1.0, 0.25))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -315,7 +285,7 @@ def test_truncation_warning_fires_when_n_max_is_too_small(lobe, frac, ratio):
     mu = 2.0 * (lobe - 1 + frac)
     D = ratio * boundary_hopping(mu, lobe, "variational")
     with pytest.warns(TruncationWarning):
-        res = minimize_order_parameter(MeanFieldProblem.for_lobe(mu, D, n_max=4))
+        res = minimize_order_parameter(MeanFieldProblem(mu, D, 4))
     assert res.psi_star > 0.0
 
 
@@ -324,15 +294,15 @@ def test_truncation_warning_fires_when_n_max_is_too_small(lobe, frac, ratio):
        scale=st.floats(0.0, 1.0))
 def test_default_truncation_does_not_warn(lobe, frac, scale):
     # measured onset of the warning at n_max = lobe + 8, in D / D_cv over
-    # each lobe: 1.95 in the vacuum lobe (near mu = -2, where psi_max is
-    # smallest), 7.25 in lobe 1 and none up to 10 in lobes 2-3; the domain
-    # stops at 1.5 and 5 to keep clear of those onsets
+    # each lobe: 1.95 in the vacuum lobe (near mu = -2), 7.25 in lobe 1 and
+    # none up to 10 in lobes 2-3; the domain stops at 1.5 and 5 to keep
+    # clear of those onsets
     mu = 2.0 * (lobe - 1 + frac)
     D = scale * (1.5 if lobe == 0 else 5.0) * boundary_hopping(mu, lobe,
                                                                 "variational")
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
-        minimize_order_parameter(MeanFieldProblem.for_lobe(mu, D))
+        minimize_order_parameter(MeanFieldProblem(mu, D))
 
 
 def _dense_a(vec):
@@ -343,7 +313,7 @@ def _dense_a(vec):
 @given(mu=st.floats(-1.0, 5.0), D=st.floats(0.0, 0.6),
        psi=st.floats(0.0, 3.0), n_max=st.integers(4, 16))
 def test_kernel_matches_dense_eigh(mu, D, psi, n_max):
-    p = MeanFieldProblem(mu, D, n_max, 3.0)
+    p = MeanFieldProblem(mu, D, n_max)
     H = build_hamiltonian(p, psi)
     w, v = np.linalg.eigh(H)
     e0, vec = ground_energy(p, psi)
@@ -356,10 +326,10 @@ def test_kernel_matches_dense_eigh(mu, D, psi, n_max):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(mu=st.floats(-1.0, 5.0), D=st.floats(0.0, 0.6),
-       psi_max=st.floats(0.1, 4.0), n_max=st.integers(4, 16))
-def test_stacked_scan_matches_scalar_energies(mu, D, psi_max, n_max):
-    p = MeanFieldProblem(mu, D, n_max, psi_max)
-    grid = np.linspace(0.0, psi_max, COARSE_POINTS)
+       top=st.floats(0.1, 4.0), n_max=st.integers(4, 16))
+def test_stacked_scan_matches_scalar_energies(mu, D, top, n_max):
+    p = MeanFieldProblem(mu, D, n_max)
+    grid = np.linspace(0.0, top, COARSE_POINTS)
     stacked = oracle._Kernel(p).scan(grid)
     scalar = np.array([ground_energy(p, x)[0] for x in grid])
     assert stacked.shape == grid.shape
@@ -376,14 +346,14 @@ def _eigvalsh_fails(a):
 
 
 def test_lapack_failure_is_an_error(monkeypatch):
-    p = MeanFieldProblem.for_lobe(1.0, 0.25)
+    p = MeanFieldProblem(1.0, 0.25)
     with monkeypatch.context() as m:
         m.setattr(oracle, "dstev", _dstev_fails)
         for call in (lambda: ground_energy(p, 0.3),
                      lambda: a_expectation(p, 0.3),
                      lambda: minimize_order_parameter(p),
                      lambda: minimize_order_parameter(
-                         MeanFieldProblem(1.0, 0.0, 8, 2.0))):
+                         MeanFieldProblem(1.0, 0.0, 8))):
             with pytest.raises(ConvergenceError, match="dstev"):
                 call()
     with monkeypatch.context() as m:
