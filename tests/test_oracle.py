@@ -170,12 +170,27 @@ _CELL = st.one_of(
     st.tuples(st.just(None), st.floats(-4.0, -1.0), st.floats(0.0, 1.0)))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lobe=st.integers(0, 3), frac=st.floats(0.01, 0.99),
+       scale=st.floats(0.0, 10.0))
+def test_default_psi_max_brackets_the_minimum(lobe, frac, scale):
+    # psi*^2 <= <n>, and <n> is 0 or at most B = mu + 1 + 2 D, so the
+    # default search bound, the scan's reach sqrt(B) plus two steps, holds
+    # the minimum; a tight truncation may warn
+    mu = 2.0 * (lobe - 1 + frac)
+    D = scale * boundary_hopping(mu, lobe, "variational")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        res = minimize_order_parameter(MeanFieldProblem(mu, D))
+    assert res.converged
+    assert res.psi_star ** 2 <= max(mu + 1.0 + 2.0 * D, 0.0)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(cell=_CELL, n_max=st.one_of(st.none(), st.integers(4, 16)))
-def test_scan_grid_brackets_the_minimum(cell, n_max):
-    # psi*^2 <= B = mu + 1 + 2 D, and past sqrt(B) e0 rises wherever it lies
-    # below e0(0), so the scan over [0, sqrt(B)] and two steps past it holds
-    # the global minimum at any truncation; a tight truncation may warn
+def test_scan_cut_matches_the_full_scan(cell, n_max):
+    # the scan stops two steps past sqrt(B) at any truncation; a dense scan
+    # twice as far out finds nothing lower than the minimizer's e0
     lobe, x, y = cell
     if lobe is None:
         mu, D = x, 0.5 * y * (-1.0 - x)
@@ -189,10 +204,22 @@ def test_scan_grid_brackets_the_minimum(cell, n_max):
     B = max(mu + 1.0 + 2.0 * D, 0.0)
     assert res.converged
     assert res.psi_star ** 2 <= B
-    # nothing lower on a dense scan twice as far out
+    kernel = oracle._Kernel(p)
     far = np.linspace(0.0, 2.0 * math.sqrt(B) + 1.0, 401)
-    lowest = oracle._Kernel(p).scan(far).min()
+    lowest = kernel.scan(far).min()
     assert res.e0 <= lowest + 1e-12 * max(1.0, abs(lowest))
+    if B == 0.0:
+        return
+    # past sqrt(B), e0 rises wherever it lies below e0(0), so a scan minimum
+    # below e0(0) is not the last grid point and its bracket end grid[i + 1]
+    # is scanned
+    grid = math.sqrt(B) / (COARSE_POINTS - 3) * np.arange(COARSE_POINTS)
+    energies = kernel.scan(grid)
+    i = int(np.argmin(energies))
+    rounding = (kernel._base.size * np.finfo(float).eps
+                * np.abs(kernel._base).max())
+    if energies[i] < energies[0] - rounding:
+        assert i < COARSE_POINTS - 1
 
 
 def test_minimizer_scan_against_stable_mott_is_an_error(monkeypatch):
