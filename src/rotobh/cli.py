@@ -36,27 +36,31 @@ TOLERANCES = {
 
 
 def parse_grid(text: str):
-    """'start:stop:step' (inclusive), 'x,y,z', or a single value."""
-    s = text.strip()
+    """'start:stop:step' (inclusive), 'x,y,z', or a single value.
+
+    Every value must be finite: NaN and +-inf are configuration errors in
+    each form.
+    """
+    parts = text.strip().split(":")
+    ranged = len(parts) > 1
+    if ranged and len(parts) != 3:
+        raise ConfigError("grid %r is not start:stop:step" % (text,))
     try:
-        if ":" in s:
-            parts = s.split(":")
-            if len(parts) != 3:
-                raise ConfigError("grid %r is not start:stop:step" % (text,))
-            start, stop, step = (float(p) for p in parts)
-            if not (math.isfinite(start) and math.isfinite(stop)
-                    and math.isfinite(step)) or step <= 0.0 or stop < start:
-                raise ConfigError("bad grid range %r" % (text,))
-            span = (stop - start) / step  # inf once the count overflows
-            if not math.isfinite(span):
-                raise ConfigError("grid %r has too many points" % (text,))
-            count = int(math.floor(span + 1.0 + 1e-9))
-            return tuple(start + i * step for i in range(count))
-        if "," in s:
-            return tuple(float(p) for p in s.split(","))
-        return (float(s),)
+        values = tuple(map(float, parts if ranged else parts[0].split(",")))
     except ValueError:
         raise ConfigError("cannot parse grid %r" % (text,))
+    if not all(map(math.isfinite, values)):
+        raise ConfigError("grid %r has a non-finite value" % (text,))
+    if not ranged:
+        return values
+    start, stop, step = values
+    if step <= 0.0 or stop < start:
+        raise ConfigError("bad grid range %r" % (text,))
+    span = (stop - start) / step  # inf once the count overflows
+    if not math.isfinite(span):
+        raise ConfigError("grid %r has too many points" % (text,))
+    count = int(math.floor(span + 1.0 + 1e-9))
+    return tuple(start + i * step for i in range(count))
 
 
 def load_config(path: str) -> dict:
@@ -194,7 +198,7 @@ def build_parser():
     p = subs.add_parser("resolution",
                         help="half-maximum resolution per operating angle")
     p.add_argument("--theta-grid", required=True)
-    p.add_argument("--mode", choices=("exact", "fit"), default="exact")
+    p.add_argument("--mode", choices=sensing.MODES, default="exact")
     p.add_argument("--grid-points", type=int, default=sensing.FIT_GRID_POINTS)
     p.add_argument("--literal-exponent", action="store_true",
                    help="use the a^-2 prefactor variant in fit mode")

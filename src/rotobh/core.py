@@ -28,7 +28,11 @@ ATOMIC_MASS = 1.66053906660e-27  # kg
 
 @dataclass(frozen=True)
 class RingFrame:
-    """Physical ring: mass [kg], radius [m], site count."""
+    """Physical ring: mass [kg], radius [m], site count.
+
+    ConfigError unless mass and radius are finite and > 0, sites is an
+    integer >= 3, and the gamma they give is finite and > 0.
+    """
 
     mass: float
     radius: float
@@ -42,6 +46,13 @@ class RingFrame:
         if (not math.isfinite(self.sites) or int(self.sites) != self.sites
                 or self.sites < 3):
             raise ConfigError("sites must be an integer >= 3")
+        try:
+            gamma = scale_factor(self)
+        except OverflowError:  # radius ** 2 raises where a product gives inf
+            gamma = math.inf
+        if not (math.isfinite(gamma) and gamma > 0.0):
+            raise ConfigError("gamma = 2 pi m R^2 / (N hbar) = %g is not "
+                              "finite and > 0" % gamma)
 
     @classmethod
     def from_lab_units(cls, mass_amu, radius_um, sites):

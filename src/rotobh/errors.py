@@ -1,4 +1,5 @@
-"""Exception hierarchy, warning classes, and process exit codes."""
+"""Exception hierarchy, warning classes, process exit codes, and the one
+check that a value is among a table of named options."""
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,3 +70,10 @@ class TruncationWarning(UserWarning):
 
 class FitQualityWarning(UserWarning):
     """Least-squares residual RMS exceeds the documented threshold."""
+
+
+def check_choice(what, value, choices):
+    """ConfigError unless value is one of choices."""
+    if value not in choices:
+        raise ConfigError("%s must be one of %s, got %r"
+                          % (what, ", ".join(map(repr, choices)), value))

@@ -50,13 +50,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DegenerateGapError, DomainError, InvalidExpansionError
+from .errors import (DegenerateGapError, DomainError, InvalidExpansionError,
+                     check_choice)
 
 A2_VARIANTS = ("literal", "consistent", "variational")
 CONVENTIONS = ("paper", "variational")
 
-# Landau a2 variant whose root reproduces each boundary convention.
+# Landau a2 variant whose root reproduces each boundary convention; these
+# are the variants with a boundary, the ones kappa and psi accept.
 VARIANT_FOR_CONVENTION = {"paper": "consistent", "variational": "variational"}
+BOUNDARY_VARIANTS = tuple(VARIANT_FOR_CONVENTION.values())
 
 LOBE_TIP_TOL = 1e-10  # published bound on |d mu| of lobe_tip (meets ~1 ulp)
 
@@ -116,22 +119,16 @@ def chi_susceptibility(mu: float, n: int) -> float:
     return chi
 
 
-def _check_convention(convention: str) -> None:
-    if convention not in CONVENTIONS:
-        raise ConfigError("unknown convention %r" % (convention,))
-
-
 def boundary_hopping(mu: float, n: int, convention: str = "paper") -> float:
     """Critical effective hopping of lobe n at chemical potential mu."""
-    _check_convention(convention)
+    check_choice("convention", convention, CONVENTIONS)
     D_c = -1.0 / chi_susceptibility(mu, n)
     return D_c if convention == "paper" else 0.5 * D_c
 
 
 def a2(D: float, mu: float, n: int, variant: str = "consistent") -> float:
     """Quadratic Landau coefficient in the requested convention."""
-    if variant not in A2_VARIANTS:
-        raise ConfigError("unknown a2 variant %r" % (variant,))
+    check_choice("a2 variant", variant, A2_VARIANTS)
     if D < 0.0:
         raise DomainError("effective hopping must be >= 0")
     chi = chi_susceptibility(mu, n)
@@ -177,12 +174,6 @@ def _positive_bracket(mu: float, n: int) -> float:
     return B
 
 
-def _check_boundary_variant(variant: str, what: str) -> None:
-    if variant not in ("consistent", "variational"):
-        raise ConfigError("%s needs variant 'consistent' or "
-                          "'variational', got %r" % (what, variant))
-
-
 def _quartic(D: float, B: float) -> float:
     """16 D^4 B, or DomainError where it is not finite."""
     try:
@@ -204,7 +195,7 @@ def a4(D: float, mu: float, n: int) -> float:
 def order_parameter_landau(D: float, mu: float, n: int,
                            variant: str = "consistent") -> float:
     """psi = sqrt(-a2/(2 a4)) when a2 < 0, else 0 (Mott side)."""
-    _check_boundary_variant(variant, "order parameter")
+    check_choice("order-parameter variant", variant, BOUNDARY_VARIANTS)
     a2_val = a2(D, mu, n, variant)
     if a2_val >= 0.0:
         return 0.0
@@ -219,7 +210,7 @@ def kappa(mu: float, n: int, variant: str = "consistent") -> float:
                    consistent value.
     Independent of t/U and of the rotation state by construction.
     """
-    _check_boundary_variant(variant, "kappa")
+    check_choice("kappa variant", variant, BOUNDARY_VARIANTS)
     D_c = boundary_hopping(mu, n, "paper")
     B = _positive_bracket(mu, n)
     if variant == "consistent":

@@ -184,64 +184,45 @@ def brent_root(f, lo, hi, tol=1e-10, max_iter=100):
                                                         min(b, c), max(b, c)))
 
 
-_BRANCH_POINT = -1.0 / math.e
+# lambert_w's domain: the resolution formula sends it z = -delta_max / 2
+# with 0 < delta_max <= e^-1, and exactly this z when the fit saturates.
+LAMBERT_Z_MIN = -0.5 * math.exp(-1.0)
 
 
 def _halley_w(w, z, max_iter=80):
-    # Halley iteration on f(w) = w e^w - z; quadratic-plus convergence
-    # from any reasonable starting guess on the correct branch.
+    # Halley iteration on f(w) = w e^w - z (Corless et al., below).  On
+    # lambert_w's domain every iterate stays in [-0.24, 0), where
+    # w + 1 >= 0.76, so no step divides by a small or non-finite number.
     for _ in range(max_iter):
         ew = math.exp(w)
         err = w * ew - z
         if err == 0.0:
             return w
         wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * err / (2.0 * wp1)
-        if denom == 0.0 or not math.isfinite(denom):
+        step = err / (ew * wp1 - (w + 2.0) * err / (2.0 * wp1))
+        w -= step
+        if abs(step) <= 1e-15:
             return w
-        step = err / denom
-        w_next = w - step
-        if not math.isfinite(w_next):
-            return w
-        if abs(step) <= 1e-15 * max(1.0, abs(w_next)):
-            return w_next
-        w = w_next
     return w
 
 
 def lambert_w(z):
-    """Principal real Lambert W: the w >= -1 with w*exp(w) = z, z >= -1/e.
+    """Principal real Lambert W on the fit's range LAMBERT_Z_MIN <= z < 0.
 
-    The start is the series at the branch point z = -1/e near it,
-    z exp(-min(z, 1)) below e and log asymptotics beyond; guarded Halley
-    steps refine it (Corless, Gonnet, Hare, Jeffrey & Knuth, Adv. Comput.
-    Math. 5, 329 (1996)).  Returns w only once
-    |w e^w - z| <= 1e-12 max(|z|, 1e-300); ConvergenceError otherwise.
+    The fit-mode resolution is W0(-delta_max / 2)^2 / a with
+    0 < delta_max <= e^-1 (sensing._fit_peak), so z = -delta_max / 2 lies
+    in [-1/(2e), 0), where W0 lies in [-0.232, 0); any other z, NaN
+    included, is a ValueError.  Halley steps from z exp(-z) refine w
+    (Corless, Gonnet, Hare, Jeffrey & Knuth, Adv. Comput. Math. 5, 329
+    (1996)).  Returns w only once |w e^w - z| <= 1e-12 |z|;
+    ConvergenceError otherwise.
     """
     z = float(z)
-    if z < _BRANCH_POINT:
-        # tolerate rounding at the branch point itself
-        if z < _BRANCH_POINT * (1.0 + 1e-12) - 1e-300:
-            raise ValueError("lambert_w requires z >= -1/e")
-        z = _BRANCH_POINT
-
-    if z == 0.0:
-        return 0.0
-
-    # branch-point series w = -1 + p - p^2/3 + 11 p^3/72, p = sqrt(2(ez+1))
-    p2 = 2.0 * (math.e * z + 1.0)
-    if p2 < 0.5:
-        p = math.sqrt(max(p2, 0.0))
-        w = -1.0 + p - p2 / 3.0 + 11.0 / 72.0 * p * p2
-    elif z < math.e:
-        w = z * math.exp(-min(z, 1.0))  # crude but in-basin
-    else:
-        lz = math.log(z)
-        w = lz - math.log(lz)
-
-    w = _halley_w(w, z)
+    if not LAMBERT_Z_MIN <= z < 0.0:
+        raise ValueError("lambert_w needs -1/(2e) <= z < 0, got %r" % z)
+    w = _halley_w(z * math.exp(-z), z)
     residual = abs(w * math.exp(w) - z)
-    if residual <= 1e-12 * max(abs(z), 1e-300):
+    if residual <= 1e-12 * abs(z):
         return w
     raise ConvergenceError("Lambert W at z = %r: Halley stopped at w = %r "
                            "with residual %g" % (z, w, residual))

@@ -48,7 +48,14 @@ Each point pays only for LAPACK.  The coarse scan is one stacked
 root step are one ``dstev`` each, which gives e0, the vector and <a>
 together, and the returned point reuses the root's own solve at psi*.
 The psi-independent arrays k, k(k-1) and sqrt(k) are built once per n_max.
-A LAPACK failure raises ConvergenceError; it never yields a number.  scipy,
+The Fock truncation, given or defaulted to lobe + 8, must lie in
+[MIN_N_MAX, MAX_N_MAX] = [4, 256]: the stacked scan holds
+COARSE_POINTS (n_max + 1)^2 doubles, about 22 MB at the cap and growing
+as n_max^2, so a larger truncation is a ConfigError before any array is
+built.
+A LAPACK failure raises ConvergenceError; it never yields a number.  So
+does a problem whose H(psi) would overflow on the scan (D past about
+5e153, or |mu| n_max past the double range), before any arithmetic.  scipy,
 which supplies dstev, is imported when the first _Kernel is built, not
 with this module, so a process that never diagonalizes never pays for
 loading it.
@@ -83,20 +90,28 @@ RESPONSE_EPS = 1e-6  # psi at which boundary_numeric reads the linear response
 ROOT_TOL = 1e-14  # bracket width of the boundary root in D and psi* in psi
 GUARD_STEP = 1e-3  # relative offset in D of the two first-order guards
 MIN_N_MAX = 4  # smallest Fock truncation a MeanFieldProblem accepts
+# Largest one: the stacked scan holds COARSE_POINTS (n_max + 1)^2 doubles,
+# 41 * 257^2 * 8 B ~ 22 MB at 256, and the footprint grows as n_max^2.
+MAX_N_MAX = 256
 
 dstev = None  # scipy's LAPACK routine, bound by _dstev on first use
 
 
 def check_n_max(n_max) -> None:
-    """ConfigError unless n_max is an integer >= MIN_N_MAX."""
-    if not (float(n_max).is_integer() and n_max >= MIN_N_MAX):
-        raise ConfigError("n_max must be an integer >= %d, got %r"
-                          % (MIN_N_MAX, n_max))
+    """ConfigError unless n_max is an integer in [MIN_N_MAX, MAX_N_MAX]."""
+    if not (MIN_N_MAX <= n_max <= MAX_N_MAX and float(n_max).is_integer()):
+        raise ConfigError("n_max must be an integer in [%d, %d], got %r"
+                          % (MIN_N_MAX, MAX_N_MAX, n_max))
 
 
 @dataclass(frozen=True)
 class MeanFieldProblem:
-    """One (mu, D) point with Fock truncation n_max (default: lobe + 8)."""
+    """One (mu, D) point with Fock truncation n_max (default: lobe + 8).
+
+    check_n_max bounds the default as it does a given n_max, so a mu of
+    2 (MAX_N_MAX - 8) = 496 or more is a ConfigError before any array is
+    built.
+    """
 
     mu_over_U: float
     D_eff: float
@@ -151,10 +166,17 @@ class _Kernel:
     __slots__ = ("_base", "_sqrt_k", "_two_d", "_dstev")
 
     def __init__(self, problem):
+        mu, D = problem.mu_over_U, problem.D_eff
+        # H(psi) up to the scan's end has entries of about |mu| n_max and
+        # 2.2 D B; where those overflow, no eigensolve can be trusted
+        if not math.isfinite(abs(mu) * problem.n_max
+                             + 4.0 * D * max(mu + 1.0 + 2.0 * D, 1.0)):
+            raise ConvergenceError("H(psi) overflows at mu = %r, D = %r"
+                                   % (mu, D))
         k, k_k1, sqrt_k = _fock_arrays(problem.n_max)
-        self._base = -problem.mu_over_U * k + k_k1
+        self._base = -mu * k + k_k1
         self._sqrt_k = sqrt_k
-        self._two_d = 2.0 * problem.D_eff
+        self._two_d = 2.0 * D
         self._dstev = _dstev()
 
     def tridiag(self, psi):

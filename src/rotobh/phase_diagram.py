@@ -24,12 +24,14 @@ from typing import Optional
 
 from . import landau
 from .core import effective_hopping
-from .errors import ConfigError, ConvergenceError, DomainError, OutOfReachError
+from .errors import (ConfigError, ConvergenceError, DomainError,
+                     OutOfReachError, check_choice)
 from .landau import (CONVENTIONS, LOBE_TIP_TOL, VARIANT_FOR_CONVENTION,
-                     _check_convention, boundary_hopping, lobe_index)
+                     boundary_hopping, lobe_index)
 from .oracle import MeanFieldProblem, check_n_max, converged_psi
 
 PSI_METHODS = ("landau", "variational")
+SWEEP_KINDS = ("diagram", "sensing-loop", "costheta-curve")
 
 # Errors that belong to one cell; any other error is the request's and
 # escapes the sweep.
@@ -43,7 +45,7 @@ def lobe_tip(n: int, convention: str = "paper"):
     boundary_hopping(mu*, n, convention), so the tip lies on the boundary
     exactly.
     """
-    _check_convention(convention)
+    check_choice("convention", convention, CONVENTIONS)
     if n < 1:
         raise DomainError("lobe tips exist for n >= 1")
     rn, rn1 = math.sqrt(n), math.sqrt(n + 1.0)
@@ -94,7 +96,7 @@ def classify(mu: float, t: float, theta: float, convention: str = "paper") -> st
     for any positive effective hopping, since the boundary closes there.
     On the boundary itself the superfluid label wins.
     """
-    _check_convention(convention)
+    check_choice("convention", convention, CONVENTIONS)
     if not t >= 0.0:
         raise DomainError("t/U must be >= 0")
     return _label(mu, effective_hopping(t, theta), convention)
@@ -119,7 +121,9 @@ class SweepSpec:
     and fills (t_values x theta_values); 'costheta-curve' fills
     (lobes x t_values) with the critical cos(theta), defaulting each
     lobe's mu to its tip when lobe_mu is empty; lobes must be integral.
-    n_max, when given, must be an integer >= the oracle's MIN_N_MAX.
+    The sensing loop's one mu and every lobe_mu must be finite.
+    n_max, when given, must be an integer in the oracle's
+    [MIN_N_MAX, MAX_N_MAX].
     workers must be >= 1; cells are evaluated in order in one thread
     whatever its value.
     """
@@ -145,12 +149,17 @@ class PhaseGrid:
     rows: tuple
 
 
-def _axis(name, values, allow_any_sign=False):
+def _finite(name, values):
     vals = tuple(float(v) for v in values)
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError("%s axis contains non-finite values" % name)
+    return vals
+
+
+def _axis(name, values, allow_any_sign=False):
+    vals = _finite(name, values)
     if not vals:
         raise ConfigError("%s axis is empty" % name)
-    if any(not math.isfinite(v) for v in vals):
-        raise ConfigError("%s axis contains non-finite values" % name)
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ConfigError("%s axis must be strictly increasing" % name)
     if not allow_any_sign and vals[0] < 0.0:
@@ -178,11 +187,9 @@ def _phase_cell(mu, D, spec):
 
 def sweep(spec: SweepSpec) -> PhaseGrid:
     """Evaluate a deterministic row-major grid per the spec's kind."""
-    if spec.kind not in ("diagram", "sensing-loop", "costheta-curve"):
-        raise ConfigError("unknown sweep kind %r" % (spec.kind,))
-    _check_convention(spec.convention)
-    if spec.psi_method not in PSI_METHODS:
-        raise ConfigError("unknown psi method %r" % (spec.psi_method,))
+    check_choice("sweep kind", spec.kind, SWEEP_KINDS)
+    check_choice("convention", spec.convention, CONVENTIONS)
+    check_choice("psi method", spec.psi_method, PSI_METHODS)
     if spec.n_max is not None:
         check_n_max(spec.n_max)
     if spec.workers < 1:
@@ -202,7 +209,7 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
     if spec.kind == "sensing-loop":
         if len(spec.mu_values) != 1:
             raise ConfigError("sensing-loop needs exactly one mu value")
-        mu = float(spec.mu_values[0])
+        (mu,) = _finite("mu", spec.mu_values)
         ts = _axis("t", spec.t_values)
         thetas = _axis("theta", spec.theta_values, allow_any_sign=True)
         rows = []
@@ -225,7 +232,7 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
     if spec.lobe_mu:
         if len(spec.lobe_mu) != len(lobes):
             raise ConfigError("lobe_mu must match lobes in length")
-        mus = tuple(float(m) for m in spec.lobe_mu)
+        mus = _finite("lobe_mu", spec.lobe_mu)
     else:
         mus = tuple(lobe_tip(n, spec.convention)[0] for n in lobes)
     rows = []

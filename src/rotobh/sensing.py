@@ -35,6 +35,12 @@ branch,
 
     epsilon_theta = W0(-delta_m / 2)^2 / a(theta)
 
+The surrogate's peak on [0, theta] is delta_m = x e^-x with
+x = sqrt(a theta), or exactly e^-1 once a theta >= 1 (_fit_peak), so
+0 < delta_m <= e^-1 and W0's argument lies in [-1/(2e), 0), the only range
+numerics.lambert_w accepts.  A theta so small that delta_m underflows to
+0 takes W0(0) = 0 without a call.
+
 (The a^-2 variant of that prefactor is dimensionally inconsistent with
 the fit form and is kept only behind literal_exponent=True for
 comparison.)  epsilon_omega = epsilon_theta / gamma converts to rotation
@@ -53,10 +59,12 @@ from typing import Optional
 import numpy as np
 
 from . import numerics
-from .errors import ConfigError, DomainError, FitQualityWarning, OutOfRangeError
+from .errors import (ConfigError, DomainError, FitQualityWarning,
+                     OutOfRangeError, check_choice)
 from .landau import kappa
 from .numerics import brent_root, golden_min
 
+MODES = ("exact", "fit")
 THETA_EXACT_CROSSOVER = math.acos(2.0 / 3.0)  # ~0.8410687
 DELTA_GLOBAL_MAX = 2.0 / (3.0 * math.sqrt(3.0))  # ~0.3849002
 
@@ -85,9 +93,9 @@ def _check_theta(theta: float) -> None:
         raise DomainError("theta = %g outside (0, pi/2)" % theta)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("exact", "fit"):
-        raise ConfigError("mode must be 'exact' or 'fit', got %r" % (mode,))
+def _check_gamma(gamma: float) -> None:
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise DomainError("gamma must be finite and > 0")
 
 
 def delta_exact(theta: float, dtheta: float) -> float:
@@ -244,7 +252,7 @@ def _fit_peak(a: float, theta: float) -> float:
 def delta_max(theta: float, mode: str = "exact") -> float:
     """Peak of delta over dtheta in [0, theta] for the given mode."""
     _check_theta(theta)
-    _check_mode(mode)
+    check_choice("mode", mode, MODES)
     if mode == "fit":
         return _fit_peak(fit_a(theta)[0], theta)
     if theta >= THETA_EXACT_CROSSOVER:
@@ -260,7 +268,7 @@ def theta_crossover(mode: str = "exact",
     a(theta) * theta = 1 for the grid_points-point fit, located by Brent's
     method to 1e-8 in theta, about ten fits.
     """
-    _check_mode(mode)
+    check_choice("mode", mode, MODES)
     if mode == "exact":
         return THETA_EXACT_CROSSOVER
     return brent_root(lambda t: fit_a(t, grid_points)[0] * t - 1.0,
@@ -288,15 +296,13 @@ def resolution_grid(thetas, mode: str = "exact",
                     literal_exponent: bool = False):
     """resolution at every theta of a grid, as a list of SensingProfile.
 
-    Every theta is checked before any work, and the fits come from one
-    fit_grid call; the rest is per theta, as in resolution.
+    The fits come from one fit_grid call, which checks every theta before
+    any work; the rest is per theta, as in resolution.
     """
     thetas = list(thetas)
-    for theta in thetas:
-        _check_theta(theta)
-    _check_mode(mode)
-    if gamma is not None and not (math.isfinite(gamma) and gamma > 0.0):
-        raise DomainError("gamma must be finite and > 0")
+    check_choice("mode", mode, MODES)
+    if gamma is not None:
+        _check_gamma(gamma)
     fits = fit_grid(thetas, grid_points)
     return [_profile(theta, mode, a, rms, gamma, literal_exponent)
             for theta, (a, rms) in zip(thetas, fits)]
@@ -330,7 +336,8 @@ def _profile(theta, mode, a, rms, gamma, literal_exponent):
             fwhm = right - eps
     else:
         dm_out = _fit_peak(a, theta)
-        w = numerics.lambert_w(-0.5 * dm_out)
+        # a subnormal theta can underflow the peak to 0, where W0 is 0
+        w = numerics.lambert_w(-0.5 * dm_out) if dm_out > 0.0 else 0.0
         eps = w * w / (a * a if literal_exponent else a)
 
     return SensingProfile(
@@ -372,8 +379,7 @@ def invert_rotation_change(delta_measured: float, mu: float, n: int,
     ambiguous rather than rejected.
     """
     _check_theta(theta)
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise DomainError("gamma must be finite and > 0")
+    _check_gamma(gamma)
     if not (math.isfinite(delta_measured) and delta_measured >= 0.0):
         raise OutOfRangeError("measured change must be finite and >= 0")
     kap = kappa(mu, n, variant)

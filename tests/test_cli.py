@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotobh import __version__, cli, oracle, sensing
 from rotobh.cli import _dtheta_steps, load_config, main, parse_grid
@@ -43,9 +45,14 @@ def test_parse_grid_rejects_garbage():
     # 0:1e308:1e-300 overflows the point count to inf (huge finite counts
     # are not probed: they would allocate)
     for bad in ("", "abc", "1:2", "1:2:3:4", "2:1:0.5", "1:2:-0.1",
-                "1:2:0", "1,two,3", "0:1e308:1e-300"):
+                "1:2:0", "1,two,3", "0:1e308:1e-300", "nan", "inf", "-inf",
+                "1,nan,3", "0.1,inf", "nan:1:0.1", "0:inf:0.1", "0:1:nan"):
         with pytest.raises(ConfigError):
             parse_grid(bad)
+
+
+HUGE_RING = ["--mass-amu", "0.5", "--radius-um", "1e300", "--sites", "20"]
+TINY_RING = ["--mass-amu", "0.5", "--radius-um", "1e-200", "--sites", "20"]
 
 
 def test_bad_requests_exit_2_without_output(tmp_path):
@@ -57,7 +64,26 @@ def test_bad_requests_exit_2_without_output(tmp_path):
                  ["resolution", "--theta-grid", "1.0", "--gamma=-1"],
                  ["resolution", "--theta-grid", "1.0", "--gamma", "nan"],
                  ["sensitivity", "--theta-grid", "1.0",
-                  "--dtheta-points", "1"]):
+                  "--dtheta-points", "1"],
+                 # a truncation above oracle.MAX_N_MAX, given or defaulted
+                 ["oracle-check", "--mu", "1.0", "--n-max", "100000000000"],
+                 ["phase-diagram", "--psi-method", "variational",
+                  "--mu-grid=1e300", "--d-grid=3.0"],
+                 # a frame whose gamma overflows or underflows
+                 ["order-parameter", "--mu", "1", "--t-grid", "0.4",
+                  "--omega-grid", "0:1:0.5"] + HUGE_RING,
+                 ["resolution", "--theta-grid", "0.5"] + HUGE_RING,
+                 ["invert", "--delta-measured", "0.01", "--mu", "1",
+                  "--omega", "1"] + HUGE_RING,
+                 ["resolution", "--theta-grid", "0.5"] + TINY_RING,
+                 ["order-parameter", "--mu", "1", "--t-grid", "0.4",
+                  "--omega-grid", "0:1:0.5"] + TINY_RING,
+                 # non-finite values in a grid of any form, or the loop's mu
+                 ["resolution", "--theta-grid", "nan"],
+                 ["costheta-curve", "--t-grid", "0.3", "--lobes", "1",
+                  "--mu-by-lobe", "nan"],
+                 ["order-parameter", "--mu", "nan", "--t-grid", "0.3",
+                  "--theta-grid", "0.1"]):
         status, _, err = run_cli(argv + ["--output", str(out)])
         assert status == 2, argv
         assert not out.exists()
@@ -650,3 +676,46 @@ def test_python_m_rotobh():
                      "--no-such-flag")
     assert proc.returncode == 2
     assert "--no-such-flag" in proc.stderr
+
+
+# Every value drawn for a float flag: signed zeros, subnormals, the edges of
+# the double range, the non-finite values and a few plain numbers.
+FLOAT_DRAWS = ("0", "-0.0", "1e-320", "-1e-320", "1e-300", "-1e-300",
+               "1e300", "-1e300", "1e308", "-1e308", "nan", "inf", "-inf",
+               "0.5", "2", "-1")
+# Each subcommand's float flags, in each of its rotation inputs, with the
+# other flags fixed.  The oracle's truncation stays at its lobe + 8
+# default, which is capped, so no draw builds a large scan.
+FLOAT_FLAG_FORMS = (
+    ("phase-diagram", ("--mu-grid", "--d-grid"), ()),
+    ("phase-diagram", ("--mu-grid", "--d-grid"),
+     ("--psi-method", "variational")),
+    ("order-parameter", ("--mu", "--t-grid", "--theta-grid"),
+     ("--psi-method", "variational")),
+    ("order-parameter", ("--mu", "--t-grid", "--omega-grid", "--mass-amu",
+                         "--radius-um"), ("--sites", "20")),
+    ("order-parameter", ("--mu", "--t-grid", "--omega-grid", "--gamma"), ()),
+    ("costheta-curve", ("--t-grid", "--mu-by-lobe"), ("--lobes", "1")),
+    ("sensitivity", ("--theta-grid",), ("--dtheta-points", "5")),
+    ("resolution", ("--theta-grid", "--gamma"), ("--mode", "fit")),
+    ("resolution", ("--theta-grid", "--mass-amu", "--radius-um"),
+     ("--sites", "20")),
+    ("fit-delta", ("--theta-grid",), ()),
+    ("invert", ("--delta-measured", "--mu", "--theta", "--gamma"), ()),
+    ("invert", ("--delta-measured", "--mu", "--omega", "--mass-amu",
+                "--radius-um"), ("--sites", "20")),
+    ("oracle-check", ("--mu", "--theta", "--dthetas"), ()),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_no_float_flag_value_escapes_as_a_traceback(data):
+    # whatever a float flag holds, main() returns an exit status of its
+    # own: a result, or an error reported on stderr
+    command, flags, fixed = data.draw(st.sampled_from(FLOAT_FLAG_FORMS))
+    argv = [command, *fixed] + ["%s=%s" % (flag, data.draw(
+        st.sampled_from(FLOAT_DRAWS))) for flag in flags]
+    status, _, err = run_cli(argv)
+    assert status in (0, 2, 3, 4), (argv, err)
+    assert status == 0 or err.startswith("rotobh: error:"), (argv, err)

@@ -66,3 +66,14 @@ def test_frame_validation():
         with pytest.raises(ConfigError):
             RingFrame(mass=1e-25, radius=1e-5, sites=sites)
 
+
+def test_frame_gamma_must_be_finite_and_positive():
+    # radius ** 2 overflows (it raises, where a product gives inf) or
+    # underflows to 0: both gammas are configuration errors
+    for radius_um in (1e300, 1e-200):
+        with pytest.raises(ConfigError):
+            RingFrame.from_lab_units(0.5, radius_um, 20)
+    with pytest.raises(ConfigError):  # m R^2 overflows as a product
+        RingFrame(mass=1e300, radius=1e100, sites=20)
+    with pytest.raises(ConfigError):  # m R^2 underflows as a product
+        RingFrame(mass=1e-300, radius=1e-20, sites=20)

@@ -1,3 +1,5 @@
+import pytest
+
 from rotobh import errors
 
 
@@ -32,3 +34,11 @@ def test_hierarchy():
     assert issubclass(errors.DegenerateGapError, errors.DomainError)
     assert issubclass(errors.TruncationWarning, UserWarning)
     assert issubclass(errors.FitQualityWarning, UserWarning)
+
+
+def test_check_choice():
+    errors.check_choice("mode", "fit", ("exact", "fit"))
+    errors.check_choice("variant", "b", {"x": "a", "y": "b"}.values())
+    with pytest.raises(errors.ConfigError,
+                       match="mode must be one of 'exact', 'fit', got 'other'"):
+        errors.check_choice("mode", "other", ("exact", "fit"))

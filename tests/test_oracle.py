@@ -23,6 +23,35 @@ def test_problem_validation():
             MeanFieldProblem(mu, D, n_max)
 
 
+def test_truncation_cap_rejects_before_any_array(monkeypatch):
+    # the stacked scan holds COARSE_POINTS (n_max + 1)^2 doubles: 22 MB at
+    # the cap; a larger truncation, given or defaulted from a huge mu, is a
+    # ConfigError before any array is built
+    assert COARSE_POINTS * (oracle.MAX_N_MAX + 1) ** 2 * 8 < 25e6
+    monkeypatch.setattr(oracle, "_fock_arrays", None)  # any use would raise
+    for n_max in (oracle.MAX_N_MAX + 1, 100000000000, 10 ** 400):
+        with pytest.raises(ConfigError):
+            MeanFieldProblem(1.0, 0.1, n_max)
+    for mu in (2.0 * (oracle.MAX_N_MAX - 8), 1e300):  # lobe + 8 > the cap
+        with pytest.raises(ConfigError):
+            MeanFieldProblem(mu, 0.1)
+    with pytest.raises(ConfigError):
+        boundary_numeric(2.0 * (oracle.MAX_N_MAX - 8) + 1.0)
+    assert MeanFieldProblem(1.0, 0.1, oracle.MAX_N_MAX).n_max == 256
+    assert MeanFieldProblem(2.0 * (oracle.MAX_N_MAX - 8) - 1.0, 0.1).n_max \
+        == oracle.MAX_N_MAX
+
+
+def test_overflowing_hamiltonian_is_a_convergence_error():
+    # past D ~ 5e153, or |mu| n_max past the double range, H(psi) on the
+    # scan overflows: an error before any numpy arithmetic can warn
+    for mu, D in ((0.5, 1e300), (0.0, 1e308), (-1e308, 1e308)):
+        with pytest.raises(ConvergenceError, match="overflows"):
+            minimize_order_parameter(MeanFieldProblem(mu, D))
+    with pytest.raises(ConvergenceError, match="overflows"):
+        boundary_numeric(-1e200)
+
+
 def test_default_truncation():
     assert MeanFieldProblem(1.0, 0.2).n_max == 9  # lobe 1 plus eight levels
     assert MeanFieldProblem(3.0, 0.2).n_max == 10

@@ -328,6 +328,14 @@ def test_sweep_validation():
     with pytest.raises(ConfigError):
         sweep(SweepSpec(kind="diagram", mu_values=(0.5,),
                         D_values=(0.1, math.nan)))
+    # the sensing loop's one mu and costheta's lobe_mu are checked too
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError):
+            sweep(SweepSpec(kind="sensing-loop", mu_values=(bad,),
+                            t_values=(0.3,), theta_values=(0.1,)))
+        with pytest.raises(ConfigError):
+            sweep(SweepSpec(kind="costheta-curve", t_values=(0.3,),
+                            lobes=(1, 2), lobe_mu=(1.0, bad)))
     with pytest.raises(ConfigError):
         sweep(SweepSpec(kind="diagram", mu_values=(0.5,), D_values=(-0.1, 0.1)))
     with pytest.raises(ConfigError):

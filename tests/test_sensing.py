@@ -12,8 +12,8 @@ from rotobh.landau import kappa
 from rotobh.numerics import lambert_w
 from rotobh.sensing import (BISECTION_TOL, DELTA_GLOBAL_MAX, FIT_COARSE_POINTS,
                             FIT_LOG_RANGE, FIT_LOG_TOL, THETA_EXACT_CROSSOVER,
-                            _crossings, delta_change, delta_exact, delta_max,
-                            delta_on, fit_a, fit_form, fit_grid,
+                            _crossings, _fit_peak, delta_change, delta_exact,
+                            delta_max, delta_on, fit_a, fit_form, fit_grid,
                             invert_rotation_change, peak_offset, resolution,
                             resolution_grid, theta_crossover)
 from test_numerics import golden_min_scalar
@@ -361,6 +361,28 @@ def test_resolution_fit_mode():
     assert abs(literal.epsilon_theta - prof.epsilon_theta / prof.a_fit) < 1e-12
     with pytest.raises(ConfigError):
         resolution(1.0, mode="other")
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(theta=st.floats(1e-3, 0.5 * math.pi, exclude_max=True),
+       rel=st.floats(-1e-6, 1e-6))
+def test_fit_peak_never_exceeds_its_saturated_value(theta, rel):
+    # just below a theta = 1 the peak is x e^-x with x = sqrt(a theta) ~ 1,
+    # which rounding must not lift past the saturated e^-1; so
+    # -delta_max/2 never falls below lambert_w's domain
+    a = (1.0 + rel) / theta
+    peak = _fit_peak(a, theta)
+    assert 0.0 < peak <= math.exp(-1.0)
+    lambert_w(-0.5 * peak)
+
+
+def test_resolution_fit_mode_at_a_subnormal_theta():
+    # a * theta underflows, so the peak is 0 and so is W0; lambert_w, whose
+    # domain excludes 0, is not called
+    prof = resolution(5e-324, mode="fit")
+    assert prof.delta_max == 0.0 and prof.epsilon_theta == 0.0
+    prof = resolution(1e-320, mode="fit")
+    assert 0.0 < prof.delta_max and 0.0 < prof.epsilon_theta
 
 
 def test_resolution_fit_tracks_exact_within_band():
