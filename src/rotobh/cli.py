@@ -311,7 +311,7 @@ def _cmd_resolution(args):
             "grid_points": args.grid_points,
             "literal_exponent": args.literal_exponent,
             "fit_protocol": sensing.FIT_PROTOCOL, "tolerances": TOLERANCES}
-    if args.format == "json":  # CSV drops the meta; the fit crossover is costly
+    if args.format == "json":  # CSV drops the meta
         meta["theta_crossover_exact"] = sensing.theta_crossover("exact")
         meta["theta_crossover_fit"] = sensing.theta_crossover(
             "fit", args.grid_points)

@@ -31,7 +31,8 @@ class RingFrame:
     """Physical ring: mass [kg], radius [m], site count.
 
     ConfigError unless mass and radius are finite and > 0, sites is an
-    integer >= 3, and the gamma they give is finite and > 0.
+    integer >= 3 that a float can hold, and the gamma they give is finite
+    and > 0.
     """
 
     mass: float
@@ -43,9 +44,13 @@ class RingFrame:
             raise ConfigError("mass must be finite and positive")
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ConfigError("radius must be finite and positive")
-        if (not math.isfinite(self.sites) or int(self.sites) != self.sites
-                or self.sites < 3):
-            raise ConfigError("sites must be an integer >= 3")
+        try:
+            sites = float(self.sites)
+        except OverflowError:  # an int beyond the float range
+            sites = math.inf
+        if not (sites.is_integer() and sites >= 3.0):
+            raise ConfigError("sites must be an integer >= 3 within the "
+                              "float range")
         try:
             gamma = scale_factor(self)
         except OverflowError:  # radius ** 2 raises where a product gives inf

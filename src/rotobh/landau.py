@@ -126,17 +126,25 @@ def boundary_hopping(mu: float, n: int, convention: str = "paper") -> float:
     return D_c if convention == "paper" else 0.5 * D_c
 
 
-def a2(D: float, mu: float, n: int, variant: str = "consistent") -> float:
-    """Quadratic Landau coefficient in the requested convention."""
-    check_choice("a2 variant", variant, A2_VARIANTS)
+def _check_hopping(D: float) -> None:
     if D < 0.0:
         raise DomainError("effective hopping must be >= 0")
-    chi = chi_susceptibility(mu, n)
+
+
+def _a2(D: float, chi: float, variant: str) -> float:
+    """a2 in the given variant from chi; the one home of its expressions."""
     if variant == "literal":
         return 4.0 * D * D * chi
     if variant == "consistent":
         return 4.0 * D * (1.0 + D * chi)
     return 2.0 * D * (1.0 + 2.0 * D * chi)
+
+
+def a2(D: float, mu: float, n: int, variant: str = "consistent") -> float:
+    """Quadratic Landau coefficient in the requested convention."""
+    check_choice("a2 variant", variant, A2_VARIANTS)
+    _check_hopping(D)
+    return _a2(D, chi_susceptibility(mu, n), variant)
 
 
 def a4_bracket(mu: float, n: int) -> float:
@@ -187,19 +195,29 @@ def _quartic(D: float, B: float) -> float:
 
 def a4(D: float, mu: float, n: int) -> float:
     """Quartic Landau coefficient 16 D^4 B; requires B > 0."""
-    if D < 0.0:
-        raise DomainError("effective hopping must be >= 0")
+    _check_hopping(D)
     return _quartic(D, _positive_bracket(mu, n))
+
+
+def _psi(D: float, chi: float, variant: str, bracket) -> float:
+    """sqrt(-a2/(2 a4)) from chi when a2 < 0, else 0.
+
+    bracket() gives the positive B, or raises; it is called only when
+    a2 < 0, so a Mott-side cell never evaluates B.
+    """
+    a2_val = _a2(D, chi, variant)
+    if a2_val >= 0.0:
+        return 0.0
+    return math.sqrt(-a2_val / (2.0 * _quartic(D, bracket())))
 
 
 def order_parameter_landau(D: float, mu: float, n: int,
                            variant: str = "consistent") -> float:
     """psi = sqrt(-a2/(2 a4)) when a2 < 0, else 0 (Mott side)."""
     check_choice("order-parameter variant", variant, BOUNDARY_VARIANTS)
-    a2_val = a2(D, mu, n, variant)
-    if a2_val >= 0.0:
-        return 0.0
-    return math.sqrt(-a2_val / (2.0 * a4(D, mu, n)))
+    _check_hopping(D)
+    return _psi(D, chi_susceptibility(mu, n), variant,
+                lambda: _positive_bracket(mu, n))
 
 
 def kappa(mu: float, n: int, variant: str = "consistent") -> float:

@@ -6,8 +6,8 @@ can evaluate all of them with one array operation per step (the surrogate
 fit does, one lane per theta); the root finders and Lambert W work on one
 scalar at a time.  There are two root finders: brent_root (Brent-Dekker),
 which the oracle and the fit crossover use because each of their
-evaluations costs an eigensolve or a fit, and bisect_root, which nothing in
-the package calls any more: it stays as the independent reference of
+evaluations costs an eigensolve or a delta array, and bisect_root, which
+nothing in the package calls any more: it stays as the independent reference of
 acceptance 6 and because the benchmark's tracer (perfbench/tracer.py)
 binds it by name.  A root finder that runs out of iterations, or meets a
 NaN inside its bracket, raises ConvergenceError, and lambert_w raises it

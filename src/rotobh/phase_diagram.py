@@ -14,10 +14,21 @@ Each lobe n >= 1 peaks where d chi/d mu = 0, at the mean-field tip
     D_c(mu*, n) = 2 / (sqrt(n) + sqrt(n+1))^2
 
 (Fisher et al., PRB 40, 546 (1989)); lobe_tip evaluates it in closed form.
+
+Labels and Landau psi follow one row rule (_row_rule): what depends on mu
+alone (the lobe, whether mu is a corner, D_c, chi, and the bracket B on
+the first superfluid cell with a2 < 0) is worked out once per mu, and a
+cell is a function of D.  A diagram takes one per mu row, a sensing loop
+one for its single mu, and classify is its one-cell case; a
+costheta-curve lobe takes its D_c once (_costheta_rule), and
+critical_costheta is that rule's one-cell case.  The a2 and psi
+expressions stay in landau, shared with order_parameter_landau, so every
+cell is bit for bit the per-cell value, error sentinels included.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -77,16 +88,45 @@ def boundary_curve(n: int, count: int, convention: str = "paper"):
     return tuple(points)
 
 
-def _label(mu: float, D: float, convention: str) -> str:
-    """The label rule on the effective hopping D, of any sign."""
+def _row_rule(mu: float, convention: str, psi_method=None, n_max=None):
+    """The rule of one mu row: cell(D) -> (label, psi), for D of any sign.
+
+    What depends on mu alone is worked out once, here: the lobe n, whether
+    mu is a lobe corner, where the boundary closes (superfluid for any
+    D > 0), and otherwise D_c, for which superfluid means D >= D_c, so the
+    superfluid label wins on the boundary.  A Mott or vacuum cell has psi
+    exactly 0.  A superfluid cell's psi follows psi_method: 'landau' takes
+    chi once per row and the bracket B on the row's first cell with
+    a2 < 0, a corner raising DegenerateGapError as order_parameter_landau
+    does; 'variational' runs the oracle per cell; None (classify) gives
+    None.  A row error (chi overflowing near mu = 0) raises here, a cell
+    error from cell(D).
+    """
     n = lobe_index(mu)
-    if mu == landau.lobe_interval(n)[0]:  # the boundary closes at a corner
-        superfluid = D > 0.0
+    insulator = "vacuum" if n == 0 else "mott:%d" % n
+    corner = mu == landau.lobe_interval(n)[0]
+    D_c = None if corner else boundary_hopping(mu, n, convention)
+    variant = VARIANT_FOR_CONVENTION[convention]
+    if psi_method is None:
+        def psi_of(D):
+            return None
+    elif psi_method == "variational":
+        def psi_of(D):
+            return converged_psi(MeanFieldProblem(mu, D, n_max))
+    elif corner:
+        def psi_of(D):
+            return landau.order_parameter_landau(D, mu, n, variant)
     else:
-        superfluid = D >= boundary_hopping(mu, n, convention)
-    if superfluid:
-        return "superfluid"
-    return "vacuum" if n == 0 else "mott:%d" % n
+        psi_of = functools.partial(
+            landau._psi, chi=landau.chi_susceptibility(mu, n), variant=variant,
+            bracket=functools.cache(lambda: landau._positive_bracket(mu, n)))
+
+    def cell(D):
+        if (D > 0.0) if corner else (D >= D_c):
+            return "superfluid", psi_of(D)
+        return insulator, 0.0
+
+    return cell
 
 
 def classify(mu: float, t: float, theta: float, convention: str = "paper") -> str:
@@ -94,23 +134,38 @@ def classify(mu: float, t: float, theta: float, convention: str = "paper") -> st
 
     Lobe corners (mu a nonnegative even integer) classify as superfluid
     for any positive effective hopping, since the boundary closes there.
-    On the boundary itself the superfluid label wins.
+    On the boundary itself the superfluid label wins.  The one-cell case
+    of the sweeps' row rule.
     """
     check_choice("convention", convention, CONVENTIONS)
     if not t >= 0.0:
         raise DomainError("t/U must be >= 0")
-    return _label(mu, effective_hopping(t, theta), convention)
+    return _row_rule(mu, convention)(effective_hopping(t, theta))[0]
+
+
+def _costheta_rule(mu: float, n: int, convention: str):
+    """t -> the critical cos(theta) of lobe n at mu.
+
+    D_c is worked out on the first t > 0 and kept, so a costheta-curve
+    lobe takes it once; a D_c error is raised again by every such t.
+    """
+    D_c = functools.cache(lambda: boundary_hopping(mu, n, convention))
+
+    def at(t):
+        if t <= 0.0:
+            raise DomainError("t/U must be > 0")
+        ratio = D_c() / t
+        if ratio > 1.0:
+            raise OutOfReachError(
+                "boundary needs cos(theta) = %g > 1 at t/U = %g" % (ratio, t))
+        return ratio
+
+    return at
 
 
 def critical_costheta(t: float, mu: float, n: int, convention: str = "paper") -> float:
     """cos(theta) at which rotation drives (t, mu) onto the boundary."""
-    if t <= 0.0:
-        raise DomainError("t/U must be > 0")
-    ratio = boundary_hopping(mu, n, convention) / t
-    if ratio > 1.0:
-        raise OutOfReachError(
-            "boundary needs cos(theta) = %g > 1 at t/U = %g" % (ratio, t))
-    return ratio
+    return _costheta_rule(mu, n, convention)(t)
 
 
 @dataclass(frozen=True)
@@ -167,22 +222,27 @@ def _axis(name, values, allow_any_sign=False):
     return vals
 
 
-def _phase_cell(mu, D, spec):
-    """One sweep cell: (lobe, label, psi); a cell error is a sentinel."""
+def _sweep_cell(mu, spec):
+    """The sweep's cell D -> (lobe, label, psi) in the row at mu.
+
+    A cell error, or the row's, comes back as its error:<code> sentinel
+    with psi NaN.
+    """
     n = lobe_index(mu)
     try:
-        label = _label(mu, D, spec.convention)
-        if label == "superfluid":
-            if spec.psi_method == "landau":
-                psi = landau.order_parameter_landau(
-                    D, mu, n, VARIANT_FOR_CONVENTION[spec.convention])
-            else:
-                psi = converged_psi(MeanFieldProblem(mu, D, spec.n_max))
-        else:
-            psi = 0.0  # exact zero on Mott/vacuum cells by contract
+        rule = _row_rule(mu, spec.convention, spec.psi_method, spec.n_max)
     except _CELL_ERRORS as exc:
-        return n, "error:%s" % exc.code, math.nan
-    return n, label, psi
+        failed = (n, "error:%s" % exc.code, math.nan)
+        return lambda D: failed
+
+    def cell(D):
+        try:
+            label, psi = rule(D)
+        except _CELL_ERRORS as exc:
+            return n, "error:%s" % exc.code, math.nan
+        return n, label, psi
+
+    return cell
 
 
 def sweep(spec: SweepSpec) -> PhaseGrid:
@@ -200,9 +260,8 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
         Ds = _axis("D", spec.D_values)
         rows = []
         for mu in mus:
-            for D in Ds:
-                n, label, psi = _phase_cell(mu, D, spec)
-                rows.append((mu, D, n, label, psi))
+            cell = _sweep_cell(mu, spec)
+            rows.extend((mu, D) + cell(D) for D in Ds)
         return PhaseGrid(("mu_over_U", "D_eff", "lobe_n", "phase", "psi"),
                          tuple(rows))
 
@@ -212,12 +271,12 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
         (mu,) = _finite("mu", spec.mu_values)
         ts = _axis("t", spec.t_values)
         thetas = _axis("theta", spec.theta_values, allow_any_sign=True)
+        cell = _sweep_cell(mu, spec)
         rows = []
         for t in ts:
             for theta in thetas:
                 D = effective_hopping(t, theta)
-                n, label, psi = _phase_cell(mu, D, spec)
-                rows.append((t, theta, D, n, label, psi))
+                rows.append((t, theta, D) + cell(D))
         return PhaseGrid(("t_over_U", "theta", "D_eff", "lobe_n", "phase",
                           "psi"), tuple(rows))
 
@@ -237,9 +296,10 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
         mus = tuple(lobe_tip(n, spec.convention)[0] for n in lobes)
     rows = []
     for n, mu in zip(lobes, mus):
+        costheta = _costheta_rule(mu, n, spec.convention)
         for t in ts:
             try:
-                c, status = critical_costheta(t, mu, n, spec.convention), "ok"
+                c, status = costheta(t), "ok"
             except _CELL_ERRORS as exc:
                 c, status = math.nan, "error:%s" % exc.code
             rows.append((n, mu, t, c, status))

@@ -24,8 +24,12 @@ evaluates the rms of all of them as one array operation.  Its peak
 value is e^-1 once the peak location 1/a falls inside the domain, i.e.
 a(theta) * theta >= 1.
 The crossover angle where that first happens is computed, not assumed,
-and is reported alongside the exact-curve threshold arccos(2/3); see
-theta_crossover.
+and is reported alongside the exact-curve threshold arccos(2/3).  It
+takes no fit: at a = 1/theta the fit's stationarity in log a is one
+scalar equation in theta, whose root Brent's method finds to rounding for
+the grid_points problem, and the coarse log10 a scan at that root must
+bracket log10(1/theta), since a stationary point need not be the fit's
+minimum (theta_crossover).
 
 Resolution is the full width at half maximum read on the rising branch.
 Both modes solve it in closed form: exact mode takes the root of the cubic
@@ -59,8 +63,8 @@ from typing import Optional
 import numpy as np
 
 from . import numerics
-from .errors import (ConfigError, DomainError, FitQualityWarning,
-                     OutOfRangeError, check_choice)
+from .errors import (ConfigError, ConvergenceError, DomainError,
+                     FitQualityWarning, OutOfRangeError, check_choice)
 from .landau import kappa
 from .numerics import brent_root, golden_min
 
@@ -175,6 +179,34 @@ def fit_form(a, dtheta):
     return x * np.exp(-x)
 
 
+def _check_grid_points(grid_points: int) -> None:
+    if grid_points < 50:
+        raise ConfigError("grid_points must be >= 50")
+
+
+def _fit_target(theta: float, grid_points: int):
+    """The fit's dtheta grid on [0, theta] and the target delta on it."""
+    dts = np.linspace(0.0, theta, grid_points)
+    return dts, delta_on(theta, dts)
+
+
+def _coarse_brackets(dts, target):
+    """Per row of (dts, target), the log10 a bracket around the argmin of
+    the coarse scan, each scan one (FIT_COARSE_POINTS, grid_points)
+    broadcast."""
+    coarse = np.linspace(FIT_LOG_RANGE[0], FIT_LOG_RANGE[1], FIT_COARSE_POINTS)
+    scale = 10.0 ** coarse[:, None]
+    brackets = []
+    for row_dts, row_target in zip(dts, target):
+        resid = fit_form(scale, row_dts) - row_target
+        # rms as rms_of forms it, so that ties break as in a per-point scan
+        i = int(np.argmin(np.sqrt(np.add.reduce(resid * resid, axis=1)
+                                  / row_dts.size)))
+        brackets.append((coarse[max(i - 1, 0)],
+                         coarse[min(i + 1, FIT_COARSE_POINTS - 1)]))
+    return brackets
+
+
 def fit_grid(thetas, grid_points: int = FIT_GRID_POINTS):
     """Least-squares a(theta) for the surrogate at every theta of a grid.
 
@@ -190,24 +222,14 @@ def fit_grid(thetas, grid_points: int = FIT_GRID_POINTS):
     thetas = list(thetas)
     for theta in thetas:
         _check_theta(theta)
-    if grid_points < 50:
-        raise ConfigError("grid_points must be >= 50")
+    _check_grid_points(grid_points)
     if not thetas:
         return []
     dts = np.empty((len(thetas), grid_points))
     target = np.empty_like(dts)
-    coarse = np.linspace(FIT_LOG_RANGE[0], FIT_LOG_RANGE[1], FIT_COARSE_POINTS)
-    scale = 10.0 ** coarse[:, None]
-    brackets = []
     for k, theta in enumerate(thetas):
-        dts[k] = np.linspace(0.0, theta, grid_points)
-        target[k] = delta_on(theta, dts[k])
-        resid = fit_form(scale, dts[k]) - target[k]
-        # rms as rms_of forms it, so that ties break as in a per-point scan
-        i = int(np.argmin(np.sqrt(np.add.reduce(resid * resid, axis=1)
-                                  / grid_points)))
-        brackets.append((coarse[max(i - 1, 0)],
-                         coarse[min(i + 1, FIT_COARSE_POINTS - 1)]))
+        dts[k], target[k] = _fit_target(theta, grid_points)
+    brackets = _coarse_brackets(dts, target)
 
     def rms_of(log_as):
         # fit_form without its clamp: a > 0 and dts >= 0 already.  A lane's
@@ -264,15 +286,42 @@ def theta_crossover(mode: str = "exact",
                     grid_points: int = FIT_GRID_POINTS) -> float:
     """Angle beyond which delta_max saturates in the given mode.
 
-    exact: arccos(2/3); fit: the self-consistent root of
-    a(theta) * theta = 1 for the grid_points-point fit, located by Brent's
-    method to 1e-8 in theta, about ten fits.
+    exact: arccos(2/3).  fit: the root of a(theta) * theta = 1 for the
+    grid_points-point fit, without a fit.  At a = 1/theta the fit's grid
+    dtheta_i gives x_i = sqrt(dtheta_i / theta), and a = 1/theta is
+    stationary in log a exactly when
+
+        G(theta) = sum_i x_i (1 - x_i) e^-x_i (x_i e^-x_i - delta_i) = 0,
+
+    delta_i = delta(theta, dtheta_i) on the grid fit_grid builds; G is the
+    rms gradient in log a times a positive factor.  Brent's method takes
+    the root of G on [0.3, 1.2] to rounding, one delta_on per step, so
+    the value is exact to rounding for the grid_points problem (the fit's
+    golden search meets a theta = 1 only to about 2e-9 there).  A
+    stationary point need not be the fit's minimum: the coarse log10 a
+    scan at the root must bracket log10(1/theta), else ConvergenceError.
     """
     check_choice("mode", mode, MODES)
     if mode == "exact":
         return THETA_EXACT_CROSSOVER
-    return brent_root(lambda t: fit_a(t, grid_points)[0] * t - 1.0,
-                      0.3, 1.2, tol=1e-8)
+    _check_grid_points(grid_points)
+
+    def stationarity(theta):
+        dts, target = _fit_target(theta, grid_points)
+        x = np.sqrt(dts / theta)
+        ex = np.exp(-x)
+        return float(np.sum(x * (1.0 - x) * ex * (x * ex - target)))
+
+    root = brent_root(stationarity, 0.3, 1.2, tol=1e-15)
+    dts, target = _fit_target(root, grid_points)
+    ((lo, hi),) = _coarse_brackets(dts[None], target[None])
+    log_a = math.log10(1.0 / root)
+    if not lo <= log_a <= hi:
+        raise ConvergenceError(
+            "the fit crossover's stationary point theta = %r is not "
+            "confirmed as the fit's minimum: the coarse scan's bracket "
+            "[%g, %g] in log10 a misses %g" % (root, lo, hi, log_a))
+    return root
 
 
 @dataclass(frozen=True)

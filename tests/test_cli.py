@@ -78,6 +78,9 @@ def test_bad_requests_exit_2_without_output(tmp_path):
                  ["resolution", "--theta-grid", "0.5"] + TINY_RING,
                  ["order-parameter", "--mu", "1", "--t-grid", "0.4",
                   "--omega-grid", "0:1:0.5"] + TINY_RING,
+                 # a site count beyond the float range
+                 ["resolution", "--theta-grid", "0.5", "--mass-amu", "87",
+                  "--radius-um", "10", "--sites", "1" + "0" * 400],
                  # non-finite values in a grid of any form, or the loop's mu
                  ["resolution", "--theta-grid", "nan"],
                  ["costheta-curve", "--t-grid", "0.3", "--lobes", "1",
@@ -209,14 +212,17 @@ def test_resolution_csv(tmp_path):
         assert abs(r[5] - r[4] / 0.043) < 1e-12
 
 
-def test_resolution_crossover_follows_grid_points():
+@pytest.mark.parametrize("grid_points", [50, 200, 333])
+def test_resolution_crossover_follows_grid_points(grid_points):
     status, out, _ = run_cli(["resolution", "--theta-grid", "1.0",
-                              "--grid-points", "50", "--format", "json"])
+                              "--grid-points", str(grid_points),
+                              "--format", "json"])
     assert status == 0
     tc = json.loads(out)["meta"]["theta_crossover_fit"]
-    # the 50-point fit crosses 1.9e-4 below the 200-point one
-    assert abs(sensing.fit_a(tc, 50)[0] * tc - 1.0) < 1e-8
-    assert abs(tc - sensing.theta_crossover("fit")) > 1e-4
+    assert tc == sensing.theta_crossover("fit", grid_points)
+    # the root belongs to this grid's fit, which meets a theta = 1 there to
+    # its golden search's own error (under 2e-9)
+    assert abs(sensing.fit_a(tc, grid_points)[0] * tc - 1.0) < 1e-8
 
 
 @pytest.mark.parametrize("command", ["resolution", "fit-delta"])

@@ -62,7 +62,7 @@ def test_frame_validation():
         RingFrame(mass=1e-25, radius=1e-5, sites=2)
     with pytest.raises(ConfigError):
         RingFrame(mass=math.inf, radius=1e-5, sites=20)
-    for sites in (math.nan, math.inf, 20.5):
+    for sites in (math.nan, math.inf, 20.5, 10 ** 400):
         with pytest.raises(ConfigError):
             RingFrame(mass=1e-25, radius=1e-5, sites=sites)
 

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rotobh import landau
+from rotobh.core import effective_hopping
 from rotobh.errors import ConfigError, DegenerateGapError, DomainError, OutOfReachError
+from rotobh.landau import VARIANT_FOR_CONVENTION, order_parameter_landau
 from rotobh.oracle import MIN_N_MAX
 from rotobh.phase_diagram import (CONVENTIONS, PSI_METHODS, SweepSpec,
                                   boundary_curve,
@@ -233,6 +236,100 @@ def test_sweep_labels_are_classify(n, corner, frac, t, thetas, convention):
                               mu_values=(mu,), D_values=Ds))
     for _, D, _, label, _ in diagram.rows:
         assert _agrees(label, _classified(mu, D, 0.0, convention))
+
+
+# corners, subnormal mu on both sides of the mu = 0 corner, deep vacuum
+_ROW_MUS = (0.0, 2.0, 4.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-200, -0.5,
+            -3.0)
+# zero hopping, the paper boundary at mu = 1, and hoppings past D ~ 1e77,
+# where a4 = 16 D^4 B overflows
+_ROW_DS = (0.0, 5e-324, 1.0 / 3.0, 1.0 / 6.0, 1e76, 1e77, 1e100, 1e155)
+
+
+def _landau_cell(mu, t, theta, convention):
+    """(lobe, label, psi) of one cell from classify and
+    order_parameter_landau alone, a cell error as its sentinel."""
+    n = lobe_index(mu)
+    try:
+        label = classify(mu, t, theta, convention)
+        psi = 0.0
+        if label == "superfluid":
+            psi = order_parameter_landau(effective_hopping(t, theta), mu, n,
+                                         VARIANT_FOR_CONVENTION[convention])
+    except DomainError as exc:
+        return n, "error:%s" % exc.code, math.nan
+    return n, label, psi
+
+
+def _odd_rows_flip_bracket(real):
+    """a4_bracket with B negated on every other eighth of mu, so that
+    rows alternate between a valid expansion and an invalid one."""
+    return lambda mu, n: -real(mu, n) if int(abs(mu) * 8.0) % 2 else real(mu, n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mus=st.lists(st.one_of(st.sampled_from(_ROW_MUS), st.floats(-4.0, 7.0)),
+                    min_size=1, max_size=5, unique=True),
+       Ds=st.lists(st.one_of(st.sampled_from(_ROW_DS), st.floats(0.0, 2.0),
+                             st.floats(0.0, 1e155)),
+                   min_size=1, max_size=8, unique=True),
+       ts=st.lists(st.one_of(st.sampled_from(_ROW_DS), st.floats(0.0, 2.0)),
+                   min_size=1, max_size=3, unique=True),
+       thetas=st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=1,
+                       max_size=5, unique=True),
+       convention=st.sampled_from(CONVENTIONS), flip=st.booleans())
+def test_landau_rows_are_their_cells(mus, Ds, ts, thetas, convention, flip):
+    """Every diagram and sensing-loop cell, mu data worked out once per
+    row, is by repr the cell classify and order_parameter_landau give,
+    sentinels included: degenerate-gap at corners, domain where chi or a4
+    overflows, and invalid-expansion on rows whose B is (made) negative."""
+    with pytest.MonkeyPatch.context() as mp:
+        if flip:
+            mp.setattr(landau, "a4_bracket",
+                       _odd_rows_flip_bracket(landau.a4_bracket))
+        mus, Ds = tuple(sorted(mus)), tuple(sorted(Ds))
+        diagram = sweep(SweepSpec(kind="diagram", convention=convention,
+                                  mu_values=mus, D_values=Ds))
+        assert len(diagram.rows) == len(mus) * len(Ds)
+        for mu, D, *cell in diagram.rows:
+            assert repr(tuple(cell)) == repr(_landau_cell(mu, D, 0.0,
+                                                          convention))
+        for mu in mus:
+            loop = sweep(SweepSpec(kind="sensing-loop", convention=convention,
+                                   mu_values=(mu,), t_values=tuple(sorted(ts)),
+                                   theta_values=tuple(sorted(thetas))))
+            for t, theta, D, *cell in loop.rows:
+                assert repr(tuple(cell)) == repr(_landau_cell(mu, t, theta,
+                                                              convention))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lobes=st.lists(st.tuples(st.integers(1, 4),
+                                st.one_of(st.sampled_from(_ROW_MUS),
+                                          st.floats(-1.0, 8.0))),
+                      min_size=1, max_size=4),
+       ts=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=1,
+                   max_size=6, unique=True),
+       convention=st.sampled_from(CONVENTIONS), tips=st.booleans())
+def test_costheta_rows_are_their_cells(lobes, ts, convention, tips):
+    """A costheta-curve lobe takes D_c once, and each of its cells is
+    D_c / t from boundary_hopping, sentinels included (t = 0, corners, mu
+    outside the lobe, an unreachable boundary)."""
+    spec = SweepSpec(kind="costheta-curve", convention=convention,
+                     t_values=tuple(sorted(ts)),
+                     lobes=tuple(n for n, _ in lobes),
+                     lobe_mu=() if tips else tuple(mu for _, mu in lobes))
+    for n, mu, t, c, status in sweep(spec).rows:
+        try:
+            if t == 0.0:
+                raise DomainError("t/U must be > 0")
+            ratio = boundary_hopping(mu, n, convention) / t
+            if ratio > 1.0:
+                raise OutOfReachError("unreachable")
+            expected = ratio, "ok"
+        except DomainError as exc:
+            expected = math.nan, "error:%s" % exc.code
+        assert repr((c, status)) == repr(expected)
 
 
 def test_sweep_costheta_curve_defaults_to_tips():

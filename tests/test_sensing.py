@@ -6,8 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rotobh import sensing
 from rotobh.cli import _dtheta_steps
-from rotobh.errors import ConfigError, DomainError, FitQualityWarning, OutOfRangeError
+from rotobh.errors import (ConfigError, ConvergenceError, DomainError,
+                           FitQualityWarning, OutOfRangeError)
 from rotobh.landau import kappa
 from rotobh.numerics import lambert_w
 from rotobh.sensing import (BISECTION_TOL, DELTA_GLOBAL_MAX, FIT_COARSE_POINTS,
@@ -304,10 +306,31 @@ def test_theta_crossover_both_modes():
 
 
 def test_theta_crossover_fit_solves_its_equation():
-    # Brent returns the end of its final 1e-8 bracket with the smaller
-    # residual, 1.5e-9 here
+    # the stationarity root is exact to rounding for the fit's problem; a
+    # fit there meets a theta = 1 to the golden search's error, 1.8e-9
     tc = theta_crossover("fit")
     assert abs(fit_a(tc)[0] * tc - 1.0) < 1e-8
+    # the 50-point fit crosses 1.9e-4 below the 200-point one
+    assert theta_crossover("fit", 50) < tc - 1e-4
+    with pytest.raises(ConfigError):
+        theta_crossover("fit", 49)
+
+
+def test_theta_crossover_fit_takes_no_fit(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("theta_crossover ran a fit")
+    monkeypatch.setattr(sensing, "fit_grid", no_fit)
+    monkeypatch.setattr(sensing, "golden_min", no_fit)
+    assert abs(theta_crossover("fit") - 0.70918) < 1e-4
+
+
+def test_theta_crossover_fit_needs_the_scan_to_bracket_its_root(monkeypatch):
+    # the root of the stationarity does not depend on the scan range, but
+    # log10(1/theta*) = 0.149 lies outside a scan over [1, 3]: a stationary
+    # point the coarse scan does not confirm as the minimum is no answer
+    monkeypatch.setattr(sensing, "FIT_LOG_RANGE", (1.0, 3.0))
+    with pytest.raises(ConvergenceError):
+        theta_crossover("fit")
 
 
 def test_resolution_exact_mode():
