@@ -173,7 +173,22 @@ def a4_bracket(mu: float, n: int) -> float:
 
 
 def _positive_bracket(mu: float, n: int) -> float:
-    """a4_bracket(mu, n), which the quartic expansion needs to be > 0."""
+    """a4_bracket(mu, n), which the quartic expansion needs to be > 0.
+
+    In exact arithmetic B > 0 in every lobe.  With the in-lobe gaps
+    a = 2n - mu > 0 and b = mu - 2(n - 1) > 0, the six terms pair up as
+
+        (n+1)/a^2 [(n+1)/a - (n+2)/(2(a+1))]
+        + n/b^2 [n/b - (n-1)/(2(b+1))] + n(n+1)/(a b) (1/a + 1/b),
+
+    and both brackets are positive: 2(n+1)(a+1) - (n+2)a = na + 2n + 2
+    and 2n(b+1) - (n-1)b = (n+1)b + 2n.  A scan of 200,001 mu in
+    [-10, 12] finds the computed B > 0 wherever it is finite.  The check
+    stays as a guard because the first pair cancels to 1/(a+1) of its
+    size in the vacuum lobe (n = 0, a = -mu): from mu ~ -1e16, a + 1
+    rounds to a and the computed B to 0 (the phase-diagram cell mu = -1e16,
+    D = 2e16 is error:invalid-expansion).
+    """
     B = a4_bracket(mu, n)
     if B <= 0.0:
         raise InvalidExpansionError(

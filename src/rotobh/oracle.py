@@ -19,46 +19,87 @@ e0 >= <n> (<n> - B) + 2 D (psi - <n>^(1/2))^2, so wherever
 e0 <= e0(0) <= 0, <n> <= max(B, 0) and <a> <= <n>^(1/2).  At the minimum
 psi* = <a>, hence psi*^2 <= max(B, 0), and for B > 0,
 e0' >= 4 D (psi - sqrt(B)) wherever e0 <= e0(0).  A cell with B <= 0
-therefore has psi* = 0 and is not scanned.  Otherwise a coarse scan of e0
-over the grid psi_j = j sqrt(B) / (COARSE_POINTS - 3), j < COARSE_POINTS,
-which spans [0, sqrt(B)] plus two steps past it, is the global guard that
-picks the bracket.  Past sqrt(B), e0 rises wherever it lies below e0(0),
-so a scan minimum below e0(0) cannot sit beyond the first grid point past
-sqrt(B), and its bracket end grid[i+1] is at most the second: no bracket
-lies beyond the grid.  The bound holds at any truncation.
+therefore has psi* = 0 and needs no search.  The bound holds at any
+truncation.  Every other cell finds a candidate first and certifies it
+after, on the grid psi_j = j sqrt(B) / (COARSE_POINTS - 3),
+j < COARSE_POINTS, which spans [0, sqrt(B)] plus two steps past it, up
+to top = grid[-1].
 
-psi* is the root of the response form g(psi) = 1 - <a>(psi)/psi in the
-bracket, found by Brent's method to ROOT_TOL.  For psi > 0, g has the
-sign of e0' = 4 D (psi - <a>) but not its trivial zero at psi = 0, which
-would draw the interpolation steps of a bracket that starts at
-RESPONSE_EPS toward 0.  When the scan minimum sits at grid[i] with
-i >= 2, the bracket is [grid[i-1], grid[i+1]].  Otherwise the linear
-response r = <a>/psi at psi = RESPONSE_EPS decides (see below): r <= 1
-gives psi* = 0.0 exactly, or ConvergenceError if the scan puts grid[1]
-below e0(0) by more than rounding (a first-order jump); r > 1 makes
-g(RESPONSE_EPS) < 0 and the bracket [RESPONSE_EPS, grid[i+1]].  A bracket
-that g does not straddle raises ConvergenceError.  The root is
-machine-accurate, which makes the truncation-drift guarantee (<= 1e-8 per
-two extra Fock levels) meetable.  RESPONSE_EPS lowers r by
-O(RESPONSE_EPS^2), so within about 2e-12 relative above the boundary,
-where the true psi* is below RESPONSE_EPS, psi* = 0.0.
+The candidate.  The linear response r = <a>/psi at psi = RESPONSE_EPS
+decides (see below): r <= 1 gives psi = 0.0 exactly.  r > 1 makes psi = 0
+a maximum, and the candidate is the root of the response form
+g(psi) = 1 - <a>(psi)/psi on [RESPONSE_EPS, top], found by Brent's method
+to ROOT_TOL.  For psi > 0, g has the sign of e0' = 4 D (psi - <a>) but
+not its trivial zero at psi = 0, which would draw the interpolation steps
+toward 0.  The bracket's lower end has g = 1 - r < 0.  Its upper end has
+g(top) > 0 wherever e0(top) <= e0(0): there <a> <= <n>^(1/2) <= sqrt(B)
+by the bound above, so g(top) >= 1 - sqrt(B)/top = 2/(COARSE_POINTS - 1)
+= 0.05, far above the rounding of <a>.  Where e0(top) > e0(0), g(top) may
+take either sign, and brent_root's sign check stands: a bracket that g
+does not straddle raises ConvergenceError.
 
-Each point pays only for LAPACK.  The coarse scan is one stacked
-``numpy.linalg.eigvalsh`` over the scanned matrices; the response and each
+The certificate.  No candidate is returned unverified: its energy
+e0* = e0(psi*) must lie below e0(psi_j) + slack at every grid point,
+which is the guarantee a stacked eigenvalue scan of the grid would give.
+The ground energy of H(psi_j) exceeds level = e0* - slack exactly when
+every pivot of the LDL^T factorization of H(psi_j) - level is positive
+(Sylvester's law of inertia; the Sturm count of Barth, Martin &
+Wilkinson, Numer. Math. 9, 386 (1967)).  For a tridiagonal matrix the
+pivots are p_0 = d_0 - level, p_k = d_k - level - e_(k-1)^2 / p_(k-1):
+one loop over the Fock index, vectorized over the grid.  They are formed
+for (H - level) / 2^m with 2^m >= N (below), a power of two, which moves
+no sign and no rounding but keeps every e^2 finite.  A zero or NaN pivot
+is a failure, so the check fails closed.  A failure raises
+ConvergenceError: e0 has a second minimum that the candidate missed,
+which for the candidate psi = 0 is a first-order jump.
+
+The slack.  Let n = n_max + 1, eps the machine epsilon, base_k =
+-mu k + k(k-1) and N = max|base| + 2 D top^2 + 4 D top sqrt(n_max).  By
+Gershgorin, N bounds ||H(psi)|| for 0 <= psi <= top, since
+|d_k| <= max|base| + 2 D psi^2 and |e_k| <= 2 D psi sqrt(n_max).  Three
+roundings separate the certificate from an exact comparison of ground
+energies.  (1) dstev is backward stable: e0* is an eigenvalue of a
+matrix within n eps N of the one it was handed (LAPACK Users' Guide,
+sec. 4.7, with its modest p(n) taken as n), and forming that matrix
+rounds its entries by at most 3 eps N in norm.  (2) Forming d_k - level
+rounds each entry by at most 2.5 eps N.  (3) The computed pivots are the
+exact pivots of a matrix whose off-diagonal entries carry relative
+perturbations of at most 2.5 eps (Demmel, Applied Numerical Linear
+Algebra (1997), sec. 5.3.4), plus 1 eps from forming e^2; that moves
+every eigenvalue by at most 3.5 eps * 2 max|e| <= 3.5 eps N.  Together
+they stay below (n + 9) eps N, and slack = 2 (n + 9) eps N is twice
+that: a grid point that ties the candidate's exact energy passes, and a
+pass means no grid point lies more than 1.5 slack below it.
+
+Next to the boundary psi* is not machine-accurate.  g = 1 - <a>/psi
+cancels there: near the root <a>/psi is 1 to within about
+(D - D_b)/D_b, while <a>, formed from the ground vector's small
+components, carries a rounding error far above eps, and the root moves
+by that error over g's slope, which vanishes as psi* -> 0.
+Against a 40-digit root over 18 mu in lobes 1 and 4 (default
+truncation), |dpsi*| is at most 7.1e-9 for D/D_b - 1 from 1e-6 down to
+5.6e-10, so GOLDEN_TOL holds there; from 3.2e-10 inward 1 to 5 of the 18
+cells miss it, by up to 2.4e-6 (mu = 7.0 is the worst).  From 1% above
+the boundary on the root is accurate to about 2e-14, which makes the
+truncation-drift guarantee (<= 1e-8 per two extra Fock levels)
+meetable.  RESPONSE_EPS lowers r by O(RESPONSE_EPS^2), so within about
+2e-12 relative above the boundary, where the true psi* is below
+RESPONSE_EPS, psi* = 0.0.
+
+Each point pays for LAPACK and one vector pass.  The response and each
 root step are one ``dstev`` each, which gives e0, the vector and <a>
 together, and the returned point reuses the root's own solve at psi*.
+The certificate is n vector steps over the COARSE_POINTS grid points.
 The psi-independent arrays k, k(k-1) and sqrt(k) are built once per n_max.
 The Fock truncation, given or defaulted to lobe + 8, must lie in
-[MIN_N_MAX, MAX_N_MAX] = [4, 256]: the stacked scan holds
-COARSE_POINTS (n_max + 1)^2 doubles, about 22 MB at the cap and growing
-as n_max^2, so a larger truncation is a ConfigError before any array is
-built.
+[MIN_N_MAX, MAX_N_MAX] = [4, 256]; a larger one is a ConfigError before
+any array is built.
 A LAPACK failure raises ConvergenceError; it never yields a number.  So
-does a problem whose H(psi) would overflow on the scan (D past about
-5e153, or |mu| n_max past the double range), before any arithmetic.  scipy,
-which supplies dstev, is imported when the first _Kernel is built, not
-with this module, so a process that never diagonalizes never pays for
-loading it.
+does a problem whose H(psi) would overflow up to top (D past about
+5e153, or |mu| n_max past the double range), before any arithmetic, and
+one whose bound N overflows.  scipy, which supplies dstev, is imported
+when the first _Kernel is built, not with this module, so a process that
+never diagonalizes never pays for loading it.
 
 The Mott/superfluid boundary is not found by minimizing at all.  At
 psi -> 0, Hellmann-Feynman gives e0(psi) - e0(0) ~ 2 D (1 - r) psi^2, with
@@ -80,18 +121,21 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, TruncationWarning
-from .numerics import brent_root
+from .numerics import EPS, brent_root
 from .landau import boundary_hopping, lobe_index
 
-COARSE_POINTS = 41  # scan points over [0, sqrt(B)] and two steps past it
-GOLDEN_TOL = 1e-8  # published bound on |dpsi| of the minimizer (meets ~1e-14)
+COARSE_POINTS = 41  # grid points over [0, sqrt(B)] and two steps past it
+# published bound on |dpsi| of the minimizer: meets ~1e-14 deep in the
+# superfluid, and fails within ~3e-10 relative of the boundary (docstring)
+GOLDEN_TOL = 1e-8
 BOUNDARY_TOL = 1e-6  # published bound on |dD| of boundary_numeric (meets ~1e-12)
 RESPONSE_EPS = 1e-6  # psi at which boundary_numeric reads the linear response
 ROOT_TOL = 1e-14  # bracket width of the boundary root in D and psi* in psi
 GUARD_STEP = 1e-3  # relative offset in D of the two first-order guards
 MIN_N_MAX = 4  # smallest Fock truncation a MeanFieldProblem accepts
-# Largest one: the stacked scan holds COARSE_POINTS (n_max + 1)^2 doubles,
-# 41 * 257^2 * 8 B ~ 22 MB at 256, and the footprint grows as n_max^2.
+# Largest one.  Each dstev computes all n_max + 1 eigenvectors, O(n_max^3)
+# work, so one minimization takes about 0.5 s at 256 (4.7 ms at 64): the
+# cap keeps a cell under a second, and no truncation changes exit status.
 MAX_N_MAX = 256
 
 dstev = None  # scipy's LAPACK routine, bound by _dstev on first use
@@ -161,13 +205,14 @@ def _check_info(routine, info):
 
 
 class _Kernel:
-    """Eigensolves of one problem's H(psi), each a single LAPACK call."""
+    """One problem's H(psi): eigensolves, each a single LAPACK call, and the
+    certificate's pivots over a grid of psi."""
 
-    __slots__ = ("_base", "_sqrt_k", "_two_d", "_dstev")
+    __slots__ = ("_base", "_k", "_sqrt_k", "_two_d", "_dstev")
 
     def __init__(self, problem):
         mu, D = problem.mu_over_U, problem.D_eff
-        # H(psi) up to the scan's end has entries of about |mu| n_max and
+        # H(psi) up to the grid's end has entries of about |mu| n_max and
         # 2.2 D B; where those overflow, no eigensolve can be trusted
         if not math.isfinite(abs(mu) * problem.n_max
                              + 4.0 * D * max(mu + 1.0 + 2.0 * D, 1.0)):
@@ -175,6 +220,7 @@ class _Kernel:
                                    % (mu, D))
         k, k_k1, sqrt_k = _fock_arrays(problem.n_max)
         self._base = -mu * k + k_k1
+        self._k = k
         self._sqrt_k = sqrt_k
         self._two_d = 2.0 * D
         self._dstev = _dstev()
@@ -196,19 +242,28 @@ class _Kernel:
         """Linear response r = <a>/psi of the ground state at RESPONSE_EPS."""
         return self.eigenpair(RESPONSE_EPS)[2] / RESPONSE_EPS
 
-    def scan(self, grid):
-        """e0 at every psi of grid from one stacked eigvalsh."""
-        diag, off = self.tridiag(grid[:, None])
-        n = self._base.size
-        H = np.zeros((grid.size, n, n))
-        i = np.arange(n)
-        H[:, i, i] = diag
-        H[:, i[1:], i[:-1]] = off
-        H[:, i[:-1], i[1:]] = off
-        try:
-            return np.linalg.eigvalsh(H)[:, 0]
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError("stacked eigensolver failed: %s" % exc)
+    def norm(self, top):
+        """Gershgorin bound on ||H(psi)|| over 0 <= psi <= top."""
+        return (float(np.abs(self._base).max()) + self._two_d * top * top
+                + 2.0 * self._two_d * top * math.sqrt(self._k[-1]))
+
+    def above(self, grid, level, norm):
+        """True if the ground energy at every psi of grid exceeds level.
+
+        That holds exactly when every LDL^T pivot of H(psi) - level is
+        positive; the pivots of (H(psi) - level) / 2^m, 2^m >= norm, have
+        the same signs and no square among them overflows.  A zero or NaN
+        pivot is a failure.
+        """
+        scale = math.ldexp(1.0, -math.frexp(norm)[1])
+        h = self._two_d * scale
+        pivots = ((self._base * scale)[:, None] + h * grid * grid
+                  - level * scale)
+        off2 = self._k[1:, None] * (h * grid) ** 2
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for k in range(1, pivots.shape[0]):
+                pivots[k] -= off2[k - 1] / pivots[k - 1]
+        return bool((pivots > 0.0).all())
 
 
 def build_hamiltonian(problem: MeanFieldProblem, psi: float) -> np.ndarray:
@@ -243,39 +298,31 @@ def minimize_order_parameter(problem: MeanFieldProblem) -> OracleResult:
         return solved[p]
 
     bound = problem.mu_over_U + 1.0 + 2.0 * problem.D_eff
-    psi = 0.0  # the only candidate when B <= 0
+    psi = 0.0  # the candidate when B <= 0 or r <= 1
     if bound > 0.0:
-        step = math.sqrt(bound) / (COARSE_POINTS - 3)
-        grid = step * np.arange(COARSE_POINTS)
-        energies = kernel.scan(grid)
-        # eigvalsh is backward stable: a scan value can sit below the exact
-        # e0(0) = energies[0] by rounding of order n eps |H|, not by more
-        base = kernel._base
-        rounding = base.size * np.finfo(float).eps * np.abs(base).max()
-        i = int(np.argmin(energies))
-        if energies[i] >= energies[0] - rounding:
-            i = 0  # no point lies below e0(0)
-        stable = i <= 1 and eigenpair(RESPONSE_EPS)[2] / RESPONSE_EPS <= 1.0
-        if stable and i == 1:
-            raise ConvergenceError(
-                "psi = 0 is linearly stable at mu = %r, D = %r, yet the scan "
-                "puts e0(%.6g) below e0(0) by %.3g: a first-order jump"
-                % (problem.mu_over_U, problem.D_eff, grid[1],
-                   energies[0] - energies[1]))
-        if not stable:
-            # for i <= 1, r > 1 makes psi = 0 a maximum: g(RESPONSE_EPS) < 0
-            lo = grid[i - 1] if i >= 2 else RESPONSE_EPS
-            hi = grid[min(i + 1, COARSE_POINTS - 1)]
+        grid = math.sqrt(bound) / (COARSE_POINTS - 3) * np.arange(COARSE_POINTS)
+        top = float(grid[-1])
+        if eigenpair(RESPONSE_EPS)[2] / RESPONSE_EPS > 1.0:
             try:  # g(p) = 1 - <a>(p) / p = e0'(p) / (4 D p)
-                psi = brent_root(lambda p: 1.0 - eigenpair(p)[2] / p, lo, hi,
-                                 tol=ROOT_TOL)
+                psi = brent_root(lambda p: 1.0 - eigenpair(p)[2] / p,
+                                 RESPONSE_EPS, top, tol=ROOT_TOL)
             except ValueError:
                 raise ConvergenceError(
                     "no stationary point of e0 in [%.6g, %.6g] at mu = %r, "
-                    "D = %r" % (lo, hi, problem.mu_over_U,
+                    "D = %r" % (RESPONSE_EPS, top, problem.mu_over_U,
                                 problem.D_eff)) from None
-
     e0, vec, a_exp = eigenpair(psi)
+    if bound > 0.0:
+        norm = kernel.norm(top)
+        slack = 2.0 * (kernel._base.size + 9) * EPS * norm
+        if not math.isfinite(slack):
+            raise ConvergenceError("H(psi) overflows at mu = %r, D = %r"
+                                   % (problem.mu_over_U, problem.D_eff))
+        if not kernel.above(grid, e0 - slack, norm):
+            raise ConvergenceError(
+                "e0 has a second minimum at mu = %r, D = %r: a point of the "
+                "grid lies below e0(%r) = %r" % (problem.mu_over_U,
+                                                 problem.D_eff, psi, e0))
     _warn_truncation(vec)
     converged = abs(psi - a_exp) <= 1e-9
     return OracleResult(psi_star=psi, e0=e0, a_expect=a_exp, converged=converged)

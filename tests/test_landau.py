@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from rotobh.errors import ConfigError, DegenerateGapError, DomainError
+from rotobh.errors import (ConfigError, DegenerateGapError, DomainError,
+                           InvalidExpansionError)
 from rotobh.landau import (a2, a4, a4_bracket, chi_susceptibility,
                            energy_gap, kappa, landau_coefficients,
                            lobe_interval, local_energy,
@@ -112,6 +113,12 @@ def test_a4_bracket_positive_across_lobes():
             assert a4_bracket(mu, n) > 0.0, (mu, n)
     for mu in (-0.01, -0.5, -2.0, -10.0):
         assert a4_bracket(mu, 0) > 0.0
+    # deep in the vacuum lobe a + 1 rounds to a = -mu and the bracket's
+    # first pair cancels to B = 0, which psi reports as an error rather
+    # than divide by
+    assert a4_bracket(-1e16, 0) == 0.0
+    with pytest.raises(InvalidExpansionError):
+        order_parameter_landau(2e16, -1e16, 0)
 
 
 def test_order_parameter_closed_form():

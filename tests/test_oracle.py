@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rotobh import oracle
@@ -24,10 +24,8 @@ def test_problem_validation():
 
 
 def test_truncation_cap_rejects_before_any_array(monkeypatch):
-    # the stacked scan holds COARSE_POINTS (n_max + 1)^2 doubles: 22 MB at
-    # the cap; a larger truncation, given or defaulted from a huge mu, is a
+    # a truncation past the cap, given or defaulted from a huge mu, is a
     # ConfigError before any array is built
-    assert COARSE_POINTS * (oracle.MAX_N_MAX + 1) ** 2 * 8 < 25e6
     monkeypatch.setattr(oracle, "_fock_arrays", None)  # any use would raise
     for n_max in (oracle.MAX_N_MAX + 1, 100000000000, 10 ** 400):
         with pytest.raises(ConfigError):
@@ -42,14 +40,19 @@ def test_truncation_cap_rejects_before_any_array(monkeypatch):
         == oracle.MAX_N_MAX
 
 
-def test_overflowing_hamiltonian_is_a_convergence_error():
-    # past D ~ 5e153, or |mu| n_max past the double range, H(psi) on the
-    # scan overflows: an error before any numpy arithmetic can warn
+def test_overflowing_hamiltonian_is_a_convergence_error(monkeypatch):
+    # past D ~ 5e153, or |mu| n_max past the double range, H(psi) up to the
+    # grid's end overflows: an error before any numpy arithmetic can warn
     for mu, D in ((0.5, 1e300), (0.0, 1e308), (-1e308, 1e308)):
         with pytest.raises(ConvergenceError, match="overflows"):
             minimize_order_parameter(MeanFieldProblem(mu, D))
     with pytest.raises(ConvergenceError, match="overflows"):
         boundary_numeric(-1e200)
+    # an infinite norm bound would make the slack infinite and the
+    # certificate pass whatever the grid holds
+    monkeypatch.setattr(oracle._Kernel, "norm", lambda self, top: math.inf)
+    with pytest.raises(ConvergenceError, match="overflows"):
+        minimize_order_parameter(MeanFieldProblem(1.0, 0.25))
 
 
 def test_default_truncation():
@@ -178,16 +181,15 @@ def test_minimizer_straddles_the_boundary(lobe, frac, n_max, log_rel):
 
 
 def test_minimizer_unbracketed_root_is_an_error(monkeypatch):
-    # a scan minimum moved to the grid's far end, past sqrt(B): g > 0 over
-    # the whole bracket, so it holds no root
-    real = oracle._Kernel.scan
+    # <a> doubled past psi = 0.5: g = 1 - <a>/psi < 0 at both ends
+    # of [RESPONSE_EPS, grid[-1]], so the bracket holds no sign change
+    real = oracle._Kernel.eigenpair
 
-    def far_end(self, grid):
-        energies = real(self, grid)
-        energies[-1] = energies.min() - 1.0
-        return energies
+    def falling(self, psi):
+        e0, vec, a_exp = real(self, psi)
+        return e0, vec, 2.0 * a_exp if psi > 0.5 else a_exp
 
-    monkeypatch.setattr(oracle._Kernel, "scan", far_end)
+    monkeypatch.setattr(oracle._Kernel, "eigenpair", falling)
     with pytest.raises(ConvergenceError, match="no stationary point"):
         minimize_order_parameter(MeanFieldProblem(1.0, 0.25))
 
@@ -215,11 +217,23 @@ def test_default_psi_max_brackets_the_minimum(lobe, frac, scale):
     assert res.psi_star ** 2 <= max(mu + 1.0 + 2.0 * D, 0.0)
 
 
+def _dense_scan(problem, grid):
+    """e0 at every psi of grid from dense eigvalsh: the test's reference."""
+    return np.array([np.linalg.eigvalsh(build_hamiltonian(problem, x))[0]
+                     for x in grid])
+
+
+def _grid(problem):
+    B = problem.mu_over_U + 1.0 + 2.0 * problem.D_eff
+    return math.sqrt(B) / (COARSE_POINTS - 3) * np.arange(COARSE_POINTS)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(cell=_CELL, n_max=st.one_of(st.none(), st.integers(4, 16)))
 def test_scan_cut_matches_the_full_scan(cell, n_max):
-    # the scan stops two steps past sqrt(B) at any truncation; a dense scan
-    # twice as far out finds nothing lower than the minimizer's e0
+    # the certificate's grid stops two steps past sqrt(B) at any truncation;
+    # a dense scan twice as far out finds nothing lower than the minimizer's
+    # e0
     lobe, x, y = cell
     if lobe is None:
         mu, D = x, 0.5 * y * (-1.0 - x)
@@ -233,42 +247,86 @@ def test_scan_cut_matches_the_full_scan(cell, n_max):
     B = max(mu + 1.0 + 2.0 * D, 0.0)
     assert res.converged
     assert res.psi_star ** 2 <= B
-    kernel = oracle._Kernel(p)
     far = np.linspace(0.0, 2.0 * math.sqrt(B) + 1.0, 401)
-    lowest = kernel.scan(far).min()
+    lowest = _dense_scan(p, far).min()
     assert res.e0 <= lowest + 1e-12 * max(1.0, abs(lowest))
     if B == 0.0:
         return
-    # past sqrt(B), e0 rises wherever it lies below e0(0), so a scan minimum
-    # below e0(0) is not the last grid point and its bracket end grid[i + 1]
-    # is scanned
-    grid = math.sqrt(B) / (COARSE_POINTS - 3) * np.arange(COARSE_POINTS)
-    energies = kernel.scan(grid)
-    i = int(np.argmin(energies))
-    rounding = (kernel._base.size * np.finfo(float).eps
-                * np.abs(kernel._base).max())
-    if energies[i] < energies[0] - rounding:
-        assert i < COARSE_POINTS - 1
+    # the root's bracket end: wherever e0(top) <= e0(0), <a> <= sqrt(B),
+    # so g(top) = 1 - <a>/top >= 1 - (COARSE_POINTS - 3)/(COARSE_POINTS - 1)
+    top = float(_grid(p)[-1])
+    e_top, _, a_top = oracle._Kernel(p).eigenpair(top)
+    if e_top <= ground_energy(p, 0.0)[0]:
+        assert 1.0 - a_top / top >= 2.0 / (COARSE_POINTS - 1) - 1e-12
+
+
+def _certificate(problem, psi, level):
+    """The certificate's verdict on the grid's norm at one psi and level."""
+    kernel = oracle._Kernel(problem)
+    norm = kernel.norm(float(_grid(problem)[-1]))
+    return kernel.above(np.array([psi]), level, norm), norm
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lobe=st.integers(0, 4), frac=st.floats(0.01, 0.99),
+       scale=st.floats(0.0, 10.0), n_max=st.integers(4, 24),
+       j=st.integers(0, COARSE_POINTS - 1), k=st.integers(-4, 4))
+def test_certificate_matches_dense_eigvalsh(lobe, frac, scale, n_max, j, k):
+    # the pivot signs of H(psi_j) - level agree with dense eigvalsh on
+    # whether the lowest eigenvalue lies above the level, everywhere but
+    # within the minimizer's slack of it
+    mu = 2.0 * (lobe - 1 + frac)
+    D = scale * boundary_hopping(mu, lobe, "variational")
+    assume(mu + 1.0 + 2.0 * D > 0.0)  # B <= 0 has no grid
+    p = MeanFieldProblem(mu, D, n_max)
+    psi = float(_grid(p)[j])
+    lowest = _dense_scan(p, [psi])[0]
+    norm = _certificate(p, psi, 0.0)[1]
+    slack = 2.0 * (n_max + 10) * np.finfo(float).eps * norm
+    level = lowest + k * slack
+    above = _certificate(p, psi, level)[0]
+    if abs(level - lowest) > slack:
+        assert above == (lowest > level), (lowest, level, slack)
+    if k < 0:  # a tie within slack passes: the minimizer's own e0 does
+        assert above
+
+
+def test_certificate_fails_closed():
+    p = MeanFieldProblem(1.0, 0.25, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a zero pivot divides without warning
+        assert not _certificate(p, 0.3, math.nan)[0]  # NaN pivots
+        assert not _certificate(p, 0.0, 0.0)[0]  # p_0 = 0, then 0 / 0
+        # D = 0.25, psi = 0.5: d_0 = 2 D psi^2 = 0.125 exactly, then e^2 / 0
+        assert not _certificate(p, 0.5, 0.125)[0]
+        flat = MeanFieldProblem(1.0, 0.0, 8)  # D = 0: H = diag(base)
+        assert not _certificate(flat, 0.7, -1.0)[0]  # ground level k = 1
+        assert _certificate(flat, 0.7, -1.0 - 1e-12)[0]
 
 
 def test_minimizer_scan_against_stable_mott_is_an_error(monkeypatch):
-    p = MeanFieldProblem(1.0, 0.1)  # Mott: r < 1
-    real = oracle._Kernel.scan
+    # a candidate whose e0 sits above a grid point by more than the slack
+    # fails the certificate: e0 has a second minimum the candidate missed
+    p = MeanFieldProblem(1.0, 0.1)  # Mott: r < 1, candidate psi = 0
+    real = oracle._Kernel.eigenpair
 
-    def dip(depth):
-        def scan(self, grid):
-            energies = real(self, grid)
-            energies[1] = energies[0] - depth
-            return energies
-        return scan
+    def lifted(depth):
+        def eigenpair(self, psi):
+            e0, vec, a_exp = real(self, psi)
+            return e0 + depth, vec, a_exp
+        return eigenpair
 
     with monkeypatch.context() as m:
-        m.setattr(oracle._Kernel, "scan", dip(1e-15))  # rounding: still Mott
+        m.setattr(oracle._Kernel, "eigenpair", lifted(1e-15))  # rounding
         assert minimize_order_parameter(p).psi_star == 0.0
     with monkeypatch.context() as m:
-        m.setattr(oracle._Kernel, "scan", dip(1e-6))
-        with pytest.raises(ConvergenceError, match="first-order"):
+        m.setattr(oracle._Kernel, "eigenpair", lifted(1e-6))
+        with pytest.raises(ConvergenceError, match="second minimum"):
             minimize_order_parameter(p)
+    with monkeypatch.context() as m:  # a superfluid candidate, and NaN
+        m.setattr(oracle._Kernel, "eigenpair", lifted(math.nan))
+        with pytest.raises(ConvergenceError, match="second minimum"):
+            minimize_order_parameter(MeanFieldProblem(1.0, 0.25))
 
 
 def test_boundary_numeric_lobe_one():
@@ -380,40 +438,17 @@ def test_kernel_matches_dense_eigh(mu, D, psi, n_max):
         assert abs(a_expectation(p, psi) - _dense_a(v[:, 0])) <= 1e-10
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(mu=st.floats(-1.0, 5.0), D=st.floats(0.0, 0.6),
-       top=st.floats(0.1, 4.0), n_max=st.integers(4, 16))
-def test_stacked_scan_matches_scalar_energies(mu, D, top, n_max):
-    p = MeanFieldProblem(mu, D, n_max)
-    grid = np.linspace(0.0, top, COARSE_POINTS)
-    stacked = oracle._Kernel(p).scan(grid)
-    scalar = np.array([ground_energy(p, x)[0] for x in grid])
-    assert stacked.shape == grid.shape
-    assert np.all(np.abs(stacked - scalar)
-                  <= 1e-12 * np.maximum(1.0, np.abs(scalar)))
-
-
 def _dstev_fails(d, e, **kwargs):
     return np.zeros_like(d), np.eye(d.size), 1
 
 
-def _eigvalsh_fails(a):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-
 def test_lapack_failure_is_an_error(monkeypatch):
     p = MeanFieldProblem(1.0, 0.25)
-    with monkeypatch.context() as m:
-        m.setattr(oracle, "dstev", _dstev_fails)
-        for call in (lambda: ground_energy(p, 0.3),
-                     lambda: a_expectation(p, 0.3),
-                     lambda: minimize_order_parameter(p),
-                     lambda: minimize_order_parameter(
-                         MeanFieldProblem(1.0, 0.0, 8))):
-            with pytest.raises(ConvergenceError, match="dstev"):
-                call()
-    with monkeypatch.context() as m:
-        m.setattr(oracle.np.linalg, "eigvalsh", _eigvalsh_fails)
-        with pytest.raises(ConvergenceError, match="stacked"):
-            minimize_order_parameter(p)
-
+    monkeypatch.setattr(oracle, "dstev", _dstev_fails)
+    for call in (lambda: ground_energy(p, 0.3),
+                 lambda: a_expectation(p, 0.3),
+                 lambda: minimize_order_parameter(p),
+                 lambda: minimize_order_parameter(
+                     MeanFieldProblem(1.0, 0.0, 8))):
+        with pytest.raises(ConvergenceError, match="dstev"):
+            call()
