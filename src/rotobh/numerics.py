@@ -4,10 +4,13 @@ Deliberately dependency-free so the physics modules stay auditable.  The
 golden-section search runs many brackets in lockstep, so that a caller
 can evaluate all of them with one array operation per step (the surrogate
 fit does, one lane per theta); the root finders and Lambert W work on one
-scalar at a time.  There are two root finders: brent_root (Brent-Dekker),
-which the oracle and the fit crossover use because each of their
-evaluations costs an eigensolve or a delta array, and bisect_root, which
-nothing in the package calls any more: it stays as the independent reference of
+scalar at a time.  There are three root finders, all with one contract:
+newton_root (Newton guarded by bisection), which the oracle's minimizer
+uses because each of its evaluations is an eigensolve that yields the
+slope too; brent_root (Brent-Dekker), which the oracle's boundary and the
+fit crossover use because each of their evaluations costs an eigensolve
+or a delta array and gives no slope; and bisect_root, which nothing in the
+package calls any more: it stays as the independent reference of
 acceptance 6 and because the benchmark's tracer (perfbench/tracer.py)
 binds it by name.  A root finder that runs out of iterations, or meets a
 NaN inside its bracket, raises ConvergenceError, and lambert_w raises it
@@ -69,23 +72,28 @@ def golden_min(f, brackets, tol=1e-10):
     return [0.5 * (lo + hi) for lo, hi in zip(a, b)]
 
 
-def _bracket_values(f, lo, hi):
-    """(f(lo), f(hi)); ValueError unless they bracket a root.
+def _check_bracket(lo, hi, flo, fhi):
+    """ValueError unless the values flo at lo and fhi at hi bracket a root.
 
     Signs are compared, not multiplied (a product of tiny values underflows
     to zero), and a NaN end is no bracket.
     """
-    flo, fhi = f(lo), f(hi)
     if math.isnan(flo) or math.isnan(fhi):
         raise ValueError("f is NaN at an end of [%g, %g]" % (lo, hi))
     if flo != 0.0 and fhi != 0.0 and (flo < 0.0) == (fhi < 0.0):
         raise ValueError("root not bracketed on [%g, %g]" % (lo, hi))
+
+
+def _bracket_values(f, lo, hi):
+    """(f(lo), f(hi)); ValueError unless they bracket a root."""
+    flo, fhi = f(lo), f(hi)
+    _check_bracket(lo, hi, flo, fhi)
     return flo, fhi
 
 
-def _value_at(f, x):
-    """f(x), or ConvergenceError if it is NaN: a NaN cannot move a bracket."""
-    fx = f(x)
+def _value_at(x, fx):
+    """fx = f(x), or ConvergenceError if it is NaN: a NaN cannot move a
+    bracket."""
     if math.isnan(fx):
         raise ConvergenceError("f is NaN at %r inside the bracket" % x)
     return fx
@@ -113,7 +121,7 @@ def bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
-        fmid = _value_at(f, mid)
+        fmid = _value_at(mid, f(mid))
         if fmid == 0.0 or hi - lo <= tol:
             return mid
         if (fmid < 0.0) != (flo < 0.0):
@@ -176,12 +184,79 @@ def brent_root(f, lo, hi, tol=1e-10, max_iter=100):
             d = e = xm
         a, fa = b, fb
         b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = _value_at(f, b)
+        fb = _value_at(b, f(b))
         if fb == 0.0:
             return b
     raise ConvergenceError("Brent's method did not reach tol = %g in %d steps; "
                            "the bracket is [%r, %r]" % (tol, max_iter,
                                                         min(b, c), max(b, c)))
+
+
+def newton_root(f, lo, hi, tol=1e-10, max_iter=100, model=None):
+    """Root of f on [lo, hi] by Newton's method guarded by bisection,
+    contract of brent_root.
+
+    f(x) returns the pair (f(x), f'(x)); the slope at lo is never read.
+    The Newton/bisection hybrid follows rtsafe (Press et al., Numerical
+    Recipes, 3rd ed., sec. 9.4): the iterate x starts at hi and stays an
+    end of a sign bracket whose other end is the last point evaluated on
+    the far side of the root.  Each step goes to the Newton point
+    x - f(x)/f'(x) when f'(x) has the sign of f(hi) (the way f runs
+    across [lo, hi]) and the point lies inside the open bracket, and to
+    the bracket's midpoint otherwise, so a NaN, infinite, zero or
+    wrong-signed slope bisects.  rtsafe's further rule, which bisects
+    wherever a step is over half the step before last, is left out: on
+    the oracle's minimizer it cost more evaluations than it saved.  So the
+    steps are only as good as the slope: one k times too steep shrinks the
+    distance to the root by a factor 1 - 1/k per step, and f' must be the
+    derivative of f, not an estimate of it.  model, if given, is a root
+    estimate model(x, f(x)) that caps the Newton steps taken before f
+    first changes sign, all of which run down from hi: such a step goes
+    to the smaller of model's point and the Newton point (a NaN model
+    point is ignored) and then meets the same bracket test.  A step
+    shorter than tol1 = 2 eps |x| + tol / 2 is lengthened to tol1 toward
+    the other end: that probe ends the search if f changes sign across
+    it.  Once the other end lies within 2 tol1 of x, that is, once the
+    sign bracket is no wider than tol plus 4 ulps of x, returns whichever
+    of its two ends has the smaller |f|.  No point is evaluated twice.
+    ValueError unless f(lo) and f(hi) bracket a root; ConvergenceError if
+    max_iter steps do not get there, or as soon as f is NaN inside the
+    bracket.
+    """
+    lo, hi = float(lo), float(hi)
+    flo = f(lo)[0]
+    fhi, slope = f(hi)
+    _check_bracket(lo, hi, flo, fhi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    rising = fhi > 0.0
+    x, fx, other, fother = hi, fhi, lo, flo
+    for _ in range(max_iter):
+        tol1 = 2.0 * EPS * abs(x) + 0.5 * tol
+        if abs(other - x) <= 2.0 * tol1:
+            return x if abs(fx) <= abs(fother) else other
+        t = math.nan  # no Newton point: bisect
+        if slope > 0.0 if rising else slope < 0.0:
+            t = x - fx / slope
+            if model is not None and other == lo:
+                cap = model(x, fx)
+                if cap < t:
+                    t = cap
+        if not min(x, other) < t < max(x, other):
+            t = 0.5 * (x + other)
+        if abs(t - x) < tol1:  # t lies between x and other
+            t = x + math.copysign(tol1, other - x)
+        ft, slope = f(t)
+        if _value_at(t, ft) == 0.0:
+            return t
+        if (ft > 0.0) != (fx > 0.0):
+            other, fother = x, fx
+        x, fx = t, ft
+    raise ConvergenceError("Newton's method did not reach tol = %g in %d "
+                           "steps; the bracket is [%r, %r]"
+                           % (tol, max_iter, min(x, other), max(x, other)))
 
 
 # lambert_w's domain: the resolution formula sends it z = -delta_max / 2

@@ -27,16 +27,47 @@ to top = grid[-1].
 
 The candidate.  The linear response r = <a>/psi at psi = RESPONSE_EPS
 decides (see below): r <= 1 gives psi = 0.0 exactly.  r > 1 makes psi = 0
-a maximum, and the candidate is the root of the response form
-g(psi) = 1 - <a>(psi)/psi on [RESPONSE_EPS, top], found by Brent's method
-to ROOT_TOL.  For psi > 0, g has the sign of e0' = 4 D (psi - <a>) but
-not its trivial zero at psi = 0, which would draw the interpolation steps
-toward 0.  The bracket's lower end has g = 1 - r < 0.  Its upper end has
-g(top) > 0 wherever e0(top) <= e0(0): there <a> <= <n>^(1/2) <= sqrt(B)
-by the bound above, so g(top) >= 1 - sqrt(B)/top = 2/(COARSE_POINTS - 1)
-= 0.05, far above the rounding of <a>.  Where e0(top) > e0(0), g(top) may
-take either sign, and brent_root's sign check stands: a bracket that g
-does not straddle raises ConvergenceError.
+a maximum, and the candidate is the root of the stationarity condition
+F(psi) = psi - <a>(psi) = e0'(psi) / (4 D) on [RESPONSE_EPS, top], found
+by numerics.newton_root to ROOT_TOL.  The bracket's lower end has
+F = RESPONSE_EPS (1 - r) < 0, read off the response's own solve.  Its
+upper end has F(top) > 0 wherever e0(top) <= e0(0): there
+<a> <= <n>^(1/2) <= sqrt(B) by the bound above, so
+F(top) / top >= 1 - sqrt(B)/top = 2/(COARSE_POINTS - 1) = 0.05, far above
+the rounding of <a>.  Where e0(top) > e0(0), F(top) may take either sign,
+and F(top) < 0 raises ConvergenceError: no stationary point.
+
+The slope.  Every dstev returns the whole spectrum, lambda_n and v_n, so
+Newton's slope costs no further solve.  With X = a + a^dagger,
+<a> = <v_0|X|v_0> / 2 and dH/dpsi = 4 D psi - 2 D X.  First-order
+perturbation theory (the identity term drops out, as <v_n|v_0> = 0) gives
+dv_0/dpsi = 2 D sum_(n >= 1) c_n v_n / (lambda_n - lambda_0) with
+c = V^T X v_0, hence
+
+    A'(psi) = d<a>/dpsi = 2 D sum_(n >= 1) c_n^2 / (lambda_n - lambda_0)
+
+and F' = 1 - A'.  c is two matrix-vector products with X, which is built
+once per n_max, and c_0 / 2 is <a>.  A first gap that is not positive, or
+a slope that is not finite, makes that step bisect.
+
+The start and the stop.  Near the boundary e0 has the Landau form, so
+g = F/psi = 1 - <a>/psi ~ (1 - r) + c psi^2, even in psi with g(0) = 1 - r.
+Through the response point, at psi ~ 0, and an iterate x with g(x) > 0,
+c = (g(x) + r - 1) / x^2, and the model's root is
+
+    x_m = x sqrt((r - 1) / (g(x) + r - 1)) < x.
+
+The first solve is at top, and every step until F first changes sign,
+the first one included, goes to the smaller of x_m and the Newton point:
+next to the boundary F is nearly cubic, and Newton from top alone takes
+several more steps to come down to psi*.  A step that leaves the open
+bracket, or where F' <= 0, bisects.  A step shorter than
+tol1 = 2 eps x + ROOT_TOL/2 is lengthened to tol1, a probe, and the root
+is returned only once F changes sign across a bracket no wider than
+ROOT_TOL plus 4 ulps: the end of it with the smaller |F|, which is the
+guarantee brent_root gives.  Running past newton_root's max_iter raises
+ConvergenceError.  No psi is solved twice, and the returned point reuses
+its own solve.
 
 The certificate.  No candidate is returned unverified: its energy
 e0* = e0(psi*) must lie below e0(psi_j) + slack at every grid point,
@@ -71,26 +102,31 @@ they stay below (n + 9) eps N, and slack = 2 (n + 9) eps N is twice
 that: a grid point that ties the candidate's exact energy passes, and a
 pass means no grid point lies more than 1.5 slack below it.
 
-Next to the boundary psi* is not machine-accurate.  g = 1 - <a>/psi
+Next to the boundary psi* is not machine-accurate.  F = psi - <a>
 cancels there: near the root <a>/psi is 1 to within about
 (D - D_b)/D_b, while <a>, formed from the ground vector's small
 components, carries a rounding error far above eps, and the root moves
-by that error over g's slope, which vanishes as psi* -> 0.
-Against a 40-digit root over 18 mu in lobes 1 and 4 (default
-truncation), |dpsi*| is at most 7.1e-9 for D/D_b - 1 from 1e-6 down to
-5.6e-10, so GOLDEN_TOL holds there; from 3.2e-10 inward 1 to 5 of the 18
-cells miss it, by up to 2.4e-6 (mu = 7.0 is the worst).  From 1% above
-the boundary on the root is accurate to about 2e-14, which makes the
-truncation-drift guarantee (<= 1e-8 per two extra Fock levels)
-meetable.  RESPONSE_EPS lowers r by O(RESPONSE_EPS^2), so within about
-2e-12 relative above the boundary, where the true psi* is below
-RESPONSE_EPS, psi* = 0.0.
+by that error over F's slope 2 (r - 1), which vanishes at the boundary.
+Against a 40-digit root over 18 mu in lobes 0, 1 and 4 (default
+truncation), |dpsi*| is at most 7.6e-13 at D/D_b - 1 = 1e-3, 2.8e-11 at
+1e-5, 2.8e-9 at 1e-6 and 2.9e-9 at 1e-9, so GOLDEN_TOL holds there; at
+1e-10 2 of the 18 cells miss it and at 1e-11 4 do, by up to 3.1e-8.  Over
+1,500 random cells in lobes 0 to 4 with n_max up to 24, only cells at
+D = D_cv (1 + 10^-k), k >= 9, miss it (D_cv the closed-form boundary),
+and from 1% above the boundary on the root is accurate to 3e-13, which
+makes the truncation-drift guarantee (<= 1e-8 per two extra Fock
+levels) meetable.  RESPONSE_EPS lowers r by
+O(RESPONSE_EPS^2), so within about 2e-12 relative above the boundary,
+where the true psi* is below RESPONSE_EPS, psi* = 0.0.
 
-Each point pays for LAPACK and one vector pass.  The response and each
-root step are one ``dstev`` each, which gives e0, the vector and <a>
-together, and the returned point reuses the root's own solve at psi*.
-The certificate is n vector steps over the COARSE_POINTS grid points.
-The psi-independent arrays k, k(k-1) and sqrt(k) are built once per n_max.
+Each point pays for LAPACK and a few vector passes.  The response is one
+``dstev``, and each root step is one ``dstev`` plus the two products that
+give <a> and the slope: 6 or 7 solves for a superfluid cell away from
+the boundary, where Brent's method took 10 to 12, and more next to it.
+The certificate
+is n vector steps over the COARSE_POINTS grid points.
+The psi-independent arrays k, k(k-1), sqrt(k) and X are built once per
+n_max.
 The Fock truncation, given or defaulted to lobe + 8, must lie in
 [MIN_N_MAX, MAX_N_MAX] = [4, 256]; a larger one is a ConfigError before
 any array is built.
@@ -121,12 +157,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, TruncationWarning
-from .numerics import EPS, brent_root
+from .numerics import EPS, brent_root, newton_root
 from .landau import boundary_hopping, lobe_index
 
 COARSE_POINTS = 41  # grid points over [0, sqrt(B)] and two steps past it
-# published bound on |dpsi| of the minimizer: meets ~1e-14 deep in the
-# superfluid, and fails within ~3e-10 relative of the boundary (docstring)
+# published bound on |dpsi| of the minimizer: meets ~1e-13 deep in the
+# superfluid, and fails within ~1e-9 relative of the boundary (docstring)
 GOLDEN_TOL = 1e-8
 BOUNDARY_TOL = 1e-6  # published bound on |dD| of boundary_numeric (meets ~1e-12)
 RESPONSE_EPS = 1e-6  # psi at which boundary_numeric reads the linear response
@@ -134,7 +170,7 @@ ROOT_TOL = 1e-14  # bracket width of the boundary root in D and psi* in psi
 GUARD_STEP = 1e-3  # relative offset in D of the two first-order guards
 MIN_N_MAX = 4  # smallest Fock truncation a MeanFieldProblem accepts
 # Largest one.  Each dstev computes all n_max + 1 eigenvectors, O(n_max^3)
-# work, so one minimization takes about 0.5 s at 256 (4.7 ms at 64): the
+# work, so one minimization takes about 0.3 s at 256 (3 ms at 64): the
 # cap keeps a cell under a second, and no truncation changes exit status.
 MAX_N_MAX = 256
 
@@ -183,9 +219,12 @@ class OracleResult:
 
 @functools.lru_cache(maxsize=None)
 def _fock_arrays(n_max):
-    """k, k(k-1) and sqrt(k) (k >= 1) for one truncation, shared read-only."""
+    """k, k(k-1), sqrt(k) (k >= 1) and the dense X = a + a^dagger for one
+    truncation, shared read-only."""
     k = np.arange(n_max + 1, dtype=float)
-    arrays = (k, k * (k - 1.0), np.sqrt(k[1:]))
+    sqrt_k = np.sqrt(k[1:])
+    arrays = (k, k * (k - 1.0), sqrt_k,
+              np.diag(sqrt_k, 1) + np.diag(sqrt_k, -1))
     for array in arrays:
         array.setflags(write=False)
     return arrays
@@ -208,7 +247,7 @@ class _Kernel:
     """One problem's H(psi): eigensolves, each a single LAPACK call, and the
     certificate's pivots over a grid of psi."""
 
-    __slots__ = ("_base", "_k", "_sqrt_k", "_two_d", "_dstev")
+    __slots__ = ("_base", "_k", "_sqrt_k", "_x", "_two_d", "_dstev")
 
     def __init__(self, problem):
         mu, D = problem.mu_over_U, problem.D_eff
@@ -218,10 +257,11 @@ class _Kernel:
                              + 4.0 * D * max(mu + 1.0 + 2.0 * D, 1.0)):
             raise ConvergenceError("H(psi) overflows at mu = %r, D = %r"
                                    % (mu, D))
-        k, k_k1, sqrt_k = _fock_arrays(problem.n_max)
+        k, k_k1, sqrt_k, x = _fock_arrays(problem.n_max)
         self._base = -mu * k + k_k1
         self._k = k
         self._sqrt_k = sqrt_k
+        self._x = x
         self._two_d = 2.0 * D
         self._dstev = _dstev()
 
@@ -229,14 +269,37 @@ class _Kernel:
         return (self._base + self._two_d * psi * psi,
                 -self._two_d * psi * self._sqrt_k)
 
-    def eigenpair(self, psi):
-        """(e0, unit vector in LAPACK's sign, <a>) from one dstev solve."""
+    def _spectrum(self, psi):
+        """Eigenvalues (ascending) and eigenvectors of H(psi): one dstev."""
         vals, vecs, info = self._dstev(*self.tridiag(psi), overwrite_d=1,
                                        overwrite_e=1)
         _check_info("dstev", info)
+        return vals, vecs
+
+    def eigenpair(self, psi):
+        """(e0, unit vector in LAPACK's sign, <a>) from one dstev solve."""
+        vals, vecs = self._spectrum(psi)
         vec = vecs[:, 0]
         a_exp = float(np.dot(self._sqrt_k, vec[:-1] * vec[1:]))
         return float(vals[0]), vec, a_exp
+
+    def root_step(self, psi):
+        """(e0, vector, <a>, d<a>/dpsi) from the spectrum of one dstev solve.
+
+        With c = V^T X v_0, <a> = c_0 / 2 and the slope is
+        2 D sum_(n >= 1) c_n^2 / (lambda_n - lambda_0) (module docstring).
+        The slope is NaN unless the first gap is positive, and it may be
+        infinite.
+        """
+        vals, vecs = self._spectrum(psi)
+        vec = vecs[:, 0]
+        c = np.dot(self._x @ vec, vecs)
+        e0 = float(vals[0])
+        slope = math.nan
+        if vals[1] > e0:
+            c_n = c[1:]
+            slope = self._two_d * float(np.dot(c_n, c_n / (vals[1:] - e0)))
+        return e0, vec, 0.5 * float(c[0]), slope
 
     def response(self):
         """Linear response r = <a>/psi of the ground state at RESPONSE_EPS."""
@@ -290,28 +353,36 @@ def a_expectation(problem: MeanFieldProblem, psi: float) -> float:
 def minimize_order_parameter(problem: MeanFieldProblem) -> OracleResult:
     """Minimize e0(psi) over psi >= 0; see module docstring."""
     kernel = _Kernel(problem)
-    solved = {}  # psi -> eigenpair, so no psi is solved twice
-
-    def eigenpair(p):
-        if p not in solved:
-            solved[p] = kernel.eigenpair(p)
-        return solved[p]
-
     bound = problem.mu_over_U + 1.0 + 2.0 * problem.D_eff
     psi = 0.0  # the candidate when B <= 0 or r <= 1
     if bound > 0.0:
         grid = math.sqrt(bound) / (COARSE_POINTS - 3) * np.arange(COARSE_POINTS)
         top = float(grid[-1])
-        if eigenpair(RESPONSE_EPS)[2] / RESPONSE_EPS > 1.0:
-            try:  # g(p) = 1 - <a>(p) / p = e0'(p) / (4 D p)
-                psi = brent_root(lambda p: 1.0 - eigenpair(p)[2] / p,
-                                 RESPONSE_EPS, top, tol=ROOT_TOL)
+        response = kernel.eigenpair(RESPONSE_EPS)
+        r = response[2] / RESPONSE_EPS
+        if r > 1.0:
+            solved = {RESPONSE_EPS: response + (math.nan,)}
+
+            def stationarity(p):  # F(p) = p - <a>(p) = e0'(p) / (4 D)
+                if p not in solved:
+                    solved[p] = kernel.root_step(p)
+                _, _, a_exp, slope = solved[p]
+                return p - a_exp, 1.0 - slope
+
+            def landau_root(p, f):  # x_m of the module docstring
+                return p * math.sqrt((r - 1.0) / (f / p + r - 1.0))
+
+            try:
+                psi = newton_root(stationarity, RESPONSE_EPS, top,
+                                  tol=ROOT_TOL, model=landau_root)
             except ValueError:
                 raise ConvergenceError(
                     "no stationary point of e0 in [%.6g, %.6g] at mu = %r, "
                     "D = %r" % (RESPONSE_EPS, top, problem.mu_over_U,
                                 problem.D_eff)) from None
-    e0, vec, a_exp = eigenpair(psi)
+            e0, vec, a_exp, _ = solved[psi]
+    if psi == 0.0:
+        e0, vec, a_exp = kernel.eigenpair(psi)
     if bound > 0.0:
         norm = kernel.norm(top)
         slack = 2.0 * (kernel._base.size + 9) * EPS * norm

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from rotobh import numerics
 from rotobh.errors import ConvergenceError
-from rotobh.numerics import bisect_root, brent_root, golden_min, lambert_w
+from rotobh.numerics import (EPS, bisect_root, brent_root, golden_min,
+                             lambert_w, newton_root)
 
 
 def golden_min_scalar(f, lo, hi, tol=1e-10):
@@ -208,6 +209,126 @@ def test_brent_survives_a_lost_secant_step(scale):
 def test_brent_out_of_iterations_is_an_error():
     with pytest.raises(ConvergenceError):
         brent_root(lambda x: x ** 3 - 2.0, 0.0, 4.0, tol=1e-13, max_iter=3)
+
+
+def _with_slope(f, df, seen=None):
+    """f and df as the pair newton_root takes, counting evaluations; each
+    abscissa goes into seen when it is given."""
+    def g(x):
+        g.evals += 1
+        if seen is not None:
+            seen.append(x)
+        return f(x), df(x)
+    g.evals = 0
+    return g
+
+
+def _sign_bracket_holds(f, x, tol):
+    # a sign change of f lies within tol plus 4 ulps of x
+    w = tol + 4.0 * EPS * abs(x)
+    return f(x) == 0.0 or (f(x - w) < 0.0) != (f(x + w) < 0.0)
+
+
+_NEWTON_CASES = (
+    (lambda x: math.cos(x) - x, lambda x: -math.sin(x) - 1.0, 0.0, 1.0),
+    (lambda x: x ** 3 - 2.0, lambda x: 3.0 * x * x, 0.0, 4.0),
+    (lambda x: 1.0 - x * x, lambda x: -2.0 * x, 0.5, 3.0),  # falling
+    (lambda x: math.exp(x) - 1e3, math.exp, -5.0, 8.0),
+    (lambda x: math.atan(x - 0.3), lambda x: 1.0 / (1.0 + (x - 0.3) ** 2),
+     -10.0, 40.0))
+
+
+@pytest.mark.parametrize("case", range(len(_NEWTON_CASES)))
+@pytest.mark.parametrize("tol", [1e-14, 1e-10])
+def test_newton_returns_a_sign_bracket(case, tol):
+    f, df, lo, hi = _NEWTON_CASES[case]
+    seen = []
+    x = newton_root(_with_slope(f, df, seen), lo, hi, tol=tol)
+    assert lo <= x <= hi
+    assert _sign_bracket_holds(f, x, tol)
+    assert x in seen  # an end of the final bracket, not a new point
+    assert len(set(seen)) == len(seen) <= 20  # no point twice
+
+
+@pytest.mark.parametrize("slope", [math.nan, 0.0, 1.0, math.inf, -math.inf])
+def test_newton_bisects_on_an_unusable_slope(slope):
+    # f falls across [0, 1]: a NaN, zero, rising or infinite slope gives
+    # no Newton point, so each step bisects and still meets the contract
+    f = lambda x: math.cos(x) - x  # noqa: E731
+    g = _with_slope(f, lambda x: slope)
+    x = newton_root(g, 0.0, 1.0, tol=1e-12)
+    assert _sign_bracket_holds(f, x, 1e-12)
+    assert g.evals <= math.ceil(math.log2(1.0 / 1e-12)) + 3
+
+
+def test_newton_bisects_a_point_outside_the_bracket():
+    # a slope ten times too shallow leaves the bracket and bisects; one
+    # twice too steep steps short and converges linearly
+    f = lambda x: x ** 3 - 2.0  # noqa: E731
+    for factor in (0.1, 2.0):
+        g = _with_slope(f, lambda x: factor * 3.0 * x * x)
+        x = newton_root(g, 0.0, 4.0, tol=1e-13)
+        assert _sign_bracket_holds(f, x, 1e-13)
+
+
+def test_newton_model_caps_the_steps_before_a_sign_change():
+    # f = x (x^2 - 1e-4) from hi = 2: plain Newton creeps down a cubic,
+    # while the model's point (the root here) lands on it at once
+    f = lambda x: x * (x * x - 1e-4)  # noqa: E731
+    df = lambda x: 3.0 * x * x - 1e-4  # noqa: E731
+    plain = _with_slope(f, df)
+    assert _sign_bracket_holds(f, newton_root(plain, 1e-6, 2.0, tol=1e-14),
+                               1e-14)
+    assert plain.evals > 10
+    calls = []
+
+    def model(p, fp):
+        calls.append((p, fp))
+        return 0.01
+
+    capped = _with_slope(f, df)
+    assert newton_root(capped, 1e-6, 2.0, tol=1e-14, model=model) == 0.01
+    assert capped.evals == 3 and calls == [(2.0, f(2.0))]
+    # a NaN model point is ignored, a model point past the Newton point
+    # does not hold the step back, and the model caps no bisection
+    for point in (math.nan, 3.0):
+        ignored = _with_slope(f, df)
+        newton_root(ignored, 1e-6, 2.0, tol=1e-14, model=lambda p, fp: point)
+        assert ignored.evals == plain.evals
+
+    def bisections(model):
+        g = _with_slope(f, lambda x: math.nan)
+        newton_root(g, 1e-6, 2.0, tol=1e-14, model=model)
+        return g.evals
+    assert bisections(lambda p, fp: 0.01) == bisections(None) > 40
+
+
+def test_newton_endpoints_and_bracket():
+    g = _with_slope(lambda x: x - 0.5, lambda x: 1.0)
+    assert newton_root(_with_slope(lambda x: x, lambda x: 1.0), 0.0, 1.0) \
+        == 0.0
+    assert newton_root(_with_slope(lambda x: x - 1.0, lambda x: 1.0),
+                       0.0, 1.0) == 1.0
+    assert newton_root(g, 0.0, 1.0) == 0.5 and g.evals == 3
+    for f in (lambda x: x * x + 1.0,  # no sign change
+              lambda x: math.nan if x == 0.0 else x - 0.5,  # NaN ends
+              lambda x: math.nan if x == 1.0 else x - 0.5):
+        with pytest.raises(ValueError):
+            newton_root(_with_slope(f, lambda x: 1.0), 0.0, 1.0)
+
+
+def test_newton_nan_inside_the_bracket_is_an_error():
+    f = lambda x: math.nan if 0.45 < x < 0.55 else x - 0.5  # noqa: E731
+    g = _with_slope(f, lambda x: 1.0)
+    with pytest.raises(ConvergenceError, match="NaN at 0.5"):
+        newton_root(g, 0.0, 1.0)
+    assert g.evals == 3  # both ends, then the Newton point 0.5
+
+
+def test_newton_out_of_iterations_is_an_error():
+    with pytest.raises(ConvergenceError, match="Newton"):
+        newton_root(_with_slope(lambda x: x ** 3 - 2.0, lambda x: 3 * x * x),
+                    0.0, 4.0, tol=1e-13, max_iter=3)
 
 
 Z_MIN = -0.5 * math.exp(-1.0)  # the z a saturated fit sends lambert_w

@@ -181,15 +181,18 @@ def test_minimizer_straddles_the_boundary(lobe, frac, n_max, log_rel):
 
 
 def test_minimizer_unbracketed_root_is_an_error(monkeypatch):
-    # <a> doubled past psi = 0.5: g = 1 - <a>/psi < 0 at both ends
-    # of [RESPONSE_EPS, grid[-1]], so the bracket holds no sign change
-    real = oracle._Kernel.eigenpair
+    # <a> and its slope doubled past psi = 0.5 in the root's solves:
+    # F = psi - <a> < 0 at both ends of [RESPONSE_EPS, grid[-1]], so the
+    # bracket holds no sign change
+    real = oracle._Kernel.root_step
 
     def falling(self, psi):
-        e0, vec, a_exp = real(self, psi)
-        return e0, vec, 2.0 * a_exp if psi > 0.5 else a_exp
+        e0, vec, a_exp, slope = real(self, psi)
+        if psi > 0.5:
+            a_exp, slope = 2.0 * a_exp, 2.0 * slope
+        return e0, vec, a_exp, slope
 
-    monkeypatch.setattr(oracle._Kernel, "eigenpair", falling)
+    monkeypatch.setattr(oracle._Kernel, "root_step", falling)
     with pytest.raises(ConvergenceError, match="no stationary point"):
         minimize_order_parameter(MeanFieldProblem(1.0, 0.25))
 
@@ -306,25 +309,28 @@ def test_certificate_fails_closed():
 
 def test_minimizer_scan_against_stable_mott_is_an_error(monkeypatch):
     # a candidate whose e0 sits above a grid point by more than the slack
-    # fails the certificate: e0 has a second minimum the candidate missed
+    # fails the certificate: e0 has a second minimum the candidate missed.
+    # Every solve, the response's and the root's, has its e0 lifted.
     p = MeanFieldProblem(1.0, 0.1)  # Mott: r < 1, candidate psi = 0
-    real = oracle._Kernel.eigenpair
 
-    def lifted(depth):
-        def eigenpair(self, psi):
-            e0, vec, a_exp = real(self, psi)
-            return e0 + depth, vec, a_exp
-        return eigenpair
+    def lift(m, depth):
+        for name in ("eigenpair", "root_step"):
+            real = getattr(oracle._Kernel, name)
+
+            def lifted(self, psi, real=real):
+                e0, *rest = real(self, psi)
+                return (e0 + depth, *rest)
+            m.setattr(oracle._Kernel, name, lifted)
 
     with monkeypatch.context() as m:
-        m.setattr(oracle._Kernel, "eigenpair", lifted(1e-15))  # rounding
+        lift(m, 1e-15)  # rounding
         assert minimize_order_parameter(p).psi_star == 0.0
     with monkeypatch.context() as m:
-        m.setattr(oracle._Kernel, "eigenpair", lifted(1e-6))
+        lift(m, 1e-6)
         with pytest.raises(ConvergenceError, match="second minimum"):
             minimize_order_parameter(p)
     with monkeypatch.context() as m:  # a superfluid candidate, and NaN
-        m.setattr(oracle._Kernel, "eigenpair", lifted(math.nan))
+        lift(m, math.nan)
         with pytest.raises(ConvergenceError, match="second minimum"):
             minimize_order_parameter(MeanFieldProblem(1.0, 0.25))
 
@@ -436,6 +442,88 @@ def test_kernel_matches_dense_eigh(mu, D, psi, n_max):
     assert vec[np.argmax(np.abs(vec))] > 0.0
     if w[1] - w[0] > 1e-3:  # the ground vector is well determined
         assert abs(a_expectation(p, psi) - _dense_a(v[:, 0])) <= 1e-10
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lobe=st.integers(0, 4), frac=st.floats(0.01, 0.99),
+       scale=st.floats(0.0, 10.0), n_max=st.integers(4, 24),
+       t=st.floats(1e-3, 1.0))
+def test_root_step_slope_matches_dense_and_difference(lobe, frac, scale,
+                                                       n_max, t):
+    # d<a>/dpsi from dstev's spectrum against the perturbation sum over a
+    # dense eigh and against a central difference of a_expectation, at
+    # psi = t * top; <a> = c_0 / 2 against the dense ground vector
+    mu = 2.0 * (lobe - 1 + frac)
+    D = scale * boundary_hopping(mu, lobe, "variational")
+    assume(mu + 1.0 + 2.0 * D > 0.0)
+    p = MeanFieldProblem(mu, D, n_max)
+    psi = t * float(_grid(p)[-1])
+    e0, vec, a_exp, slope = oracle._Kernel(p).root_step(psi)
+    w, v = np.linalg.eigh(build_hamiltonian(p, psi))
+    assume(w[1] - w[0] > 1e-3)  # the ground vector is well determined
+    x = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+    c = v.T @ (x + x.T) @ v[:, 0]
+    dense = 2.0 * D * float(np.sum(c[1:] ** 2 / (w[1:] - w[0])))
+    size = max(1.0, abs(dense))
+    assert abs(e0 - w[0]) <= 1e-12 * max(1.0, abs(w[0]))
+    assert abs(a_exp - _dense_a(v[:, 0])) <= 1e-10
+    assert abs(slope - dense) <= 1e-12 * size, (slope, dense)
+    h = 1e-5 * psi
+    diff = (a_expectation(p, psi + h) - a_expectation(p, psi - h)) / (2 * h)
+    assert abs(slope - diff) <= 1e-7 * size, (slope, diff)
+
+
+def _mp_a_expectation(mp, problem, psi):
+    """<a>(psi) to mpmath's working precision: inverse iteration on the
+    tridiagonal H(psi), shifted just below the double ground energy and
+    started from the double ground vector, until <a> stops moving."""
+    mu, D, n = mp.mpf(problem.mu_over_U), mp.mpf(problem.D_eff), \
+        problem.n_max + 1
+    e0, vec, _ = oracle._Kernel(problem).eigenpair(float(psi))
+    shift = mp.mpf(e0) - mp.mpf(1e-8) * max(1.0, abs(e0))
+    diag = [-mu * k + k * (k - 1) + 2 * D * psi * psi - shift
+            for k in range(n)]
+    off = [-2 * D * psi * mp.sqrt(k + 1) for k in range(n - 1)]
+    pivots = [diag[0]]  # LDL^T of H - shift, positive definite
+    for k in range(1, n):
+        pivots.append(diag[k] - off[k - 1] ** 2 / pivots[k - 1])
+    x, a_exp = [mp.mpf(float(c)) for c in vec], None
+    for _ in range(50):
+        for k in range(1, n):
+            x[k] -= off[k - 1] / pivots[k - 1] * x[k - 1]
+        x[-1] /= pivots[-1]
+        for k in range(n - 2, -1, -1):
+            x[k] = x[k] / pivots[k] - off[k] / pivots[k] * x[k + 1]
+        norm2 = mp.fsum(c * c for c in x)
+        a_next = mp.fsum(mp.sqrt(k + 1) * x[k] * x[k + 1]
+                         for k in range(n - 1)) / norm2
+        if a_exp is not None and abs(a_next - a_exp) <= mp.eps * 100:
+            return a_next
+        a_exp, x = a_next, [c / mp.sqrt(norm2) for c in x]
+    raise AssertionError("inverse iteration did not settle")
+
+
+def _mp_psi_star(mp, problem, psi0):
+    """The root of psi - <a>(psi) next to psi0, to 40 digits."""
+    with mp.workdps(40):
+        root = mp.findroot(lambda q: q - _mp_a_expectation(mp, problem, q),
+                           (mp.mpf(psi0), mp.mpf(psi0) * (1 + mp.mpf(1e-7))),
+                           solver="secant")
+        return float(root)
+
+
+@pytest.mark.parametrize("lobe", [0, 1, 4])
+@pytest.mark.parametrize("rel", [1e-3, 1e-6])
+def test_minimizer_meets_golden_tol_next_to_the_boundary(lobe, rel):
+    # psi* against a 40-digit root of the same truncated problem, at
+    # D = D_b (1 + rel) across the lobe
+    mp = pytest.importorskip("mpmath")
+    for frac in (0.2, 0.5, 0.8):
+        mu = 2.0 * (lobe - 1 + frac)
+        p = MeanFieldProblem(mu, boundary_numeric(mu) * (1.0 + rel))
+        psi = minimize_order_parameter(p).psi_star
+        assert psi > 0.0
+        assert abs(psi - _mp_psi_star(mp, p, psi)) <= oracle.GOLDEN_TOL, mu
 
 
 def _dstev_fails(d, e, **kwargs):
