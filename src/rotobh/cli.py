@@ -9,6 +9,13 @@ Rotation input comes either from a physical frame (--mass-amu,
 directly as --gamma/--theta; supplying both is a configuration error.
 A flat key=value config file can preload any flag of the chosen
 subcommand; explicit command-line flags win.
+
+_SUBCOMMANDS is the one table of subcommands: each name's help, the
+function that adds its flags, and its handler.  An invocation that opens
+with a subcommand name builds only that subcommand's parser; any other
+(--help, --version, no arguments, an unknown command) builds the full
+one.  Each main() call builds its parser anew, and none is kept between
+calls.  Grids, rows and fit samples are capped at errors.MAX_COUNT.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ import sys
 
 from . import __version__, io, oracle, phase_diagram, sensing
 from .core import RingFrame, effective_hopping, peierls_phase
-from .errors import EXIT_OK, ConfigError, DomainError, RotobhError
+from .errors import (EXIT_OK, ConfigError, DomainError, RotobhError,
+                     check_count)
 from .landau import kappa
 from .oracle import MeanFieldProblem, boundary_numeric, converged_psi
 from .phase_diagram import (CONVENTIONS, PSI_METHODS, VARIANT_FOR_CONVENTION,
@@ -39,7 +47,8 @@ def parse_grid(text: str):
     """'start:stop:step' (inclusive), 'x,y,z', or a single value.
 
     Every value must be finite: NaN and +-inf are configuration errors in
-    each form.
+    each form.  A grid has at most MAX_COUNT points, checked before a
+    range is expanded.
     """
     parts = text.strip().split(":")
     ranged = len(parts) > 1
@@ -52,13 +61,13 @@ def parse_grid(text: str):
     if not all(map(math.isfinite, values)):
         raise ConfigError("grid %r has a non-finite value" % (text,))
     if not ranged:
+        check_count("points in grid %r" % (text,), len(values))
         return values
     start, stop, step = values
     if step <= 0.0 or stop < start:
         raise ConfigError("bad grid range %r" % (text,))
     span = (stop - start) / step  # inf once the count overflows
-    if not math.isfinite(span):
-        raise ConfigError("grid %r has too many points" % (text,))
+    check_count("points in grid %r" % (text,), span + 1.0)
     count = int(math.floor(span + 1.0 + 1e-9))
     return tuple(start + i * step for i in range(count))
 
@@ -146,17 +155,12 @@ def _resolve_theta(args):
     raise ConfigError("this subcommand needs --theta, or --omega with a frame")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="rotobh",
-        description="Rotating-ring Bose-Hubbard phase diagrams and "
-                    "rotation-velocity sensing at the Mott transition edge.")
-    parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
-    parser.subcommands = subs.choices  # used by the config loader
+def _dtheta_steps(theta, points):
+    """points offsets from 0 to theta; min() keeps rounding off the edge."""
+    return [min(theta * i / (points - 1), theta) for i in range(points)]
 
-    p = subs.add_parser("phase-diagram",
-                        help="phase labels and psi over a (mu, D) grid")
+
+def _phase_diagram_flags(p):
     p.add_argument("--mu-grid", required=True)
     p.add_argument("--d-grid", required=True)
     p.add_argument("--convention", choices=CONVENTIONS, default="paper")
@@ -164,78 +168,6 @@ def build_parser():
     p.add_argument("--n-max", type=int, default=None)
     _add_workers_flag(p)
     _add_output_flags(p)
-
-    p = subs.add_parser("order-parameter",
-                        help="psi surface along the sensing loop at fixed mu")
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--t-grid", required=True)
-    p.add_argument("--theta-grid", default=None)
-    p.add_argument("--omega-grid", default=None)
-    p.add_argument("--convention", choices=CONVENTIONS, default="paper")
-    p.add_argument("--psi-method", choices=PSI_METHODS, default="landau")
-    p.add_argument("--n-max", type=int, default=None)
-    _add_workers_flag(p)
-    _add_frame_flags(p, with_omega=False)
-    _add_output_flags(p)
-
-    p = subs.add_parser("costheta-curve",
-                        help="critical cos(theta) versus t/U per lobe")
-    p.add_argument("--t-grid", required=True)
-    p.add_argument("--lobes", default="1,2,3")
-    p.add_argument("--mu-by-lobe", default=None,
-                   help="comma list of mu values, one per lobe "
-                          "(default: each lobe tip)")
-    p.add_argument("--convention", choices=CONVENTIONS, default="paper")
-    _add_workers_flag(p)
-    _add_output_flags(p)
-
-    p = subs.add_parser("sensitivity",
-                        help="delta surface over (theta, dtheta)")
-    p.add_argument("--theta-grid", required=True)
-    p.add_argument("--dtheta-points", type=int, default=100)
-    _add_output_flags(p)
-
-    p = subs.add_parser("resolution",
-                        help="half-maximum resolution per operating angle")
-    p.add_argument("--theta-grid", required=True)
-    p.add_argument("--mode", choices=sensing.MODES, default="exact")
-    p.add_argument("--grid-points", type=int, default=sensing.FIT_GRID_POINTS)
-    p.add_argument("--literal-exponent", action="store_true",
-                   help="use the a^-2 prefactor variant in fit mode")
-    _add_workers_flag(p)
-    _add_frame_flags(p, with_omega=False)
-    _add_output_flags(p)
-
-    p = subs.add_parser("fit-delta",
-                        help="surrogate-fit parameter a(theta) and quality")
-    p.add_argument("--theta-grid", required=True)
-    p.add_argument("--grid-points", type=int, default=sensing.FIT_GRID_POINTS)
-    _add_output_flags(p)
-
-    p = subs.add_parser("invert",
-                        help="recover dOmega from a measured order-parameter "
-                             "change")
-    p.add_argument("--delta-measured", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--convention", choices=CONVENTIONS, default="paper")
-    _add_frame_flags(p, with_omega=True)
-    _add_output_flags(p)
-
-    p = subs.add_parser("oracle-check",
-                        help="convention-ratio and kappa-recovery report")
-    p.add_argument("--mu", required=True, help="mu/U value or comma list")
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--theta", type=float, default=0.8)
-    p.add_argument("--dthetas", default="0.002,0.005")
-    _add_output_flags(p)
-
-    return parser
-
-
-def _dtheta_steps(theta, points):
-    """points offsets from 0 to theta; min() keeps rounding off the edge."""
-    return [min(theta * i / (points - 1), theta) for i in range(points)]
 
 
 def _cmd_phase_diagram(args):
@@ -247,6 +179,19 @@ def _cmd_phase_diagram(args):
     grid = sweep(spec)
     meta = {"convention": args.convention, "psi_method": args.psi_method}
     return grid.columns, grid.rows, meta
+
+
+def _order_parameter_flags(p):
+    p.add_argument("--mu", type=float, required=True)
+    p.add_argument("--t-grid", required=True)
+    p.add_argument("--theta-grid", default=None)
+    p.add_argument("--omega-grid", default=None)
+    p.add_argument("--convention", choices=CONVENTIONS, default="paper")
+    p.add_argument("--psi-method", choices=PSI_METHODS, default="landau")
+    p.add_argument("--n-max", type=int, default=None)
+    _add_workers_flag(p)
+    _add_frame_flags(p, with_omega=False)
+    _add_output_flags(p)
 
 
 def _cmd_order_parameter(args):
@@ -270,6 +215,17 @@ def _cmd_order_parameter(args):
     return grid.columns, grid.rows, meta
 
 
+def _costheta_curve_flags(p):
+    p.add_argument("--t-grid", required=True)
+    p.add_argument("--lobes", default="1,2,3")
+    p.add_argument("--mu-by-lobe", default=None,
+                   help="comma list of mu values, one per lobe "
+                        "(default: each lobe tip)")
+    p.add_argument("--convention", choices=CONVENTIONS, default="paper")
+    _add_workers_flag(p)
+    _add_output_flags(p)
+
+
 def _cmd_costheta_curve(args):
     lobes = parse_grid(args.lobes)
     lobe_mu = () if args.mu_by_lobe is None else parse_grid(args.mu_by_lobe)
@@ -282,10 +238,18 @@ def _cmd_costheta_curve(args):
     return grid.columns, grid.rows, meta
 
 
+def _sensitivity_flags(p):
+    p.add_argument("--theta-grid", required=True)
+    p.add_argument("--dtheta-points", type=int, default=100)
+    _add_output_flags(p)
+
+
 def _cmd_sensitivity(args):
     thetas = parse_grid(args.theta_grid)
     if args.dtheta_points < 2:
         raise ConfigError("--dtheta-points must be >= 2")
+    check_count("sensitivity rows (thetas x --dtheta-points)",
+                len(thetas) * args.dtheta_points)
     rows = []
     for theta in thetas:
         steps = _dtheta_steps(theta, args.dtheta_points)
@@ -293,6 +257,17 @@ def _cmd_sensitivity(args):
         rows.extend((theta, d, v) for d, v in zip(steps, deltas))
     meta = {"dtheta_points": args.dtheta_points}
     return ("theta", "dtheta", "delta"), tuple(rows), meta
+
+
+def _resolution_flags(p):
+    p.add_argument("--theta-grid", required=True)
+    p.add_argument("--mode", choices=sensing.MODES, default="exact")
+    p.add_argument("--grid-points", type=int, default=sensing.FIT_GRID_POINTS)
+    p.add_argument("--literal-exponent", action="store_true",
+                   help="use the a^-2 prefactor variant in fit mode")
+    _add_workers_flag(p)
+    _add_frame_flags(p, with_omega=False)
+    _add_output_flags(p)
 
 
 def _cmd_resolution(args):
@@ -319,6 +294,12 @@ def _cmd_resolution(args):
             "epsilon_omega", "mode"), tuple(rows), meta
 
 
+def _fit_delta_flags(p):
+    p.add_argument("--theta-grid", required=True)
+    p.add_argument("--grid-points", type=int, default=sensing.FIT_GRID_POINTS)
+    _add_output_flags(p)
+
+
 def _cmd_fit_delta(args):
     thetas = parse_grid(args.theta_grid)
     rows = []
@@ -332,6 +313,15 @@ def _cmd_fit_delta(args):
             "fit_protocol": sensing.FIT_PROTOCOL}
     return ("theta", "a_fit", "rms", "delta_max_fit", "max_abs_dev"), \
         tuple(rows), meta
+
+
+def _invert_flags(p):
+    p.add_argument("--delta-measured", type=float, required=True)
+    p.add_argument("--mu", type=float, required=True)
+    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--convention", choices=CONVENTIONS, default="paper")
+    _add_frame_flags(p, with_omega=True)
+    _add_output_flags(p)
 
 
 def _cmd_invert(args):
@@ -349,9 +339,18 @@ def _cmd_invert(args):
             "ambiguous"), rows, meta
 
 
+def _oracle_check_flags(p):
+    p.add_argument("--mu", required=True, help="mu/U value or comma list")
+    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--theta", type=float, default=0.8)
+    p.add_argument("--dthetas", default="0.002,0.005")
+    _add_output_flags(p)
+
+
 def _cmd_oracle_check(args):
     mus = parse_grid(args.mu)
     dthetas = parse_grid(args.dthetas)
+    check_count("oracle-check rows (mu x dthetas)", len(mus) * len(dthetas))
     theta = args.theta
     # before any boundary solve: delta_exact rejects theta outside
     # (0, pi/2) and dtheta outside [0, theta], and psi*/delta needs delta > 0
@@ -379,16 +378,53 @@ def _cmd_oracle_check(args):
             "rel_err"), tuple(rows), meta
 
 
-_COMMANDS = {
-    "phase-diagram": _cmd_phase_diagram,
-    "order-parameter": _cmd_order_parameter,
-    "costheta-curve": _cmd_costheta_curve,
-    "sensitivity": _cmd_sensitivity,
-    "resolution": _cmd_resolution,
-    "fit-delta": _cmd_fit_delta,
-    "invert": _cmd_invert,
-    "oracle-check": _cmd_oracle_check,
+# The one table of subcommands: name -> (help, flags, handler).  Both
+# parsers of build_parser are built from it, so no flag is defined twice.
+_SUBCOMMANDS = {
+    "phase-diagram": ("phase labels and psi over a (mu, D) grid",
+                      _phase_diagram_flags, _cmd_phase_diagram),
+    "order-parameter": ("psi surface along the sensing loop at fixed mu",
+                        _order_parameter_flags, _cmd_order_parameter),
+    "costheta-curve": ("critical cos(theta) versus t/U per lobe",
+                       _costheta_curve_flags, _cmd_costheta_curve),
+    "sensitivity": ("delta surface over (theta, dtheta)",
+                    _sensitivity_flags, _cmd_sensitivity),
+    "resolution": ("half-maximum resolution per operating angle",
+                   _resolution_flags, _cmd_resolution),
+    "fit-delta": ("surrogate-fit parameter a(theta) and quality",
+                  _fit_delta_flags, _cmd_fit_delta),
+    "invert": ("recover dOmega from a measured order-parameter change",
+               _invert_flags, _cmd_invert),
+    "oracle-check": ("convention-ratio and kappa-recovery report",
+                     _oracle_check_flags, _cmd_oracle_check),
 }
+
+
+def build_parser(name=None):
+    """The full parser, or with a subcommand name that subcommand's alone.
+
+    The full parser serves --help, --version and every argv that does not
+    open with a subcommand name.  The standalone one, prog "rotobh NAME",
+    holds only that subcommand's flags and sets ``command`` itself; its
+    help and its actions equal those of the full parser's subparser.
+    Every call builds a new parser: none is kept between calls.
+    """
+    if name is not None:
+        _, add_flags, _ = _SUBCOMMANDS[name]
+        parser = argparse.ArgumentParser(prog="rotobh " + name)
+        add_flags(parser)
+        parser.set_defaults(command=name)
+        return parser
+    parser = argparse.ArgumentParser(
+        prog="rotobh",
+        description="Rotating-ring Bose-Hubbard phase diagrams and "
+                    "rotation-velocity sensing at the Mott transition edge.")
+    parser.add_argument("--version", action="version", version=__version__)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for sub, (help_text, add_flags, _) in _SUBCOMMANDS.items():
+        add_flags(subs.add_parser(sub, help=help_text))
+    parser.subcommands = subs.choices
+    return parser
 
 
 def _config_path(argv):
@@ -400,35 +436,36 @@ def _config_path(argv):
     return None
 
 
-def _expand_config(parser, argv):
-    """Splice config-file entries into argv, ahead of explicit flags.
+def _expand_config(parser, flags):
+    """Splice config-file entries into a subcommand's flags, ahead of the
+    explicit ones.
 
-    Runs before parsing so flags the subparser marks as required can be
-    satisfied from the file; explicit flags still win because argparse
-    keeps the last occurrence.
+    parser is the subcommand's own parser (build_parser(name)).  Runs
+    before parsing so flags the parser marks as required can be satisfied
+    from the file; explicit flags still win because argparse keeps the
+    last occurrence.
     """
-    path = _config_path(argv)
-    if path is None or not argv or argv[0] not in parser.subcommands:
-        return argv
-    sub = argv[0]
-    subparser = parser.subcommands[sub]
-    flags = []
+    path = _config_path(flags)
+    if path is None:
+        return flags
+    expanded = []
     for key, value in load_config(path).items():
         opt = "--" + key.strip().replace("_", "-")
         if opt == "--config":
             raise ConfigError("config files cannot nest --config")
-        action = subparser._option_string_actions.get(opt)
+        action = parser._option_string_actions.get(opt)
         if action is None:
-            raise ConfigError("unknown config key %r for %s" % (key, sub))
+            raise ConfigError("unknown config key %r for %s"
+                              % (key, parser.get_default("command")))
         if action.nargs == 0:
             if value.lower() in ("1", "true", "yes"):
-                flags.append(opt)
+                expanded.append(opt)
             elif value.lower() not in ("0", "false", "no"):
                 raise ConfigError("boolean config key %r needs true/false"
                                   % (key,))
         else:  # one token, so a value opening with '-' is not a flag
-            flags.append("%s=%s" % (opt, value))
-    return [sub] + flags + list(argv[1:])
+            expanded.append("%s=%s" % (opt, value))
+    return expanded + flags
 
 
 def _emit(args, columns, rows, meta):
@@ -450,14 +487,20 @@ def _emit(args, columns, rows, meta):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _expand_config(parser, argv)
+        # argparse picks a subparser only by its exact name, so an argv that
+        # opens with one parses the same with that subcommand's own parser
+        if argv and argv[0] in _SUBCOMMANDS:
+            parser = build_parser(argv[0])
+            argv = _expand_config(parser, argv[1:])
+        else:
+            parser = build_parser()
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # argparse reports its own diagnostics
             return int(exc.code or 0)
-        columns, rows, meta = _COMMANDS[args.command](args)
+        _, _, run = _SUBCOMMANDS[args.command]
+        columns, rows, meta = run(args)
         _emit(args, columns, rows, meta)
     except RotobhError as exc:
         print("rotobh: error: %s" % exc, file=sys.stderr)

@@ -1,10 +1,14 @@
-"""Exception hierarchy, warning classes, process exit codes, and the one
-check that a value is among a table of named options."""
+"""Exception hierarchy, warning classes, process exit codes, the one
+check that a value is among a table of named options, and the one check
+that a requested count is small enough to allocate."""
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_CONVERGENCE = 4
+
+# The most grid points, table rows or fit samples one request may ask for.
+MAX_COUNT = 10 ** 6
 
 
 class RotobhError(Exception):
@@ -77,3 +81,15 @@ def check_choice(what, value, choices):
     if value not in choices:
         raise ConfigError("%s must be one of %s, got %r"
                           % (what, ", ".join(map(repr, choices)), value))
+
+
+def check_count(what, count):
+    """ConfigError unless count <= MAX_COUNT.
+
+    count is an int or a float (inf and NaN fail); a caller checks each
+    user-given count this way before it allocates anything for it.
+    """
+    if not count <= MAX_COUNT:
+        raise ConfigError("%s must be at most %d, got %s" % (
+            what, MAX_COUNT, "%.6g" % count if isinstance(count, float)
+            else count))

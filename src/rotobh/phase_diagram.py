@@ -36,7 +36,7 @@ from typing import Optional
 from . import landau
 from .core import effective_hopping
 from .errors import (ConfigError, ConvergenceError, DomainError,
-                     OutOfReachError, check_choice)
+                     OutOfReachError, check_choice, check_count)
 from .landau import (CONVENTIONS, LOBE_TIP_TOL, VARIANT_FOR_CONVENTION,
                      boundary_hopping, lobe_index)
 from .oracle import MeanFieldProblem, check_n_max, converged_psi
@@ -176,7 +176,8 @@ class SweepSpec:
     and fills (t_values x theta_values); 'costheta-curve' fills
     (lobes x t_values) with the critical cos(theta), defaulting each
     lobe's mu to its tip when lobe_mu is empty; lobes must be integral.
-    The sensing loop's one mu and every lobe_mu must be finite.
+    The sensing loop's one mu and every lobe_mu must be finite, and the
+    grid may have at most MAX_COUNT rows.
     n_max, when given, must be an integer in the oracle's
     [MIN_N_MAX, MAX_N_MAX].
     workers must be >= 1; cells are evaluated in order in one thread
@@ -258,6 +259,7 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
     if spec.kind == "diagram":
         mus = _axis("mu", spec.mu_values, allow_any_sign=True)
         Ds = _axis("D", spec.D_values)
+        check_count("diagram rows (mu x D)", len(mus) * len(Ds))
         rows = []
         for mu in mus:
             cell = _sweep_cell(mu, spec)
@@ -271,6 +273,7 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
         (mu,) = _finite("mu", spec.mu_values)
         ts = _axis("t", spec.t_values)
         thetas = _axis("theta", spec.theta_values, allow_any_sign=True)
+        check_count("sensing-loop rows (t x theta)", len(ts) * len(thetas))
         cell = _sweep_cell(mu, spec)
         rows = []
         for t in ts:
@@ -288,6 +291,7 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
     lobes = tuple(int(n) for n in spec.lobes)
     if any(n < 1 for n in lobes):
         raise ConfigError("costheta-curve lobes must be >= 1")
+    check_count("costheta-curve rows (lobes x t)", len(lobes) * len(ts))
     if spec.lobe_mu:
         if len(spec.lobe_mu) != len(lobes):
             raise ConfigError("lobe_mu must match lobes in length")

@@ -64,7 +64,8 @@ import numpy as np
 
 from . import numerics
 from .errors import (ConfigError, ConvergenceError, DomainError,
-                     FitQualityWarning, OutOfRangeError, check_choice)
+                     FitQualityWarning, OutOfRangeError, check_choice,
+                     check_count)
 from .landau import kappa
 from .numerics import brent_root, golden_min
 
@@ -182,6 +183,7 @@ def fit_form(a, dtheta):
 def _check_grid_points(grid_points: int) -> None:
     if grid_points < 50:
         raise ConfigError("grid_points must be >= 50")
+    check_count("grid_points", grid_points)
 
 
 def _fit_target(theta: float, grid_points: int):
@@ -216,8 +218,8 @@ def fit_grid(thetas, grid_points: int = FIT_GRID_POINTS):
     (the scan is one (FIT_COARSE_POINTS, grid_points) broadcast whose
     argmin picks the bracket).  One lockstep golden search then refines
     every theta at once: each of its steps is one (thetas, grid_points)
-    rms evaluation.  Warns once per theta whose rms > FIT_RMS_THRESHOLD,
-    in grid order.
+    rms evaluation, so thetas x grid_points is at most MAX_COUNT.  Warns
+    once per theta whose rms > FIT_RMS_THRESHOLD, in grid order.
     """
     thetas = list(thetas)
     for theta in thetas:
@@ -225,6 +227,8 @@ def fit_grid(thetas, grid_points: int = FIT_GRID_POINTS):
     _check_grid_points(grid_points)
     if not thetas:
         return []
+    check_count("fit samples (thetas x grid_points)",
+                len(thetas) * grid_points)
     dts = np.empty((len(thetas), grid_points))
     target = np.empty_like(dts)
     for k, theta in enumerate(thetas):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from rotobh import __version__, cli, oracle, sensing
 from rotobh.cli import _dtheta_steps, load_config, main, parse_grid
-from rotobh.errors import ConfigError
+from rotobh.errors import MAX_COUNT, ConfigError
 from rotobh.io import parse_csv
 from rotobh.sensing import delta_change, fit_form
 
@@ -42,10 +42,11 @@ def test_parse_grid_forms():
 
 
 def test_parse_grid_rejects_garbage():
-    # 0:1e308:1e-300 overflows the point count to inf (huge finite counts
-    # are not probed: they would allocate)
+    # 0:1e308:1e-300 overflows the point count to inf; 0:1:1e-12 is finite
+    # but past MAX_COUNT, and is refused before anything is allocated
     for bad in ("", "abc", "1:2", "1:2:3:4", "2:1:0.5", "1:2:-0.1",
-                "1:2:0", "1,two,3", "0:1e308:1e-300", "nan", "inf", "-inf",
+                "1:2:0", "1,two,3", "0:1e308:1e-300", "0:1:1e-12", "nan",
+                "inf", "-inf",
                 "1,nan,3", "0.1,inf", "nan:1:0.1", "0:inf:0.1", "0:1:nan"):
         with pytest.raises(ConfigError):
             parse_grid(bad)
@@ -536,7 +537,7 @@ def test_config_file_and_override(tmp_path):
 
 def config_file_form(argv, path):
     """argv with every flag but --output moved into the config file path."""
-    sub = cli.build_parser().subcommands[argv[0]]
+    sub = cli.build_parser(argv[0])
     keep, lines, i = [argv[0]], [], 1
     while i < len(argv):
         flag, eq, value = argv[i].partition("=")
@@ -589,17 +590,125 @@ def test_config_boolean_flag(tmp_path):
     assert "boolean config key 'literal_exponent'" in err
 
 
-def test_version_and_usage_errors():
+def test_version_and_usage_errors(tmp_path):
     status, out, _ = run_cli(["--version"])
     assert status == 0
     assert out.strip()
+    status, out, _ = run_cli(["--help"])
+    assert status == 0
+    assert out == cli.build_parser().format_help()
     status, _, _ = run_cli(["no-such-command"])
     assert status == 2
     status, _, _ = run_cli([])
     assert status == 2
+    # a config file given before the subcommand is not read
+    cfg = tmp_path / "pd.cfg"
+    cfg.write_text("mu_grid = 1.0\nd_grid = 0.1\n", encoding="utf-8")
+    status, out, err = run_cli(["--config", str(cfg), "phase-diagram"])
+    assert status == 2 and out == ""
+    assert err.startswith("usage: rotobh [-h]")
     status, _, _ = run_cli(["resolution", "--theta-grid", "1.0",
                             "--workers", "0"])
     assert status == 2
+
+
+ACTION_FIELDS = ("option_strings", "dest", "default", "type", "choices",
+                 "required", "nargs", "help", "metavar")
+
+
+def test_subcommand_parser_is_the_full_parsers_subparser():
+    """build_parser(name) and the full parser's subparser come from one
+    table: the same help bytes and the same actions."""
+    full = cli.build_parser().subcommands
+    assert list(full) == list(cli._SUBCOMMANDS) and len(full) == 8
+    for name, sub in full.items():
+        alone = cli.build_parser(name)
+        assert alone.prog == sub.prog == "rotobh " + name
+        assert alone.format_help() == sub.format_help(), name
+        assert len(alone._actions) == len(sub._actions), name
+        for a, b in zip(alone._actions, sub._actions):
+            assert type(a) is type(b), (name, a)
+            for field in ACTION_FIELDS:
+                assert getattr(a, field) == getattr(b, field), (name, field)
+
+
+def test_readme_commands_parse_the_same_both_ways(tmp_path):
+    commands = readme_commands(tmp_path)
+    assert {argv[0] for argv in commands} == set(cli._SUBCOMMANDS)
+    for argv in commands:
+        full = cli.build_parser().parse_args(argv)
+        alone = cli.build_parser(argv[0]).parse_args(argv[1:])
+        assert vars(full) == vars(alone), argv
+        assert alone.command == argv[0]
+
+
+def parse_failure(parser, argv):
+    """(exit status, stderr) of an argparse parse that must fail."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code, err.getvalue()
+
+
+def test_subcommand_diagnostics(tmp_path):
+    """Help and missing-flag errors are the full parser's bytes; an
+    unknown flag is reported with the subcommand's own usage."""
+    full = cli.build_parser()
+    for name, sub in full.subcommands.items():
+        status, out, err = run_cli([name, "--help"])
+        assert (status, out, err) == (0, sub.format_help(), ""), name
+        # every subcommand has a required flag
+        status, out, err = run_cli([name])
+        assert status == 2 and out == ""
+        assert (status, err) == parse_failure(full, [name]), name
+    for argv in readme_commands(tmp_path):
+        status, out, err = run_cli(argv + ["--no-such-flag"])
+        assert status == 2 and out == ""
+        assert not Path(argv[-1]).exists()
+        name = argv[0]
+        assert err == (cli.build_parser(name).format_usage()
+                       + "rotobh %s: error: unrecognized arguments: "
+                         "--no-such-flag\n" % name), argv
+
+
+CAP = str(MAX_COUNT)
+OVER = str(MAX_COUNT + 1)
+
+
+@pytest.mark.parametrize("argv", [
+    # a finite range whose expansion would hold about 1e12 floats
+    ["resolution", "--theta-grid", "0:1:1e-12"],
+    ["phase-diagram", "--mu-grid", "1.0", "--d-grid", "0:1:1e-12"],
+    ["order-parameter", "--mu", "1", "--t-grid", "0.4",
+     "--theta-grid", "0:1:1e-12"],
+    # per-theta counts that would size an allocation
+    ["sensitivity", "--theta-grid", "0.5", "--dtheta-points", str(10 ** 12)],
+    ["sensitivity", "--theta-grid", "0.5", "--dtheta-points", OVER],
+    ["resolution", "--theta-grid", "0.5", "--grid-points", str(10 ** 12)],
+    ["fit-delta", "--theta-grid", "0.5", "--grid-points", OVER],
+    # each grid within the cap, the table or the fit beyond it
+    ["sensitivity", "--theta-grid", "0.5,1.0", "--dtheta-points", CAP],
+    ["resolution", "--theta-grid", "0.5,1.0", "--grid-points", CAP],
+    ["fit-delta", "--theta-grid", "0.5,1.0", "--grid-points", CAP],
+    ["phase-diagram", "--mu-grid", "0:1:1e-3", "--d-grid", "0:1:1e-3"],
+    ["order-parameter", "--mu", "1", "--t-grid", "0:1:1e-3",
+     "--theta-grid", "0:1:1e-3"],
+    ["costheta-curve", "--t-grid", "0:1:1e-3", "--lobes", "1:1001:1"],
+    ["oracle-check", "--mu", "0:1:1e-3", "--dthetas", "0:1:1e-3"],
+])
+def test_counts_above_the_cap_exit_2(tmp_path, argv):
+    out = tmp_path / "never.csv"
+    status, stdout, err = run_cli(argv + ["--output", str(out)])
+    assert status == 2 and stdout == "" and not out.exists(), argv
+    assert err.startswith("rotobh: error:") and "Traceback" not in err
+    assert "must be at most %d" % MAX_COUNT in err, err
+
+
+def test_grid_of_max_count_points_expands():
+    # the cap is inclusive, and a range's count is checked as a float
+    assert len(parse_grid("1:%d:1" % MAX_COUNT)) == MAX_COUNT
+    with pytest.raises(ConfigError, match="must be at most"):
+        parse_grid("1:%d:1" % (MAX_COUNT + 1))
 
 
 def readme_commands(out_dir):

@@ -42,3 +42,15 @@ def test_check_choice():
     with pytest.raises(errors.ConfigError,
                        match="mode must be one of 'exact', 'fit', got 'other'"):
         errors.check_choice("mode", "other", ("exact", "fit"))
+
+
+def test_check_count():
+    for ok in (0, 1, errors.MAX_COUNT, float(errors.MAX_COUNT)):
+        errors.check_count("rows", ok)
+    for bad in (errors.MAX_COUNT + 1, 1e12, float("inf"), float("nan"),
+                10 ** 400):
+        with pytest.raises(errors.ConfigError, match="rows must be at most"):
+            errors.check_count("rows", bad)
+    with pytest.raises(errors.ConfigError,
+                       match="rows must be at most 1000000, got 1e\\+12"):
+        errors.check_count("rows", 1e12)
