@@ -21,7 +21,9 @@ calls.  Grids, rows and fit samples are capped at errors.MAX_COUNT.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import shutil
 import sys
 
 from . import __version__, io, oracle, phase_diagram, sensing
@@ -32,8 +34,8 @@ from .landau import kappa
 from .oracle import MeanFieldProblem, boundary_numeric, converged_psi
 from .phase_diagram import (CONVENTIONS, PSI_METHODS, VARIANT_FOR_CONVENTION,
                             SweepSpec, boundary_hopping, lobe_index, sweep)
-from .sensing import (delta_exact, delta_on, invert_rotation_change,
-                      resolution_grid)
+from .sensing import (delta_exact, delta_on, dtheta_steps,
+                      invert_rotation_change, resolution_grid)
 
 TOLERANCES = {
     "bisection_dtheta": sensing.BISECTION_TOL,
@@ -155,11 +157,6 @@ def _resolve_theta(args):
     raise ConfigError("this subcommand needs --theta, or --omega with a frame")
 
 
-def _dtheta_steps(theta, points):
-    """points offsets from 0 to theta; min() keeps rounding off the edge."""
-    return [min(theta * i / (points - 1), theta) for i in range(points)]
-
-
 def _phase_diagram_flags(p):
     p.add_argument("--mu-grid", required=True)
     p.add_argument("--d-grid", required=True)
@@ -252,7 +249,7 @@ def _cmd_sensitivity(args):
                 len(thetas) * args.dtheta_points)
     rows = []
     for theta in thetas:
-        steps = _dtheta_steps(theta, args.dtheta_points)
+        steps = dtheta_steps(theta, args.dtheta_points)
         deltas = delta_on(theta, steps).tolist()
         rows.extend((theta, d, v) for d, v in zip(steps, deltas))
     meta = {"dtheta_points": args.dtheta_points}
@@ -305,7 +302,7 @@ def _cmd_fit_delta(args):
     rows = []
     for prof in resolution_grid(thetas, "fit", grid_points=args.grid_points):
         theta, a = prof.theta, prof.a_fit
-        steps = _dtheta_steps(theta, 401)
+        steps = dtheta_steps(theta, 401)
         dev = float(abs(sensing.fit_form(a, steps)
                         - delta_on(theta, steps)).max())
         rows.append((theta, a, prof.fit_rms, prof.delta_max, dev))
@@ -407,22 +404,30 @@ def build_parser(name=None):
     open with a subcommand name.  The standalone one, prog "rotobh NAME",
     holds only that subcommand's flags and sets ``command`` itself; its
     help and its actions equal those of the full parser's subparser.
-    Every call builds a new parser: none is kept between calls.
+    Every call builds a new parser: none is kept between calls.  argparse
+    builds a HelpFormatter for every flag, and each one asks for the
+    terminal width unless it is given; so the width is read once per
+    build and handed to each, as the width HelpFormatter would compute.
     """
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     if name is not None:
         _, add_flags, _ = _SUBCOMMANDS[name]
-        parser = argparse.ArgumentParser(prog="rotobh " + name)
+        parser = argparse.ArgumentParser(prog="rotobh " + name,
+                                         formatter_class=formatter)
         add_flags(parser)
         parser.set_defaults(command=name)
         return parser
     parser = argparse.ArgumentParser(
         prog="rotobh",
         description="Rotating-ring Bose-Hubbard phase diagrams and "
-                    "rotation-velocity sensing at the Mott transition edge.")
+                    "rotation-velocity sensing at the Mott transition edge.",
+        formatter_class=formatter)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
     for sub, (help_text, add_flags, _) in _SUBCOMMANDS.items():
-        add_flags(subs.add_parser(sub, help=help_text))
+        add_flags(subs.add_parser(sub, help=help_text,
+                                  formatter_class=formatter))
     parser.subcommands = subs.choices
     return parser
 

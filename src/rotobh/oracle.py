@@ -20,10 +20,14 @@ e0 <= e0(0) <= 0, <n> <= max(B, 0) and <a> <= <n>^(1/2).  At the minimum
 psi* = <a>, hence psi*^2 <= max(B, 0), and for B > 0,
 e0' >= 4 D (psi - sqrt(B)) wherever e0 <= e0(0).  A cell with B <= 0
 therefore has psi* = 0 and needs no search.  The bound holds at any
-truncation.  Every other cell finds a candidate first and certifies it
-after, on the grid psi_j = j sqrt(B) / (COARSE_POINTS - 3),
-j < COARSE_POINTS, which spans [0, sqrt(B)] plus two steps past it, up
-to top = grid[-1].
+truncation.  The truncation adds a second one: <n> <= n_max in the
+truncated space, so <a>^2 <= <n> <= n_max at every psi, and
+psi*^2 <= R = min(B, n_max).  Every other cell finds a candidate first
+and certifies it after, on the grid psi_j = j sqrt(R) / (COARSE_POINTS - 3),
+j < COARSE_POINTS, which spans [0, sqrt(R)] plus two steps past it, up
+to top = grid[-1].  Only a cell with B > n_max, such as one at a huge D,
+takes sqrt(n_max): there the grid would otherwise reach sqrt(2 D), where
+2 D psi^2 swamps every Fock term of H.
 
 The candidate.  The linear response r = <a>/psi at psi = RESPONSE_EPS
 decides (see below): r <= 1 gives psi = 0.0 exactly.  r > 1 makes psi = 0
@@ -32,10 +36,12 @@ F(psi) = psi - <a>(psi) = e0'(psi) / (4 D) on [RESPONSE_EPS, top], found
 by numerics.newton_root to ROOT_TOL.  The bracket's lower end has
 F = RESPONSE_EPS (1 - r) < 0, read off the response's own solve.  Its
 upper end has F(top) > 0 wherever e0(top) <= e0(0): there
-<a> <= <n>^(1/2) <= sqrt(B) by the bound above, so
-F(top) / top >= 1 - sqrt(B)/top = 2/(COARSE_POINTS - 1) = 0.05, far above
-the rounding of <a>.  Where e0(top) > e0(0), F(top) may take either sign,
-and F(top) < 0 raises ConvergenceError: no stationary point.
+<a> <= <n>^(1/2) <= sqrt(R) by the bounds above, so
+F(top) / top >= 1 - sqrt(R)/top = 2/(COARSE_POINTS - 1) = 0.05, far above
+the rounding of <a>.  Where n_max < B it holds whatever e0(top) is,
+since <a> <= sqrt(n_max) needs no energy condition.  Where e0(top) > e0(0)
+and R = B, F(top) may take either sign, and F(top) < 0 raises
+ConvergenceError: no stationary point.
 
 The slope.  Every dstev returns the whole spectrum, lambda_n and v_n, so
 Newton's slope costs no further solve.  With X = a + a^dagger,
@@ -160,7 +166,7 @@ from .errors import ConfigError, ConvergenceError, TruncationWarning
 from .numerics import EPS, brent_root, newton_root
 from .landau import boundary_hopping, lobe_index
 
-COARSE_POINTS = 41  # grid points over [0, sqrt(B)] and two steps past it
+COARSE_POINTS = 41  # grid points over [0, sqrt(R)] and two steps past it
 # published bound on |dpsi| of the minimizer: meets ~1e-13 deep in the
 # superfluid, and fails within ~1e-9 relative of the boundary (docstring)
 GOLDEN_TOL = 1e-8
@@ -356,7 +362,8 @@ def minimize_order_parameter(problem: MeanFieldProblem) -> OracleResult:
     bound = problem.mu_over_U + 1.0 + 2.0 * problem.D_eff
     psi = 0.0  # the candidate when B <= 0 or r <= 1
     if bound > 0.0:
-        grid = math.sqrt(bound) / (COARSE_POINTS - 3) * np.arange(COARSE_POINTS)
+        reach = math.sqrt(min(bound, problem.n_max))
+        grid = reach / (COARSE_POINTS - 3) * np.arange(COARSE_POINTS)
         top = float(grid[-1])
         response = kernel.eigenpair(RESPONSE_EPS)
         r = response[2] / RESPONSE_EPS

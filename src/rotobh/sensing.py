@@ -129,6 +129,19 @@ def delta_on(theta: float, dthetas) -> np.ndarray:
     return u * np.sqrt(np.maximum(1.0 - u, 0.0))
 
 
+def dtheta_steps(theta: float, points: int) -> list:
+    """points >= 2 offsets from 0 to theta, as Python floats.
+
+    Cell i is theta * i / (points - 1), rounded as that scalar expression
+    rounds it; the min keeps rounding off the edge.  theta is checked
+    first, so an out-of-domain theta raises DomainError before any array
+    arithmetic could overflow.
+    """
+    _check_theta(theta)
+    return np.minimum(theta * np.arange(points, dtype=float) / (points - 1),
+                      theta).tolist()
+
+
 def _crossings(theta: float, level: float):
     """Offsets where delta(theta, .) = level: (rising, falling or None).
 
@@ -192,18 +205,40 @@ def _fit_target(theta: float, grid_points: int):
     return dts, delta_on(theta, dts)
 
 
+def _rms_rows(scale, dts, target, x, resid):
+    """Per row, the rms of fit_form(scale, dts) - target, run in place.
+
+    x and resid are buffers of the broadcast shape, overwritten; every
+    operation writes through out=.  fit_form's clamp is left out, since
+    scale > 0 and dts >= 0.  A row's bits do not depend on the other rows:
+    every operation is elementwise and correctly rounded, and each row
+    sums pairwise alone, so the bits are those of a fresh array per step.
+    """
+    np.multiply(scale, dts, out=x)
+    np.sqrt(x, out=x)
+    np.negative(x, out=resid)
+    np.exp(resid, out=resid)
+    np.multiply(x, resid, out=resid)
+    np.subtract(resid, target, out=resid)
+    np.square(resid, out=resid)
+    return np.sqrt(np.add.reduce(resid, axis=1) / resid.shape[1])
+
+
 def _coarse_brackets(dts, target):
     """Per row of (dts, target), the log10 a bracket around the argmin of
-    the coarse scan, each scan one (FIT_COARSE_POINTS, grid_points)
-    broadcast."""
+    the coarse scan.
+
+    Each row's scan is one (FIT_COARSE_POINTS, grid_points) _rms_rows, in
+    two buffers that every row reuses.  The rms is formed before the
+    argmin, as rms_of forms it, so that ties break as in a per-point scan.
+    """
     coarse = np.linspace(FIT_LOG_RANGE[0], FIT_LOG_RANGE[1], FIT_COARSE_POINTS)
     scale = 10.0 ** coarse[:, None]
+    x = np.empty((FIT_COARSE_POINTS, dts.shape[1]))
+    resid = np.empty_like(x)
     brackets = []
     for row_dts, row_target in zip(dts, target):
-        resid = fit_form(scale, row_dts) - row_target
-        # rms as rms_of forms it, so that ties break as in a per-point scan
-        i = int(np.argmin(np.sqrt(np.add.reduce(resid * resid, axis=1)
-                                  / row_dts.size)))
+        i = int(np.argmin(_rms_rows(scale, row_dts, row_target, x, resid)))
         brackets.append((coarse[max(i - 1, 0)],
                          coarse[min(i + 1, FIT_COARSE_POINTS - 1)]))
     return brackets
@@ -215,11 +250,14 @@ def fit_grid(thetas, grid_points: int = FIT_GRID_POINTS):
     Returns [(a, rms), ...] in grid order.  Protocol: FIT_PROTOCOL
     (recorded in CLI metadata), sampled at grid_points dtheta values.  The
     target and the coarse log10 a scan are array evaluations per theta
-    (the scan is one (FIT_COARSE_POINTS, grid_points) broadcast whose
+    (the scan is one (FIT_COARSE_POINTS, grid_points) evaluation whose
     argmin picks the bracket).  One lockstep golden search then refines
     every theta at once: each of its steps is one (thetas, grid_points)
-    rms evaluation, so thetas x grid_points is at most MAX_COUNT.  Warns
-    once per theta whose rms > FIT_RMS_THRESHOLD, in grid order.
+    rms evaluation, so thetas x grid_points is at most MAX_COUNT.  The
+    scan and the search each run in place in two buffers allocated once
+    per call; the bits and golden_min's evaluation sequence are those of
+    a fresh array per step.  Warns once per theta whose
+    rms > FIT_RMS_THRESHOLD, in grid order.
     """
     thetas = list(thetas)
     for theta in thetas:
@@ -235,20 +273,14 @@ def fit_grid(thetas, grid_points: int = FIT_GRID_POINTS):
         dts[k], target[k] = _fit_target(theta, grid_points)
     brackets = _coarse_brackets(dts, target)
 
+    x = np.empty_like(dts)
+    resid = np.empty_like(dts)
+
     def rms_of(log_as):
-        # fit_form without its clamp: a > 0 and dts >= 0 already.  A lane's
-        # bits do not depend on the other lanes: 10 ** log_a is Python's
-        # scalar power (numpy's vector power may round differently), every
-        # other operation is elementwise, and each row sums pairwise alone.
-        x = np.array([[10.0 ** log_a] for log_a in log_as]) * dts
-        np.sqrt(x, out=x)
-        resid = np.negative(x)
-        np.exp(resid, out=resid)
-        resid *= x
-        resid -= target
-        resid *= resid
-        return [math.sqrt(s / grid_points)
-                for s in np.add.reduce(resid, axis=1).tolist()]
+        # 10 ** log_a is Python's scalar power: numpy's vector power may
+        # round differently
+        scale = np.array([10.0 ** log_a for log_a in log_as])
+        return _rms_rows(scale[:, None], dts, target, x, resid).tolist()
 
     log_as = golden_min(rms_of, brackets, tol=FIT_LOG_TOL)
     fits = [(10.0 ** log_a, rms) for log_a, rms in zip(log_as, rms_of(log_as))]

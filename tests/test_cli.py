@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotobh import __version__, cli, oracle, sensing
-from rotobh.cli import _dtheta_steps, load_config, main, parse_grid
+from rotobh.cli import load_config, main, parse_grid
 from rotobh.errors import MAX_COUNT, ConfigError
 from rotobh.io import parse_csv
-from rotobh.sensing import delta_change, fit_form
+from rotobh.sensing import delta_change, dtheta_steps, fit_form
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -307,7 +307,7 @@ def test_fit_delta_deviation_matches_scalar_scan():
     assert len(rows) == 7
     for theta, a, _, _, dev in rows:
         want = max(abs(float(fit_form(a, d)) - sensing.delta_exact(theta, d))
-                   for d in _dtheta_steps(theta, 401))
+                   for d in dtheta_steps(theta, 401))
         assert dev == want, theta
 
 

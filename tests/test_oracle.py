@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rotobh import oracle
@@ -43,7 +43,8 @@ def test_truncation_cap_rejects_before_any_array(monkeypatch):
 def test_overflowing_hamiltonian_is_a_convergence_error(monkeypatch):
     # past D ~ 5e153, or |mu| n_max past the double range, H(psi) up to the
     # grid's end overflows: an error before any numpy arithmetic can warn
-    for mu, D in ((0.5, 1e300), (0.0, 1e308), (-1e308, 1e308)):
+    for mu, D in ((0.5, 1e300), (0.0, 1e308), (-1e308, 1e308), (-1.5, 1e154),
+                  (20.0, 1e154)):
         with pytest.raises(ConvergenceError, match="overflows"):
             minimize_order_parameter(MeanFieldProblem(mu, D))
     with pytest.raises(ConvergenceError, match="overflows"):
@@ -220,6 +221,30 @@ def test_default_psi_max_brackets_the_minimum(lobe, frac, scale):
     assert res.psi_star ** 2 <= max(mu + 1.0 + 2.0 * D, 0.0)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(mu=-1.5, log_d=153.0)
+@example(mu=20.0, log_d=153.0)
+@example(mu=1.0, log_d=90.0)
+@given(mu=st.one_of(st.sampled_from([-1.5, -0.5, 1.0, 3.0, 7.0, 20.0]),
+                    st.floats(-1.9, 30.0)),
+       log_d=st.one_of(st.integers(0, 153).map(float), st.floats(0.0, 153.0)))
+def test_minimizer_converges_at_huge_hopping(mu, log_d):
+    # <a>^2 <= <n> <= n_max in the truncated space, so the grid stops at
+    # sqrt(n_max) where B > n_max, and F(top) >= 0.05 top there at any D;
+    # a grid out to sqrt(B) ~ sqrt(2 D) failed from about D = 1e90
+    p = MeanFieldProblem(mu, 10.0 ** log_d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        res = minimize_order_parameter(p)
+    assert res.converged
+    R = min(mu + 1.0 + 2.0 * p.D_eff, p.n_max)
+    assert res.psi_star ** 2 <= R * (1.0 + 1e-12)
+    top = float(_grid(p)[-1])
+    _, _, a_top = oracle._Kernel(p).eigenpair(top)
+    if R == p.n_max:
+        assert 1.0 - a_top / top >= 2.0 / (COARSE_POINTS - 1) - 1e-12
+
+
 def _dense_scan(problem, grid):
     """e0 at every psi of grid from dense eigvalsh: the test's reference."""
     return np.array([np.linalg.eigvalsh(build_hamiltonian(problem, x))[0]
@@ -227,8 +252,8 @@ def _dense_scan(problem, grid):
 
 
 def _grid(problem):
-    B = problem.mu_over_U + 1.0 + 2.0 * problem.D_eff
-    return math.sqrt(B) / (COARSE_POINTS - 3) * np.arange(COARSE_POINTS)
+    R = min(problem.mu_over_U + 1.0 + 2.0 * problem.D_eff, problem.n_max)
+    return math.sqrt(R) / (COARSE_POINTS - 3) * np.arange(COARSE_POINTS)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

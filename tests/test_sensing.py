@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,17 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotobh import sensing
-from rotobh.cli import _dtheta_steps
 from rotobh.errors import (ConfigError, ConvergenceError, DomainError,
                            FitQualityWarning, OutOfRangeError)
 from rotobh.landau import kappa
-from rotobh.numerics import lambert_w
+from rotobh.numerics import golden_min, lambert_w
 from rotobh.sensing import (BISECTION_TOL, DELTA_GLOBAL_MAX, FIT_COARSE_POINTS,
                             FIT_LOG_RANGE, FIT_LOG_TOL, THETA_EXACT_CROSSOVER,
                             _crossings, _fit_peak, delta_change, delta_exact,
-                            delta_max, delta_on, fit_a, fit_form, fit_grid,
-                            invert_rotation_change, peak_offset, resolution,
-                            resolution_grid, theta_crossover)
+                            delta_max, delta_on, dtheta_steps, fit_a,
+                            fit_form, fit_grid, invert_rotation_change,
+                            peak_offset, resolution, resolution_grid,
+                            theta_crossover)
 from test_numerics import golden_min_scalar
 
 
@@ -50,8 +51,8 @@ def _delta_scalar(theta, dtheta):
 
 def test_delta_on_matches_scalar_bit_for_bit():
     for theta in (0.01, 0.3, 0.7008, 1.0, 1.5, 1.5707):
-        for dts in (np.linspace(0.0, theta, 200), _dtheta_steps(theta, 401),
-                    _dtheta_steps(theta, 200)):
+        for dts in (np.linspace(0.0, theta, 200), dtheta_steps(theta, 401),
+                    dtheta_steps(theta, 200)):
             want = [_delta_scalar(theta, d) for d in dts]
             assert delta_on(theta, dts).tolist() == want, theta
             assert [delta_exact(theta, d) for d in dts] == want, theta
@@ -74,16 +75,35 @@ _OUTSIDE_THETA = st.one_of(st.floats(max_value=0.0),
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
+@example(theta=1e308)
+@example(theta=-1e308)
 @given(theta=_OUTSIDE_THETA)
 def test_theta_outside_the_open_quadrant_is_a_domain_error(theta):
     # theta <= 0 and theta >= pi/2 (nan and +-inf included)
     with pytest.raises(DomainError):
         delta_on(theta, [0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # raised before theta * i can overflow
+        with pytest.raises(DomainError):
+            dtheta_steps(theta, 401)
     for mode in ("exact", "fit"):
         with pytest.raises(DomainError):
             resolution(theta, mode, gamma=0.043)
     with pytest.raises(DomainError):
         invert_rotation_change(0.05, 1.0, 1, theta, 0.043)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(theta=5e-324, points=2)
+@example(theta=0.5 * math.pi - 2e-16, points=401)
+@given(theta=st.floats(5e-324, 0.5 * math.pi, exclude_max=True),
+       points=st.integers(2, 5000))
+def test_dtheta_steps_match_the_scalar_grid(theta, points):
+    # cell for cell the bits and the Python float type of the scalar list
+    want = [min(theta * i / (points - 1), theta) for i in range(points)]
+    got = dtheta_steps(theta, points)
+    assert all(type(d) is float for d in got)
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
 def test_peak_offset():
@@ -97,9 +117,14 @@ def test_peak_offset():
 
 
 def _crosses_within(theta, d, level, rising):
-    """delta_exact passes level within 1e-12 of d, upward if rising."""
-    below = delta_exact(theta, max(d - 1e-12, 0.0))
-    above = delta_exact(theta, min(d + 1e-12, theta))
+    """delta_exact passes level within 1e-12 of d, upward if rising, on
+    d's own branch: [0, peak] if rising, else [peak, theta].  Within
+    1e-12 of pi/2 a branch is narrower than 1e-12, and a window past its
+    end would read the other branch."""
+    pk = peak_offset(theta)
+    lo, hi = (0.0, pk) if rising else (pk, theta)
+    below = delta_exact(theta, max(d - 1e-12, lo))
+    above = delta_exact(theta, min(d + 1e-12, hi))
     return below <= level <= above if rising else above <= level <= below
 
 
@@ -228,6 +253,73 @@ def test_fit_grid_equals_scalar_fits_bit_for_bit(thetas, grid_points):
         profiles = resolution_grid(thetas, "fit", grid_points=grid_points)
     assert got == [want[theta] for theta in thetas]
     assert [(p.a_fit, p.fit_rms) for p in profiles] == got
+
+
+def _fit_grid_allocating(thetas, grid_points, search):
+    """fit_grid with a fresh array for every scan and rms evaluation: the
+    coarse scan through fit_form, rms_of with a nested-list scale and a
+    per-lane math.sqrt.  search is the golden search to run."""
+    dts = np.array([np.linspace(0.0, t, grid_points) for t in thetas])
+    target = np.array([delta_on(t, row) for t, row in zip(thetas, dts)])
+    coarse = np.linspace(FIT_LOG_RANGE[0], FIT_LOG_RANGE[1], FIT_COARSE_POINTS)
+    scale = 10.0 ** coarse[:, None]
+    brackets = []
+    for row_dts, row_target in zip(dts, target):
+        resid = fit_form(scale, row_dts) - row_target
+        i = int(np.argmin(np.sqrt(np.add.reduce(resid * resid, axis=1)
+                                  / grid_points)))
+        brackets.append((coarse[max(i - 1, 0)],
+                         coarse[min(i + 1, FIT_COARSE_POINTS - 1)]))
+
+    def rms_of(log_as):
+        x = np.array([[10.0 ** log_a] for log_a in log_as]) * dts
+        np.sqrt(x, out=x)
+        resid = np.negative(x)
+        np.exp(resid, out=resid)
+        resid *= x
+        resid -= target
+        resid *= resid
+        return [math.sqrt(s / grid_points)
+                for s in np.add.reduce(resid, axis=1).tolist()]
+
+    log_as = search(rms_of, brackets, tol=FIT_LOG_TOL)
+    return brackets, [(10.0 ** log_a, rms)
+                      for log_a, rms in zip(log_as, rms_of(log_as))]
+
+
+def _recorded(calls):
+    """golden_min that logs every evaluation: (abscissae, values)."""
+    def search(f, brackets, tol):
+        def logged(xs):
+            values = f(xs)
+            calls.append((list(xs), list(values)))
+            return values
+        return golden_min(logged, brackets, tol=tol)
+    return search
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(thetas=[5e-324, 1e-3, 0.7, 1.569], grid_points=50)
+@example(thetas=_SPREAD, grid_points=1000)
+@given(thetas=st.lists(st.floats(5e-324, 1.569), min_size=1, max_size=25),
+       grid_points=st.integers(50, 1000))
+def test_fit_grid_matches_the_allocating_scan_bit_for_bit(thetas,
+                                                          grid_points):
+    # the in-place scan and rms_of give the allocating brackets, the same
+    # golden evaluations in the same order, and the same fits
+    want_calls, got_calls = [], []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FitQualityWarning)
+        brackets, want = _fit_grid_allocating(thetas, grid_points,
+                                              _recorded(want_calls))
+        with mock.patch.object(sensing, "golden_min", _recorded(got_calls)):
+            got = fit_grid(thetas, grid_points)
+    dts = np.array([np.linspace(0.0, t, grid_points) for t in thetas])
+    target = np.array([delta_on(t, row) for t, row in zip(thetas, dts)])
+    assert sensing._coarse_brackets(dts, target) == brackets
+    assert got_calls == want_calls
+    assert all(type(v) is float for _, values in got_calls for v in values)
+    assert got == want
 
 
 def test_fit_grid_reaches_the_scan_edges():
