@@ -302,9 +302,7 @@ def _cmd_fit_delta(args):
     rows = []
     for prof in resolution_grid(thetas, "fit", grid_points=args.grid_points):
         theta, a = prof.theta, prof.a_fit
-        steps = dtheta_steps(theta, 401)
-        dev = float(abs(sensing.fit_form(a, steps)
-                        - delta_on(theta, steps)).max())
+        dev = sensing.fit_deviation(theta, a, 401)
         rows.append((theta, a, prof.fit_rms, prof.delta_max, dev))
     meta = {"grid_points": args.grid_points,
             "fit_protocol": sensing.FIT_PROTOCOL}

@@ -82,11 +82,19 @@ The ground energy of H(psi_j) exceeds level = e0* - slack exactly when
 every pivot of the LDL^T factorization of H(psi_j) - level is positive
 (Sylvester's law of inertia; the Sturm count of Barth, Martin &
 Wilkinson, Numer. Math. 9, 386 (1967)).  For a tridiagonal matrix the
-pivots are p_0 = d_0 - level, p_k = d_k - level - e_(k-1)^2 / p_(k-1):
-one loop over the Fock index, vectorized over the grid.  They are formed
-for (H - level) / 2^m with 2^m >= N (below), a power of two, which moves
-no sign and no rounding but keeps every e^2 finite.  A zero or NaN pivot
-is a failure, so the check fails closed.  A failure raises
+pivots are p_0 = d_0 - level, p_k = d_k - level - (e_(k-1) / p_(k-1))
+e_(k-1), the recurrence of LAPACK's dpttrf.  One dpttrf call factors the
+block-diagonal stack of all COARSE_POINTS matrices: the coupling between
+two blocks is zero, so each block's pivots are those of its matrix
+alone.  They are formed for (H - level) / 2^m with 2^m >= N (below), a
+power of two, which moves no sign and no rounding but keeps every entry
+of H / 2^m at most 1 in size; so a quotient e / p that overflows, p > 0,
+makes the next pivot -inf, the sign of the exact one, whose e^2 / p then
+exceeds 2^970.  A pivot that is zero, negative or NaN is a failure, so
+the check fails closed: dpttrf stops at the first pivot <= 0 (info > 0),
+and since that test lets a NaN through, the pivots are read as well.
+info < 0 (an illegal argument) raises ConvergenceError, as a failed
+dstev does; it is never read as a verdict.  A failure raises
 ConvergenceError: e0 has a second minimum that the candidate missed,
 which for the candidate psi = 0 is a first-order jump.
 
@@ -99,14 +107,22 @@ energies.  (1) dstev is backward stable: e0* is an eigenvalue of a
 matrix within n eps N of the one it was handed (LAPACK Users' Guide,
 sec. 4.7, with its modest p(n) taken as n), and forming that matrix
 rounds its entries by at most 3 eps N in norm.  (2) Forming d_k - level
-rounds each entry by at most 2.5 eps N.  (3) The computed pivots are the
-exact pivots of a matrix whose off-diagonal entries carry relative
-perturbations of at most 2.5 eps (Demmel, Applied Numerical Linear
-Algebra (1997), sec. 5.3.4), plus 1 eps from forming e^2; that moves
-every eigenvalue by at most 3.5 eps * 2 max|e| <= 3.5 eps N.  Together
-they stay below (n + 9) eps N, and slack = 2 (n + 9) eps N is twice
-that: a grid point that ties the candidate's exact energy passes, and a
-pass means no grid point lies more than 1.5 slack below it.
+rounds each entry by at most 2.5 eps N.  (3) A correctly rounded
+operation errs by at most eps/2, relative.  Each coupling handed to
+dpttrf, (2 D psi / 2^m) sqrt(k+1), takes three roundings, so it is e_k
+to within 1.5 eps.  Each pivot step rounds t = e / p, t e and d - t e
+once each: p'_k = (d_k - e^2 / p'_(k-1) (1 + a)(1 + b)) (1 + c).  The
+numbers q_k = p'_k / (1 + c_k) have the signs of the computed pivots
+and are the exact pivots of the matrix whose e^2 carry the factors
+(1 + a)(1 + b) / (1 + c_(k-1)), within 1.5 eps, that is e within 0.75
+eps (Demmel, Applied Numerical Linear Algebra (1997), sec. 5.3.4, makes
+the same argument for the e^2 / p form); a fused multiply-add only drops
+a rounding.  The off-diagonal is thus off by at most 2.25 eps relative,
+which moves every eigenvalue by at most 2.25 eps * 2 max|e| <= 2.25 eps
+N.  Together they stay below (n + 9) eps N, and slack = 2 (n + 9) eps N
+is twice that: a grid point that ties the candidate's exact energy
+passes, and a pass means no grid point lies more than 1.5 slack below
+it.
 
 Next to the boundary psi* is not machine-accurate.  F = psi - <a>
 cancels there: near the root <a>/psi is 1 to within about
@@ -129,8 +145,14 @@ Each point pays for LAPACK and a few vector passes.  The response is one
 ``dstev``, and each root step is one ``dstev`` plus the two products that
 give <a> and the slope: 6 or 7 solves for a superfluid cell away from
 the boundary, where Brent's method took 10 to 12, and more next to it.
-The certificate
-is n vector steps over the COARSE_POINTS grid points.
+The certificate is one ``dpttrf`` on COARSE_POINTS (n_max + 1) rows,
+about 9 us at n_max 9 and 13 us at 24 (the loop over the Fock index it
+replaced took 15.4 and 28.9 us).  Where H is diagonal no solve runs:
+H(0) = diag(base), so the psi = 0 candidate is the Fock state of the
+lowest level, with that level as e0 and <a> = 0, the bits dstev returns
+(its selection sort keeps the first of tied levels, as at a lobe
+corner).  A Mott cell thus pays one ``dstev``, the response's, and a
+cell with B <= 0 none.
 The psi-independent arrays k, k(k-1), sqrt(k) and X are built once per
 n_max.
 The Fock truncation, given or defaulted to lobe + 8, must lie in
@@ -139,17 +161,20 @@ any array is built.
 A LAPACK failure raises ConvergenceError; it never yields a number.  So
 does a problem whose H(psi) would overflow up to top (D past about
 5e153, or |mu| n_max past the double range), before any arithmetic, and
-one whose bound N overflows.  scipy, which supplies dstev, is imported
-when the first _Kernel is built, not with this module, so a process that
-never diagonalizes never pays for loading it.
+one whose bound N overflows.  scipy, which supplies dstev and dpttrf,
+is imported when the first _Kernel is built, not with this module, so a
+process that never diagonalizes never pays for loading it.
 
 The Mott/superfluid boundary is not found by minimizing at all.  At
 psi -> 0, Hellmann-Feynman gives e0(psi) - e0(0) ~ 2 D (1 - r) psi^2, with
 r = <a>/psi the linear response of the ground state, so the second-order
 boundary is the root in D of r(D) = 1.  boundary_numeric finds it by
-Brent's method, one dstev per evaluation at psi = RESPONSE_EPS, without
-touching the closed-form susceptibility, and then runs two minimizations
-just below and just above it to rule out a first-order jump.
+Brent's method, one dstev per evaluation at psi = RESPONSE_EPS on one
+kernel per mu, without touching the closed-form susceptibility, and then
+runs two minimizations just below and just above it to rule out a
+first-order jump.  H(psi) is diagonal at D = 0, so r(0) = 0 takes no
+solve, and the kernel's overflow test, made once at the bracket top,
+covers every smaller D.
 """
 
 from __future__ import annotations
@@ -180,7 +205,7 @@ MIN_N_MAX = 4  # smallest Fock truncation a MeanFieldProblem accepts
 # cap keeps a cell under a second, and no truncation changes exit status.
 MAX_N_MAX = 256
 
-dstev = None  # scipy's LAPACK routine, bound by _dstev on first use
+dstev = dpttrf = None  # scipy's LAPACK routines, bound by _lapack on first use
 
 
 def check_n_max(n_max) -> None:
@@ -225,23 +250,27 @@ class OracleResult:
 
 @functools.lru_cache(maxsize=None)
 def _fock_arrays(n_max):
-    """k, k(k-1), sqrt(k) (k >= 1) and the dense X = a + a^dagger for one
-    truncation, shared read-only."""
+    """k, k(k-1), sqrt(k) (k >= 1), the dense X = a + a^dagger and sqrt(k)
+    with a 0 appended (the certificate's couplings, the 0 between blocks)
+    for one truncation, shared read-only."""
     k = np.arange(n_max + 1, dtype=float)
     sqrt_k = np.sqrt(k[1:])
     arrays = (k, k * (k - 1.0), sqrt_k,
-              np.diag(sqrt_k, 1) + np.diag(sqrt_k, -1))
+              np.diag(sqrt_k, 1) + np.diag(sqrt_k, -1), np.append(sqrt_k, 0.0))
     for array in arrays:
         array.setflags(write=False)
     return arrays
 
 
-def _dstev():
-    """scipy's dstev, imported on the first eigensolve of the process."""
-    global dstev
+def _lapack():
+    """scipy's dstev and dpttrf, imported when the process builds its first
+    _Kernel."""
+    global dstev, dpttrf
     if dstev is None:
         from scipy.linalg.lapack import dstev
-    return dstev
+    if dpttrf is None:
+        from scipy.linalg.lapack import dpttrf
+    return dstev, dpttrf
 
 
 def _check_info(routine, info):
@@ -250,44 +279,66 @@ def _check_info(routine, info):
 
 
 class _Kernel:
-    """One problem's H(psi): eigensolves, each a single LAPACK call, and the
-    certificate's pivots over a grid of psi."""
+    """One problem's H(psi): eigensolves, each a single LAPACK call, the
+    exact ground state where H is diagonal, and the certificate's pivots
+    over a grid of psi in one more."""
 
-    __slots__ = ("_base", "_k", "_sqrt_k", "_x", "_two_d", "_dstev")
+    __slots__ = ("_base", "_k", "_sqrt_k", "_x", "_couplings", "_two_d",
+                 "_dstev", "_dpttrf")
 
     def __init__(self, problem):
         mu, D = problem.mu_over_U, problem.D_eff
         # H(psi) up to the grid's end has entries of about |mu| n_max and
-        # 2.2 D B; where those overflow, no eigensolve can be trusted
+        # 2.2 D B; where those overflow, no eigensolve can be trusted.  The
+        # test grows with D, so it covers every smaller D as well.
         if not math.isfinite(abs(mu) * problem.n_max
                              + 4.0 * D * max(mu + 1.0 + 2.0 * D, 1.0)):
             raise ConvergenceError("H(psi) overflows at mu = %r, D = %r"
                                    % (mu, D))
-        k, k_k1, sqrt_k, x = _fock_arrays(problem.n_max)
+        k, k_k1, sqrt_k, x, couplings = _fock_arrays(problem.n_max)
         self._base = -mu * k + k_k1
         self._k = k
         self._sqrt_k = sqrt_k
         self._x = x
+        self._couplings = couplings
         self._two_d = 2.0 * D
-        self._dstev = _dstev()
+        self._dstev, self._dpttrf = _lapack()
 
-    def tridiag(self, psi):
-        return (self._base + self._two_d * psi * psi,
-                -self._two_d * psi * self._sqrt_k)
+    def tridiag(self, psi, two_d=None):
+        """H(psi)'s diagonal and off-diagonal, at hopping two_d / 2 if
+        given, else at the problem's."""
+        if two_d is None:
+            two_d = self._two_d
+        return (self._base + two_d * psi * psi, -two_d * psi * self._sqrt_k)
 
-    def _spectrum(self, psi):
+    def _spectrum(self, psi, two_d=None):
         """Eigenvalues (ascending) and eigenvectors of H(psi): one dstev."""
-        vals, vecs, info = self._dstev(*self.tridiag(psi), overwrite_d=1,
-                                       overwrite_e=1)
+        vals, vecs, info = self._dstev(*self.tridiag(psi, two_d),
+                                       overwrite_d=1, overwrite_e=1)
         _check_info("dstev", info)
         return vals, vecs
+
+    def _a(self, vec):
+        return float(np.dot(self._sqrt_k, vec[:-1] * vec[1:]))
 
     def eigenpair(self, psi):
         """(e0, unit vector in LAPACK's sign, <a>) from one dstev solve."""
         vals, vecs = self._spectrum(psi)
         vec = vecs[:, 0]
-        a_exp = float(np.dot(self._sqrt_k, vec[:-1] * vec[1:]))
-        return float(vals[0]), vec, a_exp
+        return float(vals[0]), vec, self._a(vec)
+
+    def fock_ground(self):
+        """eigenpair(0.0) without a solve: H(0) = diag(base).
+
+        The ground state is the Fock state of the lowest level, the first
+        one of a tie, as dstev's selection sort keeps it, and <a> = 0.
+        Adding 0.0 turns a -0.0 level into the 0.0 that tridiag(0.0)
+        hands dstev.
+        """
+        k = int(np.argmin(self._base))
+        vec = np.zeros(self._base.size)
+        vec[k] = 1.0
+        return float(self._base[k]) + 0.0, vec, 0.0
 
     def root_step(self, psi):
         """(e0, vector, <a>, d<a>/dpsi) from the spectrum of one dstev solve.
@@ -307,9 +358,14 @@ class _Kernel:
             slope = self._two_d * float(np.dot(c_n, c_n / (vals[1:] - e0)))
         return e0, vec, 0.5 * float(c[0]), slope
 
-    def response(self):
-        """Linear response r = <a>/psi of the ground state at RESPONSE_EPS."""
-        return self.eigenpair(RESPONSE_EPS)[2] / RESPONSE_EPS
+    def response(self, D):
+        """Linear response r = <a>/psi of the ground state at RESPONSE_EPS,
+        at hopping D on this kernel's levels: 0 at D = 0, where H is
+        diagonal, and one dstev otherwise."""
+        if D == 0.0:
+            return 0.0
+        vecs = self._spectrum(RESPONSE_EPS, 2.0 * D)[1]
+        return self._a(vecs[:, 0]) / RESPONSE_EPS
 
     def norm(self, top):
         """Gershgorin bound on ||H(psi)|| over 0 <= psi <= top."""
@@ -321,18 +377,24 @@ class _Kernel:
 
         That holds exactly when every LDL^T pivot of H(psi) - level is
         positive; the pivots of (H(psi) - level) / 2^m, 2^m >= norm, have
-        the same signs and no square among them overflows.  A zero or NaN
-        pivot is a failure.
+        the same signs, and H(psi) / 2^m has entries of at most 1.  One
+        dpttrf factors all of them: its matrix is the block-diagonal stack
+        of one block per psi, and a zero coupling between blocks leaves
+        each block's pivots those of the block alone.  A pivot that is not
+        positive, NaN included, is a failure; dpttrf stops at the first
+        one <= 0 (info > 0) but passes a NaN on, so the pivots are read
+        too.  info < 0 is a LAPACK failure and raises ConvergenceError.
         """
         scale = math.ldexp(1.0, -math.frexp(norm)[1])
         h = self._two_d * scale
-        pivots = ((self._base * scale)[:, None] + h * grid * grid
-                  - level * scale)
-        off2 = self._k[1:, None] * (h * grid) ** 2
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for k in range(1, pivots.shape[0]):
-                pivots[k] -= off2[k - 1] / pivots[k - 1]
-        return bool((pivots > 0.0).all())
+        d = np.add.outer(h * grid * grid, self._base * scale)
+        d -= level * scale
+        e = np.multiply.outer(h * grid, self._couplings)
+        d, _, info = self._dpttrf(d.ravel(), e.ravel()[:-1], overwrite_d=1,
+                                  overwrite_e=1)
+        if info < 0:
+            _check_info("dpttrf", info)
+        return info == 0 and bool(d.min() > 0.0)
 
 
 def build_hamiltonian(problem: MeanFieldProblem, psi: float) -> np.ndarray:
@@ -389,7 +451,7 @@ def minimize_order_parameter(problem: MeanFieldProblem) -> OracleResult:
                                 problem.D_eff)) from None
             e0, vec, a_exp, _ = solved[psi]
     if psi == 0.0:
-        e0, vec, a_exp = kernel.eigenpair(psi)
+        e0, vec, a_exp = kernel.fock_ground()
     if bound > 0.0:
         norm = kernel.norm(top)
         slack = 2.0 * (kernel._base.size + 9) * EPS * norm
@@ -432,8 +494,10 @@ def boundary_numeric(mu: float, n_max=None) -> float:
     the ground state, one dstev per evaluation.  By Hellmann-Feynman the
     curvature of e0 at psi = 0 is proportional to 1 - r, so r = 1 is the
     second-order boundary (van Oosten, van der Straten & Stoof, PRA 63,
-    053601 (2001)).  The bracket is [0, D_c(paper)]: r(0) = 0, and the
-    paper boundary is twice the true one, so r > 1 there.  The root is
+    053601 (2001)).  The bracket is [0, D_c(paper)]: r(0) = 0 exactly,
+    since H is diagonal at D = 0, and the paper boundary is twice the
+    true one, so r > 1 there.  Every r(D) is one dstev on a single kernel,
+    built and overflow-tested at D_c(paper).  The root is
     found to ROOT_TOL by Brent's method; the finite eps biases it by
     O(eps^2), about 1e-12 relative.
 
@@ -443,9 +507,10 @@ def boundary_numeric(mu: float, n_max=None) -> float:
     or if either minimization does not converge, ConvergenceError.
     """
     hi = boundary_hopping(mu, lobe_index(mu), "paper")  # raises at lobe corners
+    kernel = _Kernel(MeanFieldProblem(mu, hi, n_max))  # overflow test at hi
 
     def response_excess(D):
-        return _Kernel(MeanFieldProblem(mu, D, n_max)).response() - 1.0
+        return kernel.response(D) - 1.0
 
     D_star = brent_root(response_excess, 0.0, hi, tol=ROOT_TOL)
 

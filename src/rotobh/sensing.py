@@ -137,9 +137,22 @@ def dtheta_steps(theta: float, points: int) -> list:
     first, so an out-of-domain theta raises DomainError before any array
     arithmetic could overflow.
     """
+    return _dtheta_grid(theta, points).tolist()
+
+
+def _dtheta_grid(theta: float, points: int) -> np.ndarray:
+    """dtheta_steps as one array."""
     _check_theta(theta)
     return np.minimum(theta * np.arange(points, dtype=float) / (points - 1),
-                      theta).tolist()
+                      theta)
+
+
+def fit_deviation(theta: float, a: float, points: int) -> float:
+    """max |fit_form(a, d) - delta(theta, d)| over dtheta_steps(theta,
+    points), with the grid built once as an array: the bits of the same
+    expression on the list."""
+    steps = _dtheta_grid(theta, points)
+    return float(abs(fit_form(a, steps) - delta_on(theta, steps)).max())
 
 
 def _crossings(theta: float, level: float):

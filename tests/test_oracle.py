@@ -319,7 +319,24 @@ def test_certificate_matches_dense_eigvalsh(lobe, frac, scale, n_max, j, k):
         assert above
 
 
-def test_certificate_fails_closed():
+def _recording_dpttrf(monkeypatch):
+    """Wrap the LAPACK dpttrf that new kernels bind; returns its infos."""
+    infos = []
+    real = oracle._lapack()[1]
+
+    def recording(d, e, **kwargs):
+        out = real(d, e, **kwargs)
+        infos.append(out[2])
+        return out
+    monkeypatch.setattr(oracle, "dpttrf", recording)
+    return infos
+
+
+def _dpttrf_fails(d, e, **kwargs):
+    return d, e, -2
+
+
+def test_certificate_fails_closed(monkeypatch):
     p = MeanFieldProblem(1.0, 0.25, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a zero pivot divides without warning
@@ -330,20 +347,88 @@ def test_certificate_fails_closed():
         flat = MeanFieldProblem(1.0, 0.0, 8)  # D = 0: H = diag(base)
         assert not _certificate(flat, 0.7, -1.0)[0]  # ground level k = 1
         assert _certificate(flat, 0.7, -1.0 - 1e-12)[0]
+        # one dpttrf factors the whole grid's stack of blocks: a level
+        # between the superfluid minimum near psi = 0.73 and the energies at
+        # psi = 0 and 1.5 passes the outer blocks and fails the middle one
+        infos = _recording_dpttrf(monkeypatch)
+        kernel = oracle._Kernel(p)
+        norm = kernel.norm(float(_grid(p)[-1]))
+        low = kernel.eigenpair(0.73)[0]
+        high = min(kernel.eigenpair(0.0)[0], kernel.eigenpair(1.5)[0])
+        assert high - low > 1e-3
+        level = 0.5 * (low + high)
+        assert kernel.above(np.array([0.0, 1.5]), level, norm)
+        assert not kernel.above(np.array([0.0, 0.73, 1.5]), level, norm)
+        assert infos[-1] > 0  # dpttrf stopped inside the middle block
+        # a NaN pivot after positive ones: dpttrf's D(i) <= 0 test lets it
+        # through (info = 0), and the pivots themselves fail it
+        assert not kernel.above(np.array([0.0, 1.5, math.nan]), level, norm)
+        assert infos[-1] == 0
+        assert not kernel.above(np.array([0.0, math.nan, 1.5]), level, norm)
+        assert infos[-1] == 0
+    # info < 0 is a LAPACK failure, never a verdict
+    monkeypatch.setattr(oracle, "dpttrf", _dpttrf_fails)
+    for call in (lambda: _certificate(p, 0.3, -10.0),
+                 lambda: minimize_order_parameter(p),
+                 lambda: minimize_order_parameter(MeanFieldProblem(1.0, 0.1))):
+        with pytest.raises(ConvergenceError, match="dpttrf"):
+            call()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(mu=0.0, D=0.3, n_max=4)  # lobe corners: two tied lowest levels
+@example(mu=2.0, D=0.0, n_max=9)
+@example(mu=6.0, D=1.0, n_max=256)
+@example(mu=-1.0, D=0.0, n_max=8)  # base_0 = 0.0; -0.0 for mu > 0
+@example(mu=7.9, D=0.1, n_max=4)  # ground level k = n_max: full top weight
+@given(mu=st.one_of(st.integers(0, 3).map(lambda n: 2.0 * n),
+                    st.floats(-4.0, 8.0)),
+       D=st.floats(0.0, 10.0), n_max=st.integers(4, 256))
+def test_fock_ground_is_the_psi_zero_eigenpair(mu, D, n_max):
+    # H(0) = diag(base): the exact Fock ground state, the first lowest level
+    # of a tie, has the bits of dstev's eigenpair(0.0) over lobes 0 to 4
+    kernel = oracle._Kernel(MeanFieldProblem(mu, D, n_max))
+    e0, vec, a_exp = kernel.fock_ground()
+    e_ref, v_ref, a_ref = kernel.eigenpair(0.0)
+    assert e0.hex() == e_ref.hex()
+    assert vec.tobytes() == v_ref.tobytes()
+    assert a_exp.hex() == a_ref.hex()
+    assert (float(vec[-1]) ** 2).hex() == (float(v_ref[-1]) ** 2).hex()
+
+
+def test_diagonal_hamiltonians_take_no_eigensolve(monkeypatch):
+    # a psi = 0 candidate takes the Fock ground state, and boundary_numeric
+    # reads r(0) = 0 without a solve: dstev runs only where H is not diagonal
+    real = oracle._lapack()[0]
+    solved = []
+
+    def counting(d, e, **kwargs):
+        solved.append(bool(e.any()))
+        return real(d, e, **kwargs)
+
+    monkeypatch.setattr(oracle, "dstev", counting)
+    minimize_order_parameter(MeanFieldProblem(-2.0, 0.1))  # B <= 0
+    assert solved == []
+    minimize_order_parameter(MeanFieldProblem(1.0, 0.1))  # Mott: the response
+    assert solved == [True]
+    minimize_order_parameter(MeanFieldProblem(1.0, 0.25))
+    boundary_numeric(1.0)
+    assert all(solved)
 
 
 def test_minimizer_scan_against_stable_mott_is_an_error(monkeypatch):
     # a candidate whose e0 sits above a grid point by more than the slack
     # fails the certificate: e0 has a second minimum the candidate missed.
-    # Every solve, the response's and the root's, has its e0 lifted.
+    # Every solve, the response's and the root's, has its e0 lifted, and
+    # so has the psi = 0 candidate's diagonal ground state.
     p = MeanFieldProblem(1.0, 0.1)  # Mott: r < 1, candidate psi = 0
 
     def lift(m, depth):
-        for name in ("eigenpair", "root_step"):
+        for name in ("eigenpair", "root_step", "fock_ground"):
             real = getattr(oracle._Kernel, name)
 
-            def lifted(self, psi, real=real):
-                e0, *rest = real(self, psi)
+            def lifted(self, *psi, real=real):
+                e0, *rest = real(self, *psi)
                 return (e0 + depth, *rest)
             m.setattr(oracle._Kernel, name, lifted)
 

@@ -106,6 +106,19 @@ def test_dtheta_steps_match_the_scalar_grid(theta, points):
     assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(theta=5e-324, a=1.0, points=2)
+@example(theta=0.8, a=1.25, points=401)
+@given(theta=st.floats(5e-324, 0.5 * math.pi, exclude_max=True),
+       a=st.floats(1e-3, 1e8), points=st.integers(2, 2000))
+def test_fit_deviation_matches_the_list_grid(theta, a, points):
+    # the grid built once as an array gives the bits of the same
+    # expression on dtheta_steps' list
+    steps = dtheta_steps(theta, points)
+    want = float(abs(fit_form(a, steps) - delta_on(theta, steps)).max())
+    assert sensing.fit_deviation(theta, a, points).hex() == want.hex()
+
+
 def test_peak_offset():
     # cos(theta) > 2/3: the maximum sits on the edge dtheta = theta
     assert peak_offset(0.5) == 0.5
