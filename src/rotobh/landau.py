@@ -48,7 +48,6 @@ variant and exactly twice that for the variational one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (DegenerateGapError, DomainError, InvalidExpansionError,
                      check_choice)
@@ -62,18 +61,6 @@ VARIANT_FOR_CONVENTION = {"paper": "consistent", "variational": "variational"}
 BOUNDARY_VARIANTS = tuple(VARIANT_FOR_CONVENTION.values())
 
 LOBE_TIP_TOL = 1e-10  # published bound on |d mu| of lobe_tip (meets ~1 ulp)
-
-
-def local_energy(n: int, mu: float) -> float:
-    """E_n = -mu*n + n(n-1), the zero-hopping level of occupation n."""
-    if n < 0:
-        raise DomainError("occupation must be >= 0")
-    return -mu * n + n * (n - 1)
-
-
-def energy_gap(n: int, m: int, mu: float) -> float:
-    """E_n - E_m between local levels."""
-    return local_energy(n, mu) - local_energy(m, mu)
 
 
 def lobe_interval(n: int):
@@ -249,34 +236,3 @@ def kappa(mu: float, n: int, variant: str = "consistent") -> float:
     if variant == "consistent":
         return 1.0 / math.sqrt(8.0 * D_c ** 3 * B)
     return 1.0 / math.sqrt(16.0 * (0.5 * D_c) ** 3 * B)
-
-
-@dataclass(frozen=True)
-class LandauCoefficients:
-    """All Landau data at one (D, mu, n) point.
-
-    valid is set when mu is strictly inside the lobe and a4 > 0, i.e.
-    when the quartic expansion actually bounds the energy from below.
-    """
-
-    a2_literal: float
-    a2_consistent: float
-    a2_variational: float
-    a4: float
-    bracket_B: float
-    lobe_n: int
-    valid: bool
-
-
-def landau_coefficients(D: float, mu: float, n: int) -> LandauCoefficients:
-    B = a4_bracket(mu, n)  # raises at corners / outside the lobe
-    a4_val = _quartic(D, B)
-    return LandauCoefficients(
-        a2_literal=a2(D, mu, n, "literal"),
-        a2_consistent=a2(D, mu, n, "consistent"),
-        a2_variational=a2(D, mu, n, "variational"),
-        a4=a4_val,
-        bracket_B=B,
-        lobe_n=n,
-        valid=a4_val > 0.0,
-    )

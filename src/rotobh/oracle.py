@@ -152,7 +152,8 @@ H(0) = diag(base), so the psi = 0 candidate is the Fock state of the
 lowest level, with that level as e0 and <a> = 0, the bits dstev returns
 (its selection sort keeps the first of tied levels, as at a lobe
 corner).  A Mott cell thus pays one ``dstev``, the response's, and a
-cell with B <= 0 none.
+cell with B <= 0 none; at D = 0, H(psi) is diagonal at every psi, so
+r = 0 exactly and the cell takes no solve either.
 The psi-independent arrays k, k(k-1), sqrt(k) and X are built once per
 n_max.
 The Fock truncation, given or defaulted to lobe + 8, must lie in
@@ -397,14 +398,6 @@ class _Kernel:
         return info == 0 and bool(d.min() > 0.0)
 
 
-def build_hamiltonian(problem: MeanFieldProblem, psi: float) -> np.ndarray:
-    """Dense symmetric (n_max+1)^2 matrix; mostly for inspection/tests."""
-    diag, off = _Kernel(problem).tridiag(psi)
-    H = np.diag(diag)
-    H += np.diag(off, 1) + np.diag(off, -1)
-    return H
-
-
 def ground_energy(problem: MeanFieldProblem, psi: float):
     """Lowest eigenpair (e0, unit vector) of the tridiagonal Hamiltonian."""
     e0, vec, _ = _Kernel(problem).eigenpair(psi)
@@ -427,8 +420,10 @@ def minimize_order_parameter(problem: MeanFieldProblem) -> OracleResult:
         reach = math.sqrt(min(bound, problem.n_max))
         grid = reach / (COARSE_POINTS - 3) * np.arange(COARSE_POINTS)
         top = float(grid[-1])
-        response = kernel.eigenpair(RESPONSE_EPS)
-        r = response[2] / RESPONSE_EPS
+        r = 0.0  # H(psi) is diagonal at D = 0
+        if problem.D_eff > 0.0:
+            response = kernel.eigenpair(RESPONSE_EPS)
+            r = response[2] / RESPONSE_EPS
         if r > 1.0:
             solved = {RESPONSE_EPS: response + (math.nan,)}
 

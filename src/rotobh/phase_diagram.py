@@ -64,30 +64,6 @@ def lobe_tip(n: int, convention: str = "paper"):
     return mu_star, boundary_hopping(mu_star, n, convention)
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    mu_over_U: float
-    lobe_n: int
-    D_c: float
-    convention: str
-
-
-def boundary_curve(n: int, count: int, convention: str = "paper"):
-    """count boundary samples across the open interior of lobe n."""
-    if count < 1:
-        raise ConfigError("count must be >= 1")
-    lo, hi = landau.lobe_interval(n)
-    if n == 0:
-        lo = hi - 2.0  # one-corner lobe; sample a 2-wide window
-    step = (hi - lo) / (count + 1)
-    points = []
-    for i in range(1, count + 1):
-        mu = lo + i * step
-        points.append(BoundaryPoint(mu, n, boundary_hopping(mu, n, convention),
-                                    convention))
-    return tuple(points)
-
-
 def _row_rule(mu: float, convention: str, psi_method=None, n_max=None):
     """The rule of one mu row: cell(D) -> (label, psi), for D of any sign.
 

@@ -194,12 +194,6 @@ def peak_offset(theta: float) -> float:
     return theta
 
 
-def delta_change(mu: float, n: int, theta: float, dtheta: float,
-                 variant: str = "consistent") -> float:
-    """Delta = kappa(mu, n) * delta(theta, dtheta) on the boundary."""
-    return kappa(mu, n, variant) * delta_exact(theta, dtheta)
-
-
 def fit_form(a, dtheta):
     """sqrt(a dtheta) exp(-sqrt(a dtheta)); peaks at e^-1 when a dtheta = 1."""
     x = np.sqrt(np.maximum(np.multiply(a, dtheta), 0.0))
@@ -385,7 +379,6 @@ class SensingProfile:
     epsilon_theta: float
     omega: Optional[float] = None  # theta/gamma when gamma given
     epsilon_omega: Optional[float] = None
-    fwhm_theta: Optional[float] = None  # two-sided width, exact mode only
 
 
 def resolution_grid(thetas, mode: str = "exact",
@@ -412,8 +405,7 @@ def resolution(theta: float, mode: str = "exact", gamma: Optional[float] = None,
     """Half-maximum resolution of the sensing profile at angle theta.
 
     Exact mode solves delta(theta, .) = delta_max/2 in closed form on
-    the rising branch (and reports the two-sided width when the falling
-    branch also crosses); fit mode evaluates the closed Lambert-W form.
+    the rising branch; fit mode evaluates the closed Lambert-W form.
     The fitted a(theta) is computed in both modes because the profile, and
     so every CLI resolution row, carries it as a_fit (under 1 ms per
     call).  In exact mode the FitQualityWarning raised past theta ~ 1.35
@@ -426,12 +418,9 @@ def resolution(theta: float, mode: str = "exact", gamma: Optional[float] = None,
 
 def _profile(theta, mode, a, rms, gamma, literal_exponent):
     """The SensingProfile at theta, given its fit (a, rms)."""
-    fwhm = None
     if mode == "exact":
         dm_out = delta_max(theta, "exact")
-        eps, right = _crossings(theta, 0.5 * dm_out)
-        if right is not None:
-            fwhm = right - eps
+        eps = _crossings(theta, 0.5 * dm_out)[0]
     else:
         dm_out = _fit_peak(a, theta)
         # a subnormal theta can underflow the peak to 0, where W0 is 0
@@ -447,7 +436,6 @@ def _profile(theta, mode, a, rms, gamma, literal_exponent):
         epsilon_theta=eps,
         omega=None if gamma is None else theta / gamma,
         epsilon_omega=None if gamma is None else eps / gamma,
-        fwhm_theta=fwhm,
     )
 
 

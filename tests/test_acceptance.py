@@ -21,13 +21,13 @@ import numpy as np
 from rotobh import io as rio
 from rotobh.landau import kappa
 from rotobh.numerics import bisect_root, lambert_w
-from rotobh.oracle import (MeanFieldProblem, boundary_numeric,
-                           build_hamiltonian, ground_energy,
+from rotobh.oracle import (MeanFieldProblem, boundary_numeric, ground_energy,
                            minimize_order_parameter)
 from rotobh.phase_diagram import SweepSpec, boundary_hopping, lobe_tip, sweep
-from rotobh.sensing import (delta_change, delta_exact, delta_max, fit_a,
+from rotobh.sensing import (delta_exact, delta_max, fit_a,
                             invert_rotation_change, peak_offset, resolution,
                             theta_crossover)
+from test_oracle import dense_hamiltonian
 
 
 def verdict(number, label, failures):
@@ -176,7 +176,7 @@ def test_acceptance_7_oracle_integrity():
         prob = MeanFieldProblem(mu, D)
         res = minimize_order_parameter(prob)
         e0, vec = ground_energy(prob, res.psi_star)
-        H = build_hamiltonian(prob, res.psi_star)
+        H = dense_hamiltonian(prob, res.psi_star)
         residual = float(np.linalg.norm(H @ vec - e0 * vec))
         if residual > 1e-10:
             failures.append("eigen-residual %.2e at (%g, %g)"
@@ -206,7 +206,7 @@ def test_acceptance_8_roundtrip_sensing():
         mu = rng.uniform(0.1, 1.9)
         theta = rng.uniform(0.3, 1.2)
         dtheta = rng.uniform(0.01, 0.99) * peak_offset(theta)
-        measured = delta_change(mu, 1, theta, dtheta)
+        measured = kappa(mu, 1) * delta_exact(theta, dtheta)
         recovered = invert_rotation_change(measured, mu, 1, theta, gamma)
         rel = abs(recovered.delta_omega - dtheta / gamma) / (dtheta / gamma)
         worst = max(worst, rel)

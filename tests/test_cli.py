@@ -16,7 +16,8 @@ from rotobh import __version__, cli, oracle, sensing
 from rotobh.cli import load_config, main, parse_grid
 from rotobh.errors import MAX_COUNT, ConfigError
 from rotobh.io import parse_csv
-from rotobh.sensing import delta_change, dtheta_steps, fit_form
+from rotobh.landau import kappa
+from rotobh.sensing import delta_exact, dtheta_steps, fit_form
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -376,7 +377,7 @@ def test_costheta_curve_defaults():
 
 
 def test_invert_roundtrip_cli():
-    measured = delta_change(1.0, 1, 0.9, 0.05)
+    measured = kappa(1.0, 1) * delta_exact(0.9, 0.05)
     status, out, _ = run_cli(["invert", "--delta-measured", repr(measured),
                               "--mu", "1.0", "--theta", "0.9",
                               "--gamma", "0.043"])

@@ -4,20 +4,8 @@ import pytest
 
 from rotobh.errors import (ConfigError, DegenerateGapError, DomainError,
                            InvalidExpansionError)
-from rotobh.landau import (a2, a4, a4_bracket, chi_susceptibility,
-                           energy_gap, kappa, landau_coefficients,
-                           lobe_interval, local_energy,
-                           order_parameter_landau)
-
-
-def test_local_levels():
-    assert local_energy(0, 1.3) == 0.0
-    assert local_energy(1, 1.3) == -1.3
-    assert local_energy(2, 1.3) == pytest.approx(-0.6)
-    assert local_energy(3, -0.5) == 7.5
-    assert energy_gap(2, 1, 1.3) == pytest.approx(0.7)
-    with pytest.raises(DomainError):
-        local_energy(-1, 0.5)
+from rotobh.landau import (a2, a4, a4_bracket, chi_susceptibility, kappa,
+                           lobe_interval, order_parameter_landau)
 
 
 def test_lobe_intervals():
@@ -92,8 +80,6 @@ def test_a4_overflow_is_a_domain_error():
             a4(D, 1.0, 1)
         with pytest.raises(DomainError):
             order_parameter_landau(D, 1.0, 1)
-        with pytest.raises(DomainError):
-            landau_coefficients(D, 1.0, 1)
 
 
 def test_a4_bracket_unrepresentable_gap_is_a_domain_error():
@@ -156,15 +142,3 @@ def test_kappa_values_and_doubling():
     with pytest.raises(ConfigError):
         kappa(1.0, 1, "literal")
 
-
-def test_coefficient_bundle():
-    c = landau_coefficients(0.4, 1.0, 1)
-    assert c.a2_consistent == a2(0.4, 1.0, 1, "consistent")
-    assert c.a2_literal == a2(0.4, 1.0, 1, "literal")
-    assert c.a2_variational == a2(0.4, 1.0, 1, "variational")
-    assert c.bracket_B == a4_bracket(1.0, 1)
-    assert c.a4 == pytest.approx(3.072)
-    assert c.lobe_n == 1
-    assert c.valid
-    with pytest.raises(DegenerateGapError):
-        landau_coefficients(0.1, 2.0, 1)

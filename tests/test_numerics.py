@@ -331,6 +331,36 @@ def test_newton_out_of_iterations_is_an_error():
                     0.0, 4.0, tol=1e-13, max_iter=3)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(root=st.floats(0.01, 0.99), steep=st.floats(1e-3, 1e3),
+       log_tol=st.floats(-12.0, -2.0),
+       finder=st.sampled_from(["newton", "newton-bisect", "brent"]))
+def test_root_is_the_final_bracket_end_with_the_smaller_value(
+        root, steep, log_tol, finder):
+    # f rises across [0, 1] with slope 1 below the root and steep above it,
+    # so the two ends of the final bracket carry very different |f|.  For a
+    # rising f those ends are the largest point evaluated below zero and
+    # the smallest above it; the contract returns the one with the smaller
+    # |f|, and the bracket is no wider than tol plus 4 ulps
+    def f(x):
+        return (x - root) * (steep if x > root else 1.0)
+    tol = 10.0 ** log_tol
+    seen = []
+    if finder == "brent":
+        x = brent_root(lambda p: seen.append(p) or f(p), 0.0, 1.0, tol=tol)
+    else:
+        slope = ((lambda p: steep if p > root else 1.0) if finder == "newton"
+                 else (lambda p: math.nan))
+        x = newton_root(_with_slope(f, slope, seen), 0.0, 1.0, tol=tol)
+    if f(x) == 0.0:
+        return
+    below = max(p for p in seen if f(p) < 0.0)
+    above = min(p for p in seen if f(p) > 0.0)
+    assert x in (below, above)
+    assert abs(f(x)) == min(abs(f(below)), abs(f(above)))
+    assert above - below <= tol + 4.0 * EPS * abs(x)
+
+
 Z_MIN = -0.5 * math.exp(-1.0)  # the z a saturated fit sends lambert_w
 
 

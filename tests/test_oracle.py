@@ -10,9 +10,19 @@ from rotobh import oracle
 from rotobh.errors import ConfigError, ConvergenceError, TruncationWarning
 from rotobh.landau import order_parameter_landau
 from rotobh.oracle import (COARSE_POINTS, MeanFieldProblem, OracleResult,
-                           a_expectation, boundary_numeric, build_hamiltonian,
-                           ground_energy, minimize_order_parameter)
+                           a_expectation, boundary_numeric, ground_energy,
+                           minimize_order_parameter)
 from rotobh.phase_diagram import boundary_hopping, lobe_index
+
+
+def dense_hamiltonian(problem, psi):
+    """H(psi) as a dense matrix, built from the oracle docstring's formula
+    alone: the reference shares no code with the kernel."""
+    mu, D = problem.mu_over_U, problem.D_eff
+    k = np.arange(problem.n_max + 1.0)
+    off = -2.0 * D * psi * np.sqrt(k[1:])
+    return (np.diag(-mu * k + k * (k - 1.0) + 2.0 * D * psi * psi)
+            + np.diag(off, 1) + np.diag(off, -1))
 
 
 def test_problem_validation():
@@ -67,21 +77,22 @@ def test_default_truncation():
 
 def test_hamiltonian_structure():
     p = MeanFieldProblem(1.3, 0.2, 5)
-    H = build_hamiltonian(p, 0.4)
-    assert H.shape == (6, 6)
-    assert np.allclose(H, H.T)
+    diag, off = oracle._Kernel(p).tridiag(0.4)
+    assert diag.shape == (6,) and off.shape == (5,)
     k = np.arange(6.0)
-    assert np.allclose(np.diag(H), -1.3 * k + k * (k - 1.0) + 2.0 * 0.2 * 0.16)
-    assert abs(H[0, 1] - (-2.0 * 0.2 * 0.4)) < 1e-15
-    assert abs(H[2, 3] - (-2.0 * 0.2 * 0.4 * math.sqrt(3.0))) < 1e-14
-    assert H[0, 2] == 0.0
+    assert np.allclose(diag, -1.3 * k + k * (k - 1.0) + 2.0 * 0.2 * 0.16)
+    assert abs(off[0] - (-2.0 * 0.2 * 0.4)) < 1e-15
+    assert abs(off[2] - (-2.0 * 0.2 * 0.4 * math.sqrt(3.0))) < 1e-14
+    H = dense_hamiltonian(p, 0.4)
+    assert np.allclose(np.diag(H), diag) and np.allclose(np.diag(H, 1), off)
+    assert np.array_equal(H, H.T) and H[0, 2] == 0.0
 
 
 def test_ground_energy_matches_dense_solver():
     p = MeanFieldProblem(1.0, 0.25, 12)
     for psi in (0.0, 0.3, 0.7):
         e0, vec = ground_energy(p, psi)
-        H = build_hamiltonian(p, psi)
+        H = dense_hamiltonian(p, psi)
         w, v = np.linalg.eigh(H)
         assert abs(e0 - w[0]) < 1e-12
         assert abs(abs(np.dot(vec, v[:, 0])) - 1.0) < 1e-10
@@ -247,7 +258,7 @@ def test_minimizer_converges_at_huge_hopping(mu, log_d):
 
 def _dense_scan(problem, grid):
     """e0 at every psi of grid from dense eigvalsh: the test's reference."""
-    return np.array([np.linalg.eigvalsh(build_hamiltonian(problem, x))[0]
+    return np.array([np.linalg.eigvalsh(dense_hamiltonian(problem, x))[0]
                      for x in grid])
 
 
@@ -409,6 +420,9 @@ def test_diagonal_hamiltonians_take_no_eigensolve(monkeypatch):
     monkeypatch.setattr(oracle, "dstev", counting)
     minimize_order_parameter(MeanFieldProblem(-2.0, 0.1))  # B <= 0
     assert solved == []
+    res = minimize_order_parameter(MeanFieldProblem(1.0, 0.0, 8))  # D = 0
+    assert solved == []
+    assert res == OracleResult(0.0, -1.0, 0.0, True)
     minimize_order_parameter(MeanFieldProblem(1.0, 0.1))  # Mott: the response
     assert solved == [True]
     minimize_order_parameter(MeanFieldProblem(1.0, 0.25))
@@ -544,7 +558,7 @@ def _dense_a(vec):
        psi=st.floats(0.0, 3.0), n_max=st.integers(4, 16))
 def test_kernel_matches_dense_eigh(mu, D, psi, n_max):
     p = MeanFieldProblem(mu, D, n_max)
-    H = build_hamiltonian(p, psi)
+    H = dense_hamiltonian(p, psi)
     w, v = np.linalg.eigh(H)
     e0, vec = ground_energy(p, psi)
     assert abs(e0 - w[0]) <= 1e-12 * max(1.0, abs(w[0]))
@@ -569,7 +583,7 @@ def test_root_step_slope_matches_dense_and_difference(lobe, frac, scale,
     p = MeanFieldProblem(mu, D, n_max)
     psi = t * float(_grid(p)[-1])
     e0, vec, a_exp, slope = oracle._Kernel(p).root_step(psi)
-    w, v = np.linalg.eigh(build_hamiltonian(p, psi))
+    w, v = np.linalg.eigh(dense_hamiltonian(p, psi))
     assume(w[1] - w[0] > 1e-3)  # the ground vector is well determined
     x = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
     c = v.T @ (x + x.T) @ v[:, 0]
@@ -647,6 +661,6 @@ def test_lapack_failure_is_an_error(monkeypatch):
                  lambda: a_expectation(p, 0.3),
                  lambda: minimize_order_parameter(p),
                  lambda: minimize_order_parameter(
-                     MeanFieldProblem(1.0, 0.0, 8))):
+                     MeanFieldProblem(1.0, 0.1))):  # Mott: the response
         with pytest.raises(ConvergenceError, match="dstev"):
             call()

@@ -10,7 +10,6 @@ from rotobh.errors import ConfigError, DegenerateGapError, DomainError, OutOfRea
 from rotobh.landau import VARIANT_FOR_CONVENTION, order_parameter_landau
 from rotobh.oracle import MIN_N_MAX
 from rotobh.phase_diagram import (CONVENTIONS, PSI_METHODS, SweepSpec,
-                                  boundary_curve,
                                   boundary_hopping, classify,
                                   critical_costheta, lobe_index, lobe_tip,
                                   sweep)
@@ -80,22 +79,6 @@ def test_tip_is_the_lobe_maximum(n, convention, x, side, exponent):
             assert n == 1 and mu < 1e-300, mu
             continue
         assert D <= bound, mu
-
-
-def test_boundary_curve():
-    pts = boundary_curve(1, 19)
-    assert len(pts) == 19
-    assert all(p.lobe_n == 1 and p.convention == "paper" for p in pts)
-    mus = [p.mu_over_U for p in pts]
-    assert mus == sorted(mus)
-    assert 0.0 < mus[0] and mus[-1] < 2.0
-    assert abs(pts[9].mu_over_U - 1.0) < 1e-12
-    assert abs(pts[9].D_c - 1.0 / 3.0) < 1e-12
-    # vacuum lobe sampling stays finite and in-lobe
-    vac = boundary_curve(0, 5)
-    assert all(p.mu_over_U < 0.0 for p in vac)
-    with pytest.raises(ConfigError):
-        boundary_curve(1, 0)
 
 
 def test_classify_phases():

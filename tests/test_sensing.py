@@ -14,7 +14,7 @@ from rotobh.landau import kappa
 from rotobh.numerics import golden_min, lambert_w
 from rotobh.sensing import (BISECTION_TOL, DELTA_GLOBAL_MAX, FIT_COARSE_POINTS,
                             FIT_LOG_RANGE, FIT_LOG_TOL, THETA_EXACT_CROSSOVER,
-                            _crossings, _fit_peak, delta_change, delta_exact,
+                            _crossings, _fit_peak, delta_exact,
                             delta_max, delta_on, dtheta_steps, fit_a,
                             fit_form, fit_grid, invert_rotation_change,
                             peak_offset, resolution, resolution_grid,
@@ -175,13 +175,6 @@ def test_crossings_at_zero_and_at_the_peak(theta):
         if abs(err) > BISECTION_TOL:
             inner = d - math.copysign(BISECTION_TOL, err)
             assert abs(delta_exact(theta, inner) - dm) <= 8e-16 * dm, err
-
-
-def test_delta_change_factorizes():
-    d = delta_change(1.0, 1, 0.8, 0.1)
-    assert abs(d - kappa(1.0, 1) * delta_exact(0.8, 0.1)) < 1e-15
-    dv = delta_change(1.0, 1, 0.8, 0.1, "variational")
-    assert abs(dv - 2.0 * d) < 1e-15
 
 
 def test_fit_form_peak():
@@ -456,20 +449,6 @@ def test_resolution_exact_spot_values():
     assert abs(resolution(1.2).epsilon_theta - 0.016338229) < 1e-8
 
 
-def test_resolution_two_sided_width():
-    # at theta = 1.4 the falling branch drops below half maximum before
-    # the edge, so a full width exists (and the bundled surrogate fit is
-    # honest about being poor out there)
-    with pytest.warns(FitQualityWarning):
-        prof = resolution(1.4, mode="exact")
-    assert prof.fwhm_theta is not None
-    right = prof.epsilon_theta + prof.fwhm_theta
-    assert abs(delta_exact(1.4, right) - 0.5 * prof.delta_max) < 1e-9
-    assert peak_offset(1.4) < right < 1.4
-    # at theta = 1.0 the profile stays above half maximum at the edge
-    assert resolution(1.0).fwhm_theta is None
-
-
 def test_resolution_omega_units():
     gamma = 0.043
     prof = resolution(0.9, mode="exact", gamma=gamma)
@@ -540,7 +519,7 @@ def test_invert_roundtrip():
     gamma = 0.05
     # all three offsets sit on the rising branch (below the peak)
     for theta, dtheta in ((0.5, 0.2), (0.9, 0.1), (1.2, 0.15)):
-        measured = delta_change(1.0, 1, theta, dtheta)
+        measured = kappa(1.0, 1) * delta_exact(theta, dtheta)
         res = invert_rotation_change(measured, 1.0, 1, theta, gamma)
         assert abs(res.delta_theta - dtheta) < 1e-9
         assert abs(res.delta_omega - dtheta / gamma) < 1e-7
@@ -584,8 +563,8 @@ def test_invert_flags_ambiguity():
     assert res.ambiguous
     assert res.delta_theta < pk
     # an unambiguous mid-branch reading at moderate angle
-    res2 = invert_rotation_change(delta_change(1.0, 1, 0.5, 0.2), 1.0, 1,
-                                  0.5, gamma)
+    res2 = invert_rotation_change(kappa(1.0, 1) * delta_exact(0.5, 0.2), 1.0,
+                                  1, 0.5, gamma)
     assert not res2.ambiguous
 
 
