@@ -7,15 +7,16 @@ a failed run never leaves a partial file.  Exit codes: 0 success,
 Rotation input comes either from a physical frame (--mass-amu,
 --radius-um, --sites, plus --omega where a single angle is needed) or
 directly as --gamma/--theta; supplying both is a configuration error.
-A flat key=value config file can preload any flag of the chosen
-subcommand; explicit command-line flags win.
+A flat key=value config file (--config, given once and spelled in full)
+can preload any flag of the chosen subcommand; explicit flags win.
 
 _SUBCOMMANDS is the one table of subcommands: each name's help, the
 function that adds its flags, and its handler.  An invocation that opens
-with a subcommand name builds only that subcommand's parser; any other
-(--help, --version, no arguments, an unknown command) builds the full
-one.  Each main() call builds its parser anew, and none is kept between
-calls.  Grids, rows and fit samples are capped at errors.MAX_COUNT.
+with a subcommand name builds only that subcommand's parser, the one that
+holds its flags; any other (--help, --version, no arguments, an unknown
+command) builds the top-level one, which only lists the subcommands.
+Each main() call builds its parser anew, and none is kept between calls.
+Grids, rows and fit samples are capped at errors.MAX_COUNT.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import shutil
 import sys
 
 from . import __version__, io, oracle, phase_diagram, sensing
-from .core import RingFrame, effective_hopping, peierls_phase
+from .core import effective_hopping, peierls_phase, ring_gamma
 from .errors import (EXIT_OK, ConfigError, DomainError, RotobhError,
                      check_count)
 from .landau import kappa
@@ -136,8 +137,7 @@ def _resolve_gamma(args, required=False):
     if frame_given:
         if len(frame_given) != 3:
             raise ConfigError("--mass-amu, --radius-um and --sites go together")
-        return RingFrame.from_lab_units(args.mass_amu, args.radius_um,
-                                        args.sites).gamma
+        return ring_gamma(args.mass_amu, args.radius_um, args.sites)
     if args.gamma is not None:
         if not (math.isfinite(args.gamma) and args.gamma > 0.0):
             raise ConfigError("--gamma must be finite and > 0")
@@ -251,7 +251,7 @@ def _cmd_sensitivity(args):
     for theta in thetas:
         steps = dtheta_steps(theta, args.dtheta_points)
         deltas = delta_on(theta, steps).tolist()
-        rows.extend((theta, d, v) for d, v in zip(steps, deltas))
+        rows.extend((theta, d, v) for d, v in zip(steps.tolist(), deltas))
     meta = {"dtheta_points": args.dtheta_points}
     return ("theta", "dtheta", "delta"), tuple(rows), meta
 
@@ -373,8 +373,7 @@ def _cmd_oracle_check(args):
             "rel_err"), tuple(rows), meta
 
 
-# The one table of subcommands: name -> (help, flags, handler).  Both
-# parsers of build_parser are built from it, so no flag is defined twice.
+# The one table of subcommands: name -> (help, flags, handler).
 _SUBCOMMANDS = {
     "phase-diagram": ("phase labels and psi over a (mu, D) grid",
                       _phase_diagram_flags, _cmd_phase_diagram),
@@ -396,12 +395,12 @@ _SUBCOMMANDS = {
 
 
 def build_parser(name=None):
-    """The full parser, or with a subcommand name that subcommand's alone.
+    """The top-level parser, or with a subcommand name that subcommand's.
 
-    The full parser serves --help, --version and every argv that does not
-    open with a subcommand name.  The standalone one, prog "rotobh NAME",
-    holds only that subcommand's flags and sets ``command`` itself; its
-    help and its actions equal those of the full parser's subparser.
+    The subcommand's parser, prog "rotobh NAME", holds its flags and sets
+    ``command`` itself.  The top-level one serves every other argv, which
+    ends in help, the version or a usage error: its subparsers carry only
+    their help line.
     Every call builds a new parser: none is kept between calls.  argparse
     builds a HelpFormatter for every flag, and each one asks for the
     terminal width unless it is given; so the width is read once per
@@ -423,10 +422,8 @@ def build_parser(name=None):
         formatter_class=formatter)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for sub, (help_text, add_flags, _) in _SUBCOMMANDS.items():
-        add_flags(subs.add_parser(sub, help=help_text,
-                                  formatter_class=formatter))
-    parser.subcommands = subs.choices
+    for sub, (help_text, _, _) in _SUBCOMMANDS.items():
+        subs.add_parser(sub, help=help_text, formatter_class=formatter)
     return parser
 
 
@@ -491,8 +488,8 @@ def _emit(args, columns, rows, meta):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        # argparse picks a subparser only by its exact name, so an argv that
-        # opens with one parses the same with that subcommand's own parser
+        # argparse picks a subparser only by its exact name, so only an argv
+        # that opens with one reaches a subcommand's flags
         if argv and argv[0] in _SUBCOMMANDS:
             parser = build_parser(argv[0])
             argv = _expand_config(parser, argv[1:])
@@ -500,8 +497,17 @@ def main(argv=None) -> int:
             parser = build_parser()
         try:
             args = parser.parse_args(argv)
+            if parser.get_default("command") is None:
+                # a flagless top-level subparser, reached past a "--" with no
+                # flags left: the subcommand's own parser says what it needs
+                args = build_parser(args.command).parse_args([])
         except SystemExit as exc:  # argparse reports its own diagnostics
             return int(exc.code or 0)
+        # the splice holds no --config, so this is the path it read: one
+        # that argparse took from an abbreviation or a repeat is refused
+        if args.config != _config_path(argv):
+            raise ConfigError("--config %s was not read: give --config once, "
+                              "spelled in full" % args.config)
         _, _, run = _SUBCOMMANDS[args.command]
         columns, rows, meta = run(args)
         _emit(args, columns, rows, meta)

@@ -73,7 +73,7 @@ class TruncationWarning(UserWarning):
 
 
 class FitQualityWarning(UserWarning):
-    """Least-squares residual RMS exceeds the documented threshold."""
+    """A surrogate fit's rms exceeds its threshold, or a is at a range end."""
 
 
 def check_choice(what, value, choices):

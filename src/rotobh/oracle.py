@@ -322,9 +322,10 @@ class _Kernel:
     def _a(self, vec):
         return float(np.dot(self._sqrt_k, vec[:-1] * vec[1:]))
 
-    def eigenpair(self, psi):
-        """(e0, unit vector in LAPACK's sign, <a>) from one dstev solve."""
-        vals, vecs = self._spectrum(psi)
+    def eigenpair(self, psi, two_d=None):
+        """(e0, unit vector in LAPACK's sign, <a>) from one dstev solve, at
+        hopping two_d / 2 if given, else at the problem's."""
+        vals, vecs = self._spectrum(psi, two_d)
         vec = vecs[:, 0]
         return float(vals[0]), vec, self._a(vec)
 
@@ -360,13 +361,14 @@ class _Kernel:
         return e0, vec, 0.5 * float(c[0]), slope
 
     def response(self, D):
-        """Linear response r = <a>/psi of the ground state at RESPONSE_EPS,
-        at hopping D on this kernel's levels: 0 at D = 0, where H is
-        diagonal, and one dstev otherwise."""
+        """(r, eigenpair) at psi = RESPONSE_EPS and hopping D on this
+        kernel's levels, r = <a>/psi the linear response of the ground
+        state: (0.0, None) at D = 0, where H is diagonal, and one dstev
+        otherwise."""
         if D == 0.0:
-            return 0.0
-        vecs = self._spectrum(RESPONSE_EPS, 2.0 * D)[1]
-        return self._a(vecs[:, 0]) / RESPONSE_EPS
+            return 0.0, None
+        pair = self.eigenpair(RESPONSE_EPS, 2.0 * D)
+        return pair[2] / RESPONSE_EPS, pair
 
     def norm(self, top):
         """Gershgorin bound on ||H(psi)|| over 0 <= psi <= top."""
@@ -420,10 +422,7 @@ def minimize_order_parameter(problem: MeanFieldProblem) -> OracleResult:
         reach = math.sqrt(min(bound, problem.n_max))
         grid = reach / (COARSE_POINTS - 3) * np.arange(COARSE_POINTS)
         top = float(grid[-1])
-        r = 0.0  # H(psi) is diagonal at D = 0
-        if problem.D_eff > 0.0:
-            response = kernel.eigenpair(RESPONSE_EPS)
-            r = response[2] / RESPONSE_EPS
+        r, response = kernel.response(problem.D_eff)
         if r > 1.0:
             solved = {RESPONSE_EPS: response + (math.nan,)}
 
@@ -505,7 +504,7 @@ def boundary_numeric(mu: float, n_max=None) -> float:
     kernel = _Kernel(MeanFieldProblem(mu, hi, n_max))  # overflow test at hi
 
     def response_excess(D):
-        return kernel.response(D) - 1.0
+        return kernel.response(D)[0] - 1.0
 
     D_star = brent_root(response_excess, 0.0, hi, tol=ROOT_TOL)
 

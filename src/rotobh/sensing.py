@@ -129,19 +129,14 @@ def delta_on(theta: float, dthetas) -> np.ndarray:
     return u * np.sqrt(np.maximum(1.0 - u, 0.0))
 
 
-def dtheta_steps(theta: float, points: int) -> list:
-    """points >= 2 offsets from 0 to theta, as Python floats.
+def dtheta_steps(theta: float, points: int) -> np.ndarray:
+    """points >= 2 offsets from 0 to theta, as one array.
 
     Cell i is theta * i / (points - 1), rounded as that scalar expression
     rounds it; the min keeps rounding off the edge.  theta is checked
     first, so an out-of-domain theta raises DomainError before any array
     arithmetic could overflow.
     """
-    return _dtheta_grid(theta, points).tolist()
-
-
-def _dtheta_grid(theta: float, points: int) -> np.ndarray:
-    """dtheta_steps as one array."""
     _check_theta(theta)
     return np.minimum(theta * np.arange(points, dtype=float) / (points - 1),
                       theta)
@@ -149,9 +144,9 @@ def _dtheta_grid(theta: float, points: int) -> np.ndarray:
 
 def fit_deviation(theta: float, a: float, points: int) -> float:
     """max |fit_form(a, d) - delta(theta, d)| over dtheta_steps(theta,
-    points), with the grid built once as an array: the bits of the same
-    expression on the list."""
-    steps = _dtheta_grid(theta, points)
+    points): one array expression, with the bits of the scalar one at
+    each d."""
+    steps = dtheta_steps(theta, points)
     return float(abs(fit_form(a, steps) - delta_on(theta, steps)).max())
 
 
@@ -263,8 +258,9 @@ def fit_grid(thetas, grid_points: int = FIT_GRID_POINTS):
     rms evaluation, so thetas x grid_points is at most MAX_COUNT.  The
     scan and the search each run in place in two buffers allocated once
     per call; the bits and golden_min's evaluation sequence are those of
-    a fresh array per step.  Warns once per theta whose
-    rms > FIT_RMS_THRESHOLD, in grid order.
+    a fresh array per step.  Warns, in grid order, once per theta whose
+    rms > FIT_RMS_THRESHOLD and once per theta whose log10 a ends within
+    FIT_LOG_TOL of an end of FIT_LOG_RANGE.
     """
     thetas = list(thetas)
     for theta in thetas:
@@ -291,10 +287,15 @@ def fit_grid(thetas, grid_points: int = FIT_GRID_POINTS):
 
     log_as = golden_min(rms_of, brackets, tol=FIT_LOG_TOL)
     fits = [(10.0 ** log_a, rms) for log_a, rms in zip(log_as, rms_of(log_as))]
-    for theta, (_, rms) in zip(thetas, fits):
+    lo, hi = FIT_LOG_RANGE
+    for theta, log_a, (a, rms) in zip(thetas, log_as, fits):
         if rms > FIT_RMS_THRESHOLD:
             warnings.warn("fit rms %.4f exceeds %.2f at theta = %g"
                           % (rms, FIT_RMS_THRESHOLD, theta),
+                          FitQualityWarning, stacklevel=2)
+        if min(log_a - lo, hi - log_a) <= FIT_LOG_TOL:
+            warnings.warn("fit a = %.6g is pinned at an end of its range "
+                          "10^[%g, %g] at theta = %g" % (a, lo, hi, theta),
                           FitQualityWarning, stacklevel=2)
     return fits
 
@@ -314,12 +315,9 @@ def _fit_peak(a: float, theta: float) -> float:
     return float(fit_form(a, theta))
 
 
-def delta_max(theta: float, mode: str = "exact") -> float:
-    """Peak of delta over dtheta in [0, theta] for the given mode."""
+def delta_max(theta: float) -> float:
+    """Peak of the exact delta over dtheta in [0, theta] (fit: _fit_peak)."""
     _check_theta(theta)
-    check_choice("mode", mode, MODES)
-    if mode == "fit":
-        return _fit_peak(fit_a(theta)[0], theta)
     if theta >= THETA_EXACT_CROSSOVER:
         return DELTA_GLOBAL_MAX
     return delta_exact(theta, theta)
@@ -419,7 +417,7 @@ def resolution(theta: float, mode: str = "exact", gamma: Optional[float] = None,
 def _profile(theta, mode, a, rms, gamma, literal_exponent):
     """The SensingProfile at theta, given its fit (a, rms)."""
     if mode == "exact":
-        dm_out = delta_max(theta, "exact")
+        dm_out = delta_max(theta)
         eps = _crossings(theta, 0.5 * dm_out)[0]
     else:
         dm_out = _fit_peak(a, theta)
@@ -470,7 +468,7 @@ def invert_rotation_change(delta_measured: float, mu: float, n: int,
         raise OutOfRangeError("measured change must be finite and >= 0")
     kap = kappa(mu, n, variant)
     target = delta_measured / kap
-    dm = delta_max(theta, "exact")
+    dm = delta_max(theta)
     if target > dm * (1.0 + 1e-12):
         raise OutOfRangeError(
             "measured change %g exceeds attainable maximum %g"

@@ -86,9 +86,9 @@ def test_acceptance_3_landau_oracle_agreement():
 
 def test_acceptance_4_sensing_constants():
     failures = []
-    if abs(delta_max(1.0, "fit") - math.exp(-1.0)) > 1e-12:
+    if abs(resolution(1.0, "fit").delta_max - math.exp(-1.0)) > 1e-12:
         failures.append("fit-mode peak is not 1/e")
-    if abs(delta_max(1.0, "exact") - 2.0 / (3.0 * math.sqrt(3.0))) > 1e-12:
+    if abs(delta_max(1.0) - 2.0 / (3.0 * math.sqrt(3.0))) > 1e-12:
         failures.append("exact-mode plateau is not 2/(3 sqrt 3)")
     if abs(theta_crossover("exact") - math.acos(2.0 / 3.0)) > 1e-10:
         failures.append("exact threshold is not arccos(2/3)")

@@ -101,7 +101,7 @@ def test_theta_outside_the_open_quadrant_is_a_domain_error(theta):
 def test_dtheta_steps_match_the_scalar_grid(theta, points):
     # cell for cell the bits and the Python float type of the scalar list
     want = [min(theta * i / (points - 1), theta) for i in range(points)]
-    got = dtheta_steps(theta, points)
+    got = dtheta_steps(theta, points).tolist()
     assert all(type(d) is float for d in got)
     assert list(map(float.hex, got)) == list(map(float.hex, want))
 
@@ -112,9 +112,9 @@ def test_dtheta_steps_match_the_scalar_grid(theta, points):
 @given(theta=st.floats(5e-324, 0.5 * math.pi, exclude_max=True),
        a=st.floats(1e-3, 1e8), points=st.integers(2, 2000))
 def test_fit_deviation_matches_the_list_grid(theta, a, points):
-    # the grid built once as an array gives the bits of the same
-    # expression on dtheta_steps' list
-    steps = dtheta_steps(theta, points)
+    # the grid as one array gives the bits of the same expression on
+    # dtheta_steps' cells as a list of Python floats
+    steps = dtheta_steps(theta, points).tolist()
     want = float(abs(fit_form(a, steps) - delta_on(theta, steps)).max())
     assert sensing.fit_deviation(theta, a, points).hex() == want.hex()
 
@@ -145,7 +145,7 @@ def _crosses_within(theta, d, level, rising):
 @given(theta=st.floats(0.01, 0.5 * math.pi, exclude_max=True),
        frac=st.one_of(st.floats(0.0, 1.0), st.just(1.0)))
 def test_crossings_bracket_the_level(theta, frac):
-    level = frac * 0.99 * delta_max(theta, "exact")
+    level = frac * 0.99 * delta_max(theta)
     rising, falling = _crossings(theta, level)
     pk = peak_offset(theta)
     assert 0.0 <= rising <= pk
@@ -162,7 +162,7 @@ def test_crossings_bracket_the_level(theta, frac):
                                  THETA_EXACT_CROSSOVER + 1e-6)))
 def test_crossings_at_zero_and_at_the_peak(theta):
     assert _crossings(theta, 0.0) == (0.0, None)
-    dm = delta_max(theta, "exact")
+    dm = delta_max(theta)
     rising, falling = _crossings(theta, dm)
     assert (falling is None) == (theta < THETA_EXACT_CROSSOVER)
     # delta is flat at its peak (on the edge as well: cos(theta - dtheta)
@@ -369,25 +369,46 @@ def test_fit_quality_warning_far_from_validity():
         fit_a(1.45)
 
 
+def test_fit_pinned_at_a_range_end_warns():
+    # the least-squares a lies below 10^-3 at theta 0.001 and above 10^3
+    # at 1.57, though both rms values pass FIT_RMS_THRESHOLD
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fits = fit_grid((1.57, 0.01, 1.56, 0.001))
+    assert [str(w.message) for w in caught] == [
+        "fit a = %.6g is pinned at an end of its range 10^[-3, 3] at "
+        "theta = %g" % (a, theta)
+        for theta, (a, _) in ((1.57, fits[0]), (0.001, fits[3]))]
+    assert all(w.category is FitQualityWarning for w in caught)
+    assert all(rms <= sensing.FIT_RMS_THRESHOLD for _, rms in fits)
+    assert FIT_LOG_RANGE[1] - math.log10(fits[0][0]) <= FIT_LOG_TOL
+    assert math.log10(fits[3][0]) - FIT_LOG_RANGE[0] <= FIT_LOG_TOL
+    for theta in (0.01, 1.56):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_a(theta)
+    for theta in (0.001, 1.57):
+        with pytest.warns(FitQualityWarning, match="pinned"):
+            fit_a(theta)
+
+
 def test_delta_max_exact():
-    assert delta_max(1.0, "exact") == DELTA_GLOBAL_MAX
-    assert delta_max(THETA_EXACT_CROSSOVER, "exact") == DELTA_GLOBAL_MAX
+    assert delta_max(1.0) == DELTA_GLOBAL_MAX
+    assert delta_max(THETA_EXACT_CROSSOVER) == DELTA_GLOBAL_MAX
     th = 0.5
-    assert delta_max(th, "exact") == delta_exact(th, th)
-    assert delta_max(th, "exact") < DELTA_GLOBAL_MAX
+    assert delta_max(th) == delta_exact(th, th)
+    assert delta_max(th) < DELTA_GLOBAL_MAX
 
 
 def test_delta_max_fit_saturates_at_inverse_e():
     for th in (0.8, 1.0, 1.2):
-        assert abs(delta_max(th, "fit") - math.exp(-1.0)) < 1e-15
+        assert abs(resolution(th, "fit").delta_max - math.exp(-1.0)) < 1e-15
     # below the fit crossover the surrogate peaks on the edge instead
     th = 0.5
     a, _ = fit_a(th)
     assert a * th < 1.0
-    assert delta_max(th, "fit") == float(fit_form(a, th))
-    assert delta_max(th, "fit") < math.exp(-1.0)
-    with pytest.raises(ConfigError):
-        delta_max(0.8, "other")
+    assert resolution(th, "fit").delta_max == float(fit_form(a, th))
+    assert resolution(th, "fit").delta_max < math.exp(-1.0)
 
 
 def test_theta_crossover_both_modes():
@@ -485,10 +506,13 @@ def test_fit_peak_never_exceeds_its_saturated_value(theta, rel):
 
 def test_resolution_fit_mode_at_a_subnormal_theta():
     # a * theta underflows, so the peak is 0 and so is W0; lambert_w, whose
-    # domain excludes 0, is not called
-    prof = resolution(5e-324, mode="fit")
+    # domain excludes 0, is not called.  Both fits sit on the lower end of
+    # the a range, and say so.
+    with pytest.warns(FitQualityWarning, match="pinned"):
+        prof = resolution(5e-324, mode="fit")
     assert prof.delta_max == 0.0 and prof.epsilon_theta == 0.0
-    prof = resolution(1e-320, mode="fit")
+    with pytest.warns(FitQualityWarning, match="pinned"):
+        prof = resolution(1e-320, mode="fit")
     assert 0.0 < prof.delta_max and 0.0 < prof.epsilon_theta
 
 
@@ -547,7 +571,7 @@ def test_invert_roundtrips_the_rising_branch(theta, frac, lobe, mu_frac):
     if abs(err) > BISECTION_TOL:
         inner = res.delta_theta - math.copysign(BISECTION_TOL, err)
         assert abs(delta_exact(theta, inner) - target) <= 8e-16 * target, err
-    dm = delta_max(theta, "exact")
+    dm = delta_max(theta)
     assert res.ambiguous == (delta_exact(theta, theta) <= target < dm)
 
 
@@ -570,7 +594,7 @@ def test_invert_flags_ambiguity():
 
 def test_invert_out_of_range():
     gamma = 0.05
-    max_reading = kappa(1.0, 1) * delta_max(0.9, "exact")
+    max_reading = kappa(1.0, 1) * delta_max(0.9)
     with pytest.raises(OutOfRangeError):
         invert_rotation_change(max_reading * 1.01, 1.0, 1, 0.9, gamma)
     for reading in (-0.1, math.nan):
