@@ -19,7 +19,11 @@ Emission contract:
 Both emitters format a column at a time: the rows are transposed once,
 and a column whose cells are all builtin floats, ints or strs is
 formatted by one map over float.__repr__, int.__repr__ or, for JSON
-strings, json's encode_basestring_ascii.  Any other column (bools, mixed
+strings, json's encode_basestring_ascii.  A float column that repeats
+its values (a grid axis of a row-major table) formats each distinct
+value once and looks the repeats up, with the same text per cell;
+zeros are formatted cell by cell, since 0.0 and -0.0 are equal but print
+differently (_float_texts).  Any other column (bools, mixed
 types, other types) takes the per-cell path, format_cell for CSV and
 json.dumps for JSON, so JSON rejects exactly what json.dumps rejects.
 Every row must have one cell per column name; a ragged table raises
@@ -83,12 +87,40 @@ def _only_type(cells):
     return kinds.pop() if len(kinds) == 1 else None
 
 
+# The shortest float column whose repeats _float_texts looks up.
+_LOOKUP_MIN_CELLS = 16
+
+
+def _float_texts(cells):
+    """float.__repr__ of every cell of a column of builtin floats, as an
+    iterable.
+
+    A column of at least _LOOKUP_MIN_CELLS cells whose distinct values
+    number at most half its cells, as a grid axis emitted row-major has,
+    formats each distinct value once and looks the cells up; any other
+    column is formatted cell by cell.  On x86-64 CPython 3.11 a lookup
+    takes about 70 ns and building the table about 1 us, against 300 ns
+    for the repr of 0.3 and 800 ns for 17 digits: from 16 cells, half of
+    them repeats, the saved reprs repay both even for the shortest texts.
+    A zero cell is formatted on its own, since 0.0 == -0.0 share one key
+    but not one text.  A NaN finds its own entry by identity, which set
+    and dict lookups test before equality, and each distinct NaN object
+    has an entry.
+    """
+    if len(cells) >= _LOOKUP_MIN_CELLS:
+        distinct = set(cells)
+        if 2 * len(distinct) <= len(cells):
+            memo = dict(zip(distinct, map(float.__repr__, distinct)))
+            return [memo[c] if c else float.__repr__(c) for c in cells]
+    return map(float.__repr__, cells)
+
+
 def _csv_column(cells):
     kind = _only_type(cells)
     if kind is str:
         return cells
     if kind is float:
-        return map(float.__repr__, cells)
+        return _float_texts(cells)
     if kind is int:
         return map(int.__repr__, cells)
     return map(format_cell, cells)
@@ -128,7 +160,7 @@ def _json_column(cells):
     if kind is str:
         return map(encode_basestring_ascii, cells)
     if kind is float:
-        texts = list(map(float.__repr__, cells))
+        texts = _float_texts(cells)
         if not math.isfinite(sum(cells)):  # a non-finite cell, or overflow
             texts = ["null" if t in _NON_FINITE else t for t in texts]
         return texts

@@ -16,11 +16,18 @@ The one-parameter surrogate
 
     delta_fit(Delta-theta) = sqrt(a Delta-theta) exp(-sqrt(a Delta-theta))
 
-is least-squares fitted on a uniform grid: the target delta and a coarse
-log10 a scan are whole-array evaluations, and a golden-section search
-inside the scan's bracket refines log10 a.  fit_grid fits every theta of
-a grid at once: its search runs one lane per theta, and each step
-evaluates the rms of all of them as one array operation.  Its peak
+is least-squares fitted on a uniform grid: a coarse log10 a scan brackets
+the minimum, and a golden-section search inside the bracket refines
+log10 a.  fit_grid fits every theta of a grid at once.  The targets of
+all thetas are one (thetas, grid_points) array.  The coarse scan first
+sums every row's squared residuals over every 8th grid point, a lower
+bound of the row's full sum, and then evaluates in full only the rows
+whose bound, less a margin for the rounding of the two sums (Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 4), can
+still reach the best full rms found; so every bracket is the full
+scan's bit for bit (_pruned_argmin).  The search runs one lane per theta,
+and each step evaluates the rms of all of them as one array operation.
+Its peak
 value is e^-1 once the peak location 1/a falls inside the domain, i.e.
 a(theta) * theta >= 1.
 The crossover angle where that first happens is computed, not assumed,
@@ -111,21 +118,29 @@ def delta_exact(theta: float, dtheta: float) -> float:
     return float(delta_on(theta, (dtheta,))[0])
 
 
-def delta_on(theta: float, dthetas) -> np.ndarray:
+def delta_on(theta, dthetas) -> np.ndarray:
     """delta(theta, d) for every d in dthetas, as one array.
 
-    DomainError unless 0 < theta < pi/2 and every d lies in [0, theta].
+    theta is one angle, or an ndarray of angles that broadcasts against
+    dthetas (a (K, 1) column for K rows of offsets).  DomainError unless
+    every theta lies in (0, pi/2) and every d in [0, its theta].
     Elementwise these are the bits of the scalar formula in math.cos:
-    every other operation is correctly rounded, and numpy's float64 cos
-    matches math.cos (tests/test_sensing.py checks this).
+    cos(theta) is math.cos, every other operation is correctly rounded,
+    and numpy's float64 cos matches math.cos (tests/test_sensing.py checks
+    this).
     """
-    _check_theta(theta)
+    column = isinstance(theta, np.ndarray)
+    angles = theta.ravel().tolist() if column else [theta]
+    for t in angles:
+        _check_theta(t)
     dts = np.asarray(dthetas, dtype=float)
     inside = (dts >= 0.0) & (dts <= theta)
     if not inside.all():
         raise DomainError("dtheta = %g outside [0, theta]"
                           % dts[~inside].flat[0])
-    u = math.cos(theta) / np.cos(theta - dts)
+    cosines = list(map(math.cos, angles))
+    cos_theta = np.reshape(cosines, theta.shape) if column else cosines[0]
+    u = cos_theta / np.cos(theta - dts)
     return u * np.sqrt(np.maximum(1.0 - u, 0.0))
 
 
@@ -201,20 +216,43 @@ def _check_grid_points(grid_points: int) -> None:
     check_count("grid_points", grid_points)
 
 
+def _fit_targets(thetas, grid_points: int):
+    """The fit's dtheta grids on [0, theta] and the target delta on them,
+    as two C-contiguous (thetas, grid_points) arrays.
+
+    Row k has the bits of np.linspace(0.0, thetas[k], grid_points): cell
+    i is i * step with step = theta / (grid_points - 1), or (i /
+    (grid_points - 1)) * theta where that step underflows to 0, and the
+    last cell is theta.  np.linspace with an array stop is no substitute:
+    it takes the underflow form for every row once one row needs it, and
+    returns non-contiguous rows, whose pairwise sums run in another order.
+    """
+    column = np.array(thetas, dtype=float)[:, None]
+    div = grid_points - 1
+    cells = np.arange(grid_points, dtype=float)
+    step = column / div
+    dts = cells * step
+    if not step.all():
+        tiny = step[:, 0] == 0.0
+        dts[tiny] = cells / div * column[tiny]
+    dts[:, -1] = column[:, 0]
+    return dts, delta_on(column, dts)
+
+
 def _fit_target(theta: float, grid_points: int):
-    """The fit's dtheta grid on [0, theta] and the target delta on it."""
-    dts = np.linspace(0.0, theta, grid_points)
-    return dts, delta_on(theta, dts)
+    """The one-row case of _fit_targets, as two 1-D arrays."""
+    dts, target = _fit_targets((theta,), grid_points)
+    return dts[0], target[0]
 
 
-def _rms_rows(scale, dts, target, x, resid):
-    """Per row, the rms of fit_form(scale, dts) - target, run in place.
+def _squared_residuals(scale, dts, target, x, resid):
+    """(fit_form(scale, dts) - target)^2 into resid, run in place.
 
     x and resid are buffers of the broadcast shape, overwritten; every
     operation writes through out=.  fit_form's clamp is left out, since
-    scale > 0 and dts >= 0.  A row's bits do not depend on the other rows:
-    every operation is elementwise and correctly rounded, and each row
-    sums pairwise alone, so the bits are those of a fresh array per step.
+    scale > 0 and dts >= 0.  Each cell's bits depend only on its own
+    scale, dts and target: every operation is elementwise, and exp, the
+    one that is not correctly rounded, always runs on a contiguous buffer.
     """
     np.multiply(scale, dts, out=x)
     np.sqrt(x, out=x)
@@ -223,27 +261,115 @@ def _rms_rows(scale, dts, target, x, resid):
     np.multiply(x, resid, out=resid)
     np.subtract(resid, target, out=resid)
     np.square(resid, out=resid)
+    return resid
+
+
+def _rms_rows(scale, dts, target, x, resid):
+    """Per row, the rms of fit_form(scale, dts) - target, run in place.
+
+    The squares come from _squared_residuals, and each row sums pairwise
+    alone, so a row's bits do not depend on the other rows: they are those
+    of a fresh array per step.
+    """
+    resid = _squared_residuals(scale, dts, target, x, resid)
     return np.sqrt(np.add.reduce(resid, axis=1) / resid.shape[1])
+
+
+# The coarse scan bounds each row's sum by every _BOUND_STRIDE-th term.
+_BOUND_STRIDE = 8
+
+
+def _pruned_argmin(bounds, full_rms, grid_points: int):
+    """Per lane, the earliest row of least full rms, evaluating only the
+    rows that can still win.
+
+    bounds[k, r] is a float sum of some of the nonnegative float terms
+    whose float sum s gives the rms sqrt(s / grid_points) of row r in
+    lane k; full_rms(ks, rs) returns that rms for the rows (ks[i], rs[i]).
+    Each lane's row of least bound is evaluated first, and its rms is the
+    lane's incumbent.  A row is evaluated next only if the rms of
+    L = bounds * (1 - 4 grid_points u), u = 2^-53, is no more than the
+    incumbent; every other row keeps +inf, and the argmin takes the
+    earliest of the least.
+
+    L is at most the row's full float sum s (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 4: summing k
+    nonnegative terms in any order errs by at most gamma_(k-1) =
+    (k-1)u / (1 - (k-1)u) relative, so s >= T (1 - gamma) for the exact
+    sum T of all terms, and bounds <= T (1 + gamma)).  Where L is
+    subnormal every partial sum of bounds lies below 2^-1021, so that sum
+    is exact, and s is then at least bounds.  Since sqrt(fl(s / n)) never
+    falls as s grows, a skipped row's rms exceeds the incumbent's, which
+    is at least the lane's least rms: no skipped row can win or tie, and
+    the result is the argmin of a full scan.
+    """
+    lanes = np.arange(len(bounds))
+    first = np.argmin(bounds, axis=1)
+    incumbent = full_rms(lanes, first)
+    margin = 1.0 - 4.0 * grid_points * 2.0 ** -53
+    floor = np.sqrt(bounds * margin / grid_points)
+    can_win = floor <= incumbent[:, None]
+    can_win[lanes, first] = False
+    ks, rs = np.nonzero(can_win)
+    rms = np.full(bounds.shape, np.inf)
+    rms[lanes, first] = incumbent
+    rms[ks, rs] = full_rms(ks, rs)
+    return np.argmin(rms, axis=1)
 
 
 def _coarse_brackets(dts, target):
     """Per row of (dts, target), the log10 a bracket around the argmin of
     the coarse scan.
 
-    Each row's scan is one (FIT_COARSE_POINTS, grid_points) _rms_rows, in
-    two buffers that every row reuses.  The rms is formed before the
-    argmin, as rms_of forms it, so that ties break as in a per-point scan.
+    The scan works on every row at once, in two stages (_pruned_argmin).
+    First, each (row, coarse point) sums its squared residuals over every
+    _BOUND_STRIDE-th grid point: a lower bound of its full sum.  Then
+    _rms_rows evaluates in full only the coarse points that can still
+    win.  The rms is formed before the argmin, as rms_of forms it, so
+    that ties break as in a per-point scan, and every bracket is the full
+    scan's bit for bit.  Both stages run _squared_residuals, so a bound
+    sums the very terms of the full sum.  They work in two flat buffers of
+    FIT_COARSE_POINTS x grid_points, the size of one row's full scan: a
+    bound pass takes as many rows as fit, and a full pass at most
+    FIT_COARSE_POINTS // 2 (row, point) pairs, whose gathered dts and
+    target take the other half of the buffers.
     """
     coarse = np.linspace(FIT_LOG_RANGE[0], FIT_LOG_RANGE[1], FIT_COARSE_POINTS)
     scale = 10.0 ** coarse[:, None]
-    x = np.empty((FIT_COARSE_POINTS, dts.shape[1]))
-    resid = np.empty_like(x)
-    brackets = []
-    for row_dts, row_target in zip(dts, target):
-        i = int(np.argmin(_rms_rows(scale, row_dts, row_target, x, resid)))
-        brackets.append((coarse[max(i - 1, 0)],
-                         coarse[min(i + 1, FIT_COARSE_POINTS - 1)]))
-    return brackets
+    rows, n = dts.shape
+    work_a = np.empty(FIT_COARSE_POINTS * n)
+    work_b = np.empty_like(work_a)
+
+    def views(shape):
+        size = math.prod(shape)
+        return work_a[:size].reshape(shape), work_b[:size].reshape(shape)
+
+    sub_dts = dts[:, ::_BOUND_STRIDE]
+    sub_target = target[:, ::_BOUND_STRIDE]
+    m = sub_dts.shape[1]
+    chunk = n // m
+    bounds = np.empty((rows, FIT_COARSE_POINTS))
+    for k in range(0, rows, chunk):
+        d, t = sub_dts[k:k + chunk, None], sub_target[k:k + chunk, None]
+        sq = _squared_residuals(scale, d, t,
+                                *views((len(d), FIT_COARSE_POINTS, m)))
+        np.add.reduce(sq, axis=2, out=bounds[k:k + chunk])
+
+    piece = FIT_COARSE_POINTS // 2
+
+    def full_rms(ks, rs):
+        out = np.empty(len(ks))
+        for i in range(0, len(ks), piece):
+            k, r = ks[i:i + piece], rs[i:i + piece]
+            gathered, work = views((2, len(k), n))
+            # every index is in range; "clip" spares take a temporary copy
+            d = np.take(dts, k, axis=0, out=gathered[0], mode="clip")
+            t = np.take(target, k, axis=0, out=work[0], mode="clip")
+            out[i:i + len(k)] = _rms_rows(scale[r], d, t, gathered[1], work[1])
+        return out
+
+    return [(coarse[max(i - 1, 0)], coarse[min(i + 1, FIT_COARSE_POINTS - 1)])
+            for i in _pruned_argmin(bounds, full_rms, n).tolist()]
 
 
 def fit_grid(thetas, grid_points: int = FIT_GRID_POINTS):
@@ -251,14 +377,17 @@ def fit_grid(thetas, grid_points: int = FIT_GRID_POINTS):
 
     Returns [(a, rms), ...] in grid order.  Protocol: FIT_PROTOCOL
     (recorded in CLI metadata), sampled at grid_points dtheta values.  The
-    target and the coarse log10 a scan are array evaluations per theta
-    (the scan is one (FIT_COARSE_POINTS, grid_points) evaluation whose
-    argmin picks the bracket).  One lockstep golden search then refines
+    targets of all thetas are one (thetas, grid_points) array
+    (_fit_targets), so thetas x grid_points is at most MAX_COUNT.  The
+    coarse log10 a scan runs on all thetas together and prunes the points
+    that provably cannot be a theta's argmin (_coarse_brackets), so each
+    bracket is the full scan's.  One lockstep golden search then refines
     every theta at once: each of its steps is one (thetas, grid_points)
-    rms evaluation, so thetas x grid_points is at most MAX_COUNT.  The
-    scan and the search each run in place in two buffers allocated once
-    per call; the bits and golden_min's evaluation sequence are those of
-    a fresh array per step.  Warns, in grid order, once per theta whose
+    rms evaluation.  The scan and the search each run in place in two
+    buffers allocated once per call, the scan's no larger than one
+    theta's full (FIT_COARSE_POINTS, grid_points) scan; the bits and
+    golden_min's evaluation sequence are those of a fresh array per step
+    and a full scan per theta.  Warns, in grid order, once per theta whose
     rms > FIT_RMS_THRESHOLD and once per theta whose log10 a ends within
     FIT_LOG_TOL of an end of FIT_LOG_RANGE.
     """
@@ -270,10 +399,7 @@ def fit_grid(thetas, grid_points: int = FIT_GRID_POINTS):
         return []
     check_count("fit samples (thetas x grid_points)",
                 len(thetas) * grid_points)
-    dts = np.empty((len(thetas), grid_points))
-    target = np.empty_like(dts)
-    for k, theta in enumerate(thetas):
-        dts[k], target[k] = _fit_target(theta, grid_points)
+    dts, target = _fit_targets(thetas, grid_points)
     brackets = _coarse_brackets(dts, target)
 
     x = np.empty_like(dts)
@@ -354,8 +480,7 @@ def theta_crossover(mode: str = "exact",
         return float(np.sum(x * (1.0 - x) * ex * (x * ex - target)))
 
     root = brent_root(stationarity, 0.3, 1.2, tol=1e-15)
-    dts, target = _fit_target(root, grid_points)
-    ((lo, hi),) = _coarse_brackets(dts[None], target[None])
+    ((lo, hi),) = _coarse_brackets(*_fit_targets((root,), grid_points))
     log_a = math.log10(1.0 / root)
     if not lo <= log_a <= hi:
         raise ConvergenceError(

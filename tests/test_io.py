@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotobh import cli
@@ -157,6 +157,12 @@ _SCALARS = {
 _ANY = st.one_of(st.none(), *_SCALARS.values(),
                  st.lists(st.one_of(*_SCALARS.values()), max_size=2),
                  st.dictionaries(_TEXT, st.floats(), max_size=2))
+# A "pooled" float column draws its cells from a small pool, so that it
+# repeats values and takes the once-per-value formatting.  The pool holds
+# the cells a lookup could confuse: 0.0 == -0.0, two distinct NaN
+# objects, infinities and a subnormal.
+_POOLED = st.sampled_from([0.0, -0.0, math.nan, float("nan"), math.inf,
+                           -math.inf, 5e-324, 0.1, -2.5, 1e308])
 _CELLS = dict(_SCALARS, mixed=_ANY)
 _META = st.recursive(st.one_of(st.none(), *_SCALARS.values()),
                      lambda inner: st.lists(inner, max_size=3)
@@ -166,13 +172,19 @@ _META = st.recursive(st.one_of(st.none(), *_SCALARS.values()),
 
 @st.composite
 def tables(draw):
-    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), max_size=4))
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS) + ["pooled"]),
+                          max_size=4))
     columns = draw(st.lists(_TEXT, min_size=len(kinds), max_size=len(kinds)))
-    rows = draw(st.lists(st.tuples(*(_CELLS[k] for k in kinds)), max_size=5))
+    cells = [_POOLED if k == "pooled" else _CELLS[k] for k in kinds]
+    rows = draw(st.lists(st.tuples(*cells),
+                         max_size=40 if "pooled" in kinds else 5))
     return draw(_TEXT), columns, rows
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
+@example(table=("x", ["v", "w"], [(z, n) for z in (0.0, -0.0, -0.0, 0.0)
+                                  for n in (math.nan, float("nan"))] * 2),
+         meta={})
 @given(table=tables(), meta=st.dictionaries(_TEXT, _META, max_size=3))
 def test_emitters_match_the_reference(table, meta):
     subcommand, columns, rows = table

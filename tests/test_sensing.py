@@ -307,6 +307,14 @@ def _recorded(calls):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @example(thetas=[5e-324, 1e-3, 0.7, 1.569], grid_points=50)
 @example(thetas=_SPREAD, grid_points=1000)
+# more thetas than one pass of the scan's bounds and of its full rows
+@example(thetas=[0.01 + 0.06 * k for k in range(26)], grid_points=50)
+# where the rms curve is flattest and the most coarse points survive
+@example(thetas=[1.5692, 1.5693, 1.5694, 1.5694, 1.5695, 1.5696],
+         grid_points=200)
+# the coarse rms ties across many points, at 0 or in subnormal sums
+@example(thetas=[5e-324, 5e-324, 1e-323, 5e-324, 1e-320, 1e-320],
+         grid_points=1000)
 @given(thetas=st.lists(st.floats(5e-324, 1.569), min_size=1, max_size=25),
        grid_points=st.integers(50, 1000))
 def test_fit_grid_matches_the_allocating_scan_bit_for_bit(thetas,
@@ -326,6 +334,31 @@ def test_fit_grid_matches_the_allocating_scan_bit_for_bit(thetas,
     assert got_calls == want_calls
     assert all(type(v) is float for _, values in got_calls for v in values)
     assert got == want
+
+
+def test_pruned_argmin_evaluates_every_row_that_can_win():
+    # synthetic sums: bounds[k, r] may exceed row r's full sum only by
+    # rounding, which the margin allows for
+    n, u = 200, 2.0 ** -53
+    sums = np.array([[0.5, 0.5, 0.5, 0.9],
+                     [0.3, 0.2, 0.2, 0.2]])
+    bounds = np.array([[0.5 * (1.0 + 2.0 * n * u), 0.5, 0.25, 0.9],
+                       [0.3, 0.1, 0.05, 0.2]])
+    evaluated = []
+
+    def full_rms(ks, rs):
+        evaluated.extend(zip(ks.tolist(), rs.tolist()))
+        return np.sqrt(sums[ks, rs] / n)
+
+    got = sensing._pruned_argmin(bounds, full_rms, n)
+    # lane 0: row 2 has the least bound; row 1's bound equals the best sum
+    # and row 0's exceeds it within rounding, so both are evaluated, and
+    # the three-way tie keeps row 0.  Row 3 cannot win.  Lane 1: row 2 has
+    # the least bound, but the tie keeps the earlier row 1.
+    assert got.tolist() == [0, 1]
+    assert sorted(evaluated) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2),
+                                 (1, 3)]
+    assert got.tolist() == np.argmin(np.sqrt(sums / n), axis=1).tolist()
 
 
 def test_fit_grid_reaches_the_scan_edges():
