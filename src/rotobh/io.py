@@ -100,8 +100,9 @@ def _float_texts(cells):
     formats each distinct value once and looks the cells up; any other
     column is formatted cell by cell.  On x86-64 CPython 3.11 a lookup
     takes about 70 ns and building the table about 1 us, against 300 ns
-    for the repr of 0.3 and 800 ns for 17 digits: from 16 cells, half of
-    them repeats, the saved reprs repay both even for the shortest texts.
+    for the repr of 0.3 and 800 ns for 17 digits: at 16 cells, half of
+    them repeats, the saved reprs about cover that cost for texts as short
+    as 0.3 and repay it more than twice for 17 digits.
     A zero cell is formatted on its own, since 0.0 == -0.0 share one key
     but not one text.  A NaN finds its own entry by identity, which set
     and dict lookups test before equality, and each distinct NaN object
