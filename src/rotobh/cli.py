@@ -29,10 +29,10 @@ import sys
 
 from . import __version__, io, oracle, phase_diagram, sensing
 from .core import effective_hopping, peierls_phase, ring_gamma
-from .errors import (EXIT_OK, ConfigError, DomainError, RotobhError,
-                     check_count)
+from .errors import (EXIT_OK, ConfigError, ConvergenceError, DomainError,
+                     RotobhError, check_count)
 from .landau import kappa
-from .oracle import MeanFieldProblem, boundary_numeric, converged_psi
+from .oracle import boundary_and_psis
 from .phase_diagram import (CONVENTIONS, PSI_METHODS, VARIANT_FOR_CONVENTION,
                             SweepSpec, boundary_hopping, lobe_index, sweep)
 from .sensing import (delta_exact, delta_on, dtheta_steps,
@@ -358,12 +358,15 @@ def _cmd_oracle_check(args):
     for mu in mus:
         lobe = lobe_index(mu)
         D_c = boundary_hopping(mu, lobe, "paper")
-        D_cv = boundary_numeric(mu, args.n_max)
-        kap_var = kappa(mu, lobe, "variational")
         t_edge = boundary_hopping(mu, lobe, "variational") / math.cos(theta)
-        for dtheta, delta in zip(dthetas, deltas):
-            D = effective_hopping(t_edge, theta - dtheta)
-            psi = converged_psi(MeanFieldProblem(mu, D, args.n_max))
+        # the cells of one mu are minimized with the boundary's guards
+        D_cv, psis = boundary_and_psis(
+            mu, [effective_hopping(t_edge, theta - dtheta)
+                 for dtheta in dthetas], args.n_max)
+        kap_var = kappa(mu, lobe, "variational")
+        for dtheta, delta, psi in zip(dthetas, deltas, psis):
+            if isinstance(psi, ConvergenceError):
+                raise psi
             kap_rec = psi / delta
             rows.append((mu, lobe, dtheta, D_c, D_cv, D_cv / D_c, psi,
                          kap_var, kap_rec, kap_rec / kap_var - 1.0))

@@ -1,10 +1,11 @@
 """Small numerical toolkit: golden-section search, bracketed roots, Lambert W.
 
 Deliberately dependency-free so the physics modules stay auditable.  The
-golden-section search runs many brackets in lockstep, so that a caller
-can evaluate all of them with one array operation per step (the surrogate
-fit does, one lane per theta); the root finders and Lambert W work on one
-scalar at a time.  There are three root finders, all with one contract:
+golden-section search and newton_root run many brackets in lockstep, so
+that a caller can evaluate all of them in one call per step (the
+surrogate fit does, one lane per theta, and the oracle's minimizer, one
+lane per cell); brent_root, bisect_root and Lambert W work on one scalar
+at a time.  There are three root finders, all with one contract:
 newton_root (Newton guarded by bisection), which the oracle's minimizer
 uses because each of its evaluations is an eigensolve that yields the
 slope too; brent_root (Brent-Dekker), which the oracle's boundary and the
@@ -17,6 +18,7 @@ NaN inside its bracket, raises ConvergenceError, and lambert_w raises it
 when its residual check fails; none returns an unverified point.
 """
 
+import functools
 import math
 import sys
 
@@ -192,40 +194,82 @@ def brent_root(f, lo, hi, tol=1e-10, max_iter=100):
                                                         min(b, c), max(b, c)))
 
 
-def newton_root(f, lo, hi, tol=1e-10, max_iter=100, model=None):
-    """Root of f on [lo, hi] by Newton's method guarded by bisection,
-    contract of brent_root.
+def newton_root(f, brackets, tol=1e-10, max_iter=100, model=None, flo=None):
+    """Roots of functions, one per bracket, by Newton's method guarded by
+    bisection, searched in lockstep; each lane keeps brent_root's contract.
 
-    f(x) returns the pair (f(x), f'(x)); the slope at lo is never read.
-    The Newton/bisection hybrid follows rtsafe (Press et al., Numerical
-    Recipes, 3rd ed., sec. 9.4): the iterate x starts at hi and stays an
-    end of a sign bracket whose other end is the last point evaluated on
-    the far side of the root.  Each step goes to the Newton point
-    x - f(x)/f'(x) when f'(x) has the sign of f(hi) (the way f runs
-    across [lo, hi]) and the point lies inside the open bracket, and to
-    the bracket's midpoint otherwise, so a NaN, infinite, zero or
-    wrong-signed slope bisects.  rtsafe's further rule, which bisects
-    wherever a step is over half the step before last, is left out: on
-    the oracle's minimizer it cost more evaluations than it saved.  So the
-    steps are only as good as the slope: one k times too steep shrinks the
-    distance to the root by a factor 1 - 1/k per step, and f' must be the
-    derivative of f, not an estimate of it.  model, if given, is a root
-    estimate model(x, f(x)) that caps the Newton steps taken before f
-    first changes sign, all of which run down from hi: such a step goes
-    to the smaller of model's point and the Newton point (a NaN model
-    point is ignored) and then meets the same bracket test.  A step
-    shorter than tol1 = 2 eps |x| + tol / 2 is lengthened to tol1 toward
-    the other end: that probe ends the search if f changes sign across
-    it.  Once the other end lies within 2 tol1 of x, that is, once the
-    sign bracket is no wider than tol plus 4 ulps of x, returns whichever
-    of its two ends has the smaller |f|.  No point is evaluated twice.
-    ValueError unless f(lo) and f(hi) bracket a root; ConvergenceError if
-    max_iter steps do not get there, or as soon as f is NaN inside the
-    bracket.
+    Each (lo, hi) in brackets is a lane.  f(lanes, xs) takes a list of
+    lane indices and one abscissa per listed lane and returns one pair
+    (f(x), f'(x)) per listed lane, so that one call evaluates every open
+    lane; in place of a pair it may return an exception, which ends that
+    lane with it.  A lane takes exactly the steps of the scalar search
+    below on its own bracket, whatever the other lanes do: a round hands f
+    the lanes still open, and a lane leaves once it has its root or its
+    error.  flo, if given, holds every lane's f(lo), which f is then not
+    asked for.  Returns one entry per lane: the root, or the ValueError or
+    ConvergenceError its search met.
+
+    The slope at lo is never read.  The Newton/bisection hybrid follows
+    rtsafe (Press et al., Numerical Recipes, 3rd ed., sec. 9.4): the
+    iterate x starts at hi and stays an end of a sign bracket whose other
+    end is the last point evaluated on the far side of the root.  Each
+    step goes to the Newton point x - f(x)/f'(x) when f'(x) has the sign
+    of f(hi) (the way f runs across [lo, hi]) and the point lies inside
+    the open bracket, and to the bracket's midpoint otherwise, so a NaN,
+    infinite, zero or wrong-signed slope bisects.  rtsafe's further rule,
+    which bisects wherever a step is over half the step before last, is
+    left out: on the oracle's minimizer it cost more evaluations than it
+    saved.  So the steps are only as good as the slope: one k times too
+    steep shrinks the distance to the root by a factor 1 - 1/k per step,
+    and f' must be the derivative of f, not an estimate of it.  model, if
+    given, is a root estimate model(lane, x, f(x)) that caps the Newton
+    steps taken before f first changes sign, all of which run down from
+    hi: such a step goes to the smaller of model's point and the Newton
+    point (a NaN model point is ignored) and then meets the same bracket
+    test.  A step shorter than tol1 = 2 eps |x| + tol / 2 is lengthened to
+    tol1 toward the other end: that probe ends the search if f changes
+    sign across it.  Once the other end lies within 2 tol1 of x, that is,
+    once the sign bracket is no wider than tol plus 4 ulps of x, the root
+    is whichever of its two ends has the smaller |f|.  No point is
+    evaluated twice.  A lane's error is a ValueError unless f(lo) and
+    f(hi) bracket a root, and a ConvergenceError if max_iter steps do not
+    get there, or as soon as f is NaN inside the bracket.
     """
-    lo, hi = float(lo), float(hi)
-    flo = f(lo)[0]
-    fhi, slope = f(hi)
+    if flo is None:
+        flo = [None] * len(brackets)
+    out = [None] * len(brackets)
+    idx = list(range(len(brackets)))
+    lanes = [_rtsafe(float(lo), float(hi), tol, max_iter, fk,
+                     None if model is None else functools.partial(model, k))
+             for k, ((lo, hi), fk) in enumerate(zip(brackets, flo))]
+    xs = [next(lane) for lane in lanes]
+    while idx:
+        ended = []
+        for i, (lane, value) in enumerate(zip(lanes, f(idx, xs))):
+            try:
+                xs[i] = (lane.throw(value) if isinstance(value, Exception)
+                         else lane.send(value))
+            except StopIteration as stop:
+                out[idx[i]] = stop.value
+                ended.append(i)
+            except (ValueError, ConvergenceError) as exc:
+                out[idx[i]] = exc
+                ended.append(i)
+        if ended:
+            keep = [i for i in range(len(idx)) if i not in ended]
+            idx = [idx[i] for i in keep]
+            lanes = [lanes[i] for i in keep]
+            xs = [xs[i] for i in keep]
+    return out
+
+
+def _rtsafe(lo, hi, tol, max_iter, flo, model):
+    """One lane of newton_root: yields each abscissa to evaluate, is sent
+    (f(x), f'(x)) for it, and returns the root or raises the lane's
+    error.  flo, if not None, is f(lo), which it then does not ask for."""
+    if flo is None:
+        flo = (yield lo)[0]
+    fhi, slope = yield hi
     _check_bracket(lo, hi, flo, fhi)
     if flo == 0.0:
         return lo
@@ -248,7 +292,7 @@ def newton_root(f, lo, hi, tol=1e-10, max_iter=100, model=None):
             t = 0.5 * (x + other)
         if abs(t - x) < tol1:  # t lies between x and other
             t = x + math.copysign(tol1, other - x)
-        ft, slope = f(t)
+        ft, slope = yield t
         if _value_at(t, ft) == 0.0:
             return t
         if (ft > 0.0) != (fx > 0.0):

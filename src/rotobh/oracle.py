@@ -84,19 +84,24 @@ every pivot of the LDL^T factorization of H(psi_j) - level is positive
 Wilkinson, Numer. Math. 9, 386 (1967)).  For a tridiagonal matrix the
 pivots are p_0 = d_0 - level, p_k = d_k - level - (e_(k-1) / p_(k-1))
 e_(k-1), the recurrence of LAPACK's dpttrf.  One dpttrf call factors the
-block-diagonal stack of all COARSE_POINTS matrices: the coupling between
-two blocks is zero, so each block's pivots are those of its matrix
-alone.  They are formed for (H - level) / 2^m with 2^m >= N (below), a
+block-diagonal stack of the COARSE_POINTS matrices of every cell of a
+minimize_order_parameter call: the coupling between two blocks is zero,
+so each block's pivots are those of its matrix alone, and each cell
+gets its own verdict.  They are formed for (H - level) / 2^m with
+2^m >= N (below), a
 power of two, which moves no sign and no rounding but keeps every entry
 of H / 2^m at most 1 in size; so a quotient e / p that overflows, p > 0,
 makes the next pivot -inf, the sign of the exact one, whose e^2 / p then
 exceeds 2^970.  A pivot that is zero, negative or NaN is a failure, so
 the check fails closed: dpttrf stops at the first pivot <= 0 (info > 0),
 and since that test lets a NaN through, the pivots are read as well.
-info < 0 (an illegal argument) raises ConvergenceError, as a failed
-dstev does; it is never read as a verdict.  A failure raises
-ConvergenceError: e0 has a second minimum that the candidate missed,
-which for the candidate psi = 0 is a first-order jump.
+Either fails the cell whose block holds that pivot; the pivots after it
+are unfactored, or carry the NaN on, so the stack from the next cell on
+is factored again.  info < 0 (an illegal argument) is a ConvergenceError
+for every cell of the call, as a failed dstev is for its cell; it is
+never read as a verdict.  A failure is a ConvergenceError: e0 has a
+second minimum that the candidate missed, which for the candidate
+psi = 0 is a first-order jump.
 
 The slack.  Let n = n_max + 1, eps the machine epsilon, base_k =
 -mu k + k(k-1) and N = max|base| + 2 D top^2 + 4 D top sqrt(n_max).  By
@@ -141,13 +146,29 @@ levels) meetable.  RESPONSE_EPS lowers r by
 O(RESPONSE_EPS^2), so within about 2e-12 relative above the boundary,
 where the true psi* is below RESPONSE_EPS, psi* = 0.0.
 
-Each point pays for LAPACK and a few vector passes.  The response is one
-``dstev``, and each root step is one ``dstev`` plus the two products that
-give <a> and the slope: 6 or 7 solves for a superfluid cell away from
-the boundary, where Brent's method took 10 to 12, and more next to it.
-The certificate is one ``dpttrf`` on COARSE_POINTS (n_max + 1) rows,
-about 9 us at n_max 9 and 13 us at 24 (the loop over the Fock index it
-replaced took 15.4 and 28.9 us).  Where H is diagonal no solve runs:
+Lockstep.  minimize_order_parameter takes one problem or a sequence of
+them, and minimizes a sequence in lockstep: its cells of one truncation
+share a _Kernel, and their roots are the lanes of one
+numerics.newton_root call, each lane taking exactly the steps of its own
+scalar search.  A round builds the tridiagonals of all of a kernel's
+lanes in one array expression, calls dstev once per open lane, and forms
+<a> and the slope of all of them together with numpy's stacked matvec,
+vecmat and vecdot.  Those make, lane by lane, the BLAS calls (gemv,
+dot) that np.dot makes on one lane, so a cell has the bits of its
+one-cell call whatever else is in the sequence.  One dpttrf then
+certifies every cell with a grid, and a cell's failure is its own
+outcome.  Each cell pays for its ``dstev`` calls and a share of each
+round's numpy calls: the response is one ``dstev``, and each root step
+one ``dstev`` plus the products that give <a> and the slope, 6 or 7
+solves for a superfluid cell away from the boundary, where Brent's
+method took 10 to 12, and more next to it.  A round has a fixed cost of
+about ten numpy calls, so in sweeps of 15 or 16 superfluid cells a cell
+costs about 117 us, against 153 us one cell at a time, while a lone
+cell costs more than the scalar search did: about 1.6 times as much at
+(mu, D) = (1.0, 0.5) (186 against 111 us) and 1.5 times at (1.0, 0.05)
+(46 against 30 us; a 2-core x86-64 machine, numpy 2.4, one BLAS
+thread).  So every subcommand hands the oracle all its cells at once.
+Where H is diagonal no solve runs:
 H(0) = diag(base), so the psi = 0 candidate is the Fock state of the
 lowest level, with that level as e0 and <a> = 0, the bits dstev returns
 (its selection sort keeps the first of tied levels, as at a lobe
@@ -172,14 +193,16 @@ r = <a>/psi the linear response of the ground state, so the second-order
 boundary is the root in D of r(D) = 1.  boundary_numeric finds it by
 Brent's method, one dstev per evaluation at psi = RESPONSE_EPS on one
 kernel per mu, without touching the closed-form susceptibility, and then
-runs two minimizations just below and just above it to rule out a
-first-order jump.  H(psi) is diagonal at D = 0, so r(0) = 0 takes no
+minimizes just below and just above it, in one call, to rule out a
+first-order jump; boundary_and_psis adds further cells at that mu to the
+same call.  H(psi) is diagonal at D = 0, so r(0) = 0 takes no
 solve, and the kernel's overflow test, made once at the bracket top,
 covers every smaller D.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import warnings
@@ -274,135 +297,229 @@ def _lapack():
     return dstev, dpttrf
 
 
-def _check_info(routine, info):
-    if info != 0:
-        raise ConvergenceError("LAPACK %s failed (info = %d)" % (routine, info))
+def _lapack_error(routine, info):
+    return ConvergenceError("LAPACK %s failed (info = %d)" % (routine, info))
+
+
+def _check_overflow(problem):
+    """ConvergenceError where H(psi) up to the grid's end overflows.
+
+    Its entries are about |mu| n_max and 2.2 D B there; where those
+    overflow, no eigensolve can be trusted.  The test grows with D, so it
+    covers every smaller D as well.
+    """
+    mu, D = problem.mu_over_U, problem.D_eff
+    if not math.isfinite(abs(mu) * problem.n_max
+                         + 4.0 * D * max(mu + 1.0 + 2.0 * D, 1.0)):
+        raise ConvergenceError("H(psi) overflows at mu = %r, D = %r"
+                               % (mu, D))
 
 
 class _Kernel:
-    """One problem's H(psi): eigensolves, each a single LAPACK call, the
-    exact ground state where H is diagonal, and the certificate's pivots
-    over a grid of psi in one more."""
+    """H(psi) of K problems that share one truncation, one lane each.
 
-    __slots__ = ("_base", "_k", "_sqrt_k", "_x", "_couplings", "_two_d",
-                 "_dstev", "_dpttrf")
+    A round of solves builds the tridiagonals of all its lanes in one
+    array expression and calls dstev once per lane, in place; a root step
+    then forms <a> and its slope for all of them together, and the
+    certificate's blocks for all lanes come from one array expression.
+    Every product a lane's bits depend on is its own BLAS call: numpy's
+    stacked matvec, vecmat and vecdot run one gemv or dot per lane, the
+    calls that np.dot makes on one lane, so a lane's bits do not depend on
+    the others.  rows name lanes by index, in increasing order.
+    """
 
-    def __init__(self, problem):
-        mu, D = problem.mu_over_U, problem.D_eff
-        # H(psi) up to the grid's end has entries of about |mu| n_max and
-        # 2.2 D B; where those overflow, no eigensolve can be trusted.  The
-        # test grows with D, so it covers every smaller D as well.
-        if not math.isfinite(abs(mu) * problem.n_max
-                             + 4.0 * D * max(mu + 1.0 + 2.0 * D, 1.0)):
-            raise ConvergenceError("H(psi) overflows at mu = %r, D = %r"
-                                   % (mu, D))
-        k, k_k1, sqrt_k, x, couplings = _fock_arrays(problem.n_max)
-        self._base = -mu * k + k_k1
+    __slots__ = ("size", "levels", "_base", "_two_d", "_k", "_sqrt_k",
+                 "_x", "_couplings", "_dstev", "_steps")
+
+    def __init__(self, problems):
+        """Lanes for problems, which share n_max; overflow-tested."""
+        for problem in problems:
+            _check_overflow(problem)
+        k, k_k1, sqrt_k, x, couplings = _fock_arrays(problems[0].n_max)
+        self.size = len(problems)
+        self.levels = k.size
+        self._base = np.multiply.outer(np.array([-p.mu_over_U
+                                                 for p in problems]), k) + k_k1
+        self._two_d = [2.0 * p.D_eff for p in problems]
         self._k = k
         self._sqrt_k = sqrt_k
         self._x = x
         self._couplings = couplings
-        self._two_d = 2.0 * D
-        self._dstev, self._dpttrf = _lapack()
+        self._dstev = _lapack()[0]
+        self._steps = None  # root_steps' arrays, made on its first call
 
-    def tridiag(self, psi, two_d=None):
-        """H(psi)'s diagonal and off-diagonal, at hopping two_d / 2 if
-        given, else at the problem's."""
+    def _rows(self, array, rows):
+        return array if len(rows) == self.size else array[rows]
+
+    def tridiag(self, psi, two_d=None, row=0):
+        """H(psi)'s diagonal and off-diagonal for one lane, at hopping
+        two_d / 2 if given, else at the lane's own."""
         if two_d is None:
-            two_d = self._two_d
-        return (self._base + two_d * psi * psi, -two_d * psi * self._sqrt_k)
+            two_d = self._two_d[row]
+        return (self._base[row] + two_d * psi * psi,
+                -two_d * psi * self._sqrt_k)
 
-    def _spectrum(self, psi, two_d=None):
-        """Eigenvalues (ascending) and eigenvectors of H(psi): one dstev."""
-        vals, vecs, info = self._dstev(*self.tridiag(psi, two_d),
-                                       overwrite_d=1, overwrite_e=1)
-        _check_info("dstev", info)
-        return vals, vecs
-
-    def _a(self, vec):
-        return float(np.dot(self._sqrt_k, vec[:-1] * vec[1:]))
-
-    def eigenpair(self, psi, two_d=None):
-        """(e0, unit vector in LAPACK's sign, <a>) from one dstev solve, at
-        hopping two_d / 2 if given, else at the problem's."""
-        vals, vecs = self._spectrum(psi, two_d)
+    def eigenpair(self, psi, two_d=None, row=0):
+        """(e0, unit vector in LAPACK's sign, <a>) of one lane from one
+        dstev, at hopping two_d / 2 if given; a failed dstev raises."""
+        vals, vecs, info = self._dstev(*self.tridiag(psi, two_d, row), 1, 1, 1)
+        if info != 0:
+            raise _lapack_error("dstev", info)
         vec = vecs[:, 0]
-        return float(vals[0]), vec, self._a(vec)
+        return (float(vals[0]), vec,
+                float(np.dot(self._sqrt_k, vec[:-1] * vec[1:])))
 
-    def fock_ground(self):
-        """eigenpair(0.0) without a solve: H(0) = diag(base).
+    def fock_ground(self, row):
+        """(e0, top component) of one lane's ground state at psi = 0,
+        without a solve: H(0) = diag(base).
 
         The ground state is the Fock state of the lowest level, the first
         one of a tie, as dstev's selection sort keeps it, and <a> = 0.
         Adding 0.0 turns a -0.0 level into the 0.0 that tridiag(0.0)
         hands dstev.
         """
-        k = int(np.argmin(self._base))
-        vec = np.zeros(self._base.size)
-        vec[k] = 1.0
-        return float(self._base[k]) + 0.0, vec, 0.0
+        base = self._base[row]
+        k = int(base.argmin())
+        return float(base[k]) + 0.0, 1.0 if k == base.size - 1 else 0.0
 
-    def root_step(self, psi):
-        """(e0, vector, <a>, d<a>/dpsi) from the spectrum of one dstev solve.
+    def root_steps(self, rows, psis):
+        """Per listed lane (e0, <a>, d<a>/dpsi, top component of the
+        ground vector) from the spectrum of one dstev, or the
+        ConvergenceError of a failed one.
 
         With c = V^T X v_0, <a> = c_0 / 2 and the slope is
         2 D sum_(n >= 1) c_n^2 / (lambda_n - lambda_0) (module docstring).
         The slope is NaN unless the first gap is positive, and it may be
-        infinite.
+        infinite.  The products run over every lane of the kernel, each on
+        the spectrum of its last solve; a lane not solved yet, or whose
+        first gap was not positive, holds the levels 0, 1, .., n_max, so
+        no division is by a zero gap.
         """
-        vals, vecs = self._spectrum(psi)
-        vec = vecs[:, 0]
-        c = np.dot(self._x @ vec, vecs)
-        e0 = float(vals[0])
-        slope = math.nan
-        if vals[1] > e0:
-            c_n = c[1:]
-            slope = self._two_d * float(np.dot(c_n, c_n / (vals[1:] - e0)))
-        return e0, vec, 0.5 * float(c[0]), slope
+        st = self._steps
+        if st is None:
+            st = self._steps = _StepArrays(self)
+        two_d, shift, hop = self._two_d, st.shift, st.hop
+        for r, p in zip(rows, psis):
+            shift[r] = two_d[r] * p * p
+            hop[r] = -two_d[r] * p
+        np.add(self._base, st.shift_col, out=st.d)
+        np.multiply(st.hop_col, self._sqrt_k, out=st.e)
+        failed = {}
+        for r in rows:
+            _, z, info = self._dstev(st.d_rows[r], st.e_rows[r], 1, 1, 1)
+            if info == 0:
+                st.w_rows[r][:] = st.d_rows[r]
+                st.v_mats[r][...] = z
+            else:
+                failed[r] = _lapack_error("dstev", info)
+        c = np.vecmat(np.matvec(self._x, st.v0), st.v)
+        low = st.w_low.tolist()
+        gap = st.w_hi - st.w_lo
+        flat = [r for r in rows if not low[r][1] > low[r][0]]
+        if flat:  # no division by a first gap that is not positive
+            gap[flat] = 1.0
+        c_n = c[:, 1:]
+        sums = np.vecdot(c_n, c_n / gap).tolist()
+        c0, top = c[:, 0].tolist(), st.top.tolist()
+        out = []
+        for r in rows:
+            l0, l1 = low[r]
+            out.append(failed.get(r) or (
+                l0, 0.5 * c0[r], two_d[r] * sums[r] if l1 > l0 else math.nan,
+                top[r]))
+        if flat:  # later rounds divide by these rows' gaps too
+            st.w[flat] = self._k
+        return out
 
     def response(self, D):
-        """(r, eigenpair) at psi = RESPONSE_EPS and hopping D on this
-        kernel's levels, r = <a>/psi the linear response of the ground
-        state: (0.0, None) at D = 0, where H is diagonal, and one dstev
-        otherwise."""
+        """r = <a>/psi, the linear response of lane 0's ground state at
+        psi = RESPONSE_EPS and hopping D on its levels: 0.0 at D = 0,
+        where H is diagonal, and one dstev otherwise."""
         if D == 0.0:
-            return 0.0, None
-        pair = self.eigenpair(RESPONSE_EPS, 2.0 * D)
-        return pair[2] / RESPONSE_EPS, pair
+            return 0.0
+        return self.eigenpair(RESPONSE_EPS, 2.0 * D)[2] / RESPONSE_EPS
 
-    def norm(self, top):
-        """Gershgorin bound on ||H(psi)|| over 0 <= psi <= top."""
-        return (float(np.abs(self._base).max()) + self._two_d * top * top
-                + 2.0 * self._two_d * top * math.sqrt(self._k[-1]))
+    def norms(self, rows, tops):
+        """Gershgorin bound on ||H(psi)|| of each listed lane over
+        0 <= psi <= its top."""
+        big = np.abs(self._rows(self._base, rows)).max(axis=1).tolist()
+        root_n = math.sqrt(self._k[-1])
+        two_d = [self._two_d[r] for r in rows]
+        return [b + t * top * top + 2.0 * t * top * root_n
+                for b, t, top in zip(big, two_d, tops)]
 
-    def above(self, grid, level, norm):
-        """True if the ground energy at every psi of grid exceeds level.
-
-        That holds exactly when every LDL^T pivot of H(psi) - level is
-        positive; the pivots of (H(psi) - level) / 2^m, 2^m >= norm, have
-        the same signs, and H(psi) / 2^m has entries of at most 1.  One
-        dpttrf factors all of them: its matrix is the block-diagonal stack
-        of one block per psi, and a zero coupling between blocks leaves
-        each block's pivots those of the block alone.  A pivot that is not
-        positive, NaN included, is a failure; dpttrf stops at the first
-        one <= 0 (info > 0) but passes a NaN on, so the pivots are read
-        too.  info < 0 is a LAPACK failure and raises ConvergenceError.
+    def pivot_blocks(self, rows, grids, levels, norms):
+        """The certificate's matrix for the listed lanes: the diagonal and
+        couplings of the block-diagonal stack of (H(psi) - level) / 2^m,
+        2^m >= norm, one block per psi of each lane's row of grids, lane
+        after lane.  The coupling array has one entry per row: the last of
+        each block is the 0 that separates it from the next.
         """
-        scale = math.ldexp(1.0, -math.frexp(norm)[1])
-        h = self._two_d * scale
-        d = np.add.outer(h * grid * grid, self._base * scale)
-        d -= level * scale
-        e = np.multiply.outer(h * grid, self._couplings)
-        d, _, info = self._dpttrf(d.ravel(), e.ravel()[:-1], overwrite_d=1,
-                                  overwrite_e=1)
+        scale = [math.ldexp(1.0, -math.frexp(x)[1]) for x in norms]
+        cols = np.array([[self._two_d[r] * s for r, s in zip(rows, scale)],
+                         scale, [lv * s for lv, s in zip(levels, scale)]])
+        hg = cols[0][:, None] * grids
+        d = (hg * grids)[:, :, None] + (self._rows(self._base, rows)
+                                       * cols[1][:, None])[:, None]
+        d -= cols[2][:, None, None]
+        e = hg[:, :, None] * self._couplings
+        return d.ravel(), e.ravel()
+
+
+class _StepArrays:
+    """The arrays a kernel's root steps reuse from round to round, with the
+    views of them that each round reads and writes."""
+
+    def __init__(self, kernel):
+        size, n = kernel.size, kernel.levels
+        # each lane's diagonal shift and hopping factor, as columns too
+        self.shift_col, self.hop_col = np.zeros((size, 1)), np.zeros((size, 1))
+        self.shift, self.hop = self.shift_col[:, 0], self.hop_col[:, 0]
+        self.d, self.e = np.empty((size, n)), np.empty((size, n - 1))
+        self.d_rows, self.e_rows = list(self.d), list(self.e)
+        self.w = np.empty((size, n))  # each lane's levels
+        self.w[:] = kernel._k
+        self.w_rows = list(self.w)
+        self.w_low, self.w_hi, self.w_lo = (self.w[:, :2], self.w[:, 1:],
+                                            self.w[:, :1])
+        # each lane's eigenvectors, a matrix in dstev's (Fortran) order
+        self.v = np.zeros((size, n, n)).transpose(0, 2, 1)
+        self.v_mats = list(self.v)
+        self.v0, self.top = self.v[:, :, 0], self.v[:, -1, 0]
+
+
+def _positive_blocks(d, e, ends):
+    """Per block of a block-diagonal tridiagonal: True if every LDL^T
+    pivot of the block is positive.
+
+    d is the diagonal and e[:-1] the couplings of the stack, zero between
+    blocks, and block j ends before row ends[j].  One dpttrf factors the
+    stack.  A pivot that is not positive, NaN included, fails its block;
+    dpttrf stops at the first one <= 0 (info > 0) but passes a NaN on,
+    into the blocks after it, so the pivots are read too, and every block
+    past the first failing one is factored again.  info < 0 is a LAPACK
+    failure and raises ConvergenceError.
+    """
+    dpttrf = _lapack()[1]
+    verdicts = []
+    start = 0
+    while len(verdicts) < len(ends):
+        pivots, _, info = dpttrf(d[start:], e[start:-1])
         if info < 0:
-            _check_info("dpttrf", info)
-        return info == 0 and bool(d.min() > 0.0)
+            raise _lapack_error("dpttrf", info)
+        if info == 0 and pivots.min() > 0.0:
+            verdicts += [True] * (len(ends) - len(verdicts))
+            break
+        first = start + int(np.argmin(pivots > 0.0))  # not positive, or NaN
+        j = bisect.bisect_right(ends, first)
+        verdicts += [True] * (j - len(verdicts)) + [False]
+        start = ends[j]
+    return verdicts
 
 
 def ground_energy(problem: MeanFieldProblem, psi: float):
     """Lowest eigenpair (e0, unit vector) of the tridiagonal Hamiltonian."""
-    e0, vec, _ = _Kernel(problem).eigenpair(psi)
+    e0, vec, _ = _Kernel([problem]).eigenpair(psi)
     if vec[np.argmax(np.abs(vec))] < 0.0:
         vec = -vec  # fix the overall sign for reproducibility
     return e0, vec
@@ -410,70 +527,215 @@ def ground_energy(problem: MeanFieldProblem, psi: float):
 
 def a_expectation(problem: MeanFieldProblem, psi: float) -> float:
     """Ground-state <a> = sum_k sqrt(k+1) v_k v_{k+1}."""
-    return _Kernel(problem).eigenpair(psi)[2]
+    return _Kernel([problem]).eigenpair(psi)[2]
 
 
-def minimize_order_parameter(problem: MeanFieldProblem) -> OracleResult:
-    """Minimize e0(psi) over psi >= 0; see module docstring."""
-    kernel = _Kernel(problem)
-    bound = problem.mu_over_U + 1.0 + 2.0 * problem.D_eff
-    psi = 0.0  # the candidate when B <= 0 or r <= 1
-    if bound > 0.0:
-        reach = math.sqrt(min(bound, problem.n_max))
-        grid = reach / (COARSE_POINTS - 3) * np.arange(COARSE_POINTS)
-        top = float(grid[-1])
-        r, response = kernel.response(problem.D_eff)
-        if r > 1.0:
-            solved = {RESPONSE_EPS: response + (math.nan,)}
+_GRID_STEPS = np.arange(float(COARSE_POINTS))
 
-            def stationarity(p):  # F(p) = p - <a>(p) = e0'(p) / (4 D)
-                if p not in solved:
-                    solved[p] = kernel.root_step(p)
-                _, _, a_exp, slope = solved[p]
-                return p - a_exp, 1.0 - slope
 
-            def landau_root(p, f):  # x_m of the module docstring
-                return p * math.sqrt((r - 1.0) / (f / p + r - 1.0))
+def _minimize(problems):
+    """Minimize every problem's e0(psi), all in lockstep (module docstring).
 
+    Returns one (outcome, top) per problem: its OracleResult and the top
+    Fock component of its ground vector, or its ConvergenceError and None.
+    """
+    out = [None] * len(problems)
+    by_n_max = {}  # lanes of one truncation share a kernel
+    for lane, problem in enumerate(problems):
+        try:
+            _check_overflow(problem)
+        except ConvergenceError as exc:
+            out[lane] = exc, None
+            continue
+        by_n_max.setdefault(problem.n_max, []).append(lane)
+    kernels = [(_Kernel([problems[lane] for lane in lanes]), lanes)
+               for lanes in by_n_max.values()]
+    found = _candidates(problems, kernels, out)
+    _certify(problems, kernels, found, out)
+    for lane, (psi, e0, a_exp, top, _) in found.items():
+        if out[lane] is None:
+            out[lane] = OracleResult(psi_star=psi, e0=e0, a_expect=a_exp,
+                                     converged=abs(psi - a_exp) <= 1e-9), top
+    return out
+
+
+def _candidates(problems, kernels, out):
+    """Each open lane's candidate, {lane: (psi, e0, <a>, top component,
+    grid step)}; a failure goes into out instead.
+
+    The response decides: psi = 0 unless r > 1, and then the root of F,
+    the roots of one kernel's lanes in one newton_root.  The grid step is
+    sqrt(R) / (COARSE_POINTS - 3), or None where B <= 0.
+    """
+    found = {}
+    for kernel, lanes in kernels:
+        step, rows, ratio, f_lo, solved = {}, [], [], [], []
+        for row, lane in enumerate(lanes):
+            problem = problems[lane]
+            bound = problem.mu_over_U + 1.0 + 2.0 * problem.D_eff
+            if bound <= 0.0:
+                continue
+            step[row] = (math.sqrt(min(bound, problem.n_max))
+                         / (COARSE_POINTS - 3))
+            if problem.D_eff == 0.0:  # H is diagonal: r = 0
+                continue
             try:
-                psi = newton_root(stationarity, RESPONSE_EPS, top,
-                                  tol=ROOT_TOL, model=landau_root)
-            except ValueError:
-                raise ConvergenceError(
+                e0, vec, a_exp = kernel.eigenpair(RESPONSE_EPS, row=row)
+            except ConvergenceError as exc:
+                out[lane] = exc, None
+                continue
+            r = a_exp / RESPONSE_EPS
+            if r > 1.0:
+                rows.append(row)
+                ratio.append(r)
+                f_lo.append(RESPONSE_EPS - a_exp)
+                solved.append({RESPONSE_EPS: (e0, a_exp, None,
+                                              float(vec[-1]))})
+
+        def stationarity(idx, xs):  # F(p) = p - <a>(p) = e0'(p) / (4 D)
+            values = kernel.root_steps([rows[j] for j in idx], xs)
+            for i, (j, p, v) in enumerate(zip(idx, xs, values)):
+                if v.__class__ is tuple:
+                    solved[j][p] = v
+                    values[i] = p - v[1], 1.0 - v[2]
+            return values
+
+        def landau_root(j, p, f):  # x_m of the module docstring
+            r = ratio[j]
+            return p * math.sqrt((r - 1.0) / (f / p + r - 1.0))
+
+        tops = [step[row] * (COARSE_POINTS - 1) for row in rows]
+        roots = newton_root(stationarity,
+                            [(RESPONSE_EPS, top) for top in tops],
+                            tol=ROOT_TOL, model=landau_root,
+                            flo=f_lo) if rows else []
+        for row, top, memo, root in zip(rows, tops, solved, roots):
+            lane = lanes[row]
+            if isinstance(root, ValueError):
+                root = ConvergenceError(
                     "no stationary point of e0 in [%.6g, %.6g] at mu = %r, "
-                    "D = %r" % (RESPONSE_EPS, top, problem.mu_over_U,
-                                problem.D_eff)) from None
-            e0, vec, a_exp, _ = solved[psi]
-    if psi == 0.0:
-        e0, vec, a_exp = kernel.fock_ground()
-    if bound > 0.0:
-        norm = kernel.norm(top)
-        slack = 2.0 * (kernel._base.size + 9) * EPS * norm
-        if not math.isfinite(slack):
-            raise ConvergenceError("H(psi) overflows at mu = %r, D = %r"
-                                   % (problem.mu_over_U, problem.D_eff))
-        if not kernel.above(grid, e0 - slack, norm):
-            raise ConvergenceError(
+                    "D = %r" % (RESPONSE_EPS, top, problems[lane].mu_over_U,
+                                problems[lane].D_eff))
+            if isinstance(root, ConvergenceError):
+                out[lane] = root, None
+            else:
+                e0, a_exp, _, top_v = memo[root]
+                found[lane] = root, e0, a_exp, top_v, step[row]
+        for row, lane in enumerate(lanes):
+            if out[lane] is None and lane not in found:  # psi = 0
+                e0, top_v = kernel.fock_ground(row)
+                found[lane] = 0.0, e0, 0.0, top_v, step.get(row)
+    return found
+
+
+def _certify(problems, kernels, found, out):
+    """Check every candidate with a grid (B > 0) against it: one dpttrf
+    for all of them (module docstring).  A failure goes into out."""
+    checked, blocks, ends = [], [], []
+    for kernel, lanes in kernels:
+        rows = [row for row, lane in enumerate(lanes)
+                if out[lane] is None and found[lane][4] is not None]
+        if not rows:
+            continue
+        tops = [found[lanes[row]][4] * (COARSE_POINTS - 1) for row in rows]
+        keep, steps, levels, norms = [], [], [], []
+        for row, norm in zip(rows, kernel.norms(rows, tops)):
+            lane = lanes[row]
+            slack = 2.0 * (kernel.levels + 9) * EPS * norm
+            if not math.isfinite(slack):
+                out[lane] = ConvergenceError(
+                    "H(psi) overflows at mu = %r, D = %r"
+                    % (problems[lane].mu_over_U, problems[lane].D_eff)), None
+                continue
+            checked.append(lane)
+            keep.append(row)
+            steps.append(found[lane][4])
+            levels.append(found[lane][1] - slack)
+            norms.append(norm)
+        if keep:
+            grids = np.array(steps)[:, None] * _GRID_STEPS
+            blocks.append(kernel.pivot_blocks(keep, grids, levels, norms))
+            size = COARSE_POINTS * kernel.levels
+            start = ends[-1] if ends else 0
+            ends.extend(range(start + size, start + size * (len(keep) + 1),
+                              size))
+    if not checked:
+        return
+    d, e = (blocks[0] if len(blocks) == 1
+            else map(np.concatenate, zip(*blocks)))
+    try:
+        verdicts = _positive_blocks(d, e, ends)
+    except ConvergenceError as exc:
+        verdicts = [exc] * len(checked)
+    for lane, verdict in zip(checked, verdicts):
+        if verdict is False:
+            psi, e0 = found[lane][:2]
+            verdict = ConvergenceError(
                 "e0 has a second minimum at mu = %r, D = %r: a point of the "
-                "grid lies below e0(%r) = %r" % (problem.mu_over_U,
-                                                 problem.D_eff, psi, e0))
-    _warn_truncation(vec)
-    converged = abs(psi - a_exp) <= 1e-9
-    return OracleResult(psi_star=psi, e0=e0, a_expect=a_exp, converged=converged)
+                "grid lies below e0(%r) = %r" % (
+                    problems[lane].mu_over_U, problems[lane].D_eff, psi, e0))
+        if verdict is not True:
+            out[lane] = verdict, None
 
 
-def converged_psi(problem: MeanFieldProblem) -> float:
-    """psi* of a minimization that met stationarity, else ConvergenceError."""
-    res = minimize_order_parameter(problem)
+class OracleResults(tuple):
+    """minimize_order_parameter's outcome for a sequence of problems: per
+    problem its OracleResult, or the ConvergenceError it alone would
+    raise."""
+
+    __slots__ = ()
+
+    @property
+    def converged(self):
+        """True if every problem has a result that met stationarity."""
+        return all(isinstance(res, OracleResult) and res.converged
+                   for res in self)
+
+
+def minimize_order_parameter(problem):
+    """Minimize e0(psi) over psi >= 0; see module docstring.
+
+    problem is one MeanFieldProblem, whose OracleResult comes back or
+    whose failure raises, or a sequence of them, minimized in lockstep,
+    for an OracleResults.  Each problem gets the bits of its one-cell
+    call, whatever else is in the sequence, and a TruncationWarning where
+    its result needs one, in problem order.
+    """
+    one = isinstance(problem, MeanFieldProblem)
+    outcomes = []
+    for outcome, top in _minimize((problem,) if one else problem):
+        if top is not None:
+            _warn_truncation(top)
+        outcomes.append(outcome)
+    if not one:
+        return OracleResults(outcomes)
+    if isinstance(outcomes[0], ConvergenceError):
+        raise outcomes[0]
+    return outcomes[0]
+
+
+def _converged(problem, res):
+    """res's psi*, or its error, or the error of a result that did not
+    meet stationarity."""
+    if isinstance(res, ConvergenceError):
+        return res
     if not res.converged:
-        raise ConvergenceError(
+        return ConvergenceError(
             "oracle did not converge at mu = %r, D = %r: |psi - <a>| = %.3g"
-            % (problem.mu_over_U, problem.D_eff, abs(res.psi_star - res.a_expect)))
+            % (problem.mu_over_U, problem.D_eff,
+               abs(res.psi_star - res.a_expect)))
     return res.psi_star
 
 
-def _warn_truncation(vec):
-    weight = float(vec[-1]) ** 2
+def converged_psis(problems):
+    """psi* of each problem from one minimize_order_parameter call, or the
+    ConvergenceError of one that failed or did not meet stationarity."""
+    return [_converged(problem, res) for problem, res in
+            zip(problems, minimize_order_parameter(problems))]
+
+
+def _warn_truncation(top):
+    weight = float(top) ** 2
     if weight > 1e-8:
         warnings.warn("ground state carries weight %.3g on the top Fock level; "
                       "increase n_max" % weight, TruncationWarning, stacklevel=3)
@@ -498,23 +760,36 @@ def boundary_numeric(mu: float, n_max=None) -> float:
     A first-order jump is invisible to linear stability, so two full
     minimizations guard the answer: psi* must be exactly 0 at
     D*(1 - GUARD_STEP) and positive at D*(1 + GUARD_STEP).  Otherwise,
-    or if either minimization does not converge, ConvergenceError.
+    or if either minimization does not converge, ConvergenceError (the
+    one below first).
+    """
+    return boundary_and_psis(mu, (), n_max)[0]
+
+
+def boundary_and_psis(mu: float, D_values, n_max=None):
+    """(boundary_numeric(mu, n_max), converged psi* at each D of D_values).
+
+    The two guards and the cells at D_values are minimized in one
+    minimize_order_parameter call, so they run in lockstep.  A failure of
+    the boundary raises, as boundary_numeric does; a cell's failure is its
+    entry in the list of psi*, as in converged_psis.
     """
     hi = boundary_hopping(mu, lobe_index(mu), "paper")  # raises at lobe corners
-    kernel = _Kernel(MeanFieldProblem(mu, hi, n_max))  # overflow test at hi
+    kernel = _Kernel([MeanFieldProblem(mu, hi, n_max)])  # overflow test at hi
 
     def response_excess(D):
-        return kernel.response(D)[0] - 1.0
+        return kernel.response(D) - 1.0
 
     D_star = brent_root(response_excess, 0.0, hi, tol=ROOT_TOL)
-
-    def psi_at(D):
-        return converged_psi(MeanFieldProblem(mu, D, n_max))
-
-    below = psi_at(D_star * (1.0 - GUARD_STEP))
-    above = psi_at(D_star * (1.0 + GUARD_STEP))
+    below, above, *psis = converged_psis(
+        [MeanFieldProblem(mu, D, n_max) for D in
+         (D_star * (1.0 - GUARD_STEP), D_star * (1.0 + GUARD_STEP),
+          *D_values)])
+    for psi in (below, above):
+        if isinstance(psi, ConvergenceError):
+            raise psi
     if below != 0.0 or not above > 0.0:
         raise ConvergenceError(
             "boundary at mu = %r, D* = %r is not second order: psi* = %r "
             "below it and %r above it" % (mu, D_star, below, above))
-    return D_star
+    return D_star, psis

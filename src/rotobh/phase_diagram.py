@@ -23,7 +23,11 @@ one for its single mu, and classify is its one-cell case; a
 costheta-curve lobe takes its D_c once (_costheta_rule), and
 critical_costheta is that rule's one-cell case.  The a2 and psi
 expressions stay in landau, shared with order_parameter_landau, so every
-cell is bit for bit the per-cell value, error sentinels included.
+cell is bit for bit the per-cell value, error sentinels included.  A
+variational sweep labels every cell first and then hands all its
+superfluid cells, across rows and truncations, to one oracle call, which
+minimizes them in lockstep; each cell still gets the bits, or the error
+sentinel, of its own one-cell minimization.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .errors import (ConfigError, ConvergenceError, DomainError,
                      OutOfReachError, check_choice, check_count)
 from .landau import (CONVENTIONS, LOBE_TIP_TOL, VARIANT_FOR_CONVENTION,
                      boundary_hopping, lobe_index)
-from .oracle import MeanFieldProblem, check_n_max, converged_psi
+from .oracle import MeanFieldProblem, check_n_max, converged_psis
 
 PSI_METHODS = ("landau", "variational")
 SWEEP_KINDS = ("diagram", "sensing-loop", "costheta-curve")
@@ -74,7 +78,8 @@ def _row_rule(mu: float, convention: str, psi_method=None, n_max=None):
     exactly 0.  A superfluid cell's psi follows psi_method: 'landau' takes
     chi once per row and the bracket B on the row's first cell with
     a2 < 0, a corner raising DegenerateGapError as order_parameter_landau
-    does; 'variational' runs the oracle per cell; None (classify) gives
+    does; 'variational' gives the cell's MeanFieldProblem, which the
+    sweep hands to the oracle with all the others; None (classify) gives
     None.  A row error (chi overflowing near mu = 0) raises here, a cell
     error from cell(D).
     """
@@ -88,7 +93,7 @@ def _row_rule(mu: float, convention: str, psi_method=None, n_max=None):
             return None
     elif psi_method == "variational":
         def psi_of(D):
-            return converged_psi(MeanFieldProblem(mu, D, n_max))
+            return MeanFieldProblem(mu, D, n_max)
     elif corner:
         def psi_of(D):
             return landau.order_parameter_landau(D, mu, n, variant)
@@ -203,7 +208,8 @@ def _sweep_cell(mu, spec):
     """The sweep's cell D -> (lobe, label, psi) in the row at mu.
 
     A cell error, or the row's, comes back as its error:<code> sentinel
-    with psi NaN.
+    with psi NaN.  A variational superfluid cell's psi is its
+    MeanFieldProblem until _minimize_cells replaces it.
     """
     n = lobe_index(mu)
     try:
@@ -220,6 +226,23 @@ def _sweep_cell(mu, spec):
         return n, label, psi
 
     return cell
+
+
+def _minimize_cells(rows):
+    """rows with each MeanFieldProblem psi (the last column) replaced by
+    its converged psi*, from one oracle call for all of them: across rows
+    and truncations, the cells are minimized in lockstep.  A cell whose
+    minimization fails becomes its error:<code> sentinel with psi NaN."""
+    cells = [i for i, row in enumerate(rows)
+             if isinstance(row[-1], MeanFieldProblem)]
+    if not cells:  # no superfluid cell: no oracle call
+        return rows
+    for i, psi in zip(cells, converged_psis([rows[i][-1] for i in cells])):
+        if isinstance(psi, _CELL_ERRORS):
+            rows[i] = rows[i][:-2] + ("error:%s" % psi.code, math.nan)
+        else:
+            rows[i] = rows[i][:-1] + (psi,)
+    return rows
 
 
 def sweep(spec: SweepSpec) -> PhaseGrid:
@@ -240,6 +263,8 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
         for mu in mus:
             cell = _sweep_cell(mu, spec)
             rows.extend((mu, D) + cell(D) for D in Ds)
+        if spec.psi_method == "variational":
+            rows = _minimize_cells(rows)
         return PhaseGrid(("mu_over_U", "D_eff", "lobe_n", "phase", "psi"),
                          tuple(rows))
 
@@ -256,6 +281,8 @@ def sweep(spec: SweepSpec) -> PhaseGrid:
             for theta in thetas:
                 D = effective_hopping(t, theta)
                 rows.append((t, theta, D) + cell(D))
+        if spec.psi_method == "variational":
+            rows = _minimize_cells(rows)
         return PhaseGrid(("t_over_U", "theta", "D_eff", "lobe_n", "phase",
                           "psi"), tuple(rows))
 

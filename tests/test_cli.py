@@ -463,7 +463,7 @@ def test_oracle_check_rotation_domain_exits_3(monkeypatch, flags):
     def no_solve(*args):
         raise AssertionError("boundary solved before the domain check")
 
-    monkeypatch.setattr(cli, "boundary_numeric", no_solve)
+    monkeypatch.setattr(cli, "boundary_and_psis", no_solve)
     status, out, err = run_cli(["oracle-check", "--mu", "1.0"] + flags)
     assert status == 3 and out == ""
     assert err.startswith("rotobh: error:") and "Traceback" not in err
@@ -480,8 +480,11 @@ def test_lobe_is_derived_not_a_flag():
 
 
 def test_oracle_check_unconverged_exits_4(monkeypatch):
+    # every cell of the batched call, the boundary's guards first
+    unconverged = oracle.OracleResult(0.5, -1.0, 0.4, False)
     monkeypatch.setattr(oracle, "minimize_order_parameter",
-                        lambda problem: oracle.OracleResult(0.5, -1.0, 0.4, False))
+                        lambda problems: oracle.OracleResults(
+                            [unconverged] * len(problems)))
     status, out, err = run_cli(["oracle-check", "--mu", "1.0",
                                 "--dthetas", "0.005"])
     assert status == 4

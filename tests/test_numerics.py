@@ -223,6 +223,15 @@ def _with_slope(f, df, seen=None):
     return g
 
 
+def _newton(g, lo, hi, **kwargs):
+    """newton_root on the one lane [lo, hi]: its root, or its error raised."""
+    (x,) = newton_root(lambda lanes, xs: [g(x) for x in xs], [(lo, hi)],
+                       **kwargs)
+    if isinstance(x, Exception):
+        raise x
+    return x
+
+
 def _sign_bracket_holds(f, x, tol):
     # a sign change of f lies within tol plus 4 ulps of x
     w = tol + 4.0 * EPS * abs(x)
@@ -243,7 +252,7 @@ _NEWTON_CASES = (
 def test_newton_returns_a_sign_bracket(case, tol):
     f, df, lo, hi = _NEWTON_CASES[case]
     seen = []
-    x = newton_root(_with_slope(f, df, seen), lo, hi, tol=tol)
+    x = _newton(_with_slope(f, df, seen), lo, hi, tol=tol)
     assert lo <= x <= hi
     assert _sign_bracket_holds(f, x, tol)
     assert x in seen  # an end of the final bracket, not a new point
@@ -256,7 +265,7 @@ def test_newton_bisects_on_an_unusable_slope(slope):
     # no Newton point, so each step bisects and still meets the contract
     f = lambda x: math.cos(x) - x  # noqa: E731
     g = _with_slope(f, lambda x: slope)
-    x = newton_root(g, 0.0, 1.0, tol=1e-12)
+    x = _newton(g, 0.0, 1.0, tol=1e-12)
     assert _sign_bracket_holds(f, x, 1e-12)
     assert g.evals <= math.ceil(math.log2(1.0 / 1e-12)) + 3
 
@@ -267,7 +276,7 @@ def test_newton_bisects_a_point_outside_the_bracket():
     f = lambda x: x ** 3 - 2.0  # noqa: E731
     for factor in (0.1, 2.0):
         g = _with_slope(f, lambda x: factor * 3.0 * x * x)
-        x = newton_root(g, 0.0, 4.0, tol=1e-13)
+        x = _newton(g, 0.0, 4.0, tol=1e-13)
         assert _sign_bracket_holds(f, x, 1e-13)
 
 
@@ -277,57 +286,57 @@ def test_newton_model_caps_the_steps_before_a_sign_change():
     f = lambda x: x * (x * x - 1e-4)  # noqa: E731
     df = lambda x: 3.0 * x * x - 1e-4  # noqa: E731
     plain = _with_slope(f, df)
-    assert _sign_bracket_holds(f, newton_root(plain, 1e-6, 2.0, tol=1e-14),
+    assert _sign_bracket_holds(f, _newton(plain, 1e-6, 2.0, tol=1e-14),
                                1e-14)
     assert plain.evals > 10
     calls = []
 
-    def model(p, fp):
-        calls.append((p, fp))
+    def model(lane, p, fp):
+        calls.append((lane, p, fp))
         return 0.01
 
     capped = _with_slope(f, df)
-    assert newton_root(capped, 1e-6, 2.0, tol=1e-14, model=model) == 0.01
-    assert capped.evals == 3 and calls == [(2.0, f(2.0))]
+    assert _newton(capped, 1e-6, 2.0, tol=1e-14, model=model) == 0.01
+    assert capped.evals == 3 and calls == [(0, 2.0, f(2.0))]
     # a NaN model point is ignored, a model point past the Newton point
     # does not hold the step back, and the model caps no bisection
     for point in (math.nan, 3.0):
         ignored = _with_slope(f, df)
-        newton_root(ignored, 1e-6, 2.0, tol=1e-14, model=lambda p, fp: point)
+        _newton(ignored, 1e-6, 2.0, tol=1e-14, model=lambda k, p, fp: point)
         assert ignored.evals == plain.evals
 
     def bisections(model):
         g = _with_slope(f, lambda x: math.nan)
-        newton_root(g, 1e-6, 2.0, tol=1e-14, model=model)
+        _newton(g, 1e-6, 2.0, tol=1e-14, model=model)
         return g.evals
-    assert bisections(lambda p, fp: 0.01) == bisections(None) > 40
+    assert bisections(lambda k, p, fp: 0.01) == bisections(None) > 40
 
 
 def test_newton_endpoints_and_bracket():
     g = _with_slope(lambda x: x - 0.5, lambda x: 1.0)
-    assert newton_root(_with_slope(lambda x: x, lambda x: 1.0), 0.0, 1.0) \
+    assert _newton(_with_slope(lambda x: x, lambda x: 1.0), 0.0, 1.0) \
         == 0.0
-    assert newton_root(_with_slope(lambda x: x - 1.0, lambda x: 1.0),
+    assert _newton(_with_slope(lambda x: x - 1.0, lambda x: 1.0),
                        0.0, 1.0) == 1.0
-    assert newton_root(g, 0.0, 1.0) == 0.5 and g.evals == 3
+    assert _newton(g, 0.0, 1.0) == 0.5 and g.evals == 3
     for f in (lambda x: x * x + 1.0,  # no sign change
               lambda x: math.nan if x == 0.0 else x - 0.5,  # NaN ends
               lambda x: math.nan if x == 1.0 else x - 0.5):
         with pytest.raises(ValueError):
-            newton_root(_with_slope(f, lambda x: 1.0), 0.0, 1.0)
+            _newton(_with_slope(f, lambda x: 1.0), 0.0, 1.0)
 
 
 def test_newton_nan_inside_the_bracket_is_an_error():
     f = lambda x: math.nan if 0.45 < x < 0.55 else x - 0.5  # noqa: E731
     g = _with_slope(f, lambda x: 1.0)
     with pytest.raises(ConvergenceError, match="NaN at 0.5"):
-        newton_root(g, 0.0, 1.0)
+        _newton(g, 0.0, 1.0)
     assert g.evals == 3  # both ends, then the Newton point 0.5
 
 
 def test_newton_out_of_iterations_is_an_error():
     with pytest.raises(ConvergenceError, match="Newton"):
-        newton_root(_with_slope(lambda x: x ** 3 - 2.0, lambda x: 3 * x * x),
+        _newton(_with_slope(lambda x: x ** 3 - 2.0, lambda x: 3 * x * x),
                     0.0, 4.0, tol=1e-13, max_iter=3)
 
 
@@ -351,7 +360,8 @@ def test_root_is_the_final_bracket_end_with_the_smaller_value(
     else:
         slope = ((lambda p: steep if p > root else 1.0) if finder == "newton"
                  else (lambda p: math.nan))
-        x = newton_root(_with_slope(f, slope, seen), 0.0, 1.0, tol=tol)
+        x = _newton(_with_slope(f, slope, seen), 0.0, 1.0, tol=tol)
+        _lanes_match_their_one_lane_calls(_with_slope(f, slope), tol)
     if f(x) == 0.0:
         return
     below = max(p for p in seen if f(p) < 0.0)
@@ -359,6 +369,45 @@ def test_root_is_the_final_bracket_end_with_the_smaller_value(
     assert x in (below, above)
     assert abs(f(x)) == min(abs(f(below)), abs(f(above)))
     assert above - below <= tol + 4.0 * EPS * abs(x)
+
+
+def _outcome(lane):
+    """A lane's root, or its error as (type, message)."""
+    if isinstance(lane, Exception):
+        return type(lane), str(lane)
+    return lane
+
+
+def _lanes_match_their_one_lane_calls(g, tol):
+    # g on [0, 1] between neighbours that stop at once (a root at an end),
+    # take one probe, raise ValueError (no sign change) or meet a NaN
+    # inside the bracket, in every order: each lane returns, after the
+    # same evaluations, what its one-lane call returns
+    lanes = [
+        (g, 0.0, 1.0),
+        (_with_slope(lambda x: x - 1.0, lambda x: 1.0), 0.0, 1.0),
+        (_with_slope(lambda x: x - 0.5, lambda x: 1.0), 0.0, 1.0),
+        (_with_slope(lambda x: x * x + 1.0, lambda x: 2.0 * x), 0.0, 1.0),
+        (_with_slope(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5,
+                     lambda x: 1.0), 0.0, 1.0)]
+    alone = []
+    for h, lo, hi in lanes:
+        seen = []
+        try:
+            x = _newton(lambda p: seen.append(p) or h(p), lo, hi, tol=tol)
+        except (ValueError, ConvergenceError) as exc:
+            x = exc
+        alone.append((_outcome(x), seen))
+    for order in (range(5), range(4, -1, -1), (2, 0, 4, 1, 3)):
+        seen = {k: [] for k in order}
+
+        def batch(idx, xs):
+            for k, x in zip(idx, xs):
+                seen[order[k]].append(x)
+            return [lanes[order[k]][0](x) for k, x in zip(idx, xs)]
+        out = newton_root(batch, [lanes[k][1:] for k in order], tol=tol)
+        for k, x in zip(order, out):
+            assert (_outcome(x), seen[k]) == alone[k]
 
 
 Z_MIN = -0.5 * math.exp(-1.0)  # the z a saturated fit sends lambert_w

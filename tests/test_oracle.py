@@ -61,7 +61,8 @@ def test_overflowing_hamiltonian_is_a_convergence_error(monkeypatch):
         boundary_numeric(-1e200)
     # an infinite norm bound would make the slack infinite and the
     # certificate pass whatever the grid holds
-    monkeypatch.setattr(oracle._Kernel, "norm", lambda self, top: math.inf)
+    monkeypatch.setattr(oracle._Kernel, "norms",
+                        lambda self, rows, tops: [math.inf] * len(rows))
     with pytest.raises(ConvergenceError, match="overflows"):
         minimize_order_parameter(MeanFieldProblem(1.0, 0.25))
 
@@ -77,7 +78,7 @@ def test_default_truncation():
 
 def test_hamiltonian_structure():
     p = MeanFieldProblem(1.3, 0.2, 5)
-    diag, off = oracle._Kernel(p).tridiag(0.4)
+    diag, off = oracle._Kernel([p]).tridiag(0.4)
     assert diag.shape == (6,) and off.shape == (5,)
     k = np.arange(6.0)
     assert np.allclose(diag, -1.3 * k + k * (k - 1.0) + 2.0 * 0.2 * 0.16)
@@ -196,15 +197,14 @@ def test_minimizer_unbracketed_root_is_an_error(monkeypatch):
     # <a> and its slope doubled past psi = 0.5 in the root's solves:
     # F = psi - <a> < 0 at both ends of [RESPONSE_EPS, grid[-1]], so the
     # bracket holds no sign change
-    real = oracle._Kernel.root_step
+    real = oracle._Kernel.root_steps
 
-    def falling(self, psi):
-        e0, vec, a_exp, slope = real(self, psi)
-        if psi > 0.5:
-            a_exp, slope = 2.0 * a_exp, 2.0 * slope
-        return e0, vec, a_exp, slope
+    def falling(self, rows, psis):
+        return [(e0, 2.0 * a_exp, 2.0 * slope, top) if psi > 0.5 else step
+                for psi, step in zip(psis, real(self, rows, psis))
+                for e0, a_exp, slope, top in [step]]
 
-    monkeypatch.setattr(oracle._Kernel, "root_step", falling)
+    monkeypatch.setattr(oracle._Kernel, "root_steps", falling)
     with pytest.raises(ConvergenceError, match="no stationary point"):
         minimize_order_parameter(MeanFieldProblem(1.0, 0.25))
 
@@ -251,9 +251,79 @@ def test_minimizer_converges_at_huge_hopping(mu, log_d):
     R = min(mu + 1.0 + 2.0 * p.D_eff, p.n_max)
     assert res.psi_star ** 2 <= R * (1.0 + 1e-12)
     top = float(_grid(p)[-1])
-    _, _, a_top = oracle._Kernel(p).eigenpair(top)
+    _, _, a_top = oracle._Kernel([p]).eigenpair(top)
     if R == p.n_max:
         assert 1.0 - a_top / top >= 2.0 / (COARSE_POINTS - 1) - 1e-12
+
+
+def _in_lobe(lobe, frac):
+    """mu inside lobe n, 2(n - 1) < mu < 2n, and its closed-form D_cv."""
+    mu = 2.0 * (lobe - 1 + frac)
+    return mu, boundary_hopping(mu, lobe, "variational")
+
+
+_N_MAX = st.one_of(st.none(), st.integers(4, 24))
+_LOBE = st.tuples(st.integers(0, 4), st.floats(0.01, 0.99))
+_BATCH_CELL = st.one_of(
+    # superfluid and Mott cells, up to ten times D_cv
+    st.builds(lambda at, scale, n: (at[0], scale * at[1], n),
+              _LOBE.map(lambda lf: _in_lobe(*lf)), st.floats(0.0, 10.0),
+              _N_MAX),
+    # next to the boundary: D / D_cv - 1 from 1e-9 to 1e-2
+    st.builds(lambda at, k, n: (at[0], at[1] * (1.0 + 10.0 ** k), n),
+              _LOBE.map(lambda lf: _in_lobe(*lf)), st.floats(-9.0, -2.0),
+              _N_MAX),
+    # B = mu + 1 + 2 D <= 0
+    st.builds(lambda mu, y, n: (mu, 0.5 * y * (-1.0 - mu), n),
+              st.floats(-4.0, -1.0), st.floats(0.0, 1.0), _N_MAX),
+    # D = 0, and a huge D, which overflows H from about 5e153
+    st.builds(lambda at, n: (at[0], 0.0, n),
+              _LOBE.map(lambda lf: _in_lobe(*lf)), _N_MAX),
+    st.builds(lambda mu, k, n: (mu, 10.0 ** k, n), st.floats(-1.9, 8.0),
+              st.floats(100.0, 160.0), _N_MAX))
+
+
+def _bits(outcome):
+    """An outcome's bits: psi*, e0, <a> and converged, or the error."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return (outcome.psi_star.hex(), outcome.e0.hex(), outcome.a_expect.hex(),
+            outcome.converged)
+
+
+def _minimized(call):
+    """(outcome of call, its TruncationWarning messages in order)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = call()
+        except ConvergenceError as exc:
+            out = exc
+    return out, [str(w.message) for w in caught
+                 if issubclass(w.category, TruncationWarning)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cells=st.lists(_BATCH_CELL, min_size=1, max_size=8), data=st.data())
+def test_batch_lanes_match_their_one_cell_calls(cells, data):
+    # a mixed batch across lobes 0 to 4 and truncations 4 to 24: each lane
+    # has the bits, error and TruncationWarnings of its one-cell call, in
+    # cell order, whatever K and the other lanes are, and a permuted batch
+    # gives each cell the same outcome
+    problems = [MeanFieldProblem(*cell) for cell in cells]
+    alone = [_minimized(lambda p=p: minimize_order_parameter(p))
+             for p in problems]
+    batch, caught = _minimized(lambda: minimize_order_parameter(problems))
+    assert isinstance(batch, oracle.OracleResults)
+    assert [_bits(res) for res in batch] == [_bits(res) for res, _ in alone]
+    assert caught == [message for _, messages in alone for message in messages]
+    assert batch.converged == all(
+        isinstance(res, OracleResult) and res.converged for res, _ in alone)
+    order = data.draw(st.permutations(range(len(problems))))
+    permuted, _ = _minimized(
+        lambda: minimize_order_parameter([problems[i] for i in order]))
+    assert [_bits(res) for res in permuted] \
+        == [_bits(alone[i][0]) for i in order]
 
 
 def _dense_scan(problem, grid):
@@ -294,16 +364,24 @@ def test_scan_cut_matches_the_full_scan(cell, n_max):
     # the root's bracket end: wherever e0(top) <= e0(0), <a> <= sqrt(B),
     # so g(top) = 1 - <a>/top >= 1 - (COARSE_POINTS - 3)/(COARSE_POINTS - 1)
     top = float(_grid(p)[-1])
-    e_top, _, a_top = oracle._Kernel(p).eigenpair(top)
+    e_top, _, a_top = oracle._Kernel([p]).eigenpair(top)
     if e_top <= ground_energy(p, 0.0)[0]:
         assert 1.0 - a_top / top >= 2.0 / (COARSE_POINTS - 1) - 1e-12
 
 
+def _above(kernel, grid, level, norm):
+    """The certificate's verdict on lane 0 at the psi of grid: True if the
+    ground energy at each exceeds level."""
+    d, e = kernel.pivot_blocks([0], np.array([grid], dtype=float), [level],
+                               [norm])
+    return oracle._positive_blocks(d, e, [d.size])[0]
+
+
 def _certificate(problem, psi, level):
     """The certificate's verdict on the grid's norm at one psi and level."""
-    kernel = oracle._Kernel(problem)
-    norm = kernel.norm(float(_grid(problem)[-1]))
-    return kernel.above(np.array([psi]), level, norm), norm
+    kernel = oracle._Kernel([problem])
+    norm = kernel.norms([0], [float(_grid(problem)[-1])])[0]
+    return _above(kernel, [psi], level, norm), norm
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -335,15 +413,15 @@ def _recording_dpttrf(monkeypatch):
     infos = []
     real = oracle._lapack()[1]
 
-    def recording(d, e, **kwargs):
-        out = real(d, e, **kwargs)
+    def recording(d, e, *args, **kwargs):
+        out = real(d, e, *args, **kwargs)
         infos.append(out[2])
         return out
     monkeypatch.setattr(oracle, "dpttrf", recording)
     return infos
 
 
-def _dpttrf_fails(d, e, **kwargs):
+def _dpttrf_fails(d, e, *args, **kwargs):
     return d, e, -2
 
 
@@ -362,28 +440,49 @@ def test_certificate_fails_closed(monkeypatch):
         # between the superfluid minimum near psi = 0.73 and the energies at
         # psi = 0 and 1.5 passes the outer blocks and fails the middle one
         infos = _recording_dpttrf(monkeypatch)
-        kernel = oracle._Kernel(p)
-        norm = kernel.norm(float(_grid(p)[-1]))
+        kernel = oracle._Kernel([p])
+        norm = kernel.norms([0], [float(_grid(p)[-1])])[0]
         low = kernel.eigenpair(0.73)[0]
         high = min(kernel.eigenpair(0.0)[0], kernel.eigenpair(1.5)[0])
         assert high - low > 1e-3
         level = 0.5 * (low + high)
-        assert kernel.above(np.array([0.0, 1.5]), level, norm)
-        assert not kernel.above(np.array([0.0, 0.73, 1.5]), level, norm)
+        assert _above(kernel, [0.0, 1.5], level, norm)
+        assert not _above(kernel, [0.0, 0.73, 1.5], level, norm)
         assert infos[-1] > 0  # dpttrf stopped inside the middle block
         # a NaN pivot after positive ones: dpttrf's D(i) <= 0 test lets it
         # through (info = 0), and the pivots themselves fail it
-        assert not kernel.above(np.array([0.0, 1.5, math.nan]), level, norm)
+        assert not _above(kernel, [0.0, 1.5, math.nan], level, norm)
         assert infos[-1] == 0
-        assert not kernel.above(np.array([0.0, math.nan, 1.5]), level, norm)
+        assert not _above(kernel, [0.0, math.nan, 1.5], level, norm)
         assert infos[-1] == 0
-    # info < 0 is a LAPACK failure, never a verdict
+        # one dpttrf factors the blocks of every lane: a lane that fails,
+        # by a pivot <= 0 (dpttrf stops, info > 0) or a NaN one (info = 0,
+        # and the NaN runs on into the lanes after it), fails alone, and
+        # the lane past it is factored again and still certified
+        lanes = oracle._Kernel([p, p, p])
+        for middle, stops in (([0.0, 0.73, 1.5], True),
+                              ([0.0, math.nan, 1.5], False)):
+            del infos[:]
+            grids = np.array([[0.0, 1.5, 1.5], middle, [1.5, 0.0, 1.5]])
+            d, e = lanes.pivot_blocks([0, 1, 2], grids, [level] * 3,
+                                      [norm] * 3)
+            size = d.size // 3
+            assert oracle._positive_blocks(d, e, [size, 2 * size, 3 * size]) \
+                == [True, False, True]
+            assert len(infos) == 2 and infos[1] == 0
+            assert (infos[0] > 0) == stops
+    # info < 0 is a LAPACK failure, never a verdict: the one-cell call
+    # raises it, and every lane of a batch with a grid has it as its outcome
     monkeypatch.setattr(oracle, "dpttrf", _dpttrf_fails)
     for call in (lambda: _certificate(p, 0.3, -10.0),
                  lambda: minimize_order_parameter(p),
                  lambda: minimize_order_parameter(MeanFieldProblem(1.0, 0.1))):
         with pytest.raises(ConvergenceError, match="dpttrf"):
             call()
+    batch = minimize_order_parameter([p, MeanFieldProblem(-3.0, 0.1), flat])
+    assert [type(res) for res in batch] == [ConvergenceError, OracleResult,
+                                            ConvergenceError]
+    assert "dpttrf" in str(batch[0]) and not batch.converged
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -398,13 +497,16 @@ def test_certificate_fails_closed(monkeypatch):
 def test_fock_ground_is_the_psi_zero_eigenpair(mu, D, n_max):
     # H(0) = diag(base): the exact Fock ground state, the first lowest level
     # of a tie, has the bits of dstev's eigenpair(0.0) over lobes 0 to 4
-    kernel = oracle._Kernel(MeanFieldProblem(mu, D, n_max))
-    e0, vec, a_exp = kernel.fock_ground()
+    kernel = oracle._Kernel([MeanFieldProblem(mu, D, n_max)])
+    e0, top = kernel.fock_ground(0)
     e_ref, v_ref, a_ref = kernel.eigenpair(0.0)
+    k = np.arange(n_max + 1.0)
+    vec = np.zeros(n_max + 1)
+    vec[int(np.argmin(-mu * k + k * (k - 1.0)))] = 1.0  # the lowest level
     assert e0.hex() == e_ref.hex()
     assert vec.tobytes() == v_ref.tobytes()
-    assert a_exp.hex() == a_ref.hex()
-    assert (float(vec[-1]) ** 2).hex() == (float(v_ref[-1]) ** 2).hex()
+    assert a_ref.hex() == (0.0).hex()
+    assert (top ** 2).hex() == (float(v_ref[-1]) ** 2).hex()
 
 
 def test_diagonal_hamiltonians_take_no_eigensolve(monkeypatch):
@@ -413,9 +515,9 @@ def test_diagonal_hamiltonians_take_no_eigensolve(monkeypatch):
     real = oracle._lapack()[0]
     solved = []
 
-    def counting(d, e, **kwargs):
+    def counting(d, e, *args, **kwargs):
         solved.append(bool(e.any()))
-        return real(d, e, **kwargs)
+        return real(d, e, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "dstev", counting)
     minimize_order_parameter(MeanFieldProblem(-2.0, 0.1))  # B <= 0
@@ -438,13 +540,19 @@ def test_minimizer_scan_against_stable_mott_is_an_error(monkeypatch):
     p = MeanFieldProblem(1.0, 0.1)  # Mott: r < 1, candidate psi = 0
 
     def lift(m, depth):
-        for name in ("eigenpair", "root_step", "fock_ground"):
+        for name in ("eigenpair", "fock_ground"):
             real = getattr(oracle._Kernel, name)
 
-            def lifted(self, *psi, real=real):
-                e0, *rest = real(self, *psi)
+            def lifted(self, *args, real=real, **kwargs):
+                e0, *rest = real(self, *args, **kwargs)
                 return (e0 + depth, *rest)
             m.setattr(oracle._Kernel, name, lifted)
+        real_steps = oracle._Kernel.root_steps
+
+        def lifted_steps(self, rows, psis):
+            return [(e0 + depth, *rest) for e0, *rest in
+                    real_steps(self, rows, psis)]
+        m.setattr(oracle._Kernel, "root_steps", lifted_steps)
 
     with monkeypatch.context() as m:
         lift(m, 1e-15)  # rounding
@@ -480,22 +588,25 @@ def test_boundary_numeric_is_exact(n_max):
 
 
 def test_boundary_numeric_runs_two_minimizations(monkeypatch):
+    # both guards, in one lockstep call
     calls = []
     real = oracle.minimize_order_parameter
 
-    def counting(problem):
-        calls.append(problem.D_eff)
-        return real(problem)
+    def counting(problems):
+        calls.append([problem.D_eff for problem in problems])
+        return real(problems)
 
     monkeypatch.setattr(oracle, "minimize_order_parameter", counting)
     bn = boundary_numeric(1.0, 12)
-    assert len(calls) == 2
-    assert calls[0] < bn < calls[1]
+    assert len(calls) == 1 and len(calls[0]) == 2
+    assert calls[0][0] < bn < calls[0][1]
 
 
 def _constant_psi(psi):
-    def minimize(problem):
-        return OracleResult(psi_star=psi, e0=0.0, a_expect=psi, converged=True)
+    def minimize(problems):
+        return oracle.OracleResults([OracleResult(
+            psi_star=psi, e0=0.0, a_expect=psi,
+            converged=True)] * len(problems))
     return minimize
 
 
@@ -582,7 +693,7 @@ def test_root_step_slope_matches_dense_and_difference(lobe, frac, scale,
     assume(mu + 1.0 + 2.0 * D > 0.0)
     p = MeanFieldProblem(mu, D, n_max)
     psi = t * float(_grid(p)[-1])
-    e0, vec, a_exp, slope = oracle._Kernel(p).root_step(psi)
+    ((e0, a_exp, slope, _),) = oracle._Kernel([p]).root_steps([0], [psi])
     w, v = np.linalg.eigh(dense_hamiltonian(p, psi))
     assume(w[1] - w[0] > 1e-3)  # the ground vector is well determined
     x = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
@@ -603,7 +714,7 @@ def _mp_a_expectation(mp, problem, psi):
     started from the double ground vector, until <a> stops moving."""
     mu, D, n = mp.mpf(problem.mu_over_U), mp.mpf(problem.D_eff), \
         problem.n_max + 1
-    e0, vec, _ = oracle._Kernel(problem).eigenpair(float(psi))
+    e0, vec, _ = oracle._Kernel([problem]).eigenpair(float(psi))
     shift = mp.mpf(e0) - mp.mpf(1e-8) * max(1.0, abs(e0))
     diag = [-mu * k + k * (k - 1) + 2 * D * psi * psi - shift
             for k in range(n)]
@@ -650,12 +761,15 @@ def test_minimizer_meets_golden_tol_next_to_the_boundary(lobe, rel):
         assert abs(psi - _mp_psi_star(mp, p, psi)) <= oracle.GOLDEN_TOL, mu
 
 
-def _dstev_fails(d, e, **kwargs):
+def _dstev_fails(d, e, *args, **kwargs):
     return np.zeros_like(d), np.eye(d.size), 1
 
 
 def test_lapack_failure_is_an_error(monkeypatch):
     p = MeanFieldProblem(1.0, 0.25)
+    cells = [p, MeanFieldProblem(1.2, 0.3), MeanFieldProblem(0.8, 0.35, 12)]
+    alone = [repr(minimize_order_parameter(cell)) for cell in cells]
+    real = oracle._lapack()[0]
     monkeypatch.setattr(oracle, "dstev", _dstev_fails)
     for call in (lambda: ground_energy(p, 0.3),
                  lambda: a_expectation(p, 0.3),
@@ -664,3 +778,22 @@ def test_lapack_failure_is_an_error(monkeypatch):
                      MeanFieldProblem(1.0, 0.1))):  # Mott: the response
         with pytest.raises(ConvergenceError, match="dstev"):
             call()
+    # in a batch, a failed dstev is its lane's error alone, whether it is
+    # the lane's response (its first solve) or a root step (its second);
+    # the other lanes keep the bits of their one-cell calls
+    for failing in (1, 2):
+        solves = []
+
+        def flaky(d, e, *args):
+            if abs(d[1] - d[0] + 1.2) < 1e-9:  # base_1 - base_0 = -mu
+                solves.append(d[0])
+                if len(solves) == failing:
+                    return _dstev_fails(d, e)
+            return real(d, e, *args)
+
+        monkeypatch.setattr(oracle, "dstev", flaky)
+        batch = minimize_order_parameter(cells)
+        assert isinstance(batch[1], ConvergenceError)
+        assert str(batch[1]) == "LAPACK dstev failed (info = 1)"
+        assert [repr(batch[0]), repr(batch[2])] == alone[::2]
+        assert not batch.converged

@@ -387,14 +387,30 @@ def test_sweep_lobes_must_be_integral():
 
 def test_sweep_unconverged_oracle_is_a_sentinel(monkeypatch):
     from rotobh import oracle
-    monkeypatch.setattr(oracle, "minimize_order_parameter",
-                        lambda problem: oracle.OracleResult(0.5, -1.0, 0.4, False))
+    real = oracle.minimize_order_parameter
     spec = SweepSpec(kind="diagram", psi_method="variational",
-                     mu_values=(1.0,), D_values=(0.05, 0.5))
-    table = {r[1]: r for r in sweep(spec).rows}
-    assert table[0.05][3] == "mott:1"  # no oracle call needed
-    assert table[0.5][3] == "error:no-convergence"
-    assert math.isnan(table[0.5][4])
+                     mu_values=(1.0, 3.0), D_values=(0.05, 0.5, 0.6))
+    rows = sweep(spec).rows
+    calls = []
+
+    def one_unconverged(problems):
+        # the sweep's one batched call; the cell at (1.0, 0.5) fails
+        calls.append(len(problems))
+        return oracle.OracleResults(
+            oracle.OracleResult(0.5, -1.0, 0.4, False)
+            if (p.mu_over_U, p.D_eff) == (1.0, 0.5) else res
+            for p, res in zip(problems, real(problems)))
+
+    monkeypatch.setattr(oracle, "minimize_order_parameter", one_unconverged)
+    table = {r[:2]: r for r in sweep(spec).rows}
+    assert calls == [4]  # the superfluid cells of both rows
+    assert table[1.0, 0.05][3] == "mott:1"  # no oracle call needed
+    assert table[1.0, 0.5][3] == "error:no-convergence"
+    assert math.isnan(table[1.0, 0.5][4])
+    # the failing cell's neighbours keep their bits
+    for row, failed in zip(rows, sweep(spec).rows):
+        if row[:2] != (1.0, 0.5):
+            assert repr(row) == repr(failed)
 
 
 def test_sweep_validation():
