@@ -18,7 +18,6 @@ NaN inside its bracket, raises ConvergenceError, and lambert_w raises it
 when its residual check fails; none returns an unverified point.
 """
 
-import functools
 import math
 import sys
 
@@ -205,9 +204,10 @@ def newton_root(f, brackets, tol=1e-10, max_iter=100, model=None, flo=None):
     lane with it.  A lane takes exactly the steps of the scalar search
     below on its own bracket, whatever the other lanes do: a round hands f
     the lanes still open, and a lane leaves once it has its root or its
-    error.  flo, if given, holds every lane's f(lo), which f is then not
-    asked for.  Returns one entry per lane: the root, or the ValueError or
-    ConvergenceError its search met.
+    error; until one leaves, f is handed the same list of lanes, the same
+    object, from round to round.  flo, if given, holds every lane's f(lo),
+    which f is then not asked for.  Returns one entry per lane: the root,
+    or the ValueError or ConvergenceError its search met.
 
     The slope at lo is never read.  The Newton/bisection hybrid follows
     rtsafe (Press et al., Numerical Recipes, 3rd ed., sec. 9.4): the
@@ -235,36 +235,32 @@ def newton_root(f, brackets, tol=1e-10, max_iter=100, model=None, flo=None):
     f(hi) bracket a root, and a ConvergenceError if max_iter steps do not
     get there, or as soon as f is NaN inside the bracket.
     """
-    if flo is None:
-        flo = [None] * len(brackets)
-    out = [None] * len(brackets)
-    idx = list(range(len(brackets)))
-    lanes = [_rtsafe(float(lo), float(hi), tol, max_iter, fk,
-                     None if model is None else functools.partial(model, k))
-             for k, ((lo, hi), fk) in enumerate(zip(brackets, flo))]
+    lanes = [_rtsafe(float(lo), float(hi), tol, max_iter,
+                     None if flo is None else flo[k], model, k)
+             for k, (lo, hi) in enumerate(brackets)]
+    out = [None] * len(lanes)
+    idx = list(range(len(lanes)))
     xs = [next(lane) for lane in lanes]
     while idx:
-        ended = []
-        for i, (lane, value) in enumerate(zip(lanes, f(idx, xs))):
+        ended = False
+        for i, value in enumerate(f(idx, xs)):
             try:
-                xs[i] = (lane.throw(value) if isinstance(value, Exception)
-                         else lane.send(value))
+                xs[i] = (lanes[i].throw(value) if isinstance(value, Exception)
+                         else lanes[i].send(value))
             except StopIteration as stop:
-                out[idx[i]] = stop.value
-                ended.append(i)
+                out[idx[i]], xs[i], ended = stop.value, None, True
             except (ValueError, ConvergenceError) as exc:
-                out[idx[i]] = exc
-                ended.append(i)
-        if ended:
-            keep = [i for i in range(len(idx)) if i not in ended]
+                out[idx[i]], xs[i], ended = exc, None, True
+        if ended:  # else idx stays the list f was handed
+            keep = [i for i, x in enumerate(xs) if x is not None]
             idx = [idx[i] for i in keep]
             lanes = [lanes[i] for i in keep]
             xs = [xs[i] for i in keep]
     return out
 
 
-def _rtsafe(lo, hi, tol, max_iter, flo, model):
-    """One lane of newton_root: yields each abscissa to evaluate, is sent
+def _rtsafe(lo, hi, tol, max_iter, flo, model, lane):
+    """Lane lane of newton_root: yields each abscissa to evaluate, is sent
     (f(x), f'(x)) for it, and returns the root or raises the lane's
     error.  flo, if not None, is f(lo), which it then does not ask for."""
     if flo is None:
@@ -285,7 +281,7 @@ def _rtsafe(lo, hi, tol, max_iter, flo, model):
         if slope > 0.0 if rising else slope < 0.0:
             t = x - fx / slope
             if model is not None and other == lo:
-                cap = model(x, fx)
+                cap = model(lane, x, fx)
                 if cap < t:
                     t = cap
         if not min(x, other) < t < max(x, other):

@@ -85,9 +85,9 @@ Wilkinson, Numer. Math. 9, 386 (1967)).  For a tridiagonal matrix the
 pivots are p_0 = d_0 - level, p_k = d_k - level - (e_(k-1) / p_(k-1))
 e_(k-1), the recurrence of LAPACK's dpttrf.  One dpttrf call factors the
 block-diagonal stack of the COARSE_POINTS matrices of every cell of a
-minimize_order_parameter call: the coupling between two blocks is zero,
-so each block's pivots are those of its matrix alone, and each cell
-gets its own verdict.  They are formed for (H - level) / 2^m with
+kernel (below: up to LANES cells of one truncation): the coupling
+between two blocks is zero, so each block's pivots are those of its
+matrix alone, and each cell gets its own verdict.  They are formed for (H - level) / 2^m with
 2^m >= N (below), a
 power of two, which moves no sign and no rounding but keeps every entry
 of H / 2^m at most 1 in size; so a quotient e / p that overflows, p > 0,
@@ -148,26 +148,34 @@ where the true psi* is below RESPONSE_EPS, psi* = 0.0.
 
 Lockstep.  minimize_order_parameter takes one problem or a sequence of
 them, and minimizes a sequence in lockstep: its cells of one truncation
-share a _Kernel, and their roots are the lanes of one
+share a _Kernel, LANES at a time, and their roots are the lanes of one
 numerics.newton_root call, each lane taking exactly the steps of its own
-scalar search.  A round builds the tridiagonals of all of a kernel's
-lanes in one array expression, calls dstev once per open lane, and forms
-<a> and the slope of all of them together with numpy's stacked matvec,
-vecmat and vecdot.  Those make, lane by lane, the BLAS calls (gemv,
-dot) that np.dot makes on one lane, so a cell has the bits of its
+scalar search.  A round builds the tridiagonals of a kernel's open
+lanes in one array expression, calls dstev once per open lane, and
+forms <a> and the slope of all of them together with numpy's stacked
+matvec, vecmat and vecdot.  Those make, lane by lane, the BLAS calls
+(gemv, dot) that np.dot makes on one lane, so a cell has the bits of its
 one-cell call whatever else is in the sequence.  One dpttrf then
-certifies every cell with a grid, and a cell's failure is its own
-outcome.  Each cell pays for its ``dstev`` calls and a share of each
-round's numpy calls: the response is one ``dstev``, and each root step
-one ``dstev`` plus the products that give <a> and the slope, 6 or 7
-solves for a superfluid cell away from the boundary, where Brent's
-method took 10 to 12, and more next to it.  A round has a fixed cost of
-about ten numpy calls, so in sweeps of 15 or 16 superfluid cells a cell
-costs about 117 us, against 153 us one cell at a time, while a lone
-cell costs more than the scalar search did: about 1.6 times as much at
-(mu, D) = (1.0, 0.5) (186 against 111 us) and 1.5 times at (1.0, 0.05)
-(46 against 30 us; a 2-core x86-64 machine, numpy 2.4, one BLAS
-thread).  So every subcommand hands the oracle all its cells at once.
+certifies every cell of the kernel that has a grid, and a cell's failure
+is its own outcome.  Each cell pays for its ``dstev`` calls and a share
+of each round's numpy calls: the response is one ``dstev``, and each
+root step one ``dstev`` plus a share of the products that give <a> and
+the slope, 6 or 7 solves for a superfluid cell away from the boundary,
+where Brent's method took 10 to 12, and more next to it.  A round, and
+a kernel, cost about a dozen numpy calls whatever the number of lanes,
+so a cell costs less the more lanes share them: over 128 superfluid
+cells of lobes 1 and 2 at n_max = 10, a cell takes 184 us alone, 143 us
+two to a call, 112 us four, 95 us eight, 82 us sixteen and 77 us from 32
+lanes on, against 124 us for the scalar search this replaced (a 2-core
+x86-64 machine, numpy 2.4, one BLAS thread).  LANES = 32 is where that
+gain ends; more lanes to a kernel would only hold more memory at once: a
+kernel's arrays grow with its lanes, LANES (n_max + 1)^2 doubles of
+eigenvectors and 2 COARSE_POINTS LANES (n_max + 1) of certificate, and a
+call of 32 cells at MAX_N_MAX peaks at 44 MB.  A lone cell costs
+more than the scalar search did, about 1.5 times as much at both
+(mu, D) = (1.0, 0.5) and (1.0, 0.05), so every subcommand hands the
+oracle its cells together: oracle-check a mu's two guards and its cells,
+a variational sweep its superfluid cells.
 Where H is diagonal no solve runs:
 H(0) = diag(base), so the psi = 0 candidate is the Fock state of the
 lowest level, with that level as e0 and <a> = 0, the bits dstev returns
@@ -202,7 +210,6 @@ covers every smaller D.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import warnings
@@ -228,6 +235,7 @@ MIN_N_MAX = 4  # smallest Fock truncation a MeanFieldProblem accepts
 # work, so one minimization takes about 0.3 s at 256 (3 ms at 64): the
 # cap keeps a cell under a second, and no truncation changes exit status.
 MAX_N_MAX = 256
+LANES = 32  # most cells of one truncation that one kernel minimizes at once
 
 dstev = dpttrf = None  # scipy's LAPACK routines, bound by _lapack on first use
 
@@ -316,40 +324,38 @@ def _check_overflow(problem):
 
 
 class _Kernel:
-    """H(psi) of K problems that share one truncation, one lane each.
+    """H(psi) of up to LANES problems that share one truncation, one lane
+    (row) each, overflow-tested by the caller: eigensolves, each a single
+    LAPACK call, the exact ground state where H is diagonal, and the
+    certificate's matrices.
 
-    A round of solves builds the tridiagonals of all its lanes in one
-    array expression and calls dstev once per lane, in place; a root step
-    then forms <a> and its slope for all of them together, and the
-    certificate's blocks for all lanes come from one array expression.
-    Every product a lane's bits depend on is its own BLAS call: numpy's
-    stacked matvec, vecmat and vecdot run one gemv or dot per lane, the
-    calls that np.dot makes on one lane, so a lane's bits do not depend on
-    the others.  rows name lanes by index, in increasing order.
+    stationarity takes the root steps of a round of lanes in lockstep.
+    It builds their tridiagonals in one array expression, calls dstev
+    once per lane, in place, and forms c = V^T X v_0 and the slope of all
+    of them together: numpy's stacked matvec, vecmat and vecdot make, lane
+    by lane, the BLAS calls (gemv, dot) that np.dot makes on one lane, so
+    a lane's bits do not depend on the others.  Its arrays hold the open
+    lanes only: the leading rows of arrays made for the first round.
     """
 
-    __slots__ = ("size", "levels", "_base", "_two_d", "_k", "_sqrt_k",
-                 "_x", "_couplings", "_dstev", "_steps")
+    __slots__ = ("levels", "_base", "_two_d", "_k", "_sqrt_k", "_x",
+                 "_couplings", "_dstev", "_open", "_round", "_arrays",
+                 "solved")
 
     def __init__(self, problems):
-        """Lanes for problems, which share n_max; overflow-tested."""
-        for problem in problems:
-            _check_overflow(problem)
         k, k_k1, sqrt_k, x, couplings = _fock_arrays(problems[0].n_max)
-        self.size = len(problems)
         self.levels = k.size
-        self._base = np.multiply.outer(np.array([-p.mu_over_U
-                                                 for p in problems]), k) + k_k1
+        self._base = np.multiply.outer([-p.mu_over_U for p in problems], k)
+        self._base += k_k1
         self._two_d = [2.0 * p.D_eff for p in problems]
         self._k = k
         self._sqrt_k = sqrt_k
         self._x = x
         self._couplings = couplings
         self._dstev = _lapack()[0]
-        self._steps = None  # root_steps' arrays, made on its first call
-
-    def _rows(self, array, rows):
-        return array if len(rows) == self.size else array[rows]
+        self._open = None  # the rows stationarity's arrays hold
+        self._round = None  # the arrays, made on its first call
+        self.solved = {}  # per lane of a root search, its solves by psi
 
     def tridiag(self, psi, two_d=None, row=0):
         """H(psi)'s diagonal and off-diagonal for one lane, at hopping
@@ -382,53 +388,74 @@ class _Kernel:
         k = int(base.argmin())
         return float(base[k]) + 0.0, 1.0 if k == base.size - 1 else 0.0
 
-    def root_steps(self, rows, psis):
-        """Per listed lane (e0, <a>, d<a>/dpsi, top component of the
-        ground vector) from the spectrum of one dstev, or the
-        ConvergenceError of a failed one.
+    def _take(self, rows):
+        """stationarity's arrays for the listed rows: the leading rows of
+        arrays made on a first call, or anew for more rows."""
+        size, n = len(rows), self.levels
+        if self._round is None or len(self._round[4]) < size:
+            d, e = np.empty((size, n)), np.empty((size, n - 1))
+            # each lane's eigenvectors, a matrix in dstev's (Fortran) order
+            v = np.zeros((size, n, n)).transpose(0, 2, 1)
+            self._round = d, e, v, np.empty((2, size, 1)), list(zip(d, e, v))
+        d, e, v, cols, lanes = self._round
+        d, e, v, cols = d[:size], e[:size], v[:size], cols[:, :size]
+        self._open = rows
+        self._arrays = (
+            self._base if size == len(self._two_d) else self._base[rows],
+            [self._two_d[r] for r in rows], cols[0], cols[1], d, e,
+            lanes[:size], v, v[:, :, 0], v[:, -1, 0], d[:, :2], d[:, :1],
+            d[:, 1:])
+
+    def stationarity(self, rows, psis):
+        """Per listed lane (F, F') at its psi, F = psi - <a> and
+        F' = 1 - d<a>/dpsi, from one dstev, or the ConvergenceError of a
+        failed one; rows are increasing, and its arrays are taken anew
+        when they are not the list of the round before.  Each solve's (e0,
+        <a>, top component of the ground vector) goes into
+        solved[row][psi].
 
         With c = V^T X v_0, <a> = c_0 / 2 and the slope is
-        2 D sum_(n >= 1) c_n^2 / (lambda_n - lambda_0) (module docstring).
-        The slope is NaN unless the first gap is positive, and it may be
-        infinite.  The products run over every lane of the kernel, each on
-        the spectrum of its last solve; a lane not solved yet, or whose
-        first gap was not positive, holds the levels 0, 1, .., n_max, so
-        no division is by a zero gap.
+        2 D sum_(n >= 1) c_n^2 / (lambda_n - lambda_0) (module docstring):
+        NaN unless the first gap is positive, and it may be infinite.
         """
-        st = self._steps
-        if st is None:
-            st = self._steps = _StepArrays(self)
-        two_d, shift, hop = self._two_d, st.shift, st.hop
-        for r, p in zip(rows, psis):
-            shift[r] = two_d[r] * p * p
-            hop[r] = -two_d[r] * p
-        np.add(self._base, st.shift_col, out=st.d)
-        np.multiply(st.hop_col, self._sqrt_k, out=st.e)
-        failed = {}
-        for r in rows:
-            _, z, info = self._dstev(st.d_rows[r], st.e_rows[r], 1, 1, 1)
-            if info == 0:
-                st.w_rows[r][:] = st.d_rows[r]
-                st.v_mats[r][...] = z
-            else:
-                failed[r] = _lapack_error("dstev", info)
-        c = np.vecmat(np.matvec(self._x, st.v0), st.v)
-        low = st.w_low.tolist()
-        gap = st.w_hi - st.w_lo
-        flat = [r for r in rows if not low[r][1] > low[r][0]]
-        if flat:  # no division by a first gap that is not positive
-            gap[flat] = 1.0
+        if rows is not self._open:
+            self._take(rows)
+        (base, two_d, shift, hop, d_all, e_all, lanes, v, v0, tops, low, d0,
+         d1) = self._arrays
+        for i, p in enumerate(psis):
+            shift[i, 0] = two_d[i] * p * p
+            hop[i, 0] = -two_d[i] * p
+        np.add(base, shift, d_all)
+        np.multiply(hop, self._sqrt_k, e_all)
+        solve, failed = self._dstev, {}
+        for i, (d, e, vecs) in enumerate(lanes):
+            w, z, info = solve(d, e, 1, 1, 1)
+            if info != 0:
+                failed[i] = _lapack_error("dstev", info)
+                d[:] = self._k  # levels and products that divide safely
+                vecs[...] = 0.0
+                continue
+            if w is not d:  # dstev did not solve in place
+                d[:] = w
+            vecs[...] = z
+        c = np.vecmat(np.matvec(self._x, v0), v)
+        low = low.tolist()
+        gap = d1 - d0
+        for i, (l0, l1) in enumerate(low):
+            if not l1 > l0:  # no division by a first gap that is not positive
+                gap[i] = 1.0
         c_n = c[:, 1:]
-        sums = np.vecdot(c_n, c_n / gap).tolist()
-        c0, top = c[:, 0].tolist(), st.top.tolist()
+        sums = np.vecdot(c_n, np.divide(c_n, gap, gap)).tolist()
         out = []
-        for r in rows:
-            l0, l1 = low[r]
-            out.append(failed.get(r) or (
-                l0, 0.5 * c0[r], two_d[r] * sums[r] if l1 > l0 else math.nan,
-                top[r]))
-        if flat:  # later rounds divide by these rows' gaps too
-            st.w[flat] = self._k
+        for i, (a_2, (l0, l1), top, p) in enumerate(
+                zip(c[:, 0].tolist(), low, tops.tolist(), psis)):
+            if i in failed:
+                out.append(failed[i])
+                continue
+            a_exp = 0.5 * a_2
+            self.solved[rows[i]][p] = l0, a_exp, top
+            out.append((p - a_exp,
+                        1.0 - (two_d[i] * sums[i] if l1 > l0 else math.nan)))
         return out
 
     def response(self, D):
@@ -442,84 +469,38 @@ class _Kernel:
     def norms(self, rows, tops):
         """Gershgorin bound on ||H(psi)|| of each listed lane over
         0 <= psi <= its top."""
-        big = np.abs(self._rows(self._base, rows)).max(axis=1).tolist()
+        big = np.abs(self._base).max(axis=1).tolist()
         root_n = math.sqrt(self._k[-1])
-        two_d = [self._two_d[r] for r in rows]
-        return [b + t * top * top + 2.0 * t * top * root_n
-                for b, t, top in zip(big, two_d, tops)]
+        return [big[r] + t * top * top + 2.0 * t * top * root_n
+                for r, t, top in zip(rows, [self._two_d[r] for r in rows],
+                                     tops)]
 
     def pivot_blocks(self, rows, grids, levels, norms):
         """The certificate's matrix for the listed lanes: the diagonal and
         couplings of the block-diagonal stack of (H(psi) - level) / 2^m,
         2^m >= norm, one block per psi of each lane's row of grids, lane
-        after lane.  The coupling array has one entry per row: the last of
-        each block is the 0 that separates it from the next.
+        after lane, all lanes in one array expression.  The coupling array
+        has one entry per row: the last of each block is the 0 that
+        separates it from the next.
         """
         scale = [math.ldexp(1.0, -math.frexp(x)[1]) for x in norms]
-        cols = np.array([[self._two_d[r] * s for r, s in zip(rows, scale)],
-                         scale, [lv * s for lv, s in zip(levels, scale)]])
-        hg = cols[0][:, None] * grids
-        d = (hg * grids)[:, :, None] + (self._rows(self._base, rows)
-                                       * cols[1][:, None])[:, None]
-        d -= cols[2][:, None, None]
-        e = hg[:, :, None] * self._couplings
-        return d.ravel(), e.ravel()
+        h, scale, shift = np.array(
+            [[self._two_d[r] * s for r, s in zip(rows, scale)], scale,
+             [level * s for level, s in zip(levels, scale)]])[:, :, None]
+        base = self._base if len(rows) == len(self._two_d) else self._base[rows]
+        hg = h * grids
+        d = np.add((hg * grids)[:, :, None], (base * scale)[:, None])
+        np.subtract(d, shift[:, :, None], d)
+        return d.reshape(-1), np.multiply(hg[:, :, None],
+                                          self._couplings).reshape(-1)
 
 
-class _StepArrays:
-    """The arrays a kernel's root steps reuse from round to round, with the
-    views of them that each round reads and writes."""
-
-    def __init__(self, kernel):
-        size, n = kernel.size, kernel.levels
-        # each lane's diagonal shift and hopping factor, as columns too
-        self.shift_col, self.hop_col = np.zeros((size, 1)), np.zeros((size, 1))
-        self.shift, self.hop = self.shift_col[:, 0], self.hop_col[:, 0]
-        self.d, self.e = np.empty((size, n)), np.empty((size, n - 1))
-        self.d_rows, self.e_rows = list(self.d), list(self.e)
-        self.w = np.empty((size, n))  # each lane's levels
-        self.w[:] = kernel._k
-        self.w_rows = list(self.w)
-        self.w_low, self.w_hi, self.w_lo = (self.w[:, :2], self.w[:, 1:],
-                                            self.w[:, :1])
-        # each lane's eigenvectors, a matrix in dstev's (Fortran) order
-        self.v = np.zeros((size, n, n)).transpose(0, 2, 1)
-        self.v_mats = list(self.v)
-        self.v0, self.top = self.v[:, :, 0], self.v[:, -1, 0]
-
-
-def _positive_blocks(d, e, ends):
-    """Per block of a block-diagonal tridiagonal: True if every LDL^T
-    pivot of the block is positive.
-
-    d is the diagonal and e[:-1] the couplings of the stack, zero between
-    blocks, and block j ends before row ends[j].  One dpttrf factors the
-    stack.  A pivot that is not positive, NaN included, fails its block;
-    dpttrf stops at the first one <= 0 (info > 0) but passes a NaN on,
-    into the blocks after it, so the pivots are read too, and every block
-    past the first failing one is factored again.  info < 0 is a LAPACK
-    failure and raises ConvergenceError.
-    """
-    dpttrf = _lapack()[1]
-    verdicts = []
-    start = 0
-    while len(verdicts) < len(ends):
-        pivots, _, info = dpttrf(d[start:], e[start:-1])
-        if info < 0:
-            raise _lapack_error("dpttrf", info)
-        if info == 0 and pivots.min() > 0.0:
-            verdicts += [True] * (len(ends) - len(verdicts))
-            break
-        first = start + int(np.argmin(pivots > 0.0))  # not positive, or NaN
-        j = bisect.bisect_right(ends, first)
-        verdicts += [True] * (j - len(verdicts)) + [False]
-        start = ends[j]
-    return verdicts
+_GRID_STEPS = np.arange(float(COARSE_POINTS))
 
 
 def ground_energy(problem: MeanFieldProblem, psi: float):
     """Lowest eigenpair (e0, unit vector) of the tridiagonal Hamiltonian."""
-    e0, vec, _ = _Kernel([problem]).eigenpair(psi)
+    e0, vec, _ = _kernel(problem).eigenpair(psi)
     if vec[np.argmax(np.abs(vec))] < 0.0:
         vec = -vec  # fix the overall sign for reproducibility
     return e0, vec
@@ -527,20 +508,51 @@ def ground_energy(problem: MeanFieldProblem, psi: float):
 
 def a_expectation(problem: MeanFieldProblem, psi: float) -> float:
     """Ground-state <a> = sum_k sqrt(k+1) v_k v_{k+1}."""
-    return _Kernel([problem]).eigenpair(psi)[2]
+    return _kernel(problem).eigenpair(psi)[2]
 
 
-_GRID_STEPS = np.arange(float(COARSE_POINTS))
+def _kernel(problem):
+    """The one-lane kernel of problem, after its overflow test."""
+    _check_overflow(problem)
+    return _Kernel([problem])
+
+
+def _positive_blocks(d, e, size):
+    """Per block of size rows of a block-diagonal tridiagonal: True if
+    every LDL^T pivot of the block is positive.
+
+    d is the diagonal and e[:-1] the couplings of the stack, zero between
+    blocks.  One dpttrf factors the stack.  A pivot that is not positive,
+    NaN included, fails its block; dpttrf stops at the first one <= 0
+    (info > 0) but passes a NaN on, into the blocks after it, so the
+    pivots are read too, and every block past the first failing one is
+    factored again.  info < 0 is a LAPACK failure and raises
+    ConvergenceError.
+    """
+    dpttrf = _lapack()[1]
+    verdicts = []
+    start = 0
+    while start < d.size:
+        pivots, _, info = dpttrf(d[start:], e[start:-1])
+        if info < 0:
+            raise _lapack_error("dpttrf", info)
+        if info == 0 and pivots.min() > 0.0:
+            return verdicts + [True] * ((d.size - start) // size)
+        block = int(np.argmin(pivots > 0.0)) // size  # not positive, or NaN
+        verdicts += [True] * block + [False]
+        start += (block + 1) * size
+    return verdicts
 
 
 def _minimize(problems):
-    """Minimize every problem's e0(psi), all in lockstep (module docstring).
+    """Minimize every problem's e0(psi) (module docstring): the lanes of
+    one truncation in lockstep, up to LANES at a time.
 
     Returns one (outcome, top) per problem: its OracleResult and the top
     Fock component of its ground vector, or its ConvergenceError and None.
     """
     out = [None] * len(problems)
-    by_n_max = {}  # lanes of one truncation share a kernel
+    by_n_max = {}
     for lane, problem in enumerate(problems):
         try:
             _check_overflow(problem)
@@ -548,134 +560,115 @@ def _minimize(problems):
             out[lane] = exc, None
             continue
         by_n_max.setdefault(problem.n_max, []).append(lane)
-    kernels = [(_Kernel([problems[lane] for lane in lanes]), lanes)
-               for lanes in by_n_max.values()]
-    found = _candidates(problems, kernels, out)
-    _certify(problems, kernels, found, out)
-    for lane, (psi, e0, a_exp, top, _) in found.items():
-        if out[lane] is None:
-            out[lane] = OracleResult(psi_star=psi, e0=e0, a_expect=a_exp,
-                                     converged=abs(psi - a_exp) <= 1e-9), top
+    for lanes in by_n_max.values():
+        for start in range(0, len(lanes), LANES):
+            chunk = lanes[start:start + LANES]
+            for lane, outcome in zip(chunk, _minimize_kernel(
+                    [problems[lane] for lane in chunk])):
+                out[lane] = outcome
     return out
 
 
-def _candidates(problems, kernels, out):
-    """Each open lane's candidate, {lane: (psi, e0, <a>, top component,
-    grid step)}; a failure goes into out instead.
+def _minimize_kernel(problems):
+    """_minimize's outcomes for problems that share one kernel.
 
-    The response decides: psi = 0 unless r > 1, and then the root of F,
-    the roots of one kernel's lanes in one newton_root.  The grid step is
-    sqrt(R) / (COARSE_POINTS - 3), or None where B <= 0.
+    The response decides each candidate: psi = 0 unless r > 1, and then
+    the root of F, the roots of all lanes in one newton_root.  Every
+    candidate with a grid (B > 0) is then certified, all in one dpttrf.
     """
-    found = {}
-    for kernel, lanes in kernels:
-        step, rows, ratio, f_lo, solved = {}, [], [], [], []
-        for row, lane in enumerate(lanes):
-            problem = problems[lane]
-            bound = problem.mu_over_U + 1.0 + 2.0 * problem.D_eff
-            if bound <= 0.0:
-                continue
-            step[row] = (math.sqrt(min(bound, problem.n_max))
-                         / (COARSE_POINTS - 3))
-            if problem.D_eff == 0.0:  # H is diagonal: r = 0
-                continue
-            try:
-                e0, vec, a_exp = kernel.eigenpair(RESPONSE_EPS, row=row)
-            except ConvergenceError as exc:
-                out[lane] = exc, None
-                continue
-            r = a_exp / RESPONSE_EPS
-            if r > 1.0:
-                rows.append(row)
-                ratio.append(r)
-                f_lo.append(RESPONSE_EPS - a_exp)
-                solved.append({RESPONSE_EPS: (e0, a_exp, None,
-                                              float(vec[-1]))})
+    kernel = _Kernel(problems)
+    # per row its candidate (psi, e0, <a>, top component), or its error
+    found = [None] * len(problems)
+    steps = {}  # per row with B > 0 its grid step, sqrt(R) / (COARSE_POINTS - 3)
+    rows, ratio, f_lo = [], [], []  # the lanes of the root search
+    for row, problem in enumerate(problems):
+        bound = problem.mu_over_U + 1.0 + 2.0 * problem.D_eff
+        if bound > 0.0:
+            steps[row] = (math.sqrt(min(bound, problem.n_max))
+                          / (COARSE_POINTS - 3))
+            if problem.D_eff != 0.0:  # else H is diagonal: r = 0
+                try:
+                    e0, vec, a_exp = kernel.eigenpair(RESPONSE_EPS, row=row)
+                except ConvergenceError as exc:
+                    found[row] = exc
+                    continue
+                r = a_exp / RESPONSE_EPS
+                if r > 1.0:
+                    rows.append(row)
+                    ratio.append(r)
+                    f_lo.append(RESPONSE_EPS - a_exp)
+                    kernel.solved[row] = {
+                        RESPONSE_EPS: (e0, a_exp, float(vec[-1]))}
+                    continue
+        e0, top_v = kernel.fock_ground(row)  # the candidate psi = 0
+        found[row] = 0.0, e0, 0.0, top_v
+    if rows:
+        open_rows = [None, None]  # newton_root's last lanes, and their rows
 
-        def stationarity(idx, xs):  # F(p) = p - <a>(p) = e0'(p) / (4 D)
-            values = kernel.root_steps([rows[j] for j in idx], xs)
-            for i, (j, p, v) in enumerate(zip(idx, xs, values)):
-                if v.__class__ is tuple:
-                    solved[j][p] = v
-                    values[i] = p - v[1], 1.0 - v[2]
-            return values
+        def stationarity(lanes, xs):  # F(p) = p - <a>(p) = e0'(p) / (4 D)
+            if lanes is not open_rows[0]:
+                open_rows[:] = lanes, [rows[j] for j in lanes]
+            return kernel.stationarity(open_rows[1], xs)
 
         def landau_root(j, p, f):  # x_m of the module docstring
             r = ratio[j]
             return p * math.sqrt((r - 1.0) / (f / p + r - 1.0))
 
-        tops = [step[row] * (COARSE_POINTS - 1) for row in rows]
-        roots = newton_root(stationarity,
-                            [(RESPONSE_EPS, top) for top in tops],
-                            tol=ROOT_TOL, model=landau_root,
-                            flo=f_lo) if rows else []
-        for row, top, memo, root in zip(rows, tops, solved, roots):
-            lane = lanes[row]
+        tops = [steps[row] * (COARSE_POINTS - 1) for row in rows]
+        roots = newton_root(stationarity, [(RESPONSE_EPS, top) for top in tops],
+                            tol=ROOT_TOL, model=landau_root, flo=f_lo)
+        for row, top, root in zip(rows, tops, roots):
             if isinstance(root, ValueError):
                 root = ConvergenceError(
                     "no stationary point of e0 in [%.6g, %.6g] at mu = %r, "
-                    "D = %r" % (RESPONSE_EPS, top, problems[lane].mu_over_U,
-                                problems[lane].D_eff))
-            if isinstance(root, ConvergenceError):
-                out[lane] = root, None
-            else:
-                e0, a_exp, _, top_v = memo[root]
-                found[lane] = root, e0, a_exp, top_v, step[row]
-        for row, lane in enumerate(lanes):
-            if out[lane] is None and lane not in found:  # psi = 0
-                e0, top_v = kernel.fock_ground(row)
-                found[lane] = 0.0, e0, 0.0, top_v, step.get(row)
-    return found
+                    "D = %r" % (RESPONSE_EPS, top, problems[row].mu_over_U,
+                                problems[row].D_eff))
+            found[row] = root if isinstance(root, ConvergenceError) else (
+                (root,) + kernel.solved[row][root])
+    _certify(kernel, problems, found, steps)
+    return [(cand, None) if isinstance(cand, ConvergenceError) else
+            (OracleResult(psi_star=cand[0], e0=cand[1], a_expect=cand[2],
+                          converged=abs(cand[0] - cand[2]) <= 1e-9), cand[3])
+            for cand in found]
 
 
-def _certify(problems, kernels, found, out):
-    """Check every candidate with a grid (B > 0) against it: one dpttrf
-    for all of them (module docstring).  A failure goes into out."""
-    checked, blocks, ends = [], [], []
-    for kernel, lanes in kernels:
-        rows = [row for row, lane in enumerate(lanes)
-                if out[lane] is None and found[lane][4] is not None]
-        if not rows:
-            continue
-        tops = [found[lanes[row]][4] * (COARSE_POINTS - 1) for row in rows]
-        keep, steps, levels, norms = [], [], [], []
-        for row, norm in zip(rows, kernel.norms(rows, tops)):
-            lane = lanes[row]
-            slack = 2.0 * (kernel.levels + 9) * EPS * norm
-            if not math.isfinite(slack):
-                out[lane] = ConvergenceError(
-                    "H(psi) overflows at mu = %r, D = %r"
-                    % (problems[lane].mu_over_U, problems[lane].D_eff)), None
-                continue
-            checked.append(lane)
-            keep.append(row)
-            steps.append(found[lane][4])
-            levels.append(found[lane][1] - slack)
-            norms.append(norm)
-        if keep:
-            grids = np.array(steps)[:, None] * _GRID_STEPS
-            blocks.append(kernel.pivot_blocks(keep, grids, levels, norms))
-            size = COARSE_POINTS * kernel.levels
-            start = ends[-1] if ends else 0
-            ends.extend(range(start + size, start + size * (len(keep) + 1),
-                              size))
-    if not checked:
+def _certify(kernel, problems, found, steps):
+    """Check every candidate with a grid against it, in one dpttrf (module
+    docstring); a failure replaces the candidate in found."""
+    rows = [row for row in steps if found[row].__class__ is tuple]
+    if not rows:
         return
-    d, e = (blocks[0] if len(blocks) == 1
-            else map(np.concatenate, zip(*blocks)))
+    keep, grid_steps, levels, norms = [], [], [], []
+    for row, norm in zip(rows, kernel.norms(
+            rows, [steps[row] * (COARSE_POINTS - 1) for row in rows])):
+        slack = 2.0 * (kernel.levels + 9) * EPS * norm
+        if math.isfinite(slack):
+            keep.append(row)
+            grid_steps.append(steps[row])
+            levels.append(found[row][1] - slack)
+            norms.append(norm)
+        else:
+            found[row] = ConvergenceError(
+                "H(psi) overflows at mu = %r, D = %r"
+                % (problems[row].mu_over_U, problems[row].D_eff))
+    if not keep:
+        return
+    grids = np.multiply.outer(grid_steps, _GRID_STEPS)
     try:
-        verdicts = _positive_blocks(d, e, ends)
+        verdicts = _positive_blocks(
+            *kernel.pivot_blocks(keep, grids, levels, norms),
+            COARSE_POINTS * kernel.levels)
     except ConvergenceError as exc:
-        verdicts = [exc] * len(checked)
-    for lane, verdict in zip(checked, verdicts):
+        verdicts = [exc] * len(keep)
+    for row, verdict in zip(keep, verdicts):
         if verdict is False:
-            psi, e0 = found[lane][:2]
+            psi, e0 = found[row][:2]
             verdict = ConvergenceError(
                 "e0 has a second minimum at mu = %r, D = %r: a point of the "
                 "grid lies below e0(%r) = %r" % (
-                    problems[lane].mu_over_U, problems[lane].D_eff, psi, e0))
+                    problems[row].mu_over_U, problems[row].D_eff, psi, e0))
         if verdict is not True:
-            out[lane] = verdict, None
+            found[row] = verdict
 
 
 class OracleResults(tuple):
@@ -775,7 +768,7 @@ def boundary_and_psis(mu: float, D_values, n_max=None):
     entry in the list of psi*, as in converged_psis.
     """
     hi = boundary_hopping(mu, lobe_index(mu), "paper")  # raises at lobe corners
-    kernel = _Kernel([MeanFieldProblem(mu, hi, n_max)])  # overflow test at hi
+    kernel = _kernel(MeanFieldProblem(mu, hi, n_max))  # overflow test at hi
 
     def response_excess(D):
         return kernel.response(D) - 1.0

@@ -24,10 +24,10 @@ costheta-curve lobe takes its D_c once (_costheta_rule), and
 critical_costheta is that rule's one-cell case.  The a2 and psi
 expressions stay in landau, shared with order_parameter_landau, so every
 cell is bit for bit the per-cell value, error sentinels included.  A
-variational sweep labels every cell first and then hands all its
-superfluid cells, across rows and truncations, to one oracle call, which
-minimizes them in lockstep; each cell still gets the bits, or the error
-sentinel, of its own one-cell minimization.
+variational sweep labels every cell first and then hands its superfluid
+cells, across rows and truncations, to the oracle, CELLS_PER_CALL to a
+call, which minimizes them in lockstep; each cell still gets the bits,
+or the error sentinel, of its own one-cell minimization.
 """
 
 from __future__ import annotations
@@ -51,6 +51,10 @@ SWEEP_KINDS = ("diagram", "sensing-loop", "costheta-curve")
 # Errors that belong to one cell; any other error is the request's and
 # escapes the sweep.
 _CELL_ERRORS = (DomainError, ConvergenceError)
+# Superfluid cells of a variational sweep per oracle call: past a few
+# dozen lanes of one truncation the lockstep saves no more, and this keeps
+# the outcomes a call holds at once, a few hundred bytes a cell, bounded.
+CELLS_PER_CALL = 4096
 
 
 def lobe_tip(n: int, convention: str = "paper"):
@@ -230,19 +234,28 @@ def _sweep_cell(mu, spec):
 
 def _minimize_cells(rows):
     """rows with each MeanFieldProblem psi (the last column) replaced by
-    its converged psi*, from one oracle call for all of them: across rows
-    and truncations, the cells are minimized in lockstep.  A cell whose
-    minimization fails becomes its error:<code> sentinel with psi NaN."""
-    cells = [i for i, row in enumerate(rows)
-             if isinstance(row[-1], MeanFieldProblem)]
-    if not cells:  # no superfluid cell: no oracle call
-        return rows
+    its converged psi*, CELLS_PER_CALL cells to an oracle call, in row
+    order: across rows and truncations, a call's cells are minimized in
+    lockstep.  A cell whose minimization fails becomes its error:<code>
+    sentinel with psi NaN."""
+    cells = []
+    for i, row in enumerate(rows):
+        if isinstance(row[-1], MeanFieldProblem):
+            cells.append(i)
+            if len(cells) == CELLS_PER_CALL:
+                _minimize_call(rows, cells)
+                cells = []
+    if cells:  # no superfluid cell left: no oracle call
+        _minimize_call(rows, cells)
+    return rows
+
+
+def _minimize_call(rows, cells):
     for i, psi in zip(cells, converged_psis([rows[i][-1] for i in cells])):
         if isinstance(psi, _CELL_ERRORS):
             rows[i] = rows[i][:-2] + ("error:%s" % psi.code, math.nan)
         else:
             rows[i] = rows[i][:-1] + (psi,)
-    return rows
 
 
 def sweep(spec: SweepSpec) -> PhaseGrid:

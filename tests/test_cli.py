@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from rotobh import __version__, cli, oracle, sensing
 from rotobh.cli import load_config, main, parse_grid
-from rotobh.errors import MAX_COUNT, ConfigError, FitQualityWarning
+from rotobh.errors import (MAX_COUNT, ConfigError, FitQualityWarning,
+                           TruncationWarning)
 from rotobh.io import parse_csv
 from rotobh.landau import kappa
 from rotobh.sensing import delta_exact, dtheta_steps, fit_form
@@ -490,6 +491,31 @@ def test_oracle_check_unconverged_exits_4(monkeypatch):
     assert status == 4
     assert out == ""
     assert "did not converge" in err
+
+
+def test_oracle_check_failing_boundary_after_its_cells(monkeypatch):
+    # a mu's two boundary guards and its cells are minimized in one call,
+    # so when the guards find no second-order boundary (here both sit at
+    # D* itself, where psi* = 0), the cells have been solved and have
+    # warned, in cell order, before the error; stdout stays empty
+    monkeypatch.setattr(oracle, "GUARD_STEP", 0.0)
+    argv = ["oracle-check", "--mu", "1.0", "--theta", "0.8",
+            "--dthetas", "0.5,0.6", "--n-max", "4"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status, out, err = run_cli(argv)
+    assert status == 4 and out == ""
+    assert err.startswith("rotobh: error: boundary at mu = 1.0")
+    assert "is not second order" in err
+    assert [str(w.message)[:36] for w in caught
+            if issubclass(w.category, TruncationWarning)] \
+        == ["ground state carries weight 7.74e-06",
+            "ground state carries weight 1.02e-05"]
+    monkeypatch.setattr(oracle, "GUARD_STEP", 1e-3)  # the cells alone pass
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        status, out, _ = run_cli(argv)
+    assert status == 0 and len(parse_csv(out)[2]) == 2
 
 
 def test_resolution_crossover_only_in_json(monkeypatch):

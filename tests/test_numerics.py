@@ -298,6 +298,13 @@ def test_newton_model_caps_the_steps_before_a_sign_change():
     capped = _with_slope(f, df)
     assert _newton(capped, 1e-6, 2.0, tol=1e-14, model=model) == 0.01
     assert capped.evals == 3 and calls == [(0, 2.0, f(2.0))]
+    # each lane asks the model with its own index: a second lane whose
+    # model point is no cap runs the plain search next to the capped one
+    del calls[:]
+    roots = newton_root(lambda lanes, xs: [(f(x), df(x)) for x in xs],
+                        [(1e-6, 2.0), (1e-6, 2.0)], tol=1e-14,
+                        model=lambda k, p, fp: (0.01, 3.0)[k])
+    assert roots == [0.01, _newton(_with_slope(f, df), 1e-6, 2.0, tol=1e-14)]
     # a NaN model point is ignored, a model point past the Newton point
     # does not hold the step back, and the model caps no bisection
     for point in (math.nan, 3.0):

@@ -197,14 +197,14 @@ def test_minimizer_unbracketed_root_is_an_error(monkeypatch):
     # <a> and its slope doubled past psi = 0.5 in the root's solves:
     # F = psi - <a> < 0 at both ends of [RESPONSE_EPS, grid[-1]], so the
     # bracket holds no sign change
-    real = oracle._Kernel.root_steps
+    real = oracle._Kernel.stationarity
 
     def falling(self, rows, psis):
-        return [(e0, 2.0 * a_exp, 2.0 * slope, top) if psi > 0.5 else step
-                for psi, step in zip(psis, real(self, rows, psis))
-                for e0, a_exp, slope, top in [step]]
+        # F = psi - 2 <a> = 2 F - psi, F' = 1 - 2 <a>' = 2 F' - 1
+        return [(2.0 * f - psi, 2.0 * df - 1.0) if psi > 0.5 else (f, df)
+                for psi, (f, df) in zip(psis, real(self, rows, psis))]
 
-    monkeypatch.setattr(oracle._Kernel, "root_steps", falling)
+    monkeypatch.setattr(oracle._Kernel, "stationarity", falling)
     with pytest.raises(ConvergenceError, match="no stationary point"):
         minimize_order_parameter(MeanFieldProblem(1.0, 0.25))
 
@@ -326,6 +326,39 @@ def test_batch_lanes_match_their_one_cell_calls(cells, data):
         == [_bits(alone[i][0]) for i in order]
 
 
+def test_lanes_past_one_kernel_match_their_one_cell_calls(monkeypatch):
+    # the cells of one truncation are minimized LANES at a time: a batch
+    # of more than that many, superfluid, Mott and failing alike, gives
+    # each cell its one-cell bits, error and warnings, in cell order, and
+    # a smaller LANES moves no bit
+    mus = [0.2 + 0.05 * i for i in range(12)]
+    problems = [MeanFieldProblem(mu, scale * boundary_hopping(
+        mu, 1, "variational"), 6) for mu in mus
+        for scale in (0.5, 1.2, 2.0, 3.0, 6.0, 1.0 + 1e-6)]
+    problems.insert(7, MeanFieldProblem(1.0, 1e160, 6))  # overflows
+    assert len(problems) > oracle.LANES
+    alone = [_minimized(lambda p=p: minimize_order_parameter(p))
+             for p in problems]
+    expected = ([_bits(res) for res, _ in alone],
+                [message for _, messages in alone for message in messages])
+    assert any(messages for _, messages in alone)
+    assert any(isinstance(res, ConvergenceError) for res, _ in alone)
+    made = []
+    real = oracle._Kernel
+
+    def counted(problems):
+        made.append(len(problems))
+        return real(problems)
+
+    monkeypatch.setattr(oracle, "_Kernel", counted)
+    for lanes in (oracle.LANES, 5):
+        monkeypatch.setattr(oracle, "LANES", lanes)
+        del made[:]
+        batch, caught = _minimized(lambda: minimize_order_parameter(problems))
+        assert ([_bits(res) for res in batch], caught) == expected
+        assert max(made) == lanes and sum(made) == len(problems) - 1
+
+
 def _dense_scan(problem, grid):
     """e0 at every psi of grid from dense eigvalsh: the test's reference."""
     return np.array([np.linalg.eigvalsh(dense_hamiltonian(problem, x))[0]
@@ -374,7 +407,7 @@ def _above(kernel, grid, level, norm):
     ground energy at each exceeds level."""
     d, e = kernel.pivot_blocks([0], np.array([grid], dtype=float), [level],
                                [norm])
-    return oracle._positive_blocks(d, e, [d.size])[0]
+    return oracle._positive_blocks(d, e, d.size)[0]
 
 
 def _certificate(problem, psi, level):
@@ -467,8 +500,7 @@ def test_certificate_fails_closed(monkeypatch):
             d, e = lanes.pivot_blocks([0, 1, 2], grids, [level] * 3,
                                       [norm] * 3)
             size = d.size // 3
-            assert oracle._positive_blocks(d, e, [size, 2 * size, 3 * size]) \
-                == [True, False, True]
+            assert oracle._positive_blocks(d, e, size) == [True, False, True]
             assert len(infos) == 2 and infos[1] == 0
             assert (infos[0] > 0) == stops
     # info < 0 is a LAPACK failure, never a verdict: the one-cell call
@@ -547,12 +579,15 @@ def test_minimizer_scan_against_stable_mott_is_an_error(monkeypatch):
                 e0, *rest = real(self, *args, **kwargs)
                 return (e0 + depth, *rest)
             m.setattr(oracle._Kernel, name, lifted)
-        real_steps = oracle._Kernel.root_steps
+        real_steps = oracle._Kernel.stationarity
 
         def lifted_steps(self, rows, psis):
-            return [(e0 + depth, *rest) for e0, *rest in
-                    real_steps(self, rows, psis)]
-        m.setattr(oracle._Kernel, "root_steps", lifted_steps)
+            out = real_steps(self, rows, psis)
+            for row, psi in zip(rows, psis):
+                e0, *rest = self.solved[row][psi]
+                self.solved[row][psi] = (e0 + depth, *rest)
+            return out
+        m.setattr(oracle._Kernel, "stationarity", lifted_steps)
 
     with monkeypatch.context() as m:
         lift(m, 1e-15)  # rounding
@@ -693,7 +728,11 @@ def test_root_step_slope_matches_dense_and_difference(lobe, frac, scale,
     assume(mu + 1.0 + 2.0 * D > 0.0)
     p = MeanFieldProblem(mu, D, n_max)
     psi = t * float(_grid(p)[-1])
-    ((e0, a_exp, slope, _),) = oracle._Kernel([p]).root_steps([0], [psi])
+    kernel = oracle._Kernel([p])
+    kernel.solved[0] = {}
+    ((_, d_f),) = kernel.stationarity([0], [psi])
+    e0, a_exp, _ = kernel.solved[0][psi]
+    slope = 1.0 - d_f  # F' = 1 - d<a>/dpsi
     w, v = np.linalg.eigh(dense_hamiltonian(p, psi))
     assume(w[1] - w[0] > 1e-3)  # the ground vector is well determined
     x = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)

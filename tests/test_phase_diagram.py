@@ -413,6 +413,32 @@ def test_sweep_unconverged_oracle_is_a_sentinel(monkeypatch):
             assert repr(row) == repr(failed)
 
 
+def test_sweep_cells_per_call_moves_no_bit(monkeypatch):
+    # a variational sweep hands its superfluid cells to the oracle
+    # CELLS_PER_CALL at a time, in row order, across rows and truncations;
+    # any window gives the rows of one call
+    from rotobh import oracle, phase_diagram
+    spec = SweepSpec(kind="diagram", psi_method="variational",
+                     mu_values=(-0.5, 1.0, 3.0),
+                     D_values=(0.05, 0.2, 0.3, 0.4, 0.5, 0.6))
+    rows = sweep(spec).rows
+    calls = []
+    real = oracle.minimize_order_parameter
+
+    def counted(problems):
+        calls.append(len(problems))
+        return real(problems)
+
+    monkeypatch.setattr(oracle, "minimize_order_parameter", counted)
+    for per_call in (1, 4, 5, 4096):
+        monkeypatch.setattr(phase_diagram, "CELLS_PER_CALL", per_call)
+        del calls[:]
+        assert repr(sweep(spec).rows) == repr(rows)
+        cells = sum(calls)
+        assert cells > 5 and all(n == per_call for n in calls[:-1])
+        assert 0 < calls[-1] <= per_call
+
+
 def test_sweep_validation():
     with pytest.raises(ConfigError):
         sweep(SweepSpec(kind="nope"))
