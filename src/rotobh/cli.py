@@ -27,14 +27,14 @@ import math
 import shutil
 import sys
 
-from . import __version__, io, oracle, phase_diagram, sensing
+from . import __version__, io, oracle, sensing
 from .core import effective_hopping, peierls_phase, ring_gamma
 from .errors import (EXIT_OK, ConfigError, ConvergenceError, DomainError,
                      RotobhError, check_count)
-from .landau import kappa
+from .landau import (CONVENTIONS, LOBE_TIP_TOL, VARIANT_FOR_CONVENTION,
+                     boundary_hopping, kappa, lobe_index)
 from .oracle import boundary_and_psis
-from .phase_diagram import (CONVENTIONS, PSI_METHODS, VARIANT_FOR_CONVENTION,
-                            SweepSpec, boundary_hopping, lobe_index, sweep)
+from .phase_diagram import PSI_METHODS, SweepSpec, sweep
 from .sensing import (delta_exact, delta_on, dtheta_steps,
                       invert_rotation_change, resolution_grid)
 
@@ -42,7 +42,7 @@ TOLERANCES = {
     "bisection_dtheta": sensing.BISECTION_TOL,
     "oracle_boundary_dD": oracle.BOUNDARY_TOL,
     "oracle_golden_dpsi": oracle.GOLDEN_TOL,
-    "lobe_tip_dmu": phase_diagram.LOBE_TIP_TOL,
+    "lobe_tip_dmu": LOBE_TIP_TOL,
 }
 
 

@@ -4,8 +4,9 @@ Deliberately dependency-free so the physics modules stay auditable.  The
 golden-section search and newton_root run many brackets in lockstep, so
 that a caller can evaluate all of them in one call per step (the
 surrogate fit does, one lane per theta, and the oracle's minimizer, one
-lane per cell); brent_root, bisect_root and Lambert W work on one scalar
-at a time.  There are three root finders, all with one contract:
+lane per cell, keyed by the cell's kernel row); brent_root, bisect_root
+and Lambert W work on one scalar at a time.  There are three root
+finders, all with one contract:
 newton_root (Newton guarded by bisection), which the oracle's minimizer
 uses because each of its evaluations is an eigensolve that yields the
 slope too; brent_root (Brent-Dekker), which the oracle's boundary and the
@@ -197,17 +198,18 @@ def newton_root(f, brackets, tol=1e-10, max_iter=100, model=None, flo=None):
     """Roots of functions, one per bracket, by Newton's method guarded by
     bisection, searched in lockstep; each lane keeps brent_root's contract.
 
-    Each (lo, hi) in brackets is a lane.  f(lanes, xs) takes a list of
-    lane indices and one abscissa per listed lane and returns one pair
-    (f(x), f'(x)) per listed lane, so that one call evaluates every open
-    lane; in place of a pair it may return an exception, which ends that
-    lane with it.  A lane takes exactly the steps of the scalar search
-    below on its own bracket, whatever the other lanes do: a round hands f
-    the lanes still open, and a lane leaves once it has its root or its
-    error; until one leaves, f is handed the same list of lanes, the same
-    object, from round to round.  flo, if given, holds every lane's f(lo),
-    which f is then not asked for.  Returns one entry per lane: the root,
-    or the ValueError or ConvergenceError its search met.
+    brackets maps each lane's id to its (lo, hi).  f(ids, xs) takes a list
+    of the open lanes' ids, in bracket order, and one abscissa per listed
+    lane and returns one pair (f(x), f'(x)) per listed lane, so that one
+    call evaluates every open lane; in place of a pair it may return an
+    exception, which ends that lane with it.  A lane takes exactly the
+    steps of the scalar search below on its own bracket, whatever the
+    other lanes do: a round hands f the lanes still open, and a lane
+    leaves once it has its root or its error; until one leaves, f is
+    handed the same list of ids, the same object, from round to round.
+    flo, if given, maps every lane's id to its f(lo), which f is then not
+    asked for.  Returns a dict from each id, in bracket order, to its
+    root, or the ValueError or ConvergenceError its search met.
 
     The slope at lo is never read.  The Newton/bisection hybrid follows
     rtsafe (Press et al., Numerical Recipes, 3rd ed., sec. 9.4): the
@@ -222,7 +224,7 @@ def newton_root(f, brackets, tol=1e-10, max_iter=100, model=None, flo=None):
     saved.  So the steps are only as good as the slope: one k times too
     steep shrinks the distance to the root by a factor 1 - 1/k per step,
     and f' must be the derivative of f, not an estimate of it.  model, if
-    given, is a root estimate model(lane, x, f(x)) that caps the Newton
+    given, is a root estimate model(id, x, f(x)) that caps the Newton
     steps taken before f first changes sign, all of which run down from
     hi: such a step goes to the smaller of model's point and the Newton
     point (a NaN model point is ignored) and then meets the same bracket
@@ -235,34 +237,34 @@ def newton_root(f, brackets, tol=1e-10, max_iter=100, model=None, flo=None):
     f(hi) bracket a root, and a ConvergenceError if max_iter steps do not
     get there, or as soon as f is NaN inside the bracket.
     """
-    lanes = [_rtsafe(float(lo), float(hi), tol, max_iter,
-                     None if flo is None else flo[k], model, k)
-             for k, (lo, hi) in enumerate(brackets)]
-    out = [None] * len(lanes)
-    idx = list(range(len(lanes)))
-    xs = [next(lane) for lane in lanes]
-    while idx:
+    lanes = {k: _rtsafe(float(lo), float(hi), tol, max_iter,
+                        None if flo is None else flo[k], model, k)
+             for k, (lo, hi) in brackets.items()}
+    out = dict.fromkeys(lanes)
+    ids = list(lanes)
+    xs = [next(lanes[k]) for k in ids]
+    while ids:
         ended = False
-        for i, value in enumerate(f(idx, xs)):
+        for i, (k, value) in enumerate(zip(ids, f(ids, xs))):
             try:
-                xs[i] = (lanes[i].throw(value) if isinstance(value, Exception)
-                         else lanes[i].send(value))
+                xs[i] = (lanes[k].throw(value) if isinstance(value, Exception)
+                         else lanes[k].send(value))
             except StopIteration as stop:
-                out[idx[i]], xs[i], ended = stop.value, None, True
+                out[k], xs[i], ended = stop.value, None, True
             except (ValueError, ConvergenceError) as exc:
-                out[idx[i]], xs[i], ended = exc, None, True
-        if ended:  # else idx stays the list f was handed
+                out[k], xs[i], ended = exc, None, True
+        if ended:  # else ids stays the list f was handed
             keep = [i for i, x in enumerate(xs) if x is not None]
-            idx = [idx[i] for i in keep]
-            lanes = [lanes[i] for i in keep]
+            ids = [ids[i] for i in keep]
             xs = [xs[i] for i in keep]
     return out
 
 
 def _rtsafe(lo, hi, tol, max_iter, flo, model, lane):
-    """Lane lane of newton_root: yields each abscissa to evaluate, is sent
-    (f(x), f'(x)) for it, and returns the root or raises the lane's
-    error.  flo, if not None, is f(lo), which it then does not ask for."""
+    """The lane of newton_root with id lane: yields each abscissa to
+    evaluate, is sent (f(x), f'(x)) for it, and returns the root or raises
+    the lane's error.  flo, if not None, is f(lo), which it then does not
+    ask for."""
     if flo is None:
         flo = (yield lo)[0]
     fhi, slope = yield hi

@@ -149,13 +149,14 @@ where the true psi* is below RESPONSE_EPS, psi* = 0.0.
 Lockstep.  minimize_order_parameter takes one problem or a sequence of
 them, and minimizes a sequence in lockstep: its cells of one truncation
 share a _Kernel, LANES at a time, and their roots are the lanes of one
-numerics.newton_root call, each lane taking exactly the steps of its own
-scalar search.  A round builds the tridiagonals of a kernel's open
-lanes in one array expression, calls dstev once per open lane, and
-forms <a> and the slope of all of them together with numpy's stacked
-matvec, vecmat and vecdot.  Those make, lane by lane, the BLAS calls
-(gemv, dot) that np.dot makes on one lane, so a cell has the bits of its
-one-cell call whatever else is in the sequence.  One dpttrf then
+numerics.newton_root call, keyed by the cells' kernel rows, each lane
+taking exactly the steps of its own scalar search.  A round builds the
+tridiagonals of a kernel's open lanes in one array expression, calls
+dstev once per open lane, and forms <a> and the slope of all of them
+together with numpy's stacked matvec, vecmat and vecdot.  Those make,
+lane by lane, the BLAS calls (gemv, dot) that np.dot makes on one lane,
+so a cell has the bits of its one-cell call whatever else is in the
+sequence.  One dpttrf then
 certifies every cell of the kernel that has a grid, and a cell's failure
 is its own outcome.  Each cell pays for its ``dstev`` calls and a share
 of each round's numpy calls: the response is one ``dstev``, and each
@@ -175,7 +176,8 @@ call of 32 cells at MAX_N_MAX peaks at 44 MB.  A lone cell costs
 more than the scalar search did, about 1.5 times as much at both
 (mu, D) = (1.0, 0.5) and (1.0, 0.05), so every subcommand hands the
 oracle its cells together: oracle-check a mu's two guards and its cells,
-a variational sweep its superfluid cells.
+a variational sweep all of its superfluid cells, to converged_psis, which
+passes them on CELLS_PER_CALL to a minimize_order_parameter call.
 Where H is diagonal no solve runs:
 H(0) = diag(base), so the psi = 0 candidate is the Fock state of the
 lowest level, with that level as e0 and <a> = 0, the bits dstev returns
@@ -236,6 +238,11 @@ MIN_N_MAX = 4  # smallest Fock truncation a MeanFieldProblem accepts
 # cap keeps a cell under a second, and no truncation changes exit status.
 MAX_N_MAX = 256
 LANES = 32  # most cells of one truncation that one kernel minimizes at once
+# Most problems of one converged_psis call that one minimize_order_parameter
+# call holds: past a few dozen lanes of one truncation the lockstep saves no
+# more, and this keeps the outcomes a call holds at once, a few hundred
+# bytes a cell, bounded.
+CELLS_PER_CALL = 4096
 
 dstev = dpttrf = None  # scipy's LAPACK routines, bound by _lapack on first use
 
@@ -409,8 +416,9 @@ class _Kernel:
     def stationarity(self, rows, psis):
         """Per listed lane (F, F') at its psi, F = psi - <a> and
         F' = 1 - d<a>/dpsi, from one dstev, or the ConvergenceError of a
-        failed one; rows are increasing, and its arrays are taken anew
-        when they are not the list of the round before.  Each solve's (e0,
+        failed one: newton_root's f, with the open lanes' rows as ids.
+        rows are increasing, and its arrays are taken anew when they are
+        not the list object of the round before.  Each solve's (e0,
         <a>, top component of the ground vector) goes into
         solved[row][psi].
 
@@ -457,14 +465,6 @@ class _Kernel:
             out.append((p - a_exp,
                         1.0 - (two_d[i] * sums[i] if l1 > l0 else math.nan)))
         return out
-
-    def response(self, D):
-        """r = <a>/psi, the linear response of lane 0's ground state at
-        psi = RESPONSE_EPS and hopping D on its levels: 0.0 at D = 0,
-        where H is diagonal, and one dstev otherwise."""
-        if D == 0.0:
-            return 0.0
-        return self.eigenpair(RESPONSE_EPS, 2.0 * D)[2] / RESPONSE_EPS
 
     def norms(self, rows, tops):
         """Gershgorin bound on ||H(psi)|| of each listed lane over
@@ -580,7 +580,8 @@ def _minimize_kernel(problems):
     # per row its candidate (psi, e0, <a>, top component), or its error
     found = [None] * len(problems)
     steps = {}  # per row with B > 0 its grid step, sqrt(R) / (COARSE_POINTS - 3)
-    rows, ratio, f_lo = [], [], []  # the lanes of the root search
+    # per row of the root search its bracket, r and F(RESPONSE_EPS)
+    brackets, ratio, f_lo = {}, {}, {}
     for row, problem in enumerate(problems):
         bound = problem.mu_over_U + 1.0 + 2.0 * problem.D_eff
         if bound > 0.0:
@@ -594,34 +595,28 @@ def _minimize_kernel(problems):
                     continue
                 r = a_exp / RESPONSE_EPS
                 if r > 1.0:
-                    rows.append(row)
-                    ratio.append(r)
-                    f_lo.append(RESPONSE_EPS - a_exp)
+                    brackets[row] = (RESPONSE_EPS,
+                                     steps[row] * (COARSE_POINTS - 1))
+                    ratio[row] = r
+                    f_lo[row] = RESPONSE_EPS - a_exp
                     kernel.solved[row] = {
                         RESPONSE_EPS: (e0, a_exp, float(vec[-1]))}
                     continue
         e0, top_v = kernel.fock_ground(row)  # the candidate psi = 0
         found[row] = 0.0, e0, 0.0, top_v
-    if rows:
-        open_rows = [None, None]  # newton_root's last lanes, and their rows
-
-        def stationarity(lanes, xs):  # F(p) = p - <a>(p) = e0'(p) / (4 D)
-            if lanes is not open_rows[0]:
-                open_rows[:] = lanes, [rows[j] for j in lanes]
-            return kernel.stationarity(open_rows[1], xs)
-
-        def landau_root(j, p, f):  # x_m of the module docstring
-            r = ratio[j]
+    if brackets:
+        def landau_root(row, p, f):  # x_m of the module docstring
+            r = ratio[row]
             return p * math.sqrt((r - 1.0) / (f / p + r - 1.0))
 
-        tops = [steps[row] * (COARSE_POINTS - 1) for row in rows]
-        roots = newton_root(stationarity, [(RESPONSE_EPS, top) for top in tops],
-                            tol=ROOT_TOL, model=landau_root, flo=f_lo)
-        for row, top, root in zip(rows, tops, roots):
+        # F(p) = p - <a>(p) = e0'(p) / (4 D)
+        roots = newton_root(kernel.stationarity, brackets, tol=ROOT_TOL,
+                            model=landau_root, flo=f_lo)
+        for row, root in roots.items():
             if isinstance(root, ValueError):
                 root = ConvergenceError(
                     "no stationary point of e0 in [%.6g, %.6g] at mu = %r, "
-                    "D = %r" % (RESPONSE_EPS, top, problems[row].mu_over_U,
+                    "D = %r" % (*brackets[row], problems[row].mu_over_U,
                                 problems[row].D_eff))
             found[row] = root if isinstance(root, ConvergenceError) else (
                 (root,) + kernel.solved[row][root])
@@ -721,10 +716,14 @@ def _converged(problem, res):
 
 
 def converged_psis(problems):
-    """psi* of each problem from one minimize_order_parameter call, or the
-    ConvergenceError of one that failed or did not meet stationarity."""
-    return [_converged(problem, res) for problem, res in
-            zip(problems, minimize_order_parameter(problems))]
+    """psi* of each problem, or the ConvergenceError of one that failed or
+    did not meet stationarity, from one minimize_order_parameter call per
+    CELLS_PER_CALL problems, in order."""
+    psis = []
+    for start in range(0, len(problems), CELLS_PER_CALL):
+        chunk = problems[start:start + CELLS_PER_CALL]
+        psis += map(_converged, chunk, minimize_order_parameter(chunk))
+    return psis
 
 
 def _warn_truncation(top):
@@ -754,7 +753,9 @@ def boundary_numeric(mu: float, n_max=None) -> float:
     minimizations guard the answer: psi* must be exactly 0 at
     D*(1 - GUARD_STEP) and positive at D*(1 + GUARD_STEP).  Otherwise,
     or if either minimization does not converge, ConvergenceError (the
-    one below first).
+    one below first).  So does an r that is not above 1 at D_c(paper),
+    where the bracket holds no root: next to a lobe corner, or where the
+    truncation cannot hold the lobe.
     """
     return boundary_and_psis(mu, (), n_max)[0]
 
@@ -763,17 +764,29 @@ def boundary_and_psis(mu: float, D_values, n_max=None):
     """(boundary_numeric(mu, n_max), converged psi* at each D of D_values).
 
     The two guards and the cells at D_values are minimized in one
-    minimize_order_parameter call, so they run in lockstep.  A failure of
+    converged_psis call, so they run in lockstep.  A failure of
     the boundary raises, as boundary_numeric does; a cell's failure is its
     entry in the list of psi*, as in converged_psis.
     """
     hi = boundary_hopping(mu, lobe_index(mu), "paper")  # raises at lobe corners
-    kernel = _kernel(MeanFieldProblem(mu, hi, n_max))  # overflow test at hi
+    at_hi = MeanFieldProblem(mu, hi, n_max)
+    kernel = _kernel(at_hi)  # overflow test at hi
 
     def response_excess(D):
-        return kernel.response(D) - 1.0
+        """r(D) - 1, with r = <a>/psi the linear response of the ground
+        state at psi = RESPONSE_EPS: r = 0 at D = 0, where H is diagonal,
+        and one dstev otherwise."""
+        if D == 0.0:
+            return -1.0
+        return kernel.eigenpair(RESPONSE_EPS, 2.0 * D)[2] / RESPONSE_EPS - 1.0
 
-    D_star = brent_root(response_excess, 0.0, hi, tol=ROOT_TOL)
+    try:
+        D_star = brent_root(response_excess, 0.0, hi, tol=ROOT_TOL)
+    except ValueError:
+        raise ConvergenceError(
+            "no boundary in D on [0, %.6g] at mu = %r, n_max = %d: the "
+            "response r = %r at its top is not above 1"
+            % (hi, mu, at_hi.n_max, response_excess(hi) + 1.0)) from None
     below, above, *psis = converged_psis(
         [MeanFieldProblem(mu, D, n_max) for D in
          (D_star * (1.0 - GUARD_STEP), D_star * (1.0 + GUARD_STEP),

@@ -19,7 +19,8 @@ The one-parameter surrogate
 is least-squares fitted on a uniform grid: a coarse log10 a scan brackets
 the minimum, and a golden-section search inside the bracket refines
 log10 a.  fit_grid fits every theta of a grid at once.  The targets of
-all thetas are one (thetas, grid_points) array.  The coarse scan first
+all thetas are one (thetas, grid_points) array, each row dtheta_steps'
+grid of its theta.  The coarse scan first
 sums every row's squared residuals over every 8th grid point, a lower
 bound of the row's full sum, and then evaluates in full only the rows
 whose bound, less a margin for the rounding of the two sums (Higham,
@@ -144,15 +145,17 @@ def delta_on(theta, dthetas) -> np.ndarray:
     return u * np.sqrt(np.maximum(1.0 - u, 0.0))
 
 
-def dtheta_steps(theta: float, points: int) -> np.ndarray:
+def dtheta_steps(theta, points: int) -> np.ndarray:
     """points >= 2 offsets from 0 to theta, as one array.
 
-    Cell i is theta * i / (points - 1), rounded as that scalar expression
-    rounds it; the min keeps rounding off the edge.  theta is checked
-    first, so an out-of-domain theta raises DomainError before any array
-    arithmetic could overflow.
+    theta is one angle, or a (K, 1) ndarray column of angles for K rows of
+    offsets, as in delta_on.  Cell i is theta * i / (points - 1), rounded
+    as that scalar expression rounds it; the min keeps rounding off the
+    edge.  Every theta is checked first, so an out-of-domain theta raises
+    DomainError before any array arithmetic could overflow.
     """
-    _check_theta(theta)
+    for t in np.ravel(theta).tolist():
+        _check_theta(t)
     return np.minimum(theta * np.arange(points, dtype=float) / (points - 1),
                       theta)
 
@@ -218,31 +221,11 @@ def _check_grid_points(grid_points: int) -> None:
 
 def _fit_targets(thetas, grid_points: int):
     """The fit's dtheta grids on [0, theta] and the target delta on them,
-    as two C-contiguous (thetas, grid_points) arrays.
-
-    Row k has the bits of np.linspace(0.0, thetas[k], grid_points): cell
-    i is i * step with step = theta / (grid_points - 1), or (i /
-    (grid_points - 1)) * theta where that step underflows to 0, and the
-    last cell is theta.  np.linspace with an array stop is no substitute:
-    it takes the underflow form for every row once one row needs it, and
-    returns non-contiguous rows, whose pairwise sums run in another order.
-    """
+    as two C-contiguous (thetas, grid_points) arrays: row k is
+    dtheta_steps(thetas[k], grid_points), bit for bit."""
     column = np.array(thetas, dtype=float)[:, None]
-    div = grid_points - 1
-    cells = np.arange(grid_points, dtype=float)
-    step = column / div
-    dts = cells * step
-    if not step.all():
-        tiny = step[:, 0] == 0.0
-        dts[tiny] = cells / div * column[tiny]
-    dts[:, -1] = column[:, 0]
+    dts = dtheta_steps(column, grid_points)
     return dts, delta_on(column, dts)
-
-
-def _fit_target(theta: float, grid_points: int):
-    """The one-row case of _fit_targets, as two 1-D arrays."""
-    dts, target = _fit_targets((theta,), grid_points)
-    return dts[0], target[0]
 
 
 def _squared_residuals(scale, dts, target, x, resid):
@@ -474,7 +457,8 @@ def theta_crossover(mode: str = "exact",
     _check_grid_points(grid_points)
 
     def stationarity(theta):
-        dts, target = _fit_target(theta, grid_points)
+        dts = dtheta_steps(theta, grid_points)
+        target = delta_on(theta, dts)
         x = np.sqrt(dts / theta)
         ex = np.exp(-x)
         return float(np.sum(x * (1.0 - x) * ex * (x * ex - target)))

@@ -493,6 +493,23 @@ def test_oracle_check_unconverged_exits_4(monkeypatch):
     assert "did not converge" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--mu", "3.99999999999"], ["--mu", "1.99999999999"],
+    ["--mu", "2.00000000001"], ["--mu", "5.99999999999"],
+    ["--mu", "7.9", "--n-max", "4"], ["--mu", "9.99", "--n-max", "4"],
+    ["--mu", "9.99", "--n-max", "5"],
+])
+def test_oracle_check_unbracketed_boundary_exits_4(flags):
+    # next to a lobe corner, or where the truncation cannot hold the lobe,
+    # the response stays below 1 across the bracket: a convergence error,
+    # not a traceback
+    status, out, err = run_cli(["oracle-check"] + flags)
+    assert status == 4 and out == ""
+    assert err.startswith("rotobh: error: no boundary in D on [0, ")
+    assert "at mu = %s, n_max = " % flags[1] in err
+    assert "Traceback" not in err
+
+
 def test_oracle_check_failing_boundary_after_its_cells(monkeypatch):
     # a mu's two boundary guards and its cells are minimized in one call,
     # so when the guards find no second-order boundary (here both sit at

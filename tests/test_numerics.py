@@ -224,9 +224,12 @@ def _with_slope(f, df, seen=None):
 
 
 def _newton(g, lo, hi, **kwargs):
-    """newton_root on the one lane [lo, hi]: its root, or its error raised."""
-    (x,) = newton_root(lambda lanes, xs: [g(x) for x in xs], [(lo, hi)],
-                       **kwargs)
+    """newton_root on the one lane [lo, hi] with id 0: its root, or its
+    error raised."""
+    out = newton_root(lambda ids, xs: [g(x) for x in xs], {0: (lo, hi)},
+                      **kwargs)
+    assert list(out) == [0]
+    x = out[0]
     if isinstance(x, Exception):
         raise x
     return x
@@ -298,13 +301,14 @@ def test_newton_model_caps_the_steps_before_a_sign_change():
     capped = _with_slope(f, df)
     assert _newton(capped, 1e-6, 2.0, tol=1e-14, model=model) == 0.01
     assert capped.evals == 3 and calls == [(0, 2.0, f(2.0))]
-    # each lane asks the model with its own index: a second lane whose
+    # each lane asks the model with its own id: a second lane whose
     # model point is no cap runs the plain search next to the capped one
     del calls[:]
-    roots = newton_root(lambda lanes, xs: [(f(x), df(x)) for x in xs],
-                        [(1e-6, 2.0), (1e-6, 2.0)], tol=1e-14,
-                        model=lambda k, p, fp: (0.01, 3.0)[k])
-    assert roots == [0.01, _newton(_with_slope(f, df), 1e-6, 2.0, tol=1e-14)]
+    roots = newton_root(lambda ids, xs: [(f(x), df(x)) for x in xs],
+                        {5: (1e-6, 2.0), 3: (1e-6, 2.0)}, tol=1e-14,
+                        model=lambda k, p, fp: {5: 0.01, 3: 3.0}[k])
+    assert roots == {5: 0.01,
+                     3: _newton(_with_slope(f, df), 1e-6, 2.0, tol=1e-14)}
     # a NaN model point is ignored, a model point past the Newton point
     # does not hold the step back, and the model caps no bisection
     for point in (math.nan, 3.0):
@@ -388,8 +392,10 @@ def _outcome(lane):
 def _lanes_match_their_one_lane_calls(g, tol):
     # g on [0, 1] between neighbours that stop at once (a root at an end),
     # take one probe, raise ValueError (no sign change) or meet a NaN
-    # inside the bracket, in every order: each lane returns, after the
-    # same evaluations, what its one-lane call returns
+    # inside the bracket, in three orders, under sparse, unsorted ids:
+    # each lane returns, after the same evaluations, what its one-lane
+    # call returns.  f gets the open ids in bracket order, as one list
+    # object until a lane leaves
     lanes = [
         (g, 0.0, 1.0),
         (_with_slope(lambda x: x - 1.0, lambda x: 1.0), 0.0, 1.0),
@@ -405,16 +411,25 @@ def _lanes_match_their_one_lane_calls(g, tol):
         except (ValueError, ConvergenceError) as exc:
             x = exc
         alone.append((_outcome(x), seen))
-    for order in (range(5), range(4, -1, -1), (2, 0, 4, 1, 3)):
+    lane_of = {7: 0, 2: 1, 11: 2, 30: 3, 4: 4}  # id -> index in lanes
+    for order in ((7, 2, 11, 30, 4), (4, 30, 11, 2, 7), (11, 7, 4, 2, 30)):
         seen = {k: [] for k in order}
+        handed = []  # per round, the ids list f got and a copy of it
 
-        def batch(idx, xs):
-            for k, x in zip(idx, xs):
-                seen[order[k]].append(x)
-            return [lanes[order[k]][0](x) for k, x in zip(idx, xs)]
-        out = newton_root(batch, [lanes[k][1:] for k in order], tol=tol)
-        for k, x in zip(order, out):
-            assert (_outcome(x), seen[k]) == alone[k]
+        def batch(ids, xs):
+            handed.append((ids, list(ids)))
+            for k, x in zip(ids, xs):
+                seen[k].append(x)
+            return [lanes[lane_of[k]][0](x) for k, x in zip(ids, xs)]
+        out = newton_root(batch, {k: lanes[lane_of[k]][1:] for k in order},
+                          tol=tol)
+        assert list(out) == list(order)
+        for k in order:
+            assert (_outcome(out[k]), seen[k]) == alone[lane_of[k]]
+        assert handed[0][1] == list(order)
+        for (before, was), (now, ids) in zip(handed, handed[1:]):
+            assert ids == [k for k in order if k in ids]
+            assert (now is before) == (ids == was)
 
 
 Z_MIN = -0.5 * math.exp(-1.0)  # the z a saturated fit sends lambert_w

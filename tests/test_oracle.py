@@ -622,6 +622,27 @@ def test_boundary_numeric_is_exact(n_max):
         assert abs(bn / boundary_hopping(mu, n, "paper") - 0.5) <= 1e-10, mu
 
 
+@pytest.mark.parametrize("mu, n_max", [
+    (3.99999999999, None), (1.99999999999, None), (2.00000000001, None),
+    (5.99999999999, None),  # next to a lobe corner
+    (7.9, 4), (9.99, 4), (9.99, 5),  # the truncation cannot hold the lobe
+])
+def test_boundary_numeric_unbracketed_is_a_convergence_error(monkeypatch,
+                                                            mu, n_max):
+    # r does not rise above 1 by D_c(paper): no root in the bracket, and
+    # no minimization runs
+    def no_guards(problems):
+        raise AssertionError("guards minimized without a boundary")
+
+    monkeypatch.setattr(oracle, "minimize_order_parameter", no_guards)
+    with pytest.raises(ConvergenceError) as caught:
+        boundary_numeric(mu, n_max)
+    levels = MeanFieldProblem(mu, 0.0, n_max).n_max  # given or defaulted
+    assert str(caught.value).startswith(
+        "no boundary in D on [0, %.6g] at mu = %r, n_max = %d: the response "
+        "r = " % (boundary_hopping(mu, lobe_index(mu), "paper"), mu, levels))
+
+
 def test_boundary_numeric_runs_two_minimizations(monkeypatch):
     # both guards, in one lockstep call
     calls = []

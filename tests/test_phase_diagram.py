@@ -414,10 +414,12 @@ def test_sweep_unconverged_oracle_is_a_sentinel(monkeypatch):
 
 
 def test_sweep_cells_per_call_moves_no_bit(monkeypatch):
-    # a variational sweep hands its superfluid cells to the oracle
-    # CELLS_PER_CALL at a time, in row order, across rows and truncations;
-    # any window gives the rows of one call
+    # a variational sweep hands all its superfluid cells to one
+    # converged_psis call, which passes them on to minimize_order_parameter
+    # oracle.CELLS_PER_CALL at a time, in row order, across rows and
+    # truncations; any window gives the rows of one call
     from rotobh import oracle, phase_diagram
+    assert not hasattr(phase_diagram, "CELLS_PER_CALL")
     spec = SweepSpec(kind="diagram", psi_method="variational",
                      mu_values=(-0.5, 1.0, 3.0),
                      D_values=(0.05, 0.2, 0.3, 0.4, 0.5, 0.6))
@@ -431,7 +433,7 @@ def test_sweep_cells_per_call_moves_no_bit(monkeypatch):
 
     monkeypatch.setattr(oracle, "minimize_order_parameter", counted)
     for per_call in (1, 4, 5, 4096):
-        monkeypatch.setattr(phase_diagram, "CELLS_PER_CALL", per_call)
+        monkeypatch.setattr(oracle, "CELLS_PER_CALL", per_call)
         del calls[:]
         assert repr(sweep(spec).rows) == repr(rows)
         cells = sum(calls)

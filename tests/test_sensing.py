@@ -86,6 +86,8 @@ def test_theta_outside_the_open_quadrant_is_a_domain_error(theta):
         warnings.simplefilter("error")  # raised before theta * i can overflow
         with pytest.raises(DomainError):
             dtheta_steps(theta, 401)
+        with pytest.raises(DomainError):  # in any row of a column
+            dtheta_steps(np.array([[0.5], [theta]]), 401)
     for mode in ("exact", "fit"):
         with pytest.raises(DomainError):
             resolution(theta, mode, gamma=0.043)
@@ -104,6 +106,26 @@ def test_dtheta_steps_match_the_scalar_grid(theta, points):
     got = dtheta_steps(theta, points).tolist()
     assert all(type(d) is float for d in got)
     assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(thetas=[5e-324, 1e-320, 2.0 ** -1022, 1e-3, 0.7, 1.5707],
+         grid_points=50)
+@example(thetas=[5e-324, 5e-324, 1e-323], grid_points=1000)
+@given(thetas=st.lists(st.one_of(st.floats(5e-324, 2.0 ** -1022),
+                                 st.floats(5e-324, 0.5 * math.pi,
+                                           exclude_max=True)),
+                       min_size=1, max_size=8),
+       grid_points=st.integers(50, 1000))
+def test_fit_targets_sample_the_dtheta_steps_grid(thetas, grid_points):
+    # every row of the fit's targets is dtheta_steps' grid of its theta,
+    # and delta_on on it, bit for bit, subnormal thetas included
+    dts, target = sensing._fit_targets(thetas, grid_points)
+    assert dts.flags.c_contiguous and target.flags.c_contiguous
+    for theta, row, row_target in zip(thetas, dts, target):
+        steps = dtheta_steps(theta, grid_points)
+        assert row.tobytes() == steps.tobytes()
+        assert row_target.tobytes() == delta_on(theta, steps).tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -204,7 +226,7 @@ def test_fit_a_frozen_values():
 def _fit_a_scalar(theta, grid_points):
     """Reference fit, point by point: a scalar delta_exact target, a
     61-step coarse loop and np.mean, then the scalar golden search."""
-    dts = np.linspace(0.0, theta, grid_points)
+    dts = dtheta_steps(theta, grid_points)
     target = np.array([delta_exact(theta, d) for d in dts])
 
     def rms_of(log_a):
@@ -265,7 +287,7 @@ def _fit_grid_allocating(thetas, grid_points, search):
     """fit_grid with a fresh array for every scan and rms evaluation: the
     coarse scan through fit_form, rms_of with a nested-list scale and a
     per-lane math.sqrt.  search is the golden search to run."""
-    dts = np.array([np.linspace(0.0, t, grid_points) for t in thetas])
+    dts = np.array([dtheta_steps(t, grid_points) for t in thetas])
     target = np.array([delta_on(t, row) for t, row in zip(thetas, dts)])
     coarse = np.linspace(FIT_LOG_RANGE[0], FIT_LOG_RANGE[1], FIT_COARSE_POINTS)
     scale = 10.0 ** coarse[:, None]
@@ -328,7 +350,7 @@ def test_fit_grid_matches_the_allocating_scan_bit_for_bit(thetas,
                                               _recorded(want_calls))
         with mock.patch.object(sensing, "golden_min", _recorded(got_calls)):
             got = fit_grid(thetas, grid_points)
-    dts = np.array([np.linspace(0.0, t, grid_points) for t in thetas])
+    dts = np.array([dtheta_steps(t, grid_points) for t in thetas])
     target = np.array([delta_on(t, row) for t, row in zip(thetas, dts)])
     assert sensing._coarse_brackets(dts, target) == brackets
     assert got_calls == want_calls
