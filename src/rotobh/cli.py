@@ -33,7 +33,8 @@ from .errors import (EXIT_OK, ConfigError, ConvergenceError, DomainError,
                      RotobhError, check_count)
 from .landau import (CONVENTIONS, LOBE_TIP_TOL, VARIANT_FOR_CONVENTION,
                      boundary_hopping, kappa, lobe_index)
-from .oracle import boundary_and_psis
+from .oracle import (MeanFieldProblem, boundary_problems, check_boundary,
+                     converged_psis)
 from .phase_diagram import PSI_METHODS, SweepSpec, sweep
 from .sensing import (delta_exact, delta_on, dtheta_steps,
                       invert_rotation_change, resolution_grid)
@@ -354,22 +355,39 @@ def _cmd_oracle_check(args):
         if not delta > 0.0:
             raise DomainError("dtheta = %g gives delta = 0, so psi*/delta "
                               "cannot recover kappa" % dtheta)
-    rows = []
+    # every mu's two boundary guards and its cells go to one converged_psis
+    # call; the first mu that fails before any solve ends the list, and its
+    # error is raised after those of the mus before it, so errors come in
+    # mu order
+    plans, problems, failure = [], [], None
     for mu in mus:
-        lobe = lobe_index(mu)
-        D_c = boundary_hopping(mu, lobe, "paper")
-        t_edge = boundary_hopping(mu, lobe, "variational") / math.cos(theta)
-        # the cells of one mu are minimized with the boundary's guards
-        D_cv, psis = boundary_and_psis(
-            mu, [effective_hopping(t_edge, theta - dtheta)
-                 for dtheta in dthetas], args.n_max)
+        try:
+            lobe = lobe_index(mu)
+            D_c = boundary_hopping(mu, lobe, "paper")
+            t_edge = boundary_hopping(mu, lobe, "variational") / math.cos(theta)
+            D_cv, guards = boundary_problems(mu, args.n_max)
+            cells = [MeanFieldProblem(
+                mu, effective_hopping(t_edge, theta - dtheta), args.n_max)
+                for dtheta in dthetas]
+        except RotobhError as exc:
+            failure = exc
+            break
+        plans.append((mu, lobe, D_c, D_cv))
+        problems += guards + cells
+    psis = iter(converged_psis(problems))
+    rows = []
+    for mu, lobe, D_c, D_cv in plans:
+        check_boundary(mu, D_cv, next(psis), next(psis))
         kap_var = kappa(mu, lobe, "variational")
-        for dtheta, delta, psi in zip(dthetas, deltas, psis):
+        for dtheta, delta in zip(dthetas, deltas):
+            psi = next(psis)
             if isinstance(psi, ConvergenceError):
                 raise psi
             kap_rec = psi / delta
             rows.append((mu, lobe, dtheta, D_c, D_cv, D_cv / D_c, psi,
                          kap_var, kap_rec, kap_rec / kap_var - 1.0))
+    if failure is not None:
+        raise failure
     meta = {"theta": theta, "n_max": args.n_max, "tolerances": TOLERANCES}
     return ("mu_over_U", "lobe_n", "dtheta", "D_c_paper", "D_cv_oracle",
             "ratio", "psi_star", "kappa_variational", "kappa_recovered",

@@ -29,12 +29,21 @@ to top = grid[-1].  Only a cell with B > n_max, such as one at a huge D,
 takes sqrt(n_max): there the grid would otherwise reach sqrt(2 D), where
 2 D psi^2 swamps every Fock term of H.
 
-The candidate.  The linear response r = <a>/psi at psi = RESPONSE_EPS
-decides (see below): r <= 1 gives psi = 0.0 exactly.  r > 1 makes psi = 0
-a maximum, and the candidate is the root of the stationarity condition
-F(psi) = psi - <a>(psi) = e0'(psi) / (4 D) on [RESPONSE_EPS, top], found
-by numerics.newton_root to ROOT_TOL.  The bracket's lower end has
-F = RESPONSE_EPS (1 - r) < 0, read off the response's own solve.  Its
+The candidate.  The zero-field response r0 decides, with no solve: to
+second order in psi, <a> = r0 psi and e0(psi) - e0(0) = 2 D (1 - r0) psi^2
+(Hellmann-Feynman), where perturbation theory about the lowest truncated
+level n, E_k = k(k - 1) - mu k, gives
+r0 = 2 D chi_n, chi_n = (n + 1) / (E_(n+1) - E_n) + n / (E_(n-1) - E_n)
+(Fisher, Weichman, Grinstein & Fisher, PRB 40, 546 (1989); van Oosten,
+van der Straten & Stoof, PRA 63, 053601 (2001)), exact for the truncated
+problem, whose first term drops where n = n_max (_Kernel.chi); chi_n is
++inf where two lowest levels tie, at a lobe corner.  r0 <= 1 gives
+psi = 0.0 exactly.  r0 > 1 makes psi = 0 a maximum, and the candidate is
+the root of the stationarity condition
+F(psi) = psi - <a>(psi) = e0'(psi) / (4 D) on (0, top], found by
+numerics.newton_root to ROOT_TOL.  F(0) = 0, but just above 0 F has the
+sign of 1 - r0 < 0, and newton_root takes 1 - r0 as its value at the
+lower end 0, so no psi near 0 is solved.  The bracket's
 upper end has F(top) > 0 wherever e0(top) <= e0(0): there
 <a> <= <n>^(1/2) <= sqrt(R) by the bounds above, so
 F(top) / top >= 1 - sqrt(R)/top = 2/(COARSE_POINTS - 1) = 0.05, far above
@@ -57,11 +66,13 @@ once per n_max, and c_0 / 2 is <a>.  A first gap that is not positive, or
 a slope that is not finite, makes that step bisect.
 
 The start and the stop.  Near the boundary e0 has the Landau form, so
-g = F/psi = 1 - <a>/psi ~ (1 - r) + c psi^2, even in psi with g(0) = 1 - r.
-Through the response point, at psi ~ 0, and an iterate x with g(x) > 0,
-c = (g(x) + r - 1) / x^2, and the model's root is
+g = F/psi = 1 - <a>/psi ~ (1 - r0) + c psi^2, even in psi with
+g(0) = 1 - r0.  Through g(0) and an iterate x with g(x) > 0,
+c = (g(x) + r0 - 1) / x^2, and the model's root is
 
-    x_m = x sqrt((r - 1) / (g(x) + r - 1)) < x.
+    x_m = x sqrt((r0 - 1) / (g(x) + r0 - 1)) < x,
+
+which is NaN, and ignored, where r0 = +inf.
 
 The first solve is at top, and every step until F first changes sign,
 the first one included, goes to the smaller of x_m and the Newton point:
@@ -72,8 +83,13 @@ tol1 = 2 eps x + ROOT_TOL/2 is lengthened to tol1, a probe, and the root
 is returned only once F changes sign across a bracket no wider than
 ROOT_TOL plus 4 ulps: the end of it with the smaller |F|, which is the
 guarantee brent_root gives.  Running past newton_root's max_iter raises
-ConvergenceError.  No psi is solved twice, and the returned point reuses
-its own solve.
+ConvergenceError.  So does a search in which F > 0 at every psi solved,
+whose bracket shrinks onto 0: r0 > 1 puts a root above 0, and the solves
+have not resolved <a> there.  That happens within a few ulps of the
+boundary, where F is rounding, and next to a lobe corner, where the
+coupling 2 D psi sqrt(n + 1) that carries <a> falls below dstev's
+deflation test |e_k| <= eps sqrt(|d_k d_(k+1)|) and <a> comes back 0.
+No psi is solved twice, and the returned point reuses its own solve.
 
 The certificate.  No candidate is returned unverified: its energy
 e0* = e0(psi*) must lie below e0(psi_j) + slack at every grid point,
@@ -133,7 +149,7 @@ Next to the boundary psi* is not machine-accurate.  F = psi - <a>
 cancels there: near the root <a>/psi is 1 to within about
 (D - D_b)/D_b, while <a>, formed from the ground vector's small
 components, carries a rounding error far above eps, and the root moves
-by that error over F's slope 2 (r - 1), which vanishes at the boundary.
+by that error over F's slope 2 (r0 - 1), which vanishes at the boundary.
 Against a 40-digit root over 18 mu in lobes 0, 1 and 4 (default
 truncation), |dpsi*| is at most 7.6e-13 at D/D_b - 1 = 1e-3, 2.8e-11 at
 1e-5, 2.8e-9 at 1e-6 and 2.9e-9 at 1e-9, so GOLDEN_TOL holds there; at
@@ -142,9 +158,10 @@ truncation), |dpsi*| is at most 7.6e-13 at D/D_b - 1 = 1e-3, 2.8e-11 at
 D = D_cv (1 + 10^-k), k >= 9, miss it (D_cv the closed-form boundary),
 and from 1% above the boundary on the root is accurate to 3e-13, which
 makes the truncation-drift guarantee (<= 1e-8 per two extra Fock
-levels) meetable.  RESPONSE_EPS lowers r by
-O(RESPONSE_EPS^2), so within about 2e-12 relative above the boundary,
-where the true psi* is below RESPONSE_EPS, psi* = 0.0.
+levels) meetable.  r0 carries no bias, so psi* = 0.0 comes back above
+the boundary only where the rounding of r0 = 2 D chi_n leaves it at 1, a
+few ulps of D from D* = 1/(2 chi_n); from there on psi* > 0 or, where the
+solves do not resolve <a>, a ConvergenceError (above).
 
 Lockstep.  minimize_order_parameter takes one problem or a sequence of
 them, and minimizes a sequence in lockstep: its cells of one truncation
@@ -159,9 +176,9 @@ so a cell has the bits of its one-cell call whatever else is in the
 sequence.  One dpttrf then
 certifies every cell of the kernel that has a grid, and a cell's failure
 is its own outcome.  Each cell pays for its ``dstev`` calls and a share
-of each round's numpy calls: the response is one ``dstev``, and each
-root step one ``dstev`` plus a share of the products that give <a> and
-the slope, 6 or 7 solves for a superfluid cell away from the boundary,
+of each round's numpy calls: each root step is one ``dstev`` plus a
+share of the products that give <a> and the slope, 6 or 7 solves for a
+superfluid cell away from the boundary,
 where Brent's method took 10 to 12, and more next to it.  A round, and
 a kernel, cost about a dozen numpy calls whatever the number of lanes,
 so a cell costs less the more lanes share them: over 128 superfluid
@@ -175,16 +192,16 @@ eigenvectors and 2 COARSE_POINTS LANES (n_max + 1) of certificate, and a
 call of 32 cells at MAX_N_MAX peaks at 44 MB.  A lone cell costs
 more than the scalar search did, about 1.5 times as much at both
 (mu, D) = (1.0, 0.5) and (1.0, 0.05), so every subcommand hands the
-oracle its cells together: oracle-check a mu's two guards and its cells,
-a variational sweep all of its superfluid cells, to converged_psis, which
-passes them on CELLS_PER_CALL to a minimize_order_parameter call.
-Where H is diagonal no solve runs:
-H(0) = diag(base), so the psi = 0 candidate is the Fock state of the
+oracle its cells together: oracle-check every mu's two guards and its
+cells, a variational sweep all of its superfluid cells, to
+converged_psis, which passes them on CELLS_PER_CALL to a
+minimize_order_parameter call.
+A psi = 0 candidate takes no solve:
+H(0) = diag(base), so it is the Fock state of the
 lowest level, with that level as e0 and <a> = 0, the bits dstev returns
 (its selection sort keeps the first of tied levels, as at a lobe
-corner).  A Mott cell thus pays one ``dstev``, the response's, and a
-cell with B <= 0 none; at D = 0, H(psi) is diagonal at every psi, so
-r = 0 exactly and the cell takes no solve either.
+corner).  With r0 from the levels, a Mott cell thus takes no ``dstev``,
+nor does a cell with B <= 0 or D = 0, where r0 = 0.
 The psi-independent arrays k, k(k-1), sqrt(k) and X are built once per
 n_max.
 The Fock truncation, given or defaulted to lobe + 8, must lie in
@@ -197,17 +214,19 @@ one whose bound N overflows.  scipy, which supplies dstev and dpttrf,
 is imported when the first _Kernel is built, not with this module, so a
 process that never diagonalizes never pays for loading it.
 
-The Mott/superfluid boundary is not found by minimizing at all.  At
-psi -> 0, Hellmann-Feynman gives e0(psi) - e0(0) ~ 2 D (1 - r) psi^2, with
-r = <a>/psi the linear response of the ground state, so the second-order
-boundary is the root in D of r(D) = 1.  boundary_numeric finds it by
-Brent's method, one dstev per evaluation at psi = RESPONSE_EPS on one
-kernel per mu, without touching the closed-form susceptibility, and then
-minimizes just below and just above it, in one call, to rule out a
-first-order jump; boundary_and_psis adds further cells at that mu to the
-same call.  H(psi) is diagonal at D = 0, so r(0) = 0 takes no
-solve, and the kernel's overflow test, made once at the bracket top,
-covers every smaller D.
+The Mott/superfluid boundary is not found by minimizing at all.  It is
+where r0 = 2 D chi_n reaches 1, D* = 1/(2 chi_n), from the same chi_n,
+so a cell just below it takes psi = 0 with no solve.  boundary_problems
+gives D* and the two guard problems at D* (1 -/+ GUARD_STEP), and
+check_boundary requires psi* = 0 exactly below and psi* > 0 above, since
+linear stability cannot see a first-order jump: these two minimizations
+are the boundary's non-perturbative evidence.  Where the lowest
+truncated level is n_max, chi_n loses its (n + 1) term and would still
+give a finite D, so the truncation cannot hold the lobe, and where two
+lowest levels tie chi_n is infinite; both are ConvergenceErrors before
+any minimization.  boundary_numeric minimizes the guards alone, and
+oracle-check hands every mu's guards to one converged_psis call with its
+cells.
 """
 
 from __future__ import annotations
@@ -221,16 +240,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, TruncationWarning
-from .numerics import EPS, brent_root, newton_root
-from .landau import boundary_hopping, lobe_index
+from .numerics import EPS, newton_root
+from .landau import lobe_index
 
 COARSE_POINTS = 41  # grid points over [0, sqrt(R)] and two steps past it
 # published bound on |dpsi| of the minimizer: meets ~1e-13 deep in the
 # superfluid, and fails within ~1e-9 relative of the boundary (docstring)
 GOLDEN_TOL = 1e-8
-BOUNDARY_TOL = 1e-6  # published bound on |dD| of boundary_numeric (meets ~1e-12)
-RESPONSE_EPS = 1e-6  # psi at which boundary_numeric reads the linear response
-ROOT_TOL = 1e-14  # bracket width of the boundary root in D and psi* in psi
+BOUNDARY_TOL = 1e-6  # published bound on |dD| of boundary_numeric (meets ~1e-15)
+ROOT_TOL = 1e-14  # bracket width of the root psi* in psi
 GUARD_STEP = 1e-3  # relative offset in D of the two first-order guards
 MIN_N_MAX = 4  # smallest Fock truncation a MeanFieldProblem accepts
 # Largest one.  Each dstev computes all n_max + 1 eigenvectors, O(n_max^3)
@@ -345,14 +363,15 @@ class _Kernel:
     lanes only: the leading rows of arrays made for the first round.
     """
 
-    __slots__ = ("levels", "_base", "_two_d", "_k", "_sqrt_k", "_x",
+    __slots__ = ("levels", "_mu", "_base", "_two_d", "_k", "_sqrt_k", "_x",
                  "_couplings", "_dstev", "_open", "_round", "_arrays",
                  "solved")
 
     def __init__(self, problems):
         k, k_k1, sqrt_k, x, couplings = _fock_arrays(problems[0].n_max)
         self.levels = k.size
-        self._base = np.multiply.outer([-p.mu_over_U for p in problems], k)
+        self._mu = [p.mu_over_U for p in problems]
+        self._base = np.multiply.outer([-mu for mu in self._mu], k)
         self._base += k_k1
         self._two_d = [2.0 * p.D_eff for p in problems]
         self._k = k
@@ -364,18 +383,15 @@ class _Kernel:
         self._round = None  # the arrays, made on its first call
         self.solved = {}  # per lane of a root search, its solves by psi
 
-    def tridiag(self, psi, two_d=None, row=0):
-        """H(psi)'s diagonal and off-diagonal for one lane, at hopping
-        two_d / 2 if given, else at the lane's own."""
-        if two_d is None:
-            two_d = self._two_d[row]
-        return (self._base[row] + two_d * psi * psi,
-                -two_d * psi * self._sqrt_k)
+    def tridiag(self, psi):
+        """H(psi)'s diagonal and off-diagonal for the first lane."""
+        two_d = self._two_d[0]
+        return self._base[0] + two_d * psi * psi, -two_d * psi * self._sqrt_k
 
-    def eigenpair(self, psi, two_d=None, row=0):
-        """(e0, unit vector in LAPACK's sign, <a>) of one lane from one
-        dstev, at hopping two_d / 2 if given; a failed dstev raises."""
-        vals, vecs, info = self._dstev(*self.tridiag(psi, two_d, row), 1, 1, 1)
+    def eigenpair(self, psi):
+        """(e0, unit vector in LAPACK's sign, <a>) of the first lane from one
+        dstev; a failed dstev raises."""
+        vals, vecs, info = self._dstev(*self.tridiag(psi), 1, 1, 1)
         if info != 0:
             raise _lapack_error("dstev", info)
         vec = vecs[:, 0]
@@ -394,6 +410,32 @@ class _Kernel:
         base = self._base[row]
         k = int(base.argmin())
         return float(base[k]) + 0.0, 1.0 if k == base.size - 1 else 0.0
+
+    def chi(self, row):
+        """(n, chi_n) of one lane: n its lowest level, the first one of a
+        tie, as fock_ground takes it, and
+        chi_n = (n + 1) / (E_(n+1) - E_n) + n / (E_(n-1) - E_n), without
+        the first term where n = n_max and the second where n = 0.
+
+        The gaps are formed from mu, E_(n+1) - E_n = 2 n - mu and
+        E_(n-1) - E_n = mu - 2 (n - 1), not as differences of two levels,
+        which cancel next to a lobe corner.  chi_n is +inf where a gap is
+        not positive: two lowest levels that tie, at a lobe corner or
+        within the rounding of the levels next to one.
+        """
+        n, mu = int(self._base[row].argmin()), self._mu[row]
+        chi = 0.0
+        if n < self.levels - 1:
+            up = 2.0 * n - mu
+            if not up > 0.0:
+                return n, math.inf
+            chi += (n + 1) / up
+        if n > 0:
+            down = mu - 2.0 * (n - 1)
+            if not down > 0.0:
+                return n, math.inf
+            chi += n / down
+        return n, chi
 
     def _take(self, rows):
         """stationarity's arrays for the listed rows: the leading rows of
@@ -572,35 +614,27 @@ def _minimize(problems):
 def _minimize_kernel(problems):
     """_minimize's outcomes for problems that share one kernel.
 
-    The response decides each candidate: psi = 0 unless r > 1, and then
-    the root of F, the roots of all lanes in one newton_root.  Every
-    candidate with a grid (B > 0) is then certified, all in one dpttrf.
+    The zero-field response r0 = 2 D chi_n decides each candidate: psi = 0
+    unless r0 > 1, and then the root of F, the roots of all lanes in one
+    newton_root.  Every candidate with a grid (B > 0) is then certified,
+    all in one dpttrf.
     """
     kernel = _Kernel(problems)
     # per row its candidate (psi, e0, <a>, top component), or its error
     found = [None] * len(problems)
     steps = {}  # per row with B > 0 its grid step, sqrt(R) / (COARSE_POINTS - 3)
-    # per row of the root search its bracket, r and F(RESPONSE_EPS)
-    brackets, ratio, f_lo = {}, {}, {}
+    brackets, ratio = {}, {}  # per row of the root search its bracket and r0
     for row, problem in enumerate(problems):
         bound = problem.mu_over_U + 1.0 + 2.0 * problem.D_eff
         if bound > 0.0:
             steps[row] = (math.sqrt(min(bound, problem.n_max))
                           / (COARSE_POINTS - 3))
-            if problem.D_eff != 0.0:  # else H is diagonal: r = 0
-                try:
-                    e0, vec, a_exp = kernel.eigenpair(RESPONSE_EPS, row=row)
-                except ConvergenceError as exc:
-                    found[row] = exc
-                    continue
-                r = a_exp / RESPONSE_EPS
-                if r > 1.0:
-                    brackets[row] = (RESPONSE_EPS,
-                                     steps[row] * (COARSE_POINTS - 1))
-                    ratio[row] = r
-                    f_lo[row] = RESPONSE_EPS - a_exp
-                    kernel.solved[row] = {
-                        RESPONSE_EPS: (e0, a_exp, float(vec[-1]))}
+            if problem.D_eff != 0.0:  # else H is diagonal: r0 = 0
+                r0 = 2.0 * problem.D_eff * kernel.chi(row)[1]
+                if r0 > 1.0:
+                    brackets[row] = 0.0, steps[row] * (COARSE_POINTS - 1)
+                    ratio[row] = r0
+                    kernel.solved[row] = {}
                     continue
         e0, top_v = kernel.fock_ground(row)  # the candidate psi = 0
         found[row] = 0.0, e0, 0.0, top_v
@@ -609,15 +643,26 @@ def _minimize_kernel(problems):
             r = ratio[row]
             return p * math.sqrt((r - 1.0) / (f / p + r - 1.0))
 
-        # F(p) = p - <a>(p) = e0'(p) / (4 D)
+        # F(p) = p - <a>(p) = e0'(p) / (4 D); 1 - r0 < 0 carries the sign
+        # of F just above 0, where F(0) itself is 0
         roots = newton_root(kernel.stationarity, brackets, tol=ROOT_TOL,
-                            model=landau_root, flo=f_lo)
+                            model=landau_root,
+                            flo={row: 1.0 - r for row, r in ratio.items()})
         for row, root in roots.items():
             if isinstance(root, ValueError):
                 root = ConvergenceError(
                     "no stationary point of e0 in [%.6g, %.6g] at mu = %r, "
                     "D = %r" % (*brackets[row], problems[row].mu_over_U,
                                 problems[row].D_eff))
+            elif not (isinstance(root, ConvergenceError) or any(
+                    p <= a for p, (_, a, _) in kernel.solved[row].items())):
+                # the bracket shrank onto 0 with F > 0 at every solve
+                root = ConvergenceError(
+                    "F = psi - <a> > 0 at every psi solved, down to %.3g, at "
+                    "mu = %r, D = %r, though r0 = %r > 1 makes F < 0 just "
+                    "above 0: the solves do not resolve <a>" % (
+                        min(kernel.solved[row]), problems[row].mu_over_U,
+                        problems[row].D_eff, ratio[row]))
             found[row] = root if isinstance(root, ConvergenceError) else (
                 (root,) + kernel.solved[row][root])
     _certify(kernel, problems, found, steps)
@@ -734,63 +779,52 @@ def _warn_truncation(top):
 
 
 def boundary_numeric(mu: float, n_max=None) -> float:
-    """Hopping D at which psi = 0 stops being stable: the root of r(D) = 1.
+    """Hopping D* at which psi = 0 stops being stable, 1/(2 chi_n), checked
+    by two full minimizations.
 
     n_max=None takes MeanFieldProblem's default truncation, lobe + 8.
 
-    r(D) = <a>(RESPONSE_EPS; D) / RESPONSE_EPS is the linear response of
-    the ground state, one dstev per evaluation.  By Hellmann-Feynman the
-    curvature of e0 at psi = 0 is proportional to 1 - r, so r = 1 is the
-    second-order boundary (van Oosten, van der Straten & Stoof, PRA 63,
-    053601 (2001)).  The bracket is [0, D_c(paper)]: r(0) = 0 exactly,
-    since H is diagonal at D = 0, and the paper boundary is twice the
-    true one, so r > 1 there.  Every r(D) is one dstev on a single kernel,
-    built and overflow-tested at D_c(paper).  The root is
-    found to ROOT_TOL by Brent's method; the finite eps biases it by
-    O(eps^2), about 1e-12 relative.
-
-    A first-order jump is invisible to linear stability, so two full
-    minimizations guard the answer: psi* must be exactly 0 at
-    D*(1 - GUARD_STEP) and positive at D*(1 + GUARD_STEP).  Otherwise,
-    or if either minimization does not converge, ConvergenceError (the
-    one below first).  So does an r that is not above 1 at D_c(paper),
-    where the bracket holds no root: next to a lobe corner, or where the
-    truncation cannot hold the lobe.
+    boundary_problems gives D* and the two guards, converged_psis
+    minimizes them in one call, and check_boundary rules out a first-order
+    jump; a guard's failure is raised, the one below first.
     """
-    return boundary_and_psis(mu, (), n_max)[0]
+    D_star, guards = boundary_problems(mu, n_max)
+    check_boundary(mu, D_star, *converged_psis(guards))
+    return D_star
 
 
-def boundary_and_psis(mu: float, D_values, n_max=None):
-    """(boundary_numeric(mu, n_max), converged psi* at each D of D_values).
+def boundary_problems(mu: float, n_max=None):
+    """(D*, the two guard problems at D* (1 - GUARD_STEP) and
+    D* (1 + GUARD_STEP)), with no solve.
 
-    The two guards and the cells at D_values are minimized in one
-    converged_psis call, so they run in lockstep.  A failure of
-    the boundary raises, as boundary_numeric does; a cell's failure is its
-    entry in the list of psi*, as in converged_psis.
+    D* = 1/(2 chi_n) is where the zero-field response r0 = 2 D chi_n of
+    the truncated problem reaches 1 (module docstring), from the kernel's
+    chi, so the guard below takes psi = 0 with no solve.  ConvergenceError
+    where the truncated problem has no such boundary: where its lowest
+    level is n_max, whose chi_n lacks the (n + 1) term, so the truncation
+    cannot hold the lobe, and where two lowest levels tie, next to a lobe
+    corner, so chi_n is infinite.
     """
-    hi = boundary_hopping(mu, lobe_index(mu), "paper")  # raises at lobe corners
-    at_hi = MeanFieldProblem(mu, hi, n_max)
-    kernel = _kernel(at_hi)  # overflow test at hi
-
-    def response_excess(D):
-        """r(D) - 1, with r = <a>/psi the linear response of the ground
-        state at psi = RESPONSE_EPS: r = 0 at D = 0, where H is diagonal,
-        and one dstev otherwise."""
-        if D == 0.0:
-            return -1.0
-        return kernel.eigenpair(RESPONSE_EPS, 2.0 * D)[2] / RESPONSE_EPS - 1.0
-
-    try:
-        D_star = brent_root(response_excess, 0.0, hi, tol=ROOT_TOL)
-    except ValueError:
+    problem = MeanFieldProblem(mu, 0.0, n_max)
+    n, chi = _kernel(problem).chi(0)
+    if n == problem.n_max:
         raise ConvergenceError(
-            "no boundary in D on [0, %.6g] at mu = %r, n_max = %d: the "
-            "response r = %r at its top is not above 1"
-            % (hi, mu, at_hi.n_max, response_excess(hi) + 1.0)) from None
-    below, above, *psis = converged_psis(
-        [MeanFieldProblem(mu, D, n_max) for D in
-         (D_star * (1.0 - GUARD_STEP), D_star * (1.0 + GUARD_STEP),
-          *D_values)])
+            "no boundary at mu = %r, n_max = %d: the lowest Fock level is "
+            "n_max, so the truncation cannot hold the lobe" % (mu, n))
+    if chi == math.inf:
+        raise ConvergenceError(
+            "no boundary at mu = %r, n_max = %d: its two lowest Fock levels "
+            "tie, as at a lobe corner" % (mu, problem.n_max))
+    D_star = 0.5 / chi
+    return D_star, [MeanFieldProblem(mu, D_star * (1.0 - GUARD_STEP), n_max),
+                    MeanFieldProblem(mu, D_star * (1.0 + GUARD_STEP), n_max)]
+
+
+def check_boundary(mu: float, D_star: float, below, above) -> None:
+    """Raise unless the guards' outcomes, converged_psis entries, make D* a
+    second-order boundary: psi* exactly 0 below it and positive above it.
+    A first-order jump is invisible to linear stability; a guard's own
+    error is raised first, the one below first."""
     for psi in (below, above):
         if isinstance(psi, ConvergenceError):
             raise psi
@@ -798,4 +832,3 @@ def boundary_and_psis(mu: float, D_values, n_max=None):
         raise ConvergenceError(
             "boundary at mu = %r, D* = %r is not second order: psi* = %r "
             "below it and %r above it" % (mu, D_star, below, above))
-    return D_star, psis

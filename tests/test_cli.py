@@ -460,11 +460,11 @@ def test_oracle_check_report():
     ["--dthetas", "0.005", "--theta", "1.5707963267948966"],
 ])
 def test_oracle_check_rotation_domain_exits_3(monkeypatch, flags):
-    # checked before the first boundary solve
+    # checked before the first boundary is set up
     def no_solve(*args):
-        raise AssertionError("boundary solved before the domain check")
+        raise AssertionError("boundary set up before the domain check")
 
-    monkeypatch.setattr(cli, "boundary_and_psis", no_solve)
+    monkeypatch.setattr(cli, "boundary_problems", no_solve)
     status, out, err = run_cli(["oracle-check", "--mu", "1.0"] + flags)
     assert status == 3 and out == ""
     assert err.startswith("rotobh: error:") and "Traceback" not in err
@@ -500,14 +500,73 @@ def test_oracle_check_unconverged_exits_4(monkeypatch):
     ["--mu", "9.99", "--n-max", "5"],
 ])
 def test_oracle_check_unbracketed_boundary_exits_4(flags):
-    # next to a lobe corner, or where the truncation cannot hold the lobe,
-    # the response stays below 1 across the bracket: a convergence error,
-    # not a traceback
+    # a convergence error, not a traceback, in both cases where the
+    # truncated problem gives no usable boundary.  Where the truncation
+    # cannot hold the lobe, its lowest level is n_max and chi_n lacks its
+    # (n + 1) term: that is raised before any minimization.  1e-11 from a
+    # lobe corner the two lowest levels differ in their last digits, and
+    # the guard above the boundary does not meet stationarity
     status, out, err = run_cli(["oracle-check"] + flags)
     assert status == 4 and out == ""
-    assert err.startswith("rotobh: error: no boundary in D on [0, ")
-    assert "at mu = %s, n_max = " % flags[1] in err
+    if len(flags) > 2:
+        assert err == ("rotobh: error: no boundary at mu = %s, n_max = %s: "
+                       "the lowest Fock level is n_max, so the truncation "
+                       "cannot hold the lobe\n" % (flags[1], flags[3]))
+    else:
+        assert err.startswith("rotobh: error: oracle did not converge at "
+                              "mu = %s, D = " % flags[1])
     assert "Traceback" not in err
+
+
+def test_oracle_check_one_lobe_corner_away():
+    # 1e-9 from the corner mu = 4 the boundary is 1/(2 chi_n) of the
+    # truncated levels, 1/(2 (3 / 1e-9 + 2 / 1.999999999)), with no
+    # response solve for deflation to zero; the parent exited 4 here
+    status, out, _ = run_cli(["oracle-check", "--mu", "3.999999999",
+                              "--theta", "0.8"])
+    assert status == 0
+    _, cols, rows = parse_csv(out)
+    assert len(rows) == 2
+    for row in rows:
+        row = dict(zip(cols, row))
+        assert abs(row["ratio"] - 0.5) <= 1e-9
+        assert row["D_cv_oracle"] == 1.6666668040117293e-10
+        assert row["psi_star"] > 0.0
+
+
+def test_oracle_check_minimizes_every_mu_in_one_call(monkeypatch):
+    # every mu's two guards and its cells go to one minimization call, in
+    # mu order, guards first
+    calls = []
+    real = oracle.minimize_order_parameter
+
+    def counting(problems):
+        calls.append([(p.mu_over_U, p.D_eff) for p in problems])
+        return real(problems)
+
+    monkeypatch.setattr(oracle, "minimize_order_parameter", counting)
+    status, out, _ = run_cli(["oracle-check", "--mu", "0.5,2.5,4.5",
+                              "--n-max", "12"])
+    assert status == 0 and len(parse_csv(out)[2]) == 6
+    assert len(calls) == 1 and len(calls[0]) == 12
+    assert [mu for mu, _ in calls[0]] == [0.5] * 4 + [2.5] * 4 + [4.5] * 4
+    for mu in (0.5, 2.5, 4.5):
+        D_star, guards = oracle.boundary_problems(mu, 12)
+        cells = [(p.mu_over_U, p.D_eff) for p in guards]
+        assert cells == [c for c in calls[0] if c[0] == mu][:2]
+        assert cells[0][1] < D_star < cells[1][1]
+
+
+def test_oracle_check_errors_come_in_mu_order(monkeypatch):
+    # mu = 1.0 fails its guards (both at D* itself, where psi* = 0) and
+    # mu = 2.0, a lobe corner, fails before any solve: the first mu's error
+    # is the one raised, as when each mu was solved in turn
+    monkeypatch.setattr(oracle, "GUARD_STEP", 0.0)
+    status, out, err = run_cli(["oracle-check", "--mu", "1.0,2.0"])
+    assert status == 4 and out == ""
+    assert err.startswith("rotobh: error: boundary at mu = 1.0")
+    status, _, err = run_cli(["oracle-check", "--mu", "2.0,1.0"])
+    assert status == 3 and "corner" in err
 
 
 def test_oracle_check_failing_boundary_after_its_cells(monkeypatch):

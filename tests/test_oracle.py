@@ -195,8 +195,8 @@ def test_minimizer_straddles_the_boundary(lobe, frac, n_max, log_rel):
 
 def test_minimizer_unbracketed_root_is_an_error(monkeypatch):
     # <a> and its slope doubled past psi = 0.5 in the root's solves:
-    # F = psi - <a> < 0 at both ends of [RESPONSE_EPS, grid[-1]], so the
-    # bracket holds no sign change
+    # F = psi - <a> < 0 at grid[-1], as it is just above 0 where r0 > 1,
+    # so the bracket (0, grid[-1]] holds no sign change
     real = oracle._Kernel.stationarity
 
     def falling(self, rows, psis):
@@ -542,8 +542,10 @@ def test_fock_ground_is_the_psi_zero_eigenpair(mu, D, n_max):
 
 
 def test_diagonal_hamiltonians_take_no_eigensolve(monkeypatch):
-    # a psi = 0 candidate takes the Fock ground state, and boundary_numeric
-    # reads r(0) = 0 without a solve: dstev runs only where H is not diagonal
+    # a psi = 0 candidate takes the Fock ground state, and the zero-field
+    # response r0 = 2 D chi_n comes from the levels: a Mott cell and the
+    # boundary's guard below it take no solve, and dstev runs only where H
+    # is not diagonal
     real = oracle._lapack()[0]
     solved = []
 
@@ -557,28 +559,30 @@ def test_diagonal_hamiltonians_take_no_eigensolve(monkeypatch):
     res = minimize_order_parameter(MeanFieldProblem(1.0, 0.0, 8))  # D = 0
     assert solved == []
     assert res == OracleResult(0.0, -1.0, 0.0, True)
-    minimize_order_parameter(MeanFieldProblem(1.0, 0.1))  # Mott: the response
-    assert solved == [True]
+    minimize_order_parameter(MeanFieldProblem(1.0, 0.1))  # Mott: r0 = 0.6
+    assert solved == []
+    D_star, (below, above) = oracle.boundary_problems(1.0)
+    minimize_order_parameter(below)
+    assert solved == []
     minimize_order_parameter(MeanFieldProblem(1.0, 0.25))
     boundary_numeric(1.0)
-    assert all(solved)
+    assert solved and all(solved)
 
 
 def test_minimizer_scan_against_stable_mott_is_an_error(monkeypatch):
     # a candidate whose e0 sits above a grid point by more than the slack
     # fails the certificate: e0 has a second minimum the candidate missed.
-    # Every solve, the response's and the root's, has its e0 lifted, and
-    # so has the psi = 0 candidate's diagonal ground state.
-    p = MeanFieldProblem(1.0, 0.1)  # Mott: r < 1, candidate psi = 0
+    # Every root solve has its e0 lifted, and so has the psi = 0
+    # candidate's diagonal ground state.
+    p = MeanFieldProblem(1.0, 0.1)  # Mott: r0 = 0.6 < 1, candidate psi = 0
 
     def lift(m, depth):
-        for name in ("eigenpair", "fock_ground"):
-            real = getattr(oracle._Kernel, name)
+        real = oracle._Kernel.fock_ground
 
-            def lifted(self, *args, real=real, **kwargs):
-                e0, *rest = real(self, *args, **kwargs)
-                return (e0 + depth, *rest)
-            m.setattr(oracle._Kernel, name, lifted)
+        def lifted(self, row):
+            e0, top = real(self, row)
+            return e0 + depth, top
+        m.setattr(oracle._Kernel, "fock_ground", lifted)
         real_steps = oracle._Kernel.stationarity
 
         def lifted_steps(self, rows, psis):
@@ -629,18 +633,132 @@ def test_boundary_numeric_is_exact(n_max):
 ])
 def test_boundary_numeric_unbracketed_is_a_convergence_error(monkeypatch,
                                                             mu, n_max):
-    # r does not rise above 1 by D_c(paper): no root in the bracket, and
-    # no minimization runs
+    # where the lowest truncated level is n_max, chi_n lacks its (n + 1)
+    # term: no boundary, and no minimization runs.  1e-11 from a lobe
+    # corner D* = 1/(2 chi_n) is set, and the guard above it does not meet
+    # stationarity (test_oracle_check_unbracketed_boundary_exits_4)
+    levels = MeanFieldProblem(mu, 0.0, n_max).n_max  # given or defaulted
+    if n_max is None:
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            boundary_numeric(mu, n_max)
+        return
+
     def no_guards(problems):
         raise AssertionError("guards minimized without a boundary")
 
     monkeypatch.setattr(oracle, "minimize_order_parameter", no_guards)
     with pytest.raises(ConvergenceError) as caught:
         boundary_numeric(mu, n_max)
-    levels = MeanFieldProblem(mu, 0.0, n_max).n_max  # given or defaulted
-    assert str(caught.value).startswith(
-        "no boundary in D on [0, %.6g] at mu = %r, n_max = %d: the response "
-        "r = " % (boundary_hopping(mu, lobe_index(mu), "paper"), mu, levels))
+    assert str(caught.value) == (
+        "no boundary at mu = %r, n_max = %d: the lowest Fock level is n_max, "
+        "so the truncation cannot hold the lobe" % (mu, levels))
+
+
+# mu across lobes 0 to 4: inside a lobe, and 10^-j from a lobe corner 2k
+# for j = 3 to 12, on either side
+_MU_IN_LOBES = st.one_of(
+    st.builds(lambda lobe, frac: 2.0 * (lobe - 1 + frac), st.integers(0, 4),
+              st.floats(0.01, 0.99)),
+    st.builds(lambda k, side, j: 2.0 * k + side * 10.0 ** -j,
+              st.integers(0, 4), st.sampled_from([-1.0, 1.0]),
+              st.integers(3, 12)).filter(lambda mu: mu < 8.0))
+
+
+def _mp_boundary(mp, mu, n_max):
+    """1/(2 chi_n) of the truncated levels E_k = k(k - 1) - mu k, k <= n_max,
+    to 40 digits: the test's reference."""
+    with mp.workdps(40):
+        levels = [k * (k - 1) - mp.mpf(mu) * k for k in range(n_max + 1)]
+        n = levels.index(min(levels))
+        chi = (n + 1) / (levels[n + 1] - levels[n])
+        if n > 0:
+            chi += n / (levels[n - 1] - levels[n])
+        return float(1 / (2 * chi))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(mu=3.999999999, n_max=None)
+@example(mu=-0.1, n_max=12)
+@given(mu=_MU_IN_LOBES, n_max=st.sampled_from([None, 12]))
+def test_boundary_is_half_over_chi_of_the_levels(mu, n_max):
+    # D* against a 40-digit 1/(2 chi_n); boundary_numeric returns it unless
+    # a guard fails, which happens only next to a lobe corner
+    mp = pytest.importorskip("mpmath")
+    D_star, _ = oracle.boundary_problems(mu, n_max)
+    levels = MeanFieldProblem(mu, 0.0, n_max).n_max
+    assert abs(D_star / _mp_boundary(mp, mu, levels) - 1.0) <= 1e-13
+    try:
+        assert boundary_numeric(mu, n_max) == D_star
+    except ConvergenceError as exc:
+        assert abs(mu - 2.0 * round(mu / 2.0)) < 1e-9, (mu, str(exc))
+        assert "no boundary" not in str(exc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(mu=3.999999999, n_max=None)
+@example(mu=-0.1, n_max=12)
+@given(mu=_MU_IN_LOBES, n_max=st.sampled_from([None, 12]))
+def test_minimizer_decides_within_last_digits_of_the_boundary(mu, n_max):
+    # at D* (1 - 10^-k) psi* is exactly 0, with no solve; at D* (1 + 10^-k)
+    # it is positive and not the parent's response point 1e-6, k = 3 to 13.
+    # Next to a lobe corner the solves may not resolve <a> there (deflation
+    # or rounding makes F > 0 at every probe): that cell is an error, never
+    # psi* = 0.  How close psi* comes to the true root so near the boundary
+    # is the module docstring's near-boundary accuracy, not checked here
+    D_star, _ = oracle.boundary_problems(mu, n_max)
+    rels = [10.0 ** -k for k in range(3, 14)]
+    above = minimize_order_parameter(
+        [MeanFieldProblem(mu, D_star * (1.0 + rel), n_max) for rel in rels])
+    corner = abs(mu - 2.0 * round(mu / 2.0)) < 1e-3
+    for rel, res in zip(rels, above):
+        if corner and isinstance(res, ConvergenceError):
+            assert "the solves do not resolve <a>" in str(res), (rel, res)
+            continue
+        assert isinstance(res, OracleResult), (rel, res)
+        assert res.psi_star > 0.0 and res.psi_star != 1e-6, (rel, res)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "dstev", None)  # a solve would raise
+        below = minimize_order_parameter(
+            [MeanFieldProblem(mu, D_star * (1.0 - rel), n_max) for rel in rels])
+    assert [res.psi_star for res in below] == [0.0] * len(rels)
+
+
+def test_vacuum_boundary_is_superfluid_just_above():
+    # mu = -0.1 at 12 Fock levels: D* = 1/(2 chi_0) = 0.05, and psi* > 0 at
+    # 1e-12 above it, where the parent's response at psi = 1e-6 gave 0.0
+    res = minimize_order_parameter(MeanFieldProblem(-0.1, 0.05 * (1.0 + 1e-12),
+                                                    12))
+    assert res.psi_star > 0.0
+    assert boundary_numeric(-0.1, 12) == 0.05
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lobe=st.integers(0, 4), frac=st.floats(0.01, 0.99),
+       scale=st.floats(0.01, 10.0), n_max=st.sampled_from([None, 12]))
+def test_response_solve_matches_two_d_chi(lobe, frac, scale, n_max):
+    # the parent's response <a>/psi from one dstev, at psi = 1e-4 where no
+    # deflation zeroes the coupling, is r0 = 2 D chi_n to O(psi^2): the
+    # error falls fourfold when psi halves
+    mu = 2.0 * (lobe - 1 + frac)
+    D = scale * oracle.boundary_problems(mu, n_max)[0]
+    kernel = oracle._Kernel([MeanFieldProblem(mu, D, n_max)])
+    r0 = 2.0 * D * kernel.chi(0)[1]
+    err = [kernel.eigenpair(psi)[2] / psi / r0 - 1.0 for psi in (1e-4, 5e-5)]
+    assert abs(err[0]) <= 1e3 * 1e-4 ** 2, err
+    assert abs(err[1] - 0.25 * err[0]) <= 1e-3 * abs(err[0]) + 1e-11, err
+
+
+def test_boundary_at_a_lobe_corner_is_an_error(monkeypatch):
+    # two lowest levels tie: chi_n = +inf, with no ZeroDivisionError or
+    # warning, and no boundary, before any minimization
+    monkeypatch.setattr(oracle, "minimize_order_parameter", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mu, n_max in ((0.0, None), (-0.0, 12), (2.0, None), (6.0, 12)):
+            assert oracle._Kernel([MeanFieldProblem(mu, 1.0, n_max)]).chi(0)[1] \
+                == math.inf
+            with pytest.raises(ConvergenceError, match="levels tie"):
+                boundary_numeric(mu, n_max)
 
 
 def test_boundary_numeric_runs_two_minimizations(monkeypatch):
@@ -833,14 +951,14 @@ def test_lapack_failure_is_an_error(monkeypatch):
     monkeypatch.setattr(oracle, "dstev", _dstev_fails)
     for call in (lambda: ground_energy(p, 0.3),
                  lambda: a_expectation(p, 0.3),
-                 lambda: minimize_order_parameter(p),
-                 lambda: minimize_order_parameter(
-                     MeanFieldProblem(1.0, 0.1))):  # Mott: the response
+                 lambda: minimize_order_parameter(p)):
         with pytest.raises(ConvergenceError, match="dstev"):
             call()
+    # a Mott cell takes no solve, so no dstev can fail it
+    assert minimize_order_parameter(MeanFieldProblem(1.0, 0.1)).psi_star == 0.0
     # in a batch, a failed dstev is its lane's error alone, whether it is
-    # the lane's response (its first solve) or a root step (its second);
-    # the other lanes keep the bits of their one-cell calls
+    # the lane's first root step or its second; the other lanes keep the
+    # bits of their one-cell calls
     for failing in (1, 2):
         solves = []
 
