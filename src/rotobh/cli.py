@@ -348,7 +348,7 @@ def _cmd_oracle_check(args):
     dthetas = parse_grid(args.dthetas)
     check_count("oracle-check rows (mu x dthetas)", len(mus) * len(dthetas))
     theta = args.theta
-    # before any boundary solve: delta_exact rejects theta outside
+    # before any minimization: delta_exact rejects theta outside
     # (0, pi/2) and dtheta outside [0, theta], and psi*/delta needs delta > 0
     deltas = [delta_exact(theta, dtheta) for dtheta in dthetas]
     for dtheta, delta in zip(dthetas, deltas):

@@ -4,19 +4,19 @@ Deliberately dependency-free so the physics modules stay auditable.  The
 golden-section search and newton_root run many brackets in lockstep, so
 that a caller can evaluate all of them in one call per step (the
 surrogate fit does, one lane per theta, and the oracle's minimizer, one
-lane per cell, keyed by the cell's kernel row); brent_root, bisect_root
-and Lambert W work on one scalar at a time.  There are three root
-finders, all with one contract:
-newton_root (Newton guarded by bisection), which the oracle's minimizer
-uses because each of its evaluations is an eigensolve that yields the
-slope too; brent_root (Brent-Dekker), which the oracle's boundary and the
-fit crossover use because each of their evaluations costs an eigensolve
-or a delta array and gives no slope; and bisect_root, which nothing in the
-package calls any more: it stays as the independent reference of
-acceptance 6 and because the benchmark's tracer (perfbench/tracer.py)
-binds it by name.  A root finder that runs out of iterations, or meets a
-NaN inside its bracket, raises ConvergenceError, and lambert_w raises it
-when its residual check fails; none returns an unverified point.
+lane per cell, keyed by the cell's kernel row); bisect_root and Lambert W
+work on one scalar at a time.  newton_root is the package's one root
+finder, and its docstring states the contract every lane keeps.  A lane
+whose f hands back a slope takes safeguarded Newton steps: the oracle's
+minimizer, each of whose evaluations is an eigensolve that yields the
+slope too.  A lane that hands back None in its place takes secant steps:
+the fit crossover, each of whose evaluations is a delta array with no
+slope.  bisect_root, which nothing in the package calls, stays as the
+independent reference of acceptance 6 and because the benchmark's tracer
+(perfbench/tracer.py) binds it by name.  A root finder that runs out of
+iterations, or meets a NaN inside its bracket, raises ConvergenceError,
+and lambert_w raises it when its residual check fails; none returns an
+unverified point.
 """
 
 import math
@@ -86,13 +86,6 @@ def _check_bracket(lo, hi, flo, fhi):
         raise ValueError("root not bracketed on [%g, %g]" % (lo, hi))
 
 
-def _bracket_values(f, lo, hi):
-    """(f(lo), f(hi)); ValueError unless they bracket a root."""
-    flo, fhi = f(lo), f(hi)
-    _check_bracket(lo, hi, flo, fhi)
-    return flo, fhi
-
-
 def _value_at(x, fx):
     """fx = f(x), or ConvergenceError if it is NaN: a NaN cannot move a
     bracket."""
@@ -114,7 +107,8 @@ def bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
     soon as f is NaN at a midpoint.
     """
     lo, hi = float(lo), float(hi)
-    flo, fhi = _bracket_values(f, lo, hi)
+    flo, fhi = f(lo), f(hi)
+    _check_bracket(lo, hi, flo, fhi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -134,108 +128,55 @@ def bisect_root(f, lo, hi, tol=1e-10, max_iter=200):
                            "%d steps" % (lo, hi, tol, max_iter))
 
 
-def brent_root(f, lo, hi, tol=1e-10, max_iter=100):
-    """Root of f on [lo, hi] by Brent-Dekker, contract of bisect_root.
-
-    Brent, Algorithms for Minimization without Derivatives (1973), ch. 4:
-    b is the best point so far and [b, c] a sign bracket.  Each step takes
-    the inverse quadratic (or secant) point through the last three values
-    when it lies in the three quarters of [b, c] nearest b and the step is
-    under half the step before last, and the midpoint of [b, c] otherwise;
-    a step is never shorter than tol1 = 2 eps |b| + tol / 2, so no step is
-    lost to rounding.  Returns b once |c - b| <= 2 tol1, that is, once the
-    bracket is no wider than tol plus 4 ulps of b.  ConvergenceError if
-    max_iter steps do not get there.
-    """
-    a, b = float(lo), float(hi)
-    fa, fb = _bracket_values(f, a, b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(max_iter):
-        if (fb < 0.0) == (fc < 0.0):  # the new b is on c's side: c = a
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):  # keep the smaller |f| at b
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * EPS * abs(b) + 0.5 * tol
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = xm
-        else:
-            d = e = xm
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = _value_at(b, f(b))
-        if fb == 0.0:
-            return b
-    raise ConvergenceError("Brent's method did not reach tol = %g in %d steps; "
-                           "the bracket is [%r, %r]" % (tol, max_iter,
-                                                        min(b, c), max(b, c)))
-
-
 def newton_root(f, brackets, tol=1e-10, max_iter=100, model=None, flo=None):
     """Roots of functions, one per bracket, by Newton's method guarded by
-    bisection, searched in lockstep; each lane keeps brent_root's contract.
+    bisection, searched in lockstep; a lane given no slope takes secant
+    steps.
 
     brackets maps each lane's id to its (lo, hi).  f(ids, xs) takes a list
     of the open lanes' ids, in bracket order, and one abscissa per listed
-    lane and returns one pair (f(x), f'(x)) per listed lane, so that one
-    call evaluates every open lane; in place of a pair it may return an
-    exception, which ends that lane with it.  A lane takes exactly the
-    steps of the scalar search below on its own bracket, whatever the
-    other lanes do: a round hands f the lanes still open, and a lane
-    leaves once it has its root or its error; until one leaves, f is
-    handed the same list of ids, the same object, from round to round.
-    flo, if given, maps every lane's id to its f(lo), which f is then not
-    asked for.  Returns a dict from each id, in bracket order, to its
-    root, or the ValueError or ConvergenceError its search met.
+    lane and returns one pair (f(x), f'(x)) per listed lane, or
+    (f(x), None) for a lane without a slope, so that one call evaluates
+    every open lane; in place of a pair it may return an exception, which
+    ends that lane with it.  A lane takes exactly the steps of the scalar
+    search below on its own bracket, whatever the other lanes do: a round
+    hands f the lanes still open, and a lane leaves once it has its root
+    or its error; until one leaves, f is handed the same list of ids, the
+    same object, from round to round.  flo, if given, maps every lane's id
+    to its f(lo), which f is then not asked for.  Returns a dict from each
+    id, in bracket order, to its root, or the ValueError or
+    ConvergenceError its search met.
 
     The slope at lo is never read.  The Newton/bisection hybrid follows
     rtsafe (Press et al., Numerical Recipes, 3rd ed., sec. 9.4): the
     iterate x starts at hi and stays an end of a sign bracket whose other
     end is the last point evaluated on the far side of the root.  Each
-    step goes to the Newton point x - f(x)/f'(x) when f'(x) has the sign
+    step goes to the Newton point x - f(x)/s when the slope s has the sign
     of f(hi) (the way f runs across [lo, hi]) and the point lies inside
-    the open bracket, and to the bracket's midpoint otherwise, so a NaN,
-    infinite, zero or wrong-signed slope bisects.  rtsafe's further rule,
-    which bisects wherever a step is over half the step before last, is
-    left out: on the oracle's minimizer it cost more evaluations than it
-    saved.  So the steps are only as good as the slope: one k times too
-    steep shrinks the distance to the root by a factor 1 - 1/k per step,
-    and f' must be the derivative of f, not an estimate of it.  model, if
-    given, is a root estimate model(id, x, f(x)) that caps the Newton
-    steps taken before f first changes sign, all of which run down from
-    hi: such a step goes to the smaller of model's point and the Newton
-    point (a NaN model point is ignored) and then meets the same bracket
-    test.  A step shorter than tol1 = 2 eps |x| + tol / 2 is lengthened to
-    tol1 toward the other end: that probe ends the search if f changes
-    sign across it.  Once the other end lies within 2 tol1 of x, that is,
-    once the sign bracket is no wider than tol plus 4 ulps of x, the root
-    is whichever of its two ends has the smaller |f|.  No point is
-    evaluated twice.  A lane's error is a ValueError unless f(lo) and
-    f(hi) bracket a root, and a ConvergenceError if max_iter steps do not
-    get there, or as soon as f is NaN inside the bracket.
+    the open bracket or rounds onto x, and to the bracket's midpoint
+    otherwise, so a NaN, infinite, zero or wrong-signed slope bisects.  s
+    is f'(x), or on a lane without one the secant slope through x and the
+    point evaluated before it (sec. 9.2), which before the first step is
+    lo, so that step goes to the regula falsi point.  rtsafe's further
+    rule, which bisects wherever a step is over half the step before
+    last, is left out: on the oracle's minimizer it cost more evaluations
+    than it saved.  So the steps are only as good as the slope: one k
+    times too steep shrinks the distance to the root by a factor 1 - 1/k
+    per step, and a slope handed back must be the derivative of f, not an
+    estimate of it.  model, if given, is a root estimate model(id, x, f(x))
+    that caps the Newton steps taken before f first changes sign, all of
+    which run down from hi: such a step goes to the smaller of model's
+    point and the Newton point (a NaN model point is ignored) and then
+    meets the same bracket test.  A step shorter than
+    tol1 = 2 eps |x| + tol / 2 is lengthened to tol1 toward the other end:
+    that probe ends the search if f changes sign across it.  Once the
+    other end lies within 2 tol1 of x, that is, once the sign bracket is
+    no wider than tol plus 4 ulps of x, the root is whichever of its two
+    ends has the smaller |f|.  No point is evaluated twice.  A lane's
+    error is a ValueError unless f(lo) and f(hi) bracket a root (signs
+    are compared, and a NaN end is no bracket), and a ConvergenceError if
+    max_iter steps do not get there, or as soon as f is NaN inside the
+    bracket.
     """
     lanes = {k: _rtsafe(float(lo), float(hi), tol, max_iter,
                         None if flo is None else flo[k], model, k)
@@ -262,9 +203,9 @@ def newton_root(f, brackets, tol=1e-10, max_iter=100, model=None, flo=None):
 
 def _rtsafe(lo, hi, tol, max_iter, flo, model, lane):
     """The lane of newton_root with id lane: yields each abscissa to
-    evaluate, is sent (f(x), f'(x)) for it, and returns the root or raises
-    the lane's error.  flo, if not None, is f(lo), which it then does not
-    ask for."""
+    evaluate, is sent (f(x), f'(x)) or (f(x), None) for it, and returns
+    the root or raises the lane's error.  flo, if not None, is f(lo), which
+    it then does not ask for."""
     if flo is None:
         flo = (yield lo)[0]
     fhi, slope = yield hi
@@ -275,27 +216,30 @@ def _rtsafe(lo, hi, tol, max_iter, flo, model, lane):
         return hi
     rising = fhi > 0.0
     x, fx, other, fother = hi, fhi, lo, flo
+    prev, fprev = lo, flo
     for _ in range(max_iter):
         tol1 = 2.0 * EPS * abs(x) + 0.5 * tol
         if abs(other - x) <= 2.0 * tol1:
             return x if abs(fx) <= abs(fother) else other
+        if slope is None:  # a secant lane
+            slope = (fx - fprev) / (x - prev)
         t = math.nan  # no Newton point: bisect
-        if slope > 0.0 if rising else slope < 0.0:
+        if 0.0 < slope < math.inf if rising else -math.inf < slope < 0.0:
             t = x - fx / slope
             if model is not None and other == lo:
                 cap = model(lane, x, fx)
                 if cap < t:
                     t = cap
-        if not min(x, other) < t < max(x, other):
+        if t != x and not min(x, other) < t < max(x, other):
             t = 0.5 * (x + other)
-        if abs(t - x) < tol1:  # t lies between x and other
+        if abs(t - x) < tol1:  # t lies between x and other, or is x
             t = x + math.copysign(tol1, other - x)
         ft, slope = yield t
         if _value_at(t, ft) == 0.0:
             return t
         if (ft > 0.0) != (fx > 0.0):
             other, fother = x, fx
-        x, fx = t, ft
+        prev, fprev, x, fx = x, fx, t, ft
     raise ConvergenceError("Newton's method did not reach tol = %g in %d "
                            "steps; the bracket is [%r, %r]"
                            % (tol, max_iter, min(x, other), max(x, other)))

@@ -81,14 +81,14 @@ several more steps to come down to psi*.  A step that leaves the open
 bracket, or where F' <= 0, bisects.  A step shorter than
 tol1 = 2 eps x + ROOT_TOL/2 is lengthened to tol1, a probe, and the root
 is returned only once F changes sign across a bracket no wider than
-ROOT_TOL plus 4 ulps: the end of it with the smaller |F|, which is the
-guarantee brent_root gives.  Running past newton_root's max_iter raises
-ConvergenceError.  So does a search in which F > 0 at every psi solved,
-whose bracket shrinks onto 0: r0 > 1 puts a root above 0, and the solves
-have not resolved <a> there.  That happens within a few ulps of the
-boundary, where F is rounding, and next to a lobe corner, where the
-coupling 2 D psi sqrt(n + 1) that carries <a> falls below dstev's
-deflation test |e_k| <= eps sqrt(|d_k d_(k+1)|) and <a> comes back 0.
+ROOT_TOL plus 4 ulps: the end of it with the smaller |F|.  Running past
+newton_root's max_iter raises ConvergenceError.  So does a search in
+which F > 0 at every psi solved, whose bracket shrinks onto 0: r0 > 1
+puts a root above 0, and the solves have not resolved <a> there.  That
+happens within a few ulps of the boundary, where F is rounding, and next
+to a lobe corner, where the coupling 2 D psi sqrt(n + 1) that carries
+<a> falls below dstev's deflation test
+|e_k| <= eps sqrt(|d_k d_(k+1)|) and <a> comes back 0.
 No psi is solved twice, and the returned point reuses its own solve.
 
 The certificate.  No candidate is returned unverified: its energy
@@ -152,10 +152,12 @@ components, carries a rounding error far above eps, and the root moves
 by that error over F's slope 2 (r0 - 1), which vanishes at the boundary.
 Against a 40-digit root over 18 mu in lobes 0, 1 and 4 (default
 truncation), |dpsi*| is at most 7.6e-13 at D/D_b - 1 = 1e-3, 2.8e-11 at
-1e-5, 2.8e-9 at 1e-6 and 2.9e-9 at 1e-9, so GOLDEN_TOL holds there; at
-1e-10 2 of the 18 cells miss it and at 1e-11 4 do, by up to 3.1e-8.  Over
-1,500 random cells in lobes 0 to 4 with n_max up to 24, only cells at
-D = D_cv (1 + 10^-k), k >= 9, miss it (D_cv the closed-form boundary),
+1e-5, 2.8e-9 at 1e-6 and 2.9e-9 at 1e-9, so GOLDEN_TOL holds there.
+Closer in it does not: of 60 cells in lobes 0, 1, 2 and 4, 4 miss it,
+all at D/D_b - 1 <= 1e-10, the worst by 6.2e-6 at (mu, D/D_b - 1) =
+(7.0, 1e-11).  Over 1,500 random cells in lobes 0 to 4 with n_max up to
+24, only cells at D = D_cv (1 + 10^-k), k >= 9, miss it (D_cv the
+closed-form boundary),
 and from 1% above the boundary on the root is accurate to 3e-13, which
 makes the truncation-drift guarantee (<= 1e-8 per two extra Fock
 levels) meetable.  r0 carries no bias, so psi* = 0.0 comes back above
@@ -178,23 +180,20 @@ certifies every cell of the kernel that has a grid, and a cell's failure
 is its own outcome.  Each cell pays for its ``dstev`` calls and a share
 of each round's numpy calls: each root step is one ``dstev`` plus a
 share of the products that give <a> and the slope, 6 or 7 solves for a
-superfluid cell away from the boundary,
-where Brent's method took 10 to 12, and more next to it.  A round, and
-a kernel, cost about a dozen numpy calls whatever the number of lanes,
+superfluid cell away from the boundary, and more next to it.  A round,
+and a kernel, cost about a dozen numpy calls whatever the number of lanes,
 so a cell costs less the more lanes share them: over 128 superfluid
 cells of lobes 1 and 2 at n_max = 10, a cell takes 184 us alone, 143 us
 two to a call, 112 us four, 95 us eight, 82 us sixteen and 77 us from 32
-lanes on, against 124 us for the scalar search this replaced (a 2-core
-x86-64 machine, numpy 2.4, one BLAS thread).  LANES = 32 is where that
-gain ends; more lanes to a kernel would only hold more memory at once: a
-kernel's arrays grow with its lanes, LANES (n_max + 1)^2 doubles of
-eigenvectors and 2 COARSE_POINTS LANES (n_max + 1) of certificate, and a
-call of 32 cells at MAX_N_MAX peaks at 44 MB.  A lone cell costs
-more than the scalar search did, about 1.5 times as much at both
-(mu, D) = (1.0, 0.5) and (1.0, 0.05), so every subcommand hands the
-oracle its cells together: oracle-check every mu's two guards and its
-cells, a variational sweep all of its superfluid cells, to
-converged_psis, which passes them on CELLS_PER_CALL to a
+lanes on (a 2-core x86-64 machine, numpy 2.4, one BLAS thread).
+LANES = 32 is where that gain ends; more lanes to a kernel would only
+hold more memory at once: a kernel's arrays grow with its lanes,
+LANES (n_max + 1)^2 doubles of eigenvectors and
+2 COARSE_POINTS LANES (n_max + 1) of certificate, and a call of 32 cells
+at MAX_N_MAX peaks at 44 MB.  A lone cell costs the most, so every
+subcommand hands the oracle its cells together: oracle-check every mu's
+two guards and its cells, a variational sweep all of its superfluid
+cells, to converged_psis, which passes them on CELLS_PER_CALL to a
 minimize_order_parameter call.
 A psi = 0 candidate takes no solve:
 H(0) = diag(base), so it is the Fock state of the

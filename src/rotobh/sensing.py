@@ -34,10 +34,10 @@ a(theta) * theta >= 1.
 The crossover angle where that first happens is computed, not assumed,
 and is reported alongside the exact-curve threshold arccos(2/3).  It
 takes no fit: at a = 1/theta the fit's stationarity in log a is one
-scalar equation in theta, whose root Brent's method finds to rounding for
-the grid_points problem, and the coarse log10 a scan at that root must
-bracket log10(1/theta), since a stationary point need not be the fit's
-minimum (theta_crossover).
+scalar equation in theta, whose root a secant lane of
+numerics.newton_root finds to rounding for the grid_points problem, and
+the coarse log10 a scan at that root must bracket log10(1/theta), since
+a stationary point need not be the fit's minimum (theta_crossover).
 
 Resolution is the full width at half maximum read on the rising branch.
 Both modes solve it in closed form: exact mode takes the root of the cubic
@@ -75,7 +75,7 @@ from .errors import (ConfigError, ConvergenceError, DomainError,
                      FitQualityWarning, OutOfRangeError, check_choice,
                      check_count)
 from .landau import kappa
-from .numerics import brent_root, golden_min
+from .numerics import golden_min, newton_root
 
 MODES = ("exact", "fit")
 THETA_EXACT_CROSSOVER = math.acos(2.0 / 3.0)  # ~0.8410687
@@ -444,26 +444,33 @@ def theta_crossover(mode: str = "exact",
         G(theta) = sum_i x_i (1 - x_i) e^-x_i (x_i e^-x_i - delta_i) = 0,
 
     delta_i = delta(theta, dtheta_i) on the grid fit_grid builds; G is the
-    rms gradient in log a times a positive factor.  Brent's method takes
-    the root of G on [0.3, 1.2] to rounding, one delta_on per step, so
-    the value is exact to rounding for the grid_points problem (the fit's
-    golden search meets a theta = 1 only to about 2e-9 there).  A
-    stationary point need not be the fit's minimum: the coarse log10 a
-    scan at the root must bracket log10(1/theta), else ConvergenceError.
+    rms gradient in log a times a positive factor.  newton_root takes the
+    root of G on [0.3, 1.2] to rounding as a lane with no slope, so its
+    steps take the secant slope, one delta_on each (at most 11
+    evaluations of G for grid_points from 50 to 100000), and the value is
+    exact to rounding for the grid_points problem (the fit's golden search
+    meets a theta = 1 only to about 2e-9 there).  A lane error is raised
+    as a ConvergenceError.  A stationary point need not be the fit's minimum:
+    the coarse log10 a scan at the root must bracket log10(1/theta), else
+    ConvergenceError.
     """
     check_choice("mode", mode, MODES)
     if mode == "exact":
         return THETA_EXACT_CROSSOVER
     _check_grid_points(grid_points)
 
-    def stationarity(theta):
+    def stationarity(ids, thetas):
+        (theta,) = thetas
         dts = dtheta_steps(theta, grid_points)
         target = delta_on(theta, dts)
         x = np.sqrt(dts / theta)
         ex = np.exp(-x)
-        return float(np.sum(x * (1.0 - x) * ex * (x * ex - target)))
+        return [(float(np.sum(x * (1.0 - x) * ex * (x * ex - target))), None)]
 
-    root = brent_root(stationarity, 0.3, 1.2, tol=1e-15)
+    root = newton_root(stationarity, {0: (0.3, 1.2)}, tol=1e-15)[0]
+    if isinstance(root, Exception):
+        raise ConvergenceError("the fit crossover's stationarity root on "
+                               "[0.3, 1.2] failed: %s" % root) from root
     ((lo, hi),) = _coarse_brackets(*_fit_targets((root,), grid_points))
     log_a = math.log10(1.0 / root)
     if not lo <= log_a <= hi:

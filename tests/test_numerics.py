@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from rotobh import numerics
 from rotobh.errors import ConvergenceError
-from rotobh.numerics import (EPS, bisect_root, brent_root, golden_min,
-                             lambert_w, newton_root)
+from rotobh.numerics import (EPS, bisect_root, golden_min, lambert_w,
+                             newton_root)
 
 
 def golden_min_scalar(f, lo, hi, tol=1e-10):
@@ -142,7 +142,13 @@ def test_bisect_keeps_a_tiny_step_from_underflowing():
     assert abs(x - 0.3) <= 1e-12
 
 
-@pytest.mark.parametrize("finder", [bisect_root, brent_root])
+def _secant(f, lo, hi, **kwargs):
+    """The one-lane secant search of f on [lo, hi]: newton_root's lane
+    handed no slope.  Its root, or its error raised."""
+    return _newton(lambda x: (f(x), None), lo, hi, **kwargs)
+
+
+@pytest.mark.parametrize("finder", [bisect_root, _secant])
 def test_nan_end_is_not_a_bracket(finder):
     with pytest.raises(ValueError):
         finder(lambda x: math.nan if x == 0.0 else x - 0.5, 0.0, 1.0)
@@ -150,7 +156,7 @@ def test_nan_end_is_not_a_bracket(finder):
         finder(lambda x: math.nan if x == 1.0 else x - 0.5, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("finder", [bisect_root, brent_root])
+@pytest.mark.parametrize("finder", [bisect_root, _secant])
 def test_nan_inside_the_bracket_is_an_error(finder):
     # a NaN compares as neither sign; taken as one, it moves the bracket
     # and bisection used to return 0.44999999998 here
@@ -181,34 +187,34 @@ def test_bisect_out_of_iterations_is_an_error():
         bisect_root(lambda x: math.cos(x) - x, 0.0, 1.0, tol=1e-12, max_iter=5)
 
 
-def test_brent_cos_fixed_point():
+def test_secant_cos_fixed_point():
     f = _counted(lambda x: math.cos(x) - x)
-    x = brent_root(f, 0.0, 1.0, tol=1e-12)
+    x = _secant(f, 0.0, 1.0, tol=1e-12)
     assert abs(x - 0.7390851332151607) < 1e-12
     assert f.evals < 20
-    assert abs(brent_root(lambda x: x ** 3 - 2.0, 0.0, 4.0,
-                          tol=1e-13) - 2.0 ** (1.0 / 3.0)) < 1e-12
+    assert abs(_secant(lambda x: x ** 3 - 2.0, 0.0, 4.0,
+                       tol=1e-13) - 2.0 ** (1.0 / 3.0)) < 1e-12
 
 
-def test_brent_endpoints_and_bracket():
-    assert brent_root(lambda x: x, 0.0, 1.0) == 0.0
-    assert brent_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+def test_secant_endpoints_and_bracket():
+    assert _secant(lambda x: x, 0.0, 1.0) == 0.0
+    assert _secant(lambda x: x - 1.0, 0.0, 1.0) == 1.0
     with pytest.raises(ValueError):
-        brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
+        _secant(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 @pytest.mark.parametrize("scale", [1e-320, 1e-300])
-def test_brent_survives_a_lost_secant_step(scale):
+def test_secant_survives_a_lost_secant_step(scale):
     # subnormal f can round an interpolated step away onto a bracket end;
     # accepting that point returns about 0.2998 at scale 1e-320
-    x = brent_root(lambda x: math.copysign(scale, x - 0.3), 0.0, 1.0,
-                   tol=1e-12)
+    x = _secant(lambda x: math.copysign(scale, x - 0.3), 0.0, 1.0,
+                tol=1e-12)
     assert abs(x - 0.3) <= 1e-12
 
 
-def test_brent_out_of_iterations_is_an_error():
+def test_secant_out_of_iterations_is_an_error():
     with pytest.raises(ConvergenceError):
-        brent_root(lambda x: x ** 3 - 2.0, 0.0, 4.0, tol=1e-13, max_iter=3)
+        _secant(lambda x: x ** 3 - 2.0, 0.0, 4.0, tol=1e-13, max_iter=3)
 
 
 def _with_slope(f, df, seen=None):
@@ -253,13 +259,15 @@ _NEWTON_CASES = (
 @pytest.mark.parametrize("case", range(len(_NEWTON_CASES)))
 @pytest.mark.parametrize("tol", [1e-14, 1e-10])
 def test_newton_returns_a_sign_bracket(case, tol):
+    # with f's slope, and as a secant lane, handed none
     f, df, lo, hi = _NEWTON_CASES[case]
-    seen = []
-    x = _newton(_with_slope(f, df, seen), lo, hi, tol=tol)
-    assert lo <= x <= hi
-    assert _sign_bracket_holds(f, x, tol)
-    assert x in seen  # an end of the final bracket, not a new point
-    assert len(set(seen)) == len(seen) <= 20  # no point twice
+    for slope in (df, lambda x: None):
+        seen = []
+        x = _newton(_with_slope(f, slope, seen), lo, hi, tol=tol)
+        assert lo <= x <= hi
+        assert _sign_bracket_holds(f, x, tol)
+        assert x in seen  # an end of the final bracket, not a new point
+        assert len(set(seen)) == len(seen) <= 20  # no point twice
 
 
 @pytest.mark.parametrize("slope", [math.nan, 0.0, 1.0, math.inf, -math.inf])
@@ -351,10 +359,20 @@ def test_newton_out_of_iterations_is_an_error():
                     0.0, 4.0, tol=1e-13, max_iter=3)
 
 
+def test_newton_point_that_rounds_onto_x_takes_the_probe():
+    # from x = 0.30000000000000004 the Newton step is 1.6e-17, under half
+    # an ulp of x, so x - f/f' rounds back onto x.  That point is no
+    # reason to bisect (51 evaluations): the tol1 probe toward the other
+    # end finds the sign change at once
+    g = _with_slope(lambda x: math.fsum((x, -0.3, -4e-17)), lambda x: 1.0)
+    assert _newton(g, 0.0, 1.0, tol=1e-15) == 0.30000000000000004
+    assert g.evals == 4
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(root=st.floats(0.01, 0.99), steep=st.floats(1e-3, 1e3),
        log_tol=st.floats(-12.0, -2.0),
-       finder=st.sampled_from(["newton", "newton-bisect", "brent"]))
+       finder=st.sampled_from(["newton", "newton-bisect", "secant"]))
 def test_root_is_the_final_bracket_end_with_the_smaller_value(
         root, steep, log_tol, finder):
     # f rises across [0, 1] with slope 1 below the root and steep above it,
@@ -365,14 +383,12 @@ def test_root_is_the_final_bracket_end_with_the_smaller_value(
     def f(x):
         return (x - root) * (steep if x > root else 1.0)
     tol = 10.0 ** log_tol
+    slope = {"newton": lambda p: steep if p > root else 1.0,
+             "newton-bisect": lambda p: math.nan,
+             "secant": lambda p: None}[finder]
     seen = []
-    if finder == "brent":
-        x = brent_root(lambda p: seen.append(p) or f(p), 0.0, 1.0, tol=tol)
-    else:
-        slope = ((lambda p: steep if p > root else 1.0) if finder == "newton"
-                 else (lambda p: math.nan))
-        x = _newton(_with_slope(f, slope, seen), 0.0, 1.0, tol=tol)
-        _lanes_match_their_one_lane_calls(_with_slope(f, slope), tol)
+    x = _newton(_with_slope(f, slope, seen), 0.0, 1.0, tol=tol)
+    _lanes_match_their_one_lane_calls(_with_slope(f, slope), tol)
     if f(x) == 0.0:
         return
     below = max(p for p in seen if f(p) < 0.0)
@@ -391,18 +407,19 @@ def _outcome(lane):
 
 def _lanes_match_their_one_lane_calls(g, tol):
     # g on [0, 1] between neighbours that stop at once (a root at an end),
-    # take one probe, raise ValueError (no sign change) or meet a NaN
-    # inside the bracket, in three orders, under sparse, unsorted ids:
-    # each lane returns, after the same evaluations, what its one-lane
-    # call returns.  f gets the open ids in bracket order, as one list
-    # object until a lane leaves
+    # take one probe, raise ValueError (no sign change), meet a NaN
+    # inside the bracket or step with no slope (a secant lane), in three
+    # orders, under sparse, unsorted ids: each lane returns, after the
+    # same evaluations, what its one-lane call returns.  f gets the open
+    # ids in bracket order, as one list object until a lane leaves
     lanes = [
         (g, 0.0, 1.0),
         (_with_slope(lambda x: x - 1.0, lambda x: 1.0), 0.0, 1.0),
         (_with_slope(lambda x: x - 0.5, lambda x: 1.0), 0.0, 1.0),
         (_with_slope(lambda x: x * x + 1.0, lambda x: 2.0 * x), 0.0, 1.0),
         (_with_slope(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5,
-                     lambda x: 1.0), 0.0, 1.0)]
+                     lambda x: 1.0), 0.0, 1.0),
+        (_with_slope(lambda x: math.cos(x) - x, lambda x: None), 0.0, 1.0)]
     alone = []
     for h, lo, hi in lanes:
         seen = []
@@ -411,8 +428,9 @@ def _lanes_match_their_one_lane_calls(g, tol):
         except (ValueError, ConvergenceError) as exc:
             x = exc
         alone.append((_outcome(x), seen))
-    lane_of = {7: 0, 2: 1, 11: 2, 30: 3, 4: 4}  # id -> index in lanes
-    for order in ((7, 2, 11, 30, 4), (4, 30, 11, 2, 7), (11, 7, 4, 2, 30)):
+    lane_of = {7: 0, 2: 1, 11: 2, 30: 3, 4: 4, 19: 5}  # id -> lanes index
+    for order in ((7, 2, 11, 30, 4, 19), (19, 4, 30, 11, 2, 7),
+                  (11, 7, 19, 4, 2, 30)):
         seen = {k: [] for k in order}
         handed = []  # per round, the ids list f got and a copy of it
 

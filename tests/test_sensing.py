@@ -11,7 +11,7 @@ from rotobh import sensing
 from rotobh.errors import (ConfigError, ConvergenceError, DomainError,
                            FitQualityWarning, OutOfRangeError)
 from rotobh.landau import kappa
-from rotobh.numerics import golden_min, lambert_w
+from rotobh.numerics import bisect_root, golden_min, lambert_w
 from rotobh.sensing import (BISECTION_TOL, DELTA_GLOBAL_MAX, FIT_COARSE_POINTS,
                             FIT_LOG_RANGE, FIT_LOG_TOL, THETA_EXACT_CROSSOVER,
                             _crossings, _fit_peak, delta_exact,
@@ -488,6 +488,26 @@ def test_theta_crossover_fit_solves_its_equation():
     assert theta_crossover("fit", 50) < tc - 1e-4
     with pytest.raises(ConfigError):
         theta_crossover("fit", 49)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(grid_points=st.integers(50, 5000))
+def test_theta_crossover_fit_is_the_root_of_its_stationarity(grid_points):
+    # the secant search meets bisection's root of the same G to tol plus
+    # 4 ulps, in 11 evaluations of G and the coarse scan's one delta_on:
+    # a search that fell back to bisection would take about 50
+    def stationarity(theta):
+        dts = dtheta_steps(theta, grid_points)
+        x = np.sqrt(dts / theta)
+        ex = np.exp(-x)
+        return float(np.sum(x * (1.0 - x) * ex
+                            * (x * ex - delta_on(theta, dts))))
+    want = bisect_root(stationarity, 0.3, 1.2, tol=1e-15)
+    with mock.patch.object(sensing, "delta_on",
+                           wraps=sensing.delta_on) as counted:
+        got = theta_crossover("fit", grid_points)
+    assert abs(got - want) <= 1e-15 + 4.0 * math.ulp(want)
+    assert counted.call_count <= 12
 
 
 def test_theta_crossover_fit_takes_no_fit(monkeypatch):
