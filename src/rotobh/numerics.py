@@ -25,6 +25,7 @@ import sys
 from .errors import ConvergenceError
 
 EPS = sys.float_info.epsilon
+SQRT_EPS = math.sqrt(EPS)  # longest Newton step that can stall, over |x|
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
 
@@ -172,7 +173,16 @@ def newton_root(f, brackets, tol=1e-10, max_iter=100, model=None, flo=None):
     that probe ends the search if f changes sign across it.  Once the
     other end lies within 2 tol1 of x, that is, once the sign bracket is
     no wider than tol plus 4 ulps of x, the root is whichever of its two
-    ends has the smaller |f|.  No point is evaluated twice.  A lane's
+    ends has the smaller |f|.  A lane handed f'(x) also stops at a stall:
+    a Newton step no longer than sqrt(eps) |x| that changes the sign of f
+    but fails to halve |f|.  There f's rounding, not its slope, decides
+    its sign, and further steps would only walk at random until two
+    points tol apart happened to show opposite signs (Kelley, Solving
+    Nonlinear Equations with Newton's Method, SIAM (2003); as
+    LAPACK's xGERFS stops refining once the backward error fails to
+    halve).  The root is then whichever end of that step has the smaller
+    |f|, and the step spans a sign change.  A bisection, a probe and a
+    secant step never stall.  No point is evaluated twice.  A lane's
     error is a ValueError unless f(lo) and f(hi) bracket a root (signs
     are compared, and a NaN end is no bracket), and a ConvergenceError if
     max_iter steps do not get there, or as soon as f is NaN inside the
@@ -221,7 +231,8 @@ def _rtsafe(lo, hi, tol, max_iter, flo, model, lane):
         tol1 = 2.0 * EPS * abs(x) + 0.5 * tol
         if abs(other - x) <= 2.0 * tol1:
             return x if abs(fx) <= abs(fother) else other
-        if slope is None:  # a secant lane
+        newton = slope is not None  # f'(x) was handed, not a secant lane
+        if not newton:
             slope = (fx - fprev) / (x - prev)
         t = math.nan  # no Newton point: bisect
         if 0.0 < slope < math.inf if rising else -math.inf < slope < 0.0:
@@ -231,13 +242,16 @@ def _rtsafe(lo, hi, tol, max_iter, flo, model, lane):
                 if cap < t:
                     t = cap
         if t != x and not min(x, other) < t < max(x, other):
-            t = 0.5 * (x + other)
+            t, newton = 0.5 * (x + other), False
         if abs(t - x) < tol1:  # t lies between x and other, or is x
-            t = x + math.copysign(tol1, other - x)
+            t, newton = x + math.copysign(tol1, other - x), False
         ft, slope = yield t
         if _value_at(t, ft) == 0.0:
             return t
         if (ft > 0.0) != (fx > 0.0):
+            if (newton and abs(t - x) <= SQRT_EPS * abs(x)
+                    and abs(ft) > 0.5 * abs(fx)):
+                return t if abs(ft) <= abs(fx) else x  # a stall
             other, fother = x, fx
         prev, fprev, x, fx = x, fx, t, ft
     raise ConvergenceError("Newton's method did not reach tol = %g in %d "

@@ -79,9 +79,20 @@ the first one included, goes to the smaller of x_m and the Newton point:
 next to the boundary F is nearly cubic, and Newton from top alone takes
 several more steps to come down to psi*.  A step that leaves the open
 bracket, or where F' <= 0, bisects.  A step shorter than
-tol1 = 2 eps x + ROOT_TOL/2 is lengthened to tol1, a probe, and the root
-is returned only once F changes sign across a bracket no wider than
-ROOT_TOL plus 4 ulps: the end of it with the smaller |F|.  Running past
+tol1 = 2 eps x + ROOT_TOL/2 is lengthened to tol1, a probe.  The root is
+returned once F changes sign across a bracket no wider than ROOT_TOL
+plus 4 ulps, or once a Newton step no longer than sqrt(eps) psi changes
+the sign of F but fails to halve |F| (newton_root's stall): either way
+the end of that bracket or step with the smaller |F|.  Next to the
+boundary F' = 2 (r0 - 1) is small (2e-3 at the guard above it), and
+once F first changes sign it is rounding (|F| at most 3.3e-15, median
+1.6e-16, over oracle-validate's seed-0 roots), so the steps after a
+stall would only walk in that rounding, 2.7e-14 at a time in the median,
+until two points ROOT_TOL apart happened to show opposite signs, with no
+gain in accuracy (below).  On
+perfbench's oracle-validate workload at seed 0, the stall cuts a pass's
+root steps from 392 dstev solves in 127 rounds to 320 in 101, and its
+42 roots from 6 to 15 solves each to 6 to 9.  Running past
 newton_root's max_iter raises ConvergenceError.  So does a search in
 which F > 0 at every psi solved, whose bracket shrinks onto 0: r0 > 1
 puts a root above 0, and the solves have not resolved <a> there.  That
@@ -151,14 +162,16 @@ cancels there: near the root <a>/psi is 1 to within about
 components, carries a rounding error far above eps, and the root moves
 by that error over F's slope 2 (r0 - 1), which vanishes at the boundary.
 Against a 40-digit root over 18 mu in lobes 0, 1 and 4 (default
-truncation), |dpsi*| is at most 7.6e-13 at D/D_b - 1 = 1e-3, 2.8e-11 at
-1e-5, 2.8e-9 at 1e-6 and 2.9e-9 at 1e-9, so GOLDEN_TOL holds there.
+truncation, frac 0.1, 0.25, 0.4, 0.6, 0.75 and 0.9 of each lobe), |dpsi*|
+is at most 1.8e-12 at D/D_b - 1 = 1e-3, 4.6e-12 at 1e-5, 2.2e-9 at 1e-6
+and 2.4e-9 at 1e-9, so GOLDEN_TOL holds there.
 Closer in it does not: of 60 cells in lobes 0, 1, 2 and 4, 4 miss it,
 all at D/D_b - 1 <= 1e-10, the worst by 6.2e-6 at (mu, D/D_b - 1) =
 (7.0, 1e-11).  Over 1,500 random cells in lobes 0 to 4 with n_max up to
 24, only cells at D = D_cv (1 + 10^-k), k >= 9, miss it (D_cv the
 closed-form boundary),
-and from 1% above the boundary on the root is accurate to 3e-13, which
+and from 1% above the boundary on the root is accurate to 5e-13 (at
+most 4.9e-13 over 1,500 random cells from D_b (1 + 10^-2) to 2 D_b), which
 makes the truncation-drift guarantee (<= 1e-8 per two extra Fock
 levels) meetable.  r0 carries no bias, so psi* = 0.0 comes back above
 the boundary only where the rounding of r0 = 2 D chi_n leaves it at 1, a
@@ -179,7 +192,7 @@ sequence.  One dpttrf then
 certifies every cell of the kernel that has a grid, and a cell's failure
 is its own outcome.  Each cell pays for its ``dstev`` calls and a share
 of each round's numpy calls: each root step is one ``dstev`` plus a
-share of the products that give <a> and the slope, 6 or 7 solves for a
+share of the products that give <a> and the slope, 5 or 6 solves for a
 superfluid cell away from the boundary, and more next to it.  A round,
 and a kernel, cost about a dozen numpy calls whatever the number of lanes,
 so a cell costs less the more lanes share them: over 128 superfluid

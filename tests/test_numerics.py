@@ -1,4 +1,6 @@
 import math
+import statistics
+import struct
 
 import numpy as np
 import pytest
@@ -247,6 +249,13 @@ def _sign_bracket_holds(f, x, tol):
     return f(x) == 0.0 or (f(x - w) < 0.0) != (f(x + w) < 0.0)
 
 
+def _final_bracket(f, seen):
+    """Width of the narrowest sign bracket among the points seen."""
+    above = [p for p in seen if f(p) > 0.0]
+    below = [p for p in seen if f(p) < 0.0]
+    return min(abs(p - q) for p in above for q in below)
+
+
 _NEWTON_CASES = (
     (lambda x: math.cos(x) - x, lambda x: -math.sin(x) - 1.0, 0.0, 1.0),
     (lambda x: x ** 3 - 2.0, lambda x: 3.0 * x * x, 0.0, 4.0),
@@ -259,7 +268,11 @@ _NEWTON_CASES = (
 @pytest.mark.parametrize("case", range(len(_NEWTON_CASES)))
 @pytest.mark.parametrize("tol", [1e-14, 1e-10])
 def test_newton_returns_a_sign_bracket(case, tol):
-    # with f's slope, and as a secant lane, handed none
+    # with f's slope, and as a secant lane, handed none.  No noise-free
+    # lane stalls: each ends by its tol + 4 ulps bracket.  Far from its
+    # root the atan case takes a Newton step, 2.5 to -4.18, that flips f's
+    # sign and fails to halve |f|; only a step no longer than sqrt(eps) |x|
+    # can stall
     f, df, lo, hi = _NEWTON_CASES[case]
     for slope in (df, lambda x: None):
         seen = []
@@ -268,6 +281,12 @@ def test_newton_returns_a_sign_bracket(case, tol):
         assert _sign_bracket_holds(f, x, tol)
         assert x in seen  # an end of the final bracket, not a new point
         assert len(set(seen)) == len(seen) <= 20  # no point twice
+        assert f(x) == 0.0 or \
+            _final_bracket(f, seen) <= tol + 4.0 * EPS * abs(x)
+        if case == 4 and slope is df:
+            assert any((f(a) > 0.0) != (f(b) > 0.0)
+                       and abs(f(b)) > 0.5 * abs(f(a)) and abs(b - a) > 6.0
+                       for a, b in zip(seen[1:], seen[2:]))
 
 
 @pytest.mark.parametrize("slope", [math.nan, 0.0, 1.0, math.inf, -math.inf])
@@ -367,6 +386,54 @@ def test_newton_point_that_rounds_onto_x_takes_the_probe():
     g = _with_slope(lambda x: math.fsum((x, -0.3, -4e-17)), lambda x: 1.0)
     assert _newton(g, 0.0, 1.0, tol=1e-15) == 0.30000000000000004
     assert g.evals == 4
+
+
+def _noisy_line(root, slope, salt):
+    """slope (x - root) plus noise of up to 1e-15 drawn from the bits of x
+    (and salt), as F = psi - <a> carries its rounding next to the oracle's
+    boundary: within 1e-15 / slope of the root the noise decides f's
+    sign."""
+    def f(x):
+        bits = struct.unpack("<Q", struct.pack("<d", x))[0] ^ salt
+        u = (bits * 0x9E3779B97F4A7C15 % 2 ** 64 >> 11) / 2.0 ** 53
+        return slope * (x - root) + 1e-15 * (2.0 * u - 1.0)
+    return f
+
+
+def _ends_by_a_stall(f, seen, x):
+    # the last step changes f's sign, is no longer than sqrt(eps) |x| and
+    # fails to halve |f|, and x is the end of it with the smaller |f|
+    a, b = seen[-2:]
+    return ((f(a) > 0.0) != (f(b) > 0.0)
+            and abs(b - a) <= math.sqrt(EPS) * abs(a)
+            and abs(f(b)) > 0.5 * abs(f(a))
+            and x == (b if abs(f(b)) <= abs(f(a)) else a))
+
+
+def test_newton_lane_ends_once_a_step_stalls_in_rounding():
+    # slope 2e-3 and noise 1e-15, as in an oracle cell next to its
+    # boundary: within 5e-13 of the root a Newton step lands on either
+    # side by chance.  A short step that flips f's sign without halving
+    # |f| ends the lane; where every flip halves |f|, the lane ends by the
+    # tol + 4 ulps bracket.  Without the stall the walk goes on until that
+    # bracket, a median of 9 evaluations here.  A secant lane, handed no
+    # slope, never stalls: it ends by the bracket on the same lines
+    evals, stalls = [], 0
+    for salt in range(50):
+        f = _noisy_line(0.0427, 2e-3, salt)
+        seen = []
+        x = _newton(_with_slope(f, lambda p: 2e-3, seen), 0.0, 1.0, tol=1e-14)
+        evals.append(len(seen))
+        if _ends_by_a_stall(f, seen, x):
+            stalls += 1
+        else:
+            assert _final_bracket(f, seen) <= 1e-14 + 4.0 * EPS * x
+        seen = []
+        x = _secant(lambda p: seen.append(p) or f(p), 0.0, 1.0, tol=1e-14)
+        assert x in seen
+        assert _final_bracket(f, seen) <= 1e-14 + 4.0 * EPS * x
+    assert stalls >= 40
+    assert statistics.median(evals) <= 5 and max(evals) <= 15
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -939,6 +939,20 @@ def test_minimizer_meets_golden_tol_next_to_the_boundary(lobe, rel):
         assert abs(psi - _mp_psi_star(mp, p, psi)) <= oracle.GOLDEN_TOL, mu
 
 
+@pytest.mark.parametrize("lobe", [0, 1, 4])
+def test_root_that_stalls_in_rounding_stays_accurate(lobe):
+    # at D = D_b (1 + 1e-3), the guards' offset, F is rounding within
+    # about 5e-13 of psi*, and newton_root ends a root there once a Newton
+    # step flips F's sign without halving |F|: psi* stays within 2e-12 of
+    # a 40-digit root (at most 1.6e-12 over these nine cells, at mu 7.6)
+    mp = pytest.importorskip("mpmath")
+    for frac in (0.2, 0.5, 0.8):
+        mu = 2.0 * (lobe - 1 + frac)
+        p = MeanFieldProblem(mu, boundary_numeric(mu) * (1.0 + oracle.GUARD_STEP))
+        psi = minimize_order_parameter(p).psi_star
+        assert abs(psi - _mp_psi_star(mp, p, psi)) <= 2e-12, mu
+
+
 def _dstev_fails(d, e, *args, **kwargs):
     return np.zeros_like(d), np.eye(d.size), 1
 
